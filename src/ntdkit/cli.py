@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -272,15 +271,8 @@ def cmd_bench(args) -> int:
         for seed in range(args.seeds):
             jobs.append((spec, proc, seed))
 
-    workers = int(os.environ.get("NTD_NUM_THREADS", "1"))
-    if workers > 1 and jobs:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda j: _bench_one(j[0], j[1], j[2], args.tol,
-                                     args.no_timing), jobs))
-    else:
-        rows = [_bench_one(s, p, sd, args.tol, args.no_timing)
-                for s, p, sd in jobs]
+    rows = [_bench_one(s, p, sd, args.tol, args.no_timing)
+            for s, p, sd in jobs]
     rows.sort(key=lambda r: (r[1], r[2]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

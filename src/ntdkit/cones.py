@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationCapError, UsageError, WitnessError
-from .lp import linprog_dense
+from .lp import cross_section_vertices, linprog_dense
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
@@ -61,8 +61,8 @@ def check_separable(h, tol=1e-9):
 def enumerate_dual_vertices(h, tol=1e-9):
     """Vertices of ``{y : h y >= 0, sum(y) = 1}`` plus an unboundedness flag.
 
-    Every vertex activates the normalization and r-1 rows of ``h``; all
-    such subsets are solved, feasibility-filtered and deduplicated.  The
+    Every vertex activates the normalization and r-1 rows of ``h``; the
+    basic solutions of all such subsets are deduplicated and sorted.  The
     polytope is unbounded iff a nonzero recession direction ``h z >= 0``,
     ``sum(z) = 0`` exists, which 2r small LPs detect.
     """
@@ -75,26 +75,10 @@ def enumerate_dual_vertices(h, tol=1e-9):
             f"enumeration cap exceeded (r={r} > {ENUM_CAP_R} or "
             f"n={n} > {ENUM_CAP_N})"
         )
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-
-    combos = list(itertools.combinations(range(n), r - 1))
     vertices = []
-    if combos:
-        M = np.empty((len(combos), r, r))
-        for idx, combo in enumerate(combos):
-            M[idx, : r - 1] = h[list(combo)]
-            M[idx, r - 1] = 1.0
-        dets = np.abs(np.linalg.det(M))
-        good = dets > 1e-12 * scale ** (r - 1)
-        if good.any():
-            rhs = np.zeros(r)
-            rhs[-1] = 1.0
-            ys = np.linalg.solve(M[good], rhs)
-            feas = (h @ ys.T).min(axis=0) >= -tol * scale
-            for y in ys[feas]:
-                if not any(np.abs(y - v).max() <= _DEDUP_TOL
-                           for v in vertices):
-                    vertices.append(y)
+    for y in cross_section_vertices(h, np.ones(r), tol):
+        if not any(np.abs(y - v).max() <= _DEDUP_TOL for v in vertices):
+            vertices.append(y)
     vertices.sort(key=tuple)
     verts = np.array(vertices).reshape(len(vertices), r)
 

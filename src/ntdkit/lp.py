@@ -1,16 +1,22 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Polytope oracles: vertex enumeration of simplex cross-sections and a
+dense two-phase simplex with Bland's rule.
 
-The volume solvers and cone checks mostly see small dense linear programs,
-where a textbook tableau simplex is plenty.  Bland's rule (smallest
-eligible index enters, smallest basic index breaks ratio ties) guarantees
-finite termination and makes every solve bit-deterministic.  Problems with
-many rows (refutation searches on large Kronecker products) are routed to
+Both the volume solvers and the cone checks optimize over cross-sections
+``{y : b y >= 0, a . y = 1}``.  When the number of (r-1)-row subsets is
+small, ``cross_section_vertices`` lists every vertex once and each linear
+objective becomes an argmax over them.  Otherwise the small dense linear
+programs go to a textbook tableau simplex: Bland's rule (smallest eligible
+index enters, smallest basic index breaks ratio ties) guarantees finite
+termination and makes every solve bit-deterministic.  Problems with many
+rows (refutation searches on large Kronecker products) are routed to
 scipy's HiGHS instead: the tableau's O(rows^2) pivots are too slow there,
-and HiGHS is equally deterministic for a fixed input.
+and HiGHS is equally deterministic for a fixed input.  An "optimal" tableau
+point that fails the original constraints is re-solved by HiGHS too.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,6 +27,8 @@ _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
 _MAX_PIVOTS = 100000
 _HIGHS_ROW_THRESHOLD = 128
+_CHECK_TOL = 1e-7
+_VERTEX_BATCH = 4096
 
 
 class LpResult(NamedTuple):
@@ -214,9 +222,78 @@ def linprog_dense(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
         return LpResult("infeasible", None, None, None)
     x = shift + M @ xstd[:nstd]
     if status == "optimal":
-        return LpResult("optimal", x, float(c @ x), None)
+        if _satisfies(x, a_ub, b_ub, a_eq, b_eq, bounds):
+            return LpResult("optimal", x, float(c @ x), None)
+        # Degenerate pivots can leave the tableau at a point outside the
+        # feasible set; HiGHS decides such programs instead.
+        res = _solve_highs(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize)
+        if res is None:
+            raise SolverError("simplex point violates the constraints and "
+                              "HiGHS found no optimum")
+        return res
     ray = M @ raystd[:nstd]
     return LpResult("unbounded", x, None, ray)
+
+
+def _satisfies(x, a_ub, b_ub, a_eq, b_eq, bounds):
+    """Does x meet every original constraint to a relative tolerance?"""
+    ax = np.abs(x)
+    if np.any(a_ub @ x - b_ub > _CHECK_TOL * (1.0 + np.abs(a_ub) @ ax
+                                              + np.abs(b_ub))):
+        return False
+    if np.any(np.abs(a_eq @ x - b_eq) > _CHECK_TOL * (
+            1.0 + np.abs(a_eq) @ ax + np.abs(b_eq))):
+        return False
+    for xj, (lo, hi) in zip(x, bounds):
+        if lo is not None and xj < lo - _CHECK_TOL * (1.0 + abs(lo)):
+            return False
+        if hi is not None and xj > hi + _CHECK_TOL * (1.0 + abs(hi)):
+            return False
+    return True
+
+
+def _subset_batches(n, k):
+    """All k-subsets of range(n) in lexicographic order, as index arrays of
+    at most ``_VERTEX_BATCH`` rows; no Python list of tuples is built."""
+    if k == 0:
+        yield np.zeros((1, 0), dtype=np.intp)
+        return
+    subsets = combinations(range(n), k)
+    dtype = np.dtype((np.intp, k))
+    while True:
+        idx = np.fromiter(islice(subsets, _VERTEX_BATCH), dtype=dtype)
+        if not len(idx):
+            return
+        yield idx
+
+
+def cross_section_vertices(b, a, tol=1e-9):
+    """Feasible basic solutions of ``{y : b y >= 0, a . y = 1}``.
+
+    Each candidate activates the normalization and r-1 rows of ``b``; all
+    C(n, r-1) square systems are solved in fixed-size batches, in subset
+    order.  Near-singular systems and points violating ``b y >= 0`` by more
+    than ``tol * max(1, |b|)`` are dropped; duplicates (degenerate vertices
+    hit by several subsets) are kept.  Returns a ``(k, r)`` array.
+    """
+    b = np.asarray(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n, r = b.shape
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    rhs = np.zeros(r)
+    rhs[-1] = 1.0
+    found = [np.zeros((0, r))]
+    for idx in _subset_batches(n, r - 1):
+        m = np.empty((len(idx), r, r))
+        m[:, :r - 1] = b[idx]
+        m[:, r - 1] = a
+        good = np.abs(np.linalg.det(m)) > 1e-12 * scale ** (r - 1)
+        if not good.any():
+            continue
+        ys = np.linalg.solve(m[good], rhs)
+        feas = (b @ ys.T).min(axis=0) >= -tol * scale
+        found.append(ys[feas])
+    return np.concatenate(found)
 
 
 def _solve_highs(c, a_ub, b_ub, a_eq, b_eq, bounds, maximize):

@@ -246,8 +246,11 @@ class TestBench:
         serial = tmp_path / "serial.csv"
         run(capsys, "bench", "--procedures", "1", "--seeds", "2", "--spec",
             str(spec), "--out", str(serial), "--no-timing")
-        monkeypatch.setenv("NTD_NUM_THREADS", "2")
-        threaded = tmp_path / "threaded.csv"
-        run(capsys, "bench", "--procedures", "1", "--seeds", "2", "--spec",
-            str(spec), "--out", str(threaded), "--no-timing")
-        assert serial.read_bytes() == threaded.read_bytes()
+        for value in ("2", "x"):
+            monkeypatch.setenv("NTD_NUM_THREADS", value)
+            other = tmp_path / f"threads-{value}.csv"
+            code, _ = run(capsys, "bench", "--procedures", "1", "--seeds",
+                          "2", "--spec", str(spec), "--out", str(other),
+                          "--no-timing")
+            assert code == 0
+            assert serial.read_bytes() == other.read_bytes()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,26 @@ from ntdkit.kron import kron
 from ntdkit.solvers import numerical_rank
 from ntdkit.synth import gen_separable_factor
 from tests.conftest import two_nonzero, two_nonzero_ssc
+
+
+def naive_dual_vertices(h, tol=1e-9):
+    """Per-subset solve, feasibility filter, dedup and sort, in a loop."""
+    n, r = h.shape
+    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
+    rhs = np.zeros(r)
+    rhs[-1] = 1.0
+    vertices = []
+    for combo in itertools.combinations(range(n), r - 1):
+        m = np.vstack([h[list(combo)], np.ones(r)])
+        if abs(np.linalg.det(m)) <= 1e-12 * scale ** (r - 1):
+            continue
+        y = np.linalg.solve(m, rhs)
+        if (h @ y).min() < -tol * scale:
+            continue
+        if not any(np.abs(y - v).max() <= 1e-9 for v in vertices):
+            vertices.append(y)
+    vertices.sort(key=tuple)
+    return np.array(vertices).reshape(len(vertices), r)
 
 
 def rows_near_center(n, r, c, rng, shrink=0.9):
@@ -76,6 +97,14 @@ class TestDualVertices:
             enumerate_dual_vertices(rng.random((10, 9)))
         with pytest.raises(EnumerationCapError):
             enumerate_dual_vertices(rng.random((61, 4)))
+
+    @pytest.mark.parametrize("n,r", [(20, 4), (14, 5), (9, 3)])
+    def test_matches_naive_enumeration(self, n, r):
+        rng = np.random.default_rng(300 + n + r)
+        for h in (two_nonzero(n, r, rng), rng.random((n, r)),
+                  gen_separable_factor(n, r, rng)):
+            verts, _ = enumerate_dual_vertices(h)
+            assert np.array_equal(verts, naive_dual_vertices(h))
 
     def test_unbounded_halfspace(self):
         h = np.full((4, 4), 0.25)

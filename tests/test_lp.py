@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from ntdkit.lp import linprog_dense
+from ntdkit.lp import cross_section_vertices, linprog_dense
+from ntdkit.solvers import orthonormal_range
+from ntdkit.synth import gen_instance
+from ntdkit.tensor import unfold
 
 
 def test_bounded_max():
@@ -72,3 +77,57 @@ def test_determinism(rng):
     assert r1.status == r2.status
     if r1.x is not None:
         assert np.array_equal(r1.x, r2.x)
+
+
+def test_optimal_point_is_feasible_on_degenerate_cross_section():
+    # The tableau ends at the optimal value here but at a point with
+    # min(w @ x) = -0.018; the returned point must satisfy the constraints.
+    inst = gen_instance("A4.x-unfold", (6, 5, 40), (2, 2, 4),
+                        seed=3653893888)
+    w = orthonormal_range(unfold(inst.tensor, (2,)).T, 4)
+    c = [0.12538095184834225, -0.07189494381006764, -0.003828875152560655,
+         0.008843046882808346]
+    res = linprog_dense(c, a_ub=-w, b_ub=np.zeros(w.shape[0]),
+                        a_eq=w.sum(axis=0).reshape(1, -1), b_eq=[1.0],
+                        maximize=True)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(0.025, abs=1e-12)
+    assert (w @ res.x).min() >= -1e-9
+    assert (w @ res.x).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def naive_cross_section_vertices(b, a, tol=1e-9):
+    """One subset at a time, in the same order and with the same filters."""
+    n, r = b.shape
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    rhs = np.zeros(r)
+    rhs[-1] = 1.0
+    out = []
+    for combo in itertools.combinations(range(n), r - 1):
+        m = np.vstack([b[list(combo)].reshape(r - 1, r), a])
+        if abs(np.linalg.det(m)) <= 1e-12 * scale ** (r - 1):
+            continue
+        y = np.linalg.solve(m, rhs)
+        if (b @ y).min() >= -tol * scale:
+            out.append(y)
+    return np.array(out).reshape(len(out), r)
+
+
+@pytest.mark.parametrize("n,r", [(28, 5), (12, 3), (7, 2), (5, 1), (2, 4)])
+def test_cross_section_vertices_match_naive(n, r):
+    rng = np.random.default_rng(1000 * n + r)
+    b = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
+    for a in (np.ones(r), b.sum(axis=0)):
+        fast = cross_section_vertices(b, a)
+        assert np.array_equal(fast, naive_cross_section_vertices(b, a))
+
+
+def test_cross_section_vertices_keep_duplicates():
+    # The identity's cross-section is the simplex; with r = 3 each vertex
+    # e_k is hit by the single subset of rows that vanish there.
+    v = cross_section_vertices(np.eye(3), np.ones(3))
+    assert np.array_equal(v, np.eye(3)[::-1])
+    # Two copies of a row make every vertex on it degenerate.
+    b = np.vstack([np.eye(3), np.eye(3)[:1]])
+    v = cross_section_vertices(b, np.ones(3))
+    assert len(v) > len(np.unique(v, axis=0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ntdkit import solvers
 from ntdkit.errors import PartitionError, RankError, ShapeError
 from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
@@ -58,6 +59,19 @@ class TestProcedure0:
         t, _ = identity_instance(rng, (2, 2, 4))
         with pytest.raises(ShapeError):
             procedure0(t, (2, 2, 3), CFG)
+
+    @pytest.mark.parametrize("lp_only", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_degenerate_cross_section_instance(self, seed, lp_only,
+                                               monkeypatch):
+        # Its right cross-section once made the tableau simplex return an
+        # infeasible "optimal" point, and maxdet_simplex then failed.
+        if lp_only:
+            monkeypatch.setattr(solvers, "_VERTEX_ENUM_CAP", 0)
+        inst = gen_instance("A4.x-unfold", (6, 5, 40), (2, 2, 4),
+                            seed=3653893888)
+        model = procedure0(inst.tensor, (2, 2, 4), SolverConfig(seed=seed))
+        assert essential_match(model, inst.truth, tol=1e-6).matched
 
 
 class TestProcedure1:

@@ -1,8 +1,12 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from ntdkit import solvers
 from ntdkit.errors import NotSeparable, RankError, ShapeError
 from ntdkit.kron import kron
+from ntdkit.lp import _solve_highs
 from ntdkit.solvers import (SolverConfig, allatonce_penalized,
                             derive_seed, maxdet_simplex, minvol_nmf,
                             minvol_order2_ntd, numerical_rank,
@@ -69,6 +73,73 @@ class TestMaxdetSimplex:
             assert val >= gt - 1e-8  # never below the ground-truth volume
             hits += align_error(b @ q, u) <= 1e-8
         assert hits >= 8
+
+
+    def test_lp_fallback_agrees_with_vertex_oracle(self, rng, monkeypatch):
+        u = two_nonzero_ssc(20, 4, rng)
+        b = orthonormal_range(u, 4)
+        q_vertex = maxdet_simplex(b, CFG)
+        monkeypatch.setattr(solvers, "_VERTEX_ENUM_CAP", 0)
+        assert solvers._CrossSection(b).vertices is None
+        q_lp = maxdet_simplex(b, CFG)
+        assert abs(np.linalg.det(q_lp)) == pytest.approx(
+            abs(np.linalg.det(q_vertex)), rel=1e-10)
+        assert align_error(b @ q_lp, u) <= 1e-8
+
+
+class TestVertexOracle:
+    def test_optimum_equals_highs(self):
+        rng = np.random.default_rng(77)
+        cases = 0
+        while cases < 60:
+            n, r = int(rng.integers(6, 41)), int(rng.integers(2, 6))
+            if comb(n, r - 1) > solvers._VERTEX_ENUM_CAP:
+                continue
+            x = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
+            try:
+                b = orthonormal_range(x, r)
+            except RankError:
+                continue
+            cs = solvers._CrossSection(b)
+            assert cs.vertices is not None
+            for _ in range(3):
+                c = rng.standard_normal(r)
+                for maximize in (True, False):
+                    v, val = cs.extreme(c, maximize)
+                    ref = _solve_highs(c, -b, np.zeros(n),
+                                       b.sum(axis=0).reshape(1, -1),
+                                       np.ones(1), [(None, None)] * r,
+                                       maximize)
+                    assert ref.status == "optimal"
+                    assert abs(val - ref.value) <= 1e-12 * max(
+                        abs(ref.value), np.linalg.norm(c))
+                    assert (b @ v).min() >= -1e-9
+            cases += 1
+
+    def test_ties_go_to_lowest_index(self):
+        cs = solvers._CrossSection(np.eye(3))
+        # vertices in subset order: e2, e1, e0; c ties e0 and e1
+        v, val = cs.extreme(np.array([1.0, 1.0, 0.0]))
+        assert np.array_equal(v, np.eye(3)[1]) and val == 1.0
+        v, val = cs.extreme(np.array([1.0, 1.0, 0.0]), maximize=False)
+        assert np.array_equal(v, np.eye(3)[2]) and val == 0.0
+
+    def test_rank_deficient_stays_on_lp_path(self):
+        b = np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+        assert solvers._CrossSection(b).vertices is None
+
+    def test_cofactor_from_inverse_and_minors(self, rng):
+        for q in (rng.standard_normal((4, 4)),
+                  np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
+                            [1.0, 0.0, 1.0]])):
+            det = np.linalg.det(q)
+            for j in range(q.shape[0]):
+                cof = solvers._cofactor_col(q, j)
+                assert cof @ q[:, j] == pytest.approx(det, abs=1e-12)
+                moved = q.copy()
+                moved[:, j] += 1.0
+                assert cof @ moved[:, j] == pytest.approx(
+                    np.linalg.det(moved), abs=1e-10)
 
 
 class TestMinvolOrder2:
