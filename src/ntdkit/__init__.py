@@ -22,7 +22,7 @@ from .procedures import (ModePartition, procedure0, procedure1, procedure2,
                          separable_orderd)
 from .solvers import (Order2Ntd, SolverConfig, allatonce_penalized,
                       maxdet_simplex, minvol_nmf, minvol_order2_ntd,
-                      numerical_rank, orthonormal_range, penalized_objective,
+                      numerical_rank, orthonormal_range,
                       separable_order2_ntd, spa_separable_nmf)
 from .synth import (CoreConstraints, Instance, gen_anchor_factor, gen_core,
                     gen_instance, gen_separable_factor, gen_ssc_factor,
@@ -45,12 +45,11 @@ __all__ = [
     "kron_split_permuted", "kron_ssc_margin", "kron_ssc_sufficient",
     "load_instance", "maxdet_simplex", "minvol_nmf", "minvol_order2_ntd",
     "mode_slice", "model_error", "multilinear_transform", "nearest_kron",
-    "numerical_rank", "orthonormal_range", "penalized_objective",
-    "procedure0", "procedure1", "procedure2", "procedure3", "procedure4",
-    "procedure_d0", "procedure_d1", "procedure_d3", "rank_profile",
-    "read_tensor", "save_instance", "select_max_rank_slice",
-    "separable_order2_ntd", "separable_orderd", "slice_combination",
-    "slice_matrix", "spa_separable_nmf", "ssc1_refute",
+    "numerical_rank", "orthonormal_range", "procedure0", "procedure1",
+    "procedure2", "procedure3", "procedure4", "procedure_d0", "procedure_d1",
+    "procedure_d3", "rank_profile", "read_tensor", "save_instance",
+    "select_max_rank_slice", "separable_order2_ntd", "separable_orderd",
+    "slice_combination", "slice_matrix", "spa_separable_nmf", "ssc1_refute",
     "ssc1_violation_witness", "unfold", "validate_assumptions",
     "write_tensor_binary", "write_tensor_json",
 ]

@@ -83,7 +83,10 @@ def _load_solver_config(args) -> SolverConfig:
     kwargs = {}
     for name, cast in fields.items():
         if name in values:
-            kwargs[name] = cast(values[name])
+            try:
+                kwargs[name] = cast(values[name])
+            except ValueError as exc:
+                raise InputError(f"solver config {name}: {exc}") from exc
         flag = getattr(args, name, None)
         if flag is not None:
             kwargs[name] = flag
@@ -124,6 +127,11 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     sub = args.what
+    flags = {"dims-ok": ("r1", "r2"),
+             "kron-sufficient": ("r1", "r2", "p1", "p2")}.get(sub, ())
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise UsageError(f"check {sub} needs {', '.join(missing)}")
     if sub == "dims-ok":
         _emit({"ok": counterexample_dims_ok(args.r1, args.r2)})
         return EXIT_OK

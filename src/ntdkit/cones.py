@@ -58,13 +58,39 @@ def check_separable(h, tol=1e-9):
     return True, anchors
 
 
+def _recession_direction(h):
+    """A nonzero ``z`` with ``h z >= 0`` and ``sum(z) = 0``, or None.
+
+    Such a direction exists iff ``{y : h y >= 0, sum(y) = 1}`` is unbounded.
+    A null vector of ``[h; 1']`` is one.  Otherwise, by Stiemke's
+    alternative, the cross-section is bounded iff ``h' lam = 1`` has a
+    solution ``lam > 0``; ``lam = 1`` is one when every column of ``h``
+    sums to one.  In the remaining case one LP maximizes ``sum(h z)`` over
+    the directions in the unit box, which is positive iff one exists.
+    """
+    n, r = h.shape
+    m = np.vstack([h, np.ones((1, r))])
+    _, s, vt = np.linalg.svd(m)
+    rank_tol = max(m.shape) * np.finfo(float).eps * s[0] * 1e3
+    if s.size < r or s[-1] <= rank_tol:  # as in solvers.numerical_rank
+        return vt[-1]
+    col_sums = h.sum(axis=0)
+    if np.abs(col_sums - 1.0).max() <= 1e-12:
+        return None
+    # z = 0 is feasible and the box bounds the LP, so it is always optimal.
+    res = linprog_dense(col_sums, a_ub=-h, b_ub=np.zeros(n),
+                        a_eq=np.ones((1, r)), b_eq=[0.0],
+                        bounds=[(-1.0, 1.0)] * r, maximize=True)
+    return res.x if res.value > 1e-7 else None
+
+
 def enumerate_dual_vertices(h, tol=1e-9):
     """Vertices of ``{y : h y >= 0, sum(y) = 1}`` plus an unboundedness flag.
 
     Every vertex activates the normalization and r-1 rows of ``h``; the
     basic solutions of all such subsets are deduplicated and sorted.  The
     polytope is unbounded iff a nonzero recession direction ``h z >= 0``,
-    ``sum(z) = 0`` exists, which 2r small LPs detect.
+    ``sum(z) = 0`` exists, which ``_recession_direction`` decides.
     """
     h = np.asarray(h, dtype=float)
     n, r = h.shape
@@ -82,21 +108,7 @@ def enumerate_dual_vertices(h, tol=1e-9):
     vertices.sort(key=tuple)
     verts = np.array(vertices).reshape(len(vertices), r)
 
-    unbounded = False
-    ones = np.ones((1, r))
-    box = [(-1.0, 1.0)] * r
-    for k in range(r):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(r)
-            c[k] = sgn
-            res = linprog_dense(c, a_ub=-h, b_ub=np.zeros(n),
-                                a_eq=ones, b_eq=[0.0], bounds=box,
-                                maximize=True)
-            if res.status == "optimal" and res.value > 1e-7:
-                unbounded = True
-                break
-        if unbounded:
-            break
+    unbounded = _recession_direction(h) is not None
     return verts, unbounded
 
 
@@ -318,8 +330,10 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
                 feas_tol=1e-9, seeds=None):
     """Search for a certificate that SSC1 fails.
 
-    Frank-Wolfe steps maximize the norm over the dual cross-section: from
-    the current point, an LP moves to the vertex maximizing the linearized
+    When the dual cross-section is unbounded, the uniform point walked far
+    along a recession direction is the certificate.  Otherwise Frank-Wolfe
+    steps maximize the norm over the (bounded) cross-section: from the
+    current point, an LP moves to the vertex maximizing the linearized
     objective, which can only increase the norm.  ``seeds`` may supply
     analytic starting points.  Returning None proves nothing.
     """
@@ -336,6 +350,15 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
     def feasible(y):
         return (h @ y).min() >= -feas_tol * scale and abs(y.sum() - 1) <= 1e-7
 
+    def certificate(y):
+        return y if np.linalg.norm(y) > 1.0 + tol and feasible(y) else None
+
+    ray = _recession_direction(h)
+    if ray is not None:
+        y = np.full(r, 1.0 / r)
+        return certificate(y + (10.0 + np.linalg.norm(y))
+                           / np.linalg.norm(ray) * ray)
+
     cands = []
     if seeds is not None:
         for s in seeds:
@@ -350,8 +373,6 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
                             a_eq=ones, b_eq=[1.0], maximize=True)
         if res.status == "optimal":
             cands.append(res.x)
-        elif res.status == "unbounded":
-            cands.append(_walk_ray(res.x, res.ray))
 
     best = None
     for y0 in cands:
@@ -361,9 +382,6 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
         for _ in range(iters):
             res = linprog_dense(y, a_ub=a_ub, b_ub=b_ub, a_eq=ones,
                                 b_eq=[1.0], maximize=True)
-            if res.status == "unbounded":
-                y = _walk_ray(res.x, res.ray)
-                break
             if res.status != "optimal":
                 break
             z = res.x
@@ -372,18 +390,7 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
             y = z
         if best is None or np.linalg.norm(y) > np.linalg.norm(best):
             best = y
-    if best is not None and np.linalg.norm(best) > 1.0 + tol \
-            and feasible(best):
-        return best
-    return None
-
-
-def _walk_ray(x, ray, target_norm=10.0):
-    nr = np.linalg.norm(ray)
-    if nr < 1e-300:
-        return x
-    t = (target_norm + np.linalg.norm(x)) / nr
-    return x + t * ray
+    return None if best is None else certificate(best)
 
 
 def kron_ssc_margin(r1, p1_sq, r2, p2_sq) -> float:

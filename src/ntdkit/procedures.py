@@ -121,11 +121,18 @@ def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig,
     return _finalize(t, factors, core, ranks, cfg, diagnostics)
 
 
+def _order3_ranks(t, ranks, name):
+    """The three ranks of an order-3 procedure, checked against the tensor."""
+    ranks = tuple(int(r) for r in ranks)
+    if t.order != 3 or len(ranks) != 3:
+        raise ShapeError(f"procedure {name} runs on order-3 tensors with "
+                         f"three ranks")
+    return ranks
+
+
 def procedure0(t: DenseTensor, ranks, cfg: SolverConfig) -> NtdModel:
     """Order-3 unfolding route; needs r3 == r1*r2."""
-    if t.order != 3:
-        raise ShapeError("procedure 0 runs on order-3 tensors")
-    r1, r2, r3 = (int(r) for r in ranks)
+    r1, r2, r3 = _order3_ranks(t, ranks, "0")
     if r3 != r1 * r2:
         raise ShapeError(f"r3={r3} must equal r1*r2={r1 * r2}")
     return procedure_d0(t, ranks, (2,), cfg, _name="0")
@@ -135,9 +142,7 @@ def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
                i2=None, i3=None) -> NtdModel:
     """Two max-rank slices: one mode-3 slice gives U1, U2 by min-vol
     order-2 nTD, one projected mode-2 slice gives U3 by min-vol NMF."""
-    if t.order != 3:
-        raise ShapeError("procedure 1 runs on order-3 tensors")
-    r1, r2, r3 = (int(r) for r in ranks)
+    r1, r2, r3 = _order3_ranks(t, ranks, "1")
     if r1 != r2:
         raise ShapeError("procedure 1 needs r1 == r2")
     if r3 > r1:
@@ -166,9 +171,7 @@ def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
                alpha=None, beta=None) -> NtdModel:
     """Randomized procedure 1 on Gaussian slice combinations; succeeds with
     probability one whenever the slice spans have maximal rank."""
-    if t.order != 3:
-        raise ShapeError("procedure 2 runs on order-3 tensors")
-    r1, r2, r3 = (int(r) for r in ranks)
+    r1, r2, r3 = _order3_ranks(t, ranks, "2")
     if r1 != r2 or r3 > r1:
         raise ShapeError("procedure 2 needs r3 <= r1 == r2")
     rng = _as_rng(rng, derive_seed(cfg.seed, "procedure2"))
@@ -200,9 +203,7 @@ def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
                slice_index=None) -> NtdModel:
     """One max-rank slice gives U1, U2; the projected stack of all mode-3
     slices factors as core-unfolding times U3' and min-vol NMF finishes."""
-    if t.order != 3:
-        raise ShapeError("procedure 3 runs on order-3 tensors")
-    r1, r2, r3 = (int(r) for r in ranks)
+    r1, r2, r3 = _order3_ranks(t, ranks, "3")
     if r1 != r2:
         raise ShapeError("procedure 3 needs r1 == r2")
     if r3 > r1 * r1:
@@ -225,9 +226,7 @@ def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
                mix=None, max_cond=1e8, max_attempts=10) -> NtdModel:
     """Randomized procedure 3: all slices are replaced by n3 Gaussian
     combinations, undone afterwards by the inverse mixing matrix."""
-    if t.order != 3:
-        raise ShapeError("procedure 4 runs on order-3 tensors")
-    r1, r2, r3 = (int(r) for r in ranks)
+    r1, r2, r3 = _order3_ranks(t, ranks, "4")
     if r1 != r2 or r3 > r1 * r1:
         raise ShapeError("procedure 4 needs r3 <= r^2 with r1 == r2")
     n3 = t.dims[2]

@@ -366,20 +366,6 @@ def separable_order2_ntd(x, r, feas_tol=1e-9) -> Order2Ntd:
     return Order2Ntd(u1, g, u2)
 
 
-def penalized_objective(model: NtdModel, lam, axes=None):
-    """(|det of the core unfolding|, Kronecker penalty) for a model.
-
-    A model has ``u_group = kron of its factors`` by definition, so its
-    penalty term is exactly zero; the helper exists to compare solver
-    output against ground-truth objective values.
-    """
-    axes = (model.order - 1,) if axes is None else tuple(axes)
-    g = unfold(model.core, axes)
-    if g.shape[0] != g.shape[1]:
-        raise ShapeError("core unfolding is not square for these axes")
-    return float(abs(np.linalg.det(g))), 0.0
-
-
 def allatonce_penalized(t: DenseTensor, ranks, lam, cfg: SolverConfig,
                         axes=None) -> NtdModel:
     """Penalized all-at-once variant of the unfolding route.

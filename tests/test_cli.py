@@ -254,3 +254,20 @@ class TestBench:
                           "--no-timing")
             assert code == 0
             assert serial.read_bytes() == other.read_bytes()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--solver-config", "{cfg}"], 3),
+    (["check", "kron-sufficient"], 2),
+    (["check", "kron-sufficient", "--r1", "3", "--r2", "3", "--p1", "1"], 2),
+    (["check", "dims-ok", "--r1", "3"], 2),
+] + [(["decompose", "--procedure", p, "--ranks", "2,2"], 2)
+     for p in "01234"])
+def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("restarts = two\n")
+    argv = [a.format(cfg=cfg) for a in argv]
+    if argv[0] == "decompose":
+        argv += ["--input", str(bundle), "--out", str(tmp_path / "m.json")]
+    assert run(capsys, *argv)[0] == code

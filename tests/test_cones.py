@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from ntdkit.cones import (_cp_dual_margin, _polish_feasible, check_pssc,
+from ntdkit.cones import (_cp_dual_margin, _polish_feasible,
+                          _recession_direction, check_pssc,
                           check_separable, check_ssc,
                           counterexample_dims_ok, enumerate_dual_vertices,
                           estimate_min_p, kron_ssc_margin,
@@ -35,6 +37,46 @@ def naive_dual_vertices(h, tol=1e-9):
             vertices.append(y)
     vertices.sort(key=tuple)
     return np.array(vertices).reshape(len(vertices), r)
+
+
+def box_lp_unbounded(h):
+    """Reference flag: 2r box-bounded LPs maximize +-z_k over the recession
+    directions {h z >= 0, sum(z) = 0, -1 <= z <= 1}."""
+    n, r = h.shape
+    for k in range(r):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(r)
+            c[k] = -sgn
+            res = linprog(c, A_ub=-h, b_ub=np.zeros(n), A_eq=np.ones((1, r)),
+                          b_eq=[0.0], bounds=[(-1.0, 1.0)] * r,
+                          method="highs")
+            if res.status == 0 and -res.fun > 1e-7:
+                return True
+    return False
+
+
+def boundedness_corpus(count=240):
+    """Seeded (kind, h): column-stochastic, non-stochastic, rank-deficient,
+    and non-stochastic with the last column zeroed in most rows."""
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        n, r = int(rng.integers(3, 21)), int(rng.integers(2, 7))
+        h = rng.random((n, r)) * (rng.random((n, r)) < 0.6)
+        h[0, h.sum(axis=0) == 0] = 1.0
+        kind = ("stochastic", "scaled", "low-rank", "sparse-last")[i % 4]
+        if kind == "stochastic":
+            h = h / h.sum(axis=0)
+        elif kind == "scaled":
+            h = h * rng.uniform(0.1, 10.0, r)
+        elif kind == "low-rank":
+            k = int(rng.integers(1, r))
+            h = rng.random((n, k)) @ rng.random((k, r))
+            if rng.random() < 0.5:
+                h = h / h.sum(axis=0)
+        else:
+            h[int(rng.integers(1, 3)):, -1] = 0.0
+            h = h * rng.uniform(0.1, 10.0, r)
+        yield kind, h
 
 
 def rows_near_center(n, r, c, rng, shrink=0.9):
@@ -110,6 +152,29 @@ class TestDualVertices:
         h = np.full((4, 4), 0.25)
         verts, unbounded = enumerate_dual_vertices(h)
         assert unbounded and len(verts) == 0
+
+    def test_boundedness_matches_box_lps(self):
+        seen = set()
+        for kind, h in boundedness_corpus():
+            r = h.shape[1]
+            z = _recession_direction(h)
+            assert (z is not None) == box_lp_unbounded(h)
+            full_rank = numerical_rank(np.vstack([h, np.ones(r)])) == r
+            seen.add((kind, z is not None, full_rank))
+            if z is None:
+                continue
+            assert np.abs(z).max() > 0 and (h @ z).min() >= -1e-9
+            y = ssc1_refute(h)
+            scale = max(1.0, float(h.max()))
+            assert y is not None
+            assert (h @ y).min() >= -1e-9 * scale
+            assert y.sum() == pytest.approx(1.0, abs=1e-7)
+            assert np.linalg.norm(y) > 1.0 + 1e-7
+        # bounded by Stiemke's lam = 1, bounded after one LP, unbounded by
+        # a null vector, and unbounded by one LP at full rank
+        assert {("stochastic", False, True), ("scaled", False, True),
+                ("low-rank", True, False),
+                ("sparse-last", True, True)} <= seen
 
 
 class TestCheckSsc:

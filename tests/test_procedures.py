@@ -64,8 +64,8 @@ class TestProcedure0:
     @pytest.mark.parametrize("seed", range(3))
     def test_degenerate_cross_section_instance(self, seed, lp_only,
                                                monkeypatch):
-        # Its right cross-section once made the tableau simplex return an
-        # infeasible "optimal" point, and maxdet_simplex then failed.
+        # Its right cross-section is so degenerate that a simplex can return
+        # an infeasible "optimal" point there, which fails maxdet_simplex.
         if lp_only:
             monkeypatch.setattr(solvers, "_VERTEX_ENUM_CAP", 0)
         inst = gen_instance("A4.x-unfold", (6, 5, 40), (2, 2, 4),
