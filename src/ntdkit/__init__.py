@@ -16,13 +16,12 @@ from .evaluate import (AlignmentResult, AssumptionReport, align_columns,
 from .kron import (kron, kron_all, kron_split, kron_split_multi,
                    kron_split_permuted, nearest_kron)
 from .model import NtdModel
-from .procedures import (ModePartition, procedure0, procedure1, procedure2,
-                         procedure3, procedure4, procedure_d0, procedure_d1,
-                         procedure_d3, select_max_rank_slice,
-                         separable_orderd)
-from .solvers import (Order2Ntd, SolverConfig, allatonce_penalized,
-                      maxdet_simplex, minvol_nmf, minvol_order2_ntd,
-                      numerical_rank, orthonormal_range,
+from .procedures import (ModePartition, allatonce_penalized, procedure0,
+                         procedure1, procedure2, procedure3, procedure4,
+                         procedure_d0, procedure_d1, procedure_d3,
+                         select_max_rank_slice, separable_orderd)
+from .solvers import (Order2Ntd, SolverConfig, maxdet_simplex, minvol_nmf,
+                      minvol_order2_ntd, numerical_rank, orthonormal_range,
                       separable_order2_ntd, spa_separable_nmf)
 from .synth import (CoreConstraints, Instance, gen_anchor_factor, gen_core,
                     gen_instance, gen_separable_factor, gen_ssc_factor,

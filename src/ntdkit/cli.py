@@ -371,6 +371,9 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # every read already raises InputError
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

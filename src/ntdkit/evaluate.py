@@ -17,9 +17,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
                     estimate_min_p, kron_ssc_sufficient)
-from .errors import ShapeError, UsageError
+from .errors import RankError, ShapeError, UsageError
 from .kron import kron_all
 from .model import NtdModel, _jsonable
+from .procedures import _scan_slices
 from .solvers import numerical_rank
 from .tensor import DenseTensor, mode_slice, multilinear_transform, unfold
 
@@ -318,14 +319,14 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         ok = ranks[1] == r and all(ranks[i] <= r for i in range(2, d))
         rep.add("rank-shape", "pass" if ok else "fail", f"ranks {ranks}")
         ssc_each()
-        from .procedures import _pair_slice, _scan_pair_slice
         rng = np.random.default_rng(seed + 41)
         for i in range(1, d):
             target = r if i == 1 else ranks[i]
+            others = tuple(m for m in range(d) if m not in (0, i))
             try:
-                _scan_pair_slice(t, 0, i, target, rng, budget=200)
+                _scan_slices(t, (0,), others, (i,), target, rng, 200)
                 rep.add(f"exists-full-[0,{i}]-slice", "pass")
-            except Exception as exc:  # RankError
+            except RankError as exc:
                 rep.add(f"exists-full-[0,{i}]-slice", "fail", str(exc))
     elif aid == "A5.4":
         part = instance.meta.get("partition")
@@ -350,20 +351,15 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
                     [truth.factors[m] for m in modes],
                     [ranks[m] for m in modes])
                 rep.add(f"ssc-kron-group-{name}", status, detail)
-            from .tensor import SliceSpec, slice_matrix
-            sizes = [t.dims[m] for m in fixed_modes]
-            found = 0
+            nfixed = prod(t.dims[m] for m in fixed_modes)
             rng = np.random.default_rng(seed + 43)
-            for trial in range(min(200, prod(sizes))):
-                flat = trial if trial == 0 else int(rng.integers(prod(sizes)))
-                idx = np.unravel_index(flat, sizes, order="F")
-                m = slice_matrix(t, SliceSpec(
-                    rows, dict(zip(fixed_modes, map(int, idx))), cols))
-                found = max(found, numerical_rank(m))
-                if found == r:
-                    break
-            rep.add("exists-full-generalized-slice",
-                    "pass" if found == r else "fail", f"best rank {found}")
+            try:
+                _scan_slices(t, rows, fixed_modes, cols, r, rng,
+                             min(200, nfixed) - 1)
+                rep.add("exists-full-generalized-slice", "pass",
+                        f"best rank {r}")
+            except RankError as exc:
+                rep.add("exists-full-generalized-slice", "fail", str(exc))
     elif aid == "A-sep":
         for i, u in enumerate(truth.factors):
             sep, _ = check_separable(u)

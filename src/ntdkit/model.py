@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .tensor import DenseTensor, multilinear_transform
+from .tensor import DenseTensor, _finite_array, multilinear_transform
 
 
 @dataclass
@@ -65,9 +65,9 @@ class NtdModel:
     @classmethod
     def from_json(cls, doc) -> "NtdModel":
         try:
-            factors = [np.asarray(u, dtype=float) for u in doc["factors"]]
+            factors = [_finite_array(u, "model") for u in doc["factors"]]
             core = DenseTensor(tuple(doc["core"]["dims"]),
-                               np.asarray(doc["core"]["data"], dtype=float))
+                               _finite_array(doc["core"]["data"], "model"))
             ranks = tuple(doc["ranks"])
             diagnostics = doc.get("diagnostics", {})
         except (KeyError, TypeError) as exc:

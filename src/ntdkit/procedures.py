@@ -1,14 +1,15 @@
 """Identification pipelines for order-3 and order-d nonnegative Tucker
 decompositions.
 
-Each procedure reduces the tensor to matrix subproblems (one unfolding, or
-one/two slices, or slice stacks), solves them with the volume solvers, and
-reassembles a model that reconstructs the input within the feasibility
-tolerance.  Numbering: 0 is the unfolding route (needs one rank equal to
-the product of the others), 1 uses one max-rank slice along each of two
-modes, 2 is its randomized version on slice combinations, 3 uses a single
-max-rank slice plus a full-column-rank core unfolding, 4 randomizes 3.
-The d-prefixed variants generalize 0, 1 and 3 to arbitrary order.
+Each procedure reduces the tensor to matrix subproblems, solves them with
+the volume solvers, and reassembles a model that reconstructs the input
+within the feasibility tolerance.  It runs one of three routes: the
+unfolding route (0, d0, ``allatonce_penalized``; one unfolding, then
+Kronecker splits), the slice-pair route (1, 2, d1; one slice for two modes,
+one projected slice per further mode) or the slice-stack route (3, 4, d3;
+one slice, then the projected stack of all slices).  Procedures 2 and 4
+randomize 1 and 3 with Gaussian slice combinations; the d-prefixed ones
+are the order-d versions.
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ from math import prod
 
 import numpy as np
 
-from .errors import PartitionError, RankError, ShapeError, SolverError
-from .kron import kron_split_multi
+from .errors import (NotPermutedKronecker, PartitionError, RankError,
+                     ShapeError, SolverError)
+from .kron import kron_all, kron_split_multi, nearest_kron
 from .model import NtdModel
 from .solvers import (SolverConfig, derive_seed, minvol_nmf,
                       minvol_order2_ntd, numerical_rank, spa_separable_nmf)
-from .tensor import (DenseTensor, SliceSpec, fold, mode_slice, slice_matrix,
-                     slice_combination, unfold)
+from .tensor import (DenseTensor, SliceSpec, fold, mode_slice,
+                     multilinear_transform, slice_combination, slice_matrix,
+                     unfold)
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class ModePartition:
 
 
 def _core_via_pinv(t, factors):
-    from .tensor import multilinear_transform
     pinvs = [np.linalg.pinv(u) for u in factors]
     return multilinear_transform(t, pinvs)
 
@@ -80,26 +82,60 @@ def _fold_sequence(mat, modes_seq, dims) -> DenseTensor:
     return DenseTensor.from_array(np.transpose(shaped, np.argsort(modes_seq)))
 
 
-def _split_group(u, modes, dims, ranks, tol=1e-8):
-    """Kronecker-split a grouped factor into per-mode factors."""
-    shapes = [(dims[m], ranks[m]) for m in modes]
-    if len(shapes) == 1:
-        return [u], np.arange(u.shape[1])
-    factors, perm, _ = kron_split_multi(u, shapes, tol)
-    return factors, perm
+def _split_group(u, modes, dims, ranks):
+    """``(factors, perm, residual)`` of a grouped factor's Kronecker split."""
+    if len(modes) == 1:
+        return [u], np.arange(u.shape[1]), 0.0
+    return kron_split_multi(u, [(dims[m], ranks[m]) for m in modes])
 
 
-def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig,
-                 _name="d0") -> NtdModel:
-    """Unfolding route: min-vol order-2 nTD of one unfolding, then
-    Kronecker splits of both grouped factors."""
-    ranks = tuple(int(r) for r in ranks)
+def _fixed_at(t, fixed_modes, flat):
+    """Fixed-index dict at a flat index, first fixed mode fastest."""
+    idx = np.unravel_index(flat, [t.dims[m] for m in fixed_modes], order="F")
+    return dict(zip(fixed_modes, (int(i) for i in idx)))
+
+
+def _scan_slices(t, rows, fixed_modes, cols, target, rng, budget):
+    """Flat index of a ``rows x cols`` slice of numerical rank ``target``.
+
+    Tries index 0, then ``budget`` indices drawn from ``rng``; generic
+    instances succeed at once, so the scan is a probability-one surrogate
+    for the existence assumption.  Raises ``RankError`` with the best rank
+    seen when no candidate reaches ``target``.
+    """
+    nfixed = prod(t.dims[m] for m in fixed_modes)
+    best, seen = 0, set()
+    for flat in [0, *rng.integers(nfixed, size=budget)]:
+        flat = int(flat)
+        if flat in seen:
+            continue
+        seen.add(flat)
+        rank = numerical_rank(slice_matrix(
+            t, SliceSpec(rows, _fixed_at(t, fixed_modes, flat), cols)))
+        if rank == target:
+            return flat
+        best = max(best, rank)
+    name = ",".join(str(g[0]) if len(g) == 1 else str(list(g))
+                    for g in (rows, cols))
+    raise RankError(
+        f"no [{name}]-slice of rank {target} found in {len(seen)} "
+        f"candidates (best was {best})"
+    )
+
+
+def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
+    """Min-vol order-2 nTD of the unfolding along ``axes``, then
+    ``split(u, modes, dims, ranks)`` of both grouped factors.  Returns the
+    unfolding's factorization, the per-mode factors, the core unfolding
+    permuted to match them, the sorted axes and the sum of the squared
+    split residuals."""
     d = t.order
-    if len(ranks) != d or d < 3:
-        raise ShapeError("need an order >= 3 tensor and one rank per mode")
+    if len(ranks) != d:
+        raise ShapeError("ranks length must match tensor order")
     axes = tuple(sorted(int(a) for a in axes))
     rest = tuple(k for k in range(d) if k not in axes)
-    if not axes or not rest:
+    # Out-of-range or repeated axes leave more than d modes in total.
+    if not axes or not rest or len(axes) + len(rest) != d:
         raise PartitionError("axes must be a proper non-empty mode subset")
     r = prod(ranks[k] for k in axes)
     if r != prod(ranks[k] for k in rest):
@@ -108,17 +144,123 @@ def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig,
             f"({prod(ranks[k] for k in rest)} vs {r})"
         )
     fac = minvol_order2_ntd(unfold(t, axes), r, cfg)
-    left, perm_left = _split_group(fac.u1, rest, t.dims, ranks)
-    right, perm_right = _split_group(fac.u2, axes, t.dims, ranks)
-    core = fold(fac.g[np.ix_(perm_left, perm_right)], axes, ranks)
+    left, perm_left, res_left = split(fac.u1, rest, t.dims, ranks)
+    right, perm_right, res_right = split(fac.u2, axes, t.dims, ranks)
     factors = [None] * d
-    for mode, u in zip(rest, left):
+    for mode, u in zip(rest + axes, [*left, *right]):
         factors[mode] = u
-    for mode, u in zip(axes, right):
+    return (fac, factors, fac.g[np.ix_(perm_left, perm_right)], axes,
+            res_left**2 + res_right**2)
+
+
+def _slice_pair_route(t, ranks, first, pairs, cfg, diagnostics):
+    """Min-vol order-2 nTD of ``first`` gives U1 and U2; each further
+    ``(matrix, cfg)`` pair, projected by the pseudo-inverse of U1, gives
+    the next factor by min-vol NMF; the core follows by pseudo-inverses."""
+    fac = minvol_order2_ntd(first, ranks[0], cfg)
+    p1 = np.linalg.pinv(fac.u1)
+    factors = [fac.u1, fac.u2]
+    for (mat, mode_cfg), r in zip(pairs, ranks[2:]):
+        factors.append(minvol_nmf(p1 @ mat, r, mode_cfg)[1])
+    diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
+    return _finalize(t, factors, _core_via_pinv(t, factors), ranks, cfg,
+                     diagnostics)
+
+
+def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics,
+                       unmix=None):
+    """Min-vol order-2 nTD of ``first`` over the ``(rows, fixed, cols)``
+    groups; the stack of all ``slices``, projected on both sides, factors
+    as core unfolding times the fixed-group factor.  ``unmix`` undoes a
+    mixing of the slices (the stack is multiplied by its inverse)."""
+    rows, fixed, cols = groups
+    r = prod(ranks[m] for m in rows)
+    fac = minvol_order2_ntd(first, r, cfg)
+    p1 = np.linalg.pinv(fac.u1)
+    p2t = np.linalg.pinv(fac.u2).T
+    stack = np.stack([(p1 @ m @ p2t).ravel(order="F") for m in slices],
+                     axis=1)
+    if unmix is not None:
+        stack = np.linalg.solve(unmix.T, stack.T).T
+    g, u_fixed = minvol_nmf(stack, prod(ranks[m] for m in fixed), cfg)
+
+    left, perm_left, _ = _split_group(fac.u1, rows, t.dims, ranks)
+    right, perm_right, _ = _split_group(fac.u2, cols, t.dims, ranks)
+    mids, perm_mid, _ = _split_group(u_fixed, fixed, t.dims, ranks)
+    row_gather = (perm_left[:, None] + perm_right[None, :] * r) \
+        .ravel(order="F")
+    core = _fold_sequence(g[np.ix_(row_gather, perm_mid)],
+                          rows + cols + fixed, ranks)
+    factors = [None] * t.order
+    for mode, u in zip(rows + cols + fixed, [*left, *right, *mids]):
         factors[mode] = u
+    diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
+    return _finalize(t, factors, core, ranks, cfg, diagnostics)
+
+
+def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig,
+                 _name="d0") -> NtdModel:
+    """Unfolding route: min-vol order-2 nTD of one unfolding, then
+    Kronecker splits of both grouped factors."""
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != t.order or t.order < 3:
+        raise ShapeError("need an order >= 3 tensor and one rank per mode")
+    fac, factors, core_mat, axes, _ = _unfolding_route(t, ranks, axes, cfg)
     diagnostics = {"procedure": _name, "axes": list(axes),
                    "absdet": fac.absdet, "seed": cfg.seed}
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
+    return _finalize(t, factors, fold(core_mat, axes, ranks), ranks, cfg,
+                     diagnostics)
+
+
+def allatonce_penalized(t: DenseTensor, ranks, lam, cfg: SolverConfig,
+                        axes=None) -> NtdModel:
+    """Penalized all-at-once variant of the unfolding route.
+
+    Minimizes ``|det g| + lam * ||u_group - kron(factors)||_F^2`` with the
+    exact fit enforced structurally through the min-vol parametrization of
+    the unfolding.  When the min-vol step lands on an exactly permuted
+    Kronecker product (the identifiable regime) the split drives the
+    penalty to zero; otherwise factors fall back to alternating
+    nearest-Kronecker fits and the result is flagged heuristic.
+    """
+    ranks = tuple(int(r) for r in ranks)
+    heuristic = []
+
+    def split(u, modes, dims, ranks):
+        try:
+            return _split_group(u, modes, dims, ranks)
+        except NotPermutedKronecker:
+            heuristic.append(modes)
+        # Peel nearest Kronecker factors left to right.
+        factors, remaining = [], u
+        for k in modes[:-1]:
+            fit = nearest_kron(
+                remaining, ((dims[k], ranks[k]),
+                            (remaining.shape[0] // dims[k],
+                             remaining.shape[1] // ranks[k])),
+                stochastic=True)
+            factors.append(fit.u1)
+            remaining = fit.u2
+        factors.append(remaining)
+        return (factors, np.arange(u.shape[1]),
+                float(np.linalg.norm(u - kron_all(factors))))
+
+    fac, factors, core_mat, axes, penalty = _unfolding_route(
+        t, ranks, (t.order - 1,) if axes is None else axes, cfg, split)
+    diagnostics = {
+        "lambda": lam, "axes": list(axes), "unfold_absdet": fac.absdet,
+        "penalty": penalty,
+        "objective": abs(np.linalg.det(core_mat)) + lam * penalty,
+        "method": "nearest-kron-heuristic" if heuristic else "split-exact",
+    }
+    model = NtdModel(factors, fold(core_mat, axes, ranks), ranks,
+                     diagnostics)
+    err = np.linalg.norm(model.reconstruct().data - t.data) \
+        / max(t.norm(), 1e-300)
+    if not heuristic and err > cfg.feas_tol:
+        raise SolverError(f"reconstruction residual {err:.3e}")
+    diagnostics["recon_error"] = float(err)
+    return model
 
 
 def _order3_ranks(t, ranks, name):
@@ -149,22 +291,9 @@ def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
         raise ShapeError("procedure 1 needs r3 <= r1")
     i3 = select_max_rank_slice(t, 2) if i3 is None else int(i3)
     i2 = select_max_rank_slice(t, 1) if i2 is None else int(i2)
-    fac = minvol_order2_ntd(mode_slice(t, 2, i3), r1, cfg)
-    proj = np.linalg.pinv(fac.u1) @ mode_slice(t, 1, i2)
-    _, u3 = minvol_nmf(proj, r3, cfg)
-    factors = [fac.u1, fac.u2, u3]
-    core = _core_via_pinv(t, factors)
-    diagnostics = {"procedure": "1", "i3": i3, "i2": i2,
-                   "absdet": fac.absdet, "seed": cfg.seed}
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
-
-
-def _as_rng(rng, default_seed):
-    if rng is None:
-        return np.random.default_rng(default_seed)
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng
+    return _slice_pair_route(t, (r1, r2, r3), mode_slice(t, 2, i3),
+                             [(mode_slice(t, 1, i2), cfg)], cfg,
+                             {"procedure": "1", "i3": i3, "i2": i2})
 
 
 def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
@@ -174,29 +303,16 @@ def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
     r1, r2, r3 = _order3_ranks(t, ranks, "2")
     if r1 != r2 or r3 > r1:
         raise ShapeError("procedure 2 needs r3 <= r1 == r2")
-    rng = _as_rng(rng, derive_seed(cfg.seed, "procedure2"))
+    rng = np.random.default_rng(
+        derive_seed(cfg.seed, "procedure2") if rng is None else rng)
     alpha = rng.standard_normal(t.dims[2]) if alpha is None \
         else np.asarray(alpha, dtype=float)
     beta = rng.standard_normal(t.dims[1]) if beta is None \
         else np.asarray(beta, dtype=float)
-    t_alpha = slice_combination(t, 2, alpha)
-    t_beta = slice_combination(t, 1, beta)
-    fac = minvol_order2_ntd(t_alpha, r1, cfg)
-    proj = np.linalg.pinv(fac.u1) @ t_beta
-    _, u3 = minvol_nmf(proj, r3, cfg)
-    factors = [fac.u1, fac.u2, u3]
-    core = _core_via_pinv(t, factors)
-    diagnostics = {"procedure": "2", "alpha": alpha.tolist(),
-                   "beta": beta.tolist(), "absdet": fac.absdet,
-                   "seed": cfg.seed}
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
-
-
-def _slice_stack_columns(t, u1, u2, mats):
-    p1 = np.linalg.pinv(u1)
-    p2t = np.linalg.pinv(u2).T
-    cols = [(p1 @ m @ p2t).ravel(order="F") for m in mats]
-    return np.stack(cols, axis=1)
+    return _slice_pair_route(t, (r1, r2, r3), slice_combination(t, 2, alpha),
+                             [(slice_combination(t, 1, beta), cfg)], cfg,
+                             {"procedure": "2", "alpha": alpha.tolist(),
+                              "beta": beta.tolist()})
 
 
 def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
@@ -210,16 +326,10 @@ def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
         raise ShapeError(f"procedure 3 needs r3 <= r^2 = {r1 * r1}")
     i = select_max_rank_slice(t, 2) if slice_index is None else \
         int(slice_index)
-    fac = minvol_order2_ntd(mode_slice(t, 2, i), r1, cfg)
-    stack = _slice_stack_columns(
-        t, fac.u1, fac.u2,
-        [mode_slice(t, 2, j) for j in range(t.dims[2])])
-    g3, u3 = minvol_nmf(stack, r3, cfg)
-    core = fold(g3, (2,), ranks)
-    factors = [fac.u1, fac.u2, u3]
-    diagnostics = {"procedure": "3", "slice_index": i,
-                   "absdet": fac.absdet, "seed": cfg.seed}
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
+    slices = [mode_slice(t, 2, j) for j in range(t.dims[2])]
+    return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
+                              mode_slice(t, 2, i), slices, cfg,
+                              {"procedure": "3", "slice_index": i})
 
 
 def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
@@ -230,7 +340,8 @@ def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
     if r1 != r2 or r3 > r1 * r1:
         raise ShapeError("procedure 4 needs r3 <= r^2 with r1 == r2")
     n3 = t.dims[2]
-    rng = _as_rng(rng, derive_seed(cfg.seed, "procedure4"))
+    rng = np.random.default_rng(
+        derive_seed(cfg.seed, "procedure4") if rng is None else rng)
     if mix is None:
         for _ in range(max_attempts):
             mix = rng.standard_normal((n3, n3))
@@ -241,50 +352,11 @@ def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
     else:
         mix = np.asarray(mix, dtype=float)
     combos = [slice_combination(t, 2, mix[:, i]) for i in range(n3)]
-    fac = minvol_order2_ntd(combos[0], r1, cfg)
-    stack = _slice_stack_columns(t, fac.u1, fac.u2, combos)
-    sprime = np.linalg.solve(mix.T, stack.T).T  # stack @ inv(mix)
-    g3, u3 = minvol_nmf(sprime, r3, cfg)
-    core = fold(g3, (2,), ranks)
-    factors = [fac.u1, fac.u2, u3]
-    diagnostics = {"procedure": "4", "mix": mix.tolist(),
-                   "mix_cond": float(np.linalg.cond(mix)),
-                   "absdet": fac.absdet, "seed": cfg.seed}
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
-
-
-def _pair_slice(t, row_mode, col_mode, fixed):
-    return slice_matrix(t, SliceSpec((row_mode,), dict(fixed), (col_mode,)))
-
-
-def _scan_pair_slice(t, row_mode, col_mode, target, rng, budget=200):
-    """Find fixed indices making the [row, col]-slice reach rank ``target``.
-
-    Tries the all-zeros tuple plus up to ``budget`` random tuples; generic
-    instances succeed immediately, the scan is a probability-one surrogate
-    for the existence assumption.
-    """
-    other = [m for m in range(t.order) if m not in (row_mode, col_mode)]
-    best = None
-    candidates = [tuple(0 for _ in other)]
-    sizes = [t.dims[m] for m in other]
-    for _ in range(budget):
-        candidates.append(tuple(int(rng.integers(s)) for s in sizes))
-    seen = set()
-    for cand in candidates:
-        if cand in seen:
-            continue
-        seen.add(cand)
-        fixed = dict(zip(other, cand))
-        rank = numerical_rank(_pair_slice(t, row_mode, col_mode, fixed))
-        if rank == target:
-            return fixed
-        if best is None or rank > best[0]:
-            best = (rank, fixed)
-    raise RankError(
-        f"no [{row_mode},{col_mode}]-slice of rank {target} found in "
-        f"{len(seen)} candidates (best was {best[0]})"
-    )
+    return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
+                              combos[0], combos, cfg,
+                              {"procedure": "4", "mix": mix.tolist(),
+                               "mix_cond": float(np.linalg.cond(mix))},
+                              unmix=mix)
 
 
 def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
@@ -305,32 +377,24 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
     if any(ranks[i] > r for i in range(2, d)):
         raise ShapeError("procedure d.1 needs r_i <= r1 for i >= 3")
     slice_indices = dict(slice_indices or {})
-    rng = _as_rng(None, derive_seed(cfg.seed, "d1-scan"))
-
-    def fixed_for(col_mode, target):
-        if col_mode in slice_indices:
-            return dict(slice_indices[col_mode])
-        return _scan_pair_slice(t, 0, col_mode, target, rng, scan_budget)
-
-    fixed12 = fixed_for(1, r)
-    fac = minvol_order2_ntd(_pair_slice(t, 0, 1, fixed12), r, cfg)
-    factors = [fac.u1, fac.u2] + [None] * (d - 2)
-    used = {1: fixed12}
-    p1 = np.linalg.pinv(fac.u1)
-    for i in range(2, d):
-        fixed = fixed_for(i, ranks[i])
-        used[i] = fixed
-        proj = p1 @ _pair_slice(t, 0, i, fixed)
-        _, ui = minvol_nmf(proj, ranks[i], cfg.with_seed(
-            derive_seed(cfg.seed, "d1-mode", i)))
-        factors[i] = ui
-    core = _core_via_pinv(t, factors)
-    diagnostics = {"procedure": "d1", "absdet": fac.absdet,
+    rng = np.random.default_rng(derive_seed(cfg.seed, "d1-scan"))
+    used = {}
+    for i in range(1, d):
+        if i in slice_indices:
+            used[i] = dict(slice_indices[i])
+        else:
+            others = tuple(m for m in range(d) if m not in (0, i))
+            used[i] = _fixed_at(t, others, _scan_slices(
+                t, (0,), others, (i,), ranks[i], rng, scan_budget))
+    mats = {i: slice_matrix(t, SliceSpec((0,), fixed, (i,)))
+            for i, fixed in used.items()}
+    pairs = [(mats[i], cfg.with_seed(derive_seed(cfg.seed, "d1-mode", i)))
+             for i in range(2, d)]
+    diagnostics = {"procedure": "d1",
                    "slice_indices": {str(k): {str(m): int(v)
                                               for m, v in f.items()}
-                                     for k, f in used.items()},
-                   "seed": cfg.seed}
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
+                                     for k, f in used.items()}}
+    return _slice_pair_route(t, ranks, mats[1], pairs, cfg, diagnostics)
 
 
 def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
@@ -354,55 +418,21 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
         raise ShapeError(f"fixed-mode rank product {r_fixed} exceeds r^2")
 
     sizes = [t.dims[m] for m in fixed_modes]
-    nfixed = prod(sizes)
-
-    def fixed_at(flat):
-        idx = np.unravel_index(flat, sizes, order="F")
-        return dict(zip(fixed_modes, (int(i) for i in idx)))
-
-    def big_slice(fixed):
-        return slice_matrix(t, SliceSpec(rows, fixed, cols))
-
     if fixed_index is None:
-        rng = _as_rng(None, derive_seed(cfg.seed, "d3-scan"))
-        start = None
-        for cand in [0] + list(rng.integers(nfixed, size=scan_budget)):
-            if numerical_rank(big_slice(fixed_at(int(cand)))) == r:
-                start = int(cand)
-                break
-        if start is None:
-            raise RankError("no full-rank generalized slice found")
+        rng = np.random.default_rng(derive_seed(cfg.seed, "d3-scan"))
+        start = _scan_slices(t, rows, fixed_modes, cols, r, rng, scan_budget)
     else:
         start = int(np.ravel_multi_index(
             tuple(fixed_index), sizes, order="F"))
-    fac = minvol_order2_ntd(big_slice(fixed_at(start)), r, cfg)
-    stack = _slice_stack_columns(
-        t, fac.u1, fac.u2, [big_slice(fixed_at(j)) for j in range(nfixed)])
-    g, u_fixed = minvol_nmf(stack, r_fixed, cfg)
-
-    left, perm_left = _split_group(fac.u1, rows, t.dims, ranks)
-    right, perm_right = _split_group(fac.u2, cols, t.dims, ranks)
-    mids, perm_mid = _split_group(u_fixed, fixed_modes,
-                                  t.dims, ranks)
-    r_rows = prod(ranks[m] for m in rows)
-    row_gather = (perm_left[:, None] + perm_right[None, :] * r_rows) \
-        .ravel(order="F")
-    core_mat = g[np.ix_(row_gather, perm_mid)]
-    core = _fold_sequence(core_mat, list(rows) + list(cols) +
-                          list(fixed_modes), ranks)
-    factors = [None] * d
-    for mode, u in zip(rows, left):
-        factors[mode] = u
-    for mode, u in zip(cols, right):
-        factors[mode] = u
-    for mode, u in zip(fixed_modes, mids):
-        factors[mode] = u
+    slices = [slice_matrix(t, SliceSpec(rows, _fixed_at(t, fixed_modes, j),
+                                        cols))
+              for j in range(prod(sizes))]
     diagnostics = {"procedure": "d3", "fixed_flat_index": start,
                    "partition": {"rows": list(rows),
                                  "fixed": list(fixed_modes),
-                                 "cols": list(cols)},
-                   "absdet": fac.absdet, "seed": cfg.seed}
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
+                                 "cols": list(cols)}}
+    return _slice_stack_route(t, ranks, (rows, fixed_modes, cols),
+                              slices[start], slices, cfg, diagnostics)
 
 
 def separable_orderd(t: DenseTensor, ranks, feas_tol=1e-9) -> NtdModel:

@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from math import comb, prod
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import (NotPermutedKronecker, NotSeparable, RankError,
-                     ShapeError, SolverError)
-from .kron import kron_all, kron_split_multi, nearest_kron
+from .errors import NotSeparable, RankError, ShapeError, SolverError
 from .lp import cross_section_vertices, linprog_dense
-from .model import NtdModel
-from .tensor import DenseTensor, fold, unfold
 
 
 @dataclass(frozen=True)
@@ -365,80 +361,3 @@ def separable_order2_ntd(x, r, feas_tol=1e-9) -> Order2Ntd:
         raise SolverError(f"reconstruction residual {resid:.3e}")
     return Order2Ntd(u1, g, u2)
 
-
-def allatonce_penalized(t: DenseTensor, ranks, lam, cfg: SolverConfig,
-                        axes=None) -> NtdModel:
-    """Penalized all-at-once variant of the unfolding route.
-
-    Minimizes ``|det g| + lam * ||u_group - kron(factors)||_F^2`` with the
-    exact fit enforced structurally through the min-vol parametrization of
-    the unfolding.  When the min-vol step lands on an exactly permuted
-    Kronecker product (the identifiable regime) the split drives the
-    penalty to zero; otherwise factors fall back to alternating
-    nearest-Kronecker fits and the result is flagged heuristic.
-    """
-    ranks = tuple(int(r) for r in ranks)
-    d = t.order
-    if len(ranks) != d:
-        raise ShapeError("ranks length must match tensor order")
-    axes = (d - 1,) if axes is None else tuple(sorted(int(a) for a in axes))
-    rest = tuple(k for k in range(d) if k not in axes)
-    r_right = prod(ranks[k] for k in axes)
-    r_left = prod(ranks[k] for k in rest)
-    if r_left != r_right:
-        raise ShapeError(
-            f"rank products {r_left} != {r_right}: the unfolding route "
-            "needs a square core unfolding"
-        )
-    x = unfold(t, axes)
-    base = minvol_order2_ntd(x, r_right, cfg)
-    diagnostics = {"lambda": lam, "axes": list(axes),
-                   "unfold_absdet": base.absdet}
-
-    def split_side(u, modes):
-        shapes = [(t.dims[k], ranks[k]) for k in modes]
-        if len(shapes) == 1:
-            return [u], np.arange(u.shape[1]), 0.0, True
-        try:
-            factors, perm, resid = kron_split_multi(u, shapes)
-            return factors, perm, resid, True
-        except NotPermutedKronecker:
-            pass
-        # Heuristic fallback: peel nearest Kronecker factors left to right.
-        factors, remaining = [], u
-        for n_k, r_k in shapes[:-1]:
-            rows_rest = remaining.shape[0] // n_k
-            cols_rest = remaining.shape[1] // r_k
-            fit = nearest_kron(remaining, ((n_k, r_k),
-                                           (rows_rest, cols_rest)),
-                               stochastic=True)
-            factors.append(fit.u1)
-            remaining = fit.u2
-        factors.append(remaining)
-        resid = float(np.linalg.norm(u - kron_all(factors)))
-        return factors, np.arange(u.shape[1]), resid, False
-
-    fac_left, perm_left, res_left, exact_left = split_side(base.u1, rest)
-    fac_right, perm_right, res_right, exact_right = split_side(base.u2, axes)
-    penalty = res_left**2 + res_right**2
-    core_mat = base.g[np.ix_(perm_left, perm_right)]
-    core = fold(core_mat, axes, ranks)
-
-    factors = [None] * d
-    for mode, u in zip(rest, fac_left):
-        factors[mode] = u
-    for mode, u in zip(axes, fac_right):
-        factors[mode] = u
-    diagnostics.update({
-        "penalty": penalty,
-        "objective": abs(np.linalg.det(core_mat)) + lam * penalty,
-        "method": "split-exact" if exact_left and exact_right
-        else "nearest-kron-heuristic",
-    })
-    model = NtdModel(factors, core, ranks, diagnostics)
-    err = np.linalg.norm(model.reconstruct().data - t.data) \
-        / max(t.norm(), 1e-300)
-    if exact_left and exact_right and err > cfg.feas_tol:
-        raise SolverError(f"reconstruction residual {err:.3e}")
-    diagnostics["recon_error"] = float(err)
-    return model

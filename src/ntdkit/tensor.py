@@ -232,6 +232,17 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
     return arr @ weights
 
 
+def _finite_array(data, what) -> np.ndarray:
+    """``data`` read from a file as floats; ``InputError`` unless finite."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} holds non-numeric data: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} holds non-finite data")
+    return arr
+
+
 def write_tensor_json(t: DenseTensor, path):
     doc = {"dims": list(t.dims), "layout": "col-major",
            "data": t.data.tolist()}
@@ -260,7 +271,7 @@ def read_tensor(path) -> DenseTensor:
                 data = np.frombuffer(fh.read(8 * n), dtype="<f8")
                 if data.size != n:
                     raise InputError(f"truncated tensor file {path}")
-                return DenseTensor(dims, data.copy())
+                return DenseTensor(dims, _finite_array(data.copy(), path))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
@@ -269,13 +280,13 @@ def read_tensor(path) -> DenseTensor:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from exc
     if isinstance(doc, list):  # bare nested array, used for matrices
-        return DenseTensor.from_array(np.asarray(doc, dtype=float))
+        return DenseTensor.from_array(_finite_array(doc, path))
     try:
-        dims = tuple(doc["dims"])
+        dims = tuple(int(n) for n in doc["dims"])
         layout = doc.get("layout", "col-major")
-        data = np.asarray(doc["data"], dtype=float)
-    except (KeyError, TypeError) as exc:
+        data = doc["data"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed tensor document {path}") from exc
     if layout != "col-major":
         raise InputError(f"unsupported layout {layout!r}")
-    return DenseTensor(dims, data)
+    return DenseTensor(dims, _finite_array(data, path))

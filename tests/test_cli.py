@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ntdkit.cli import main
-from ntdkit.tensor import DenseTensor, write_tensor_json
+from ntdkit.tensor import (DenseTensor, write_tensor_binary,
+                           write_tensor_json)
 
 
 def run(capsys, *argv):
@@ -263,11 +265,43 @@ class TestBench:
     (["check", "kron-sufficient", "--r1", "3", "--r2", "3", "--p1", "1"], 2),
     (["check", "dims-ok", "--r1", "3"], 2),
 ] + [(["decompose", "--procedure", p, "--ranks", "2,2"], 2)
-     for p in "01234"])
+     for p in "01234"] + [
+    (["decompose", "--procedure", "d0", "--ranks", "3,3,2", "--axes", "5"],
+     2),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--input", "{tmp}/nan.json"], 3),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--input", "{tmp}/nan.bin"], 3),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--input", "{tmp}/text.json"], 3),
+    (["eval", "--model", "{tmp}/text-model.json",
+      "--truth", "{bundle}/truth.json"], 3),
+    (["eval", "--model", "{tmp}/nan-model.json",
+      "--truth", "{bundle}/truth.json"], 3),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--out", "{tmp}/missing/m.json"], 2),
+    (["bench", "--procedures", "1", "--seeds", "1",
+      "--spec", "{tmp}/spec.json", "--out", "{tmp}/missing/b.csv"], 2),
+])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("restarts = two\n")
-    argv = [a.format(cfg=cfg) for a in argv]
+    arr = np.ones((12, 12, 8))
+    arr[1, 2, 3] = np.nan
+    write_tensor_json(DenseTensor.from_array(arr), tmp_path / "nan.json")
+    write_tensor_binary(DenseTensor.from_array(arr), tmp_path / "nan.bin")
+    (tmp_path / "text.json").write_text(json.dumps(
+        {"dims": [12, 12, 8], "data": ["a"] * arr.size}))
+    truth = json.loads((bundle / "truth.json").read_text())
+    for name, value in (("text", "a"), ("nan", math.nan)):
+        truth["core"]["data"][0] = value
+        (tmp_path / f"{name}-model.json").write_text(json.dumps(truth))
+    (tmp_path / "spec.json").write_text(json.dumps({"defaults": {
+        "assumption": "A4.2", "dims": [10, 10, 6], "ranks": [3, 3, 2]}}))
+    argv = [a.format(cfg=cfg, tmp=tmp_path, bundle=bundle) for a in argv]
     if argv[0] == "decompose":
-        argv += ["--input", str(bundle), "--out", str(tmp_path / "m.json")]
+        for flag, value in (("--input", bundle),
+                            ("--out", tmp_path / "m.json")):
+            if flag not in argv:
+                argv += [flag, str(value)]
     assert run(capsys, *argv)[0] == code

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from ntdkit import solvers
-from ntdkit.errors import PartitionError, RankError, ShapeError
+from ntdkit.errors import (NotPermutedKronecker, PartitionError, RankError,
+                           ShapeError)
 from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
-from ntdkit.procedures import (ModePartition, procedure0, procedure1,
-                               procedure2, procedure3, procedure4,
-                               procedure_d0, procedure_d1, procedure_d3,
-                               select_max_rank_slice, separable_orderd)
-from ntdkit.solvers import SolverConfig
+from ntdkit.kron import kron
+from ntdkit.procedures import (ModePartition, allatonce_penalized,
+                               procedure0, procedure1, procedure2, procedure3,
+                               procedure4, procedure_d0, procedure_d1,
+                               procedure_d3, select_max_rank_slice,
+                               separable_orderd)
+from ntdkit.solvers import SolverConfig, minvol_order2_ntd
 from ntdkit.synth import gen_instance
-from ntdkit.tensor import DenseTensor
+from ntdkit.tensor import DenseTensor, fold, unfold
+from tests.conftest import align_error, two_nonzero_ssc
 
 CFG = SolverConfig(seed=3)
+AAO_CFG = SolverConfig(seed=7)
 
 
 def identity_instance(rng, ranks, extra_core=None):
@@ -192,6 +197,59 @@ class TestProcedureD0:
         with pytest.raises(ShapeError):
             procedure_d0(t, (2, 2, 2, 2), (3,), CFG)
 
+    def test_axes_outside_the_modes(self, rng):
+        t, _ = identity_instance(rng, (2, 2, 4))
+        for axes in ((5,), (-1,), (2, 2)):
+            with pytest.raises(PartitionError):
+                procedure_d0(t, (2, 2, 4), axes, CFG)
+
+
+class TestAllAtOnce:
+    def test_exact_instance_drives_penalty_to_zero(self):
+        inst = gen_instance("A4.x-unfold", (6, 5, 20), (2, 2, 4), seed=11)
+        model = allatonce_penalized(inst.tensor, (2, 2, 4), 1.0, AAO_CFG)
+        assert model.diagnostics["penalty"] <= 1e-18
+        assert model.diagnostics["method"] == "split-exact"
+        from ntdkit.evaluate import essential_match
+        assert essential_match(model, inst.truth, tol=1e-6).matched
+
+    def test_lambda_zero_degenerates_to_minvol(self):
+        inst = gen_instance("A4.x-unfold", (6, 5, 20), (2, 2, 4), seed=12)
+        model = allatonce_penalized(inst.tensor, (2, 2, 4), 0.0, AAO_CFG)
+        fac = minvol_order2_ntd(unfold(inst.tensor, (2,)), 4, AAO_CFG)
+        # same unfolding-level solution: the grouped factor is the split
+        # recombined, i.e. a column permutation of the min-vol factor
+        k = kron(model.factors[0], model.factors[1])
+        assert align_error(k, fac.u1) <= 1e-10
+        assert model.diagnostics["unfold_absdet"] == pytest.approx(
+            fac.absdet)
+
+    def test_order4_declared_mode_set(self):
+        inst = gen_instance("A5.2", (6, 5, 4, 7), (2, 2, 2, 2), seed=14,
+                            axes=(2, 3))
+        model = allatonce_penalized(inst.tensor, (2, 2, 2, 2), 1.0, AAO_CFG,
+                                    axes=(2, 3))
+        assert model.diagnostics["penalty"] <= 1e-16
+        from ntdkit.evaluate import essential_match
+        assert essential_match(model, inst.truth, tol=1e-6).matched
+
+    def test_rank_product_precondition(self):
+        inst = gen_instance("A4.2", (10, 10, 6), (3, 3, 2), seed=15)
+        with pytest.raises(ShapeError):
+            allatonce_penalized(inst.tensor, (3, 3, 2), 1.0, AAO_CFG)
+
+    def test_nearest_kron_fallback_on_non_tucker_tensor(self, rng):
+        # the unfolding's left factor is SSC but no Kronecker product
+        w = two_nonzero_ssc(30, 4, rng)
+        h = two_nonzero_ssc(20, 4, rng)
+        t = fold(w @ h.T, (2,), (6, 5, 20))
+        model = allatonce_penalized(t, (2, 2, 4), 1.0, AAO_CFG)
+        assert model.diagnostics["method"] == "nearest-kron-heuristic"
+        assert model.diagnostics["penalty"] > 0
+        assert model.diagnostics["recon_error"] > 0
+        with pytest.raises(NotPermutedKronecker):
+            procedure_d0(t, (2, 2, 4), (2,), AAO_CFG)
+
 
 class TestProcedureD1:
     def test_order4(self):
@@ -248,6 +306,11 @@ class TestProcedureD3:
         for ua, ub in zip(m3.factors, md.factors):
             assert np.array_equal(ua, ub)
         assert np.array_equal(m3.core.data, md.core.data)
+
+    def test_fixed_rank_exceeds_r_squared(self, rng):
+        t, _ = identity_instance(rng, (2, 2, 5))
+        with pytest.raises(ShapeError, match="fixed-mode rank product 5"):
+            procedure_d3(t, (2, 2, 5), ModePartition((0,), (2,), (1,)), CFG)
 
     def test_invalid_partition(self, rng):
         t, _ = identity_instance(rng, (2, 2, 2, 2))

@@ -5,15 +5,12 @@ import pytest
 
 from ntdkit import solvers
 from ntdkit.errors import NotSeparable, RankError, ShapeError
-from ntdkit.kron import kron
 from ntdkit.lp import linprog_dense
-from ntdkit.solvers import (SolverConfig, allatonce_penalized,
-                            derive_seed, maxdet_simplex, minvol_nmf,
-                            minvol_order2_ntd, numerical_rank,
+from ntdkit.solvers import (SolverConfig, derive_seed, maxdet_simplex,
+                            minvol_nmf, minvol_order2_ntd, numerical_rank,
                             orthonormal_range, separable_order2_ntd,
                             spa_separable_nmf)
-from ntdkit.synth import gen_instance, gen_separable_factor
-from ntdkit.tensor import unfold
+from ntdkit.synth import gen_separable_factor
 from tests.conftest import align_error, two_nonzero_ssc
 
 CFG = SolverConfig(seed=7)
@@ -267,41 +264,6 @@ class TestSuboptimalityImplication:
             if fac.absdet <= abs(np.linalg.det(g)) * (1 + 1e-8):
                 assert align_error(fac.u1, u1) <= 1e-6
                 assert align_error(fac.u2, u2) <= 1e-6
-
-
-class TestAllAtOnce:
-    def test_exact_instance_drives_penalty_to_zero(self):
-        inst = gen_instance("A4.x-unfold", (6, 5, 20), (2, 2, 4), seed=11)
-        model = allatonce_penalized(inst.tensor, (2, 2, 4), 1.0, CFG)
-        assert model.diagnostics["penalty"] <= 1e-18
-        assert model.diagnostics["method"] == "split-exact"
-        from ntdkit.evaluate import essential_match
-        assert essential_match(model, inst.truth, tol=1e-6).matched
-
-    def test_lambda_zero_degenerates_to_minvol(self):
-        inst = gen_instance("A4.x-unfold", (6, 5, 20), (2, 2, 4), seed=12)
-        model = allatonce_penalized(inst.tensor, (2, 2, 4), 0.0, CFG)
-        fac = minvol_order2_ntd(unfold(inst.tensor, (2,)), 4, CFG)
-        # same unfolding-level solution: the grouped factor is the split
-        # recombined, i.e. a column permutation of the min-vol factor
-        k = kron(model.factors[0], model.factors[1])
-        assert align_error(k, fac.u1) <= 1e-10
-        assert model.diagnostics["unfold_absdet"] == pytest.approx(
-            fac.absdet)
-
-    def test_order4_declared_mode_set(self):
-        inst = gen_instance("A5.2", (6, 5, 4, 7), (2, 2, 2, 2), seed=14,
-                            axes=(2, 3))
-        model = allatonce_penalized(inst.tensor, (2, 2, 2, 2), 1.0, CFG,
-                                    axes=(2, 3))
-        assert model.diagnostics["penalty"] <= 1e-16
-        from ntdkit.evaluate import essential_match
-        assert essential_match(model, inst.truth, tol=1e-6).matched
-
-    def test_rank_product_precondition(self):
-        inst = gen_instance("A4.2", (10, 10, 6), (3, 3, 2), seed=15)
-        with pytest.raises(ShapeError):
-            allatonce_penalized(inst.tensor, (3, 3, 2), 1.0, CFG)
 
 
 class TestConfig:
