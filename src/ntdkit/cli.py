@@ -232,9 +232,6 @@ def cmd_eval(args) -> int:
 
 
 def _bench_one(spec, proc, seed, tol, no_timing):
-    inst = gen_instance(
-        spec["assumption"], spec["dims"], spec["ranks"], seed=seed,
-        axes=spec.get("axes"), partition=spec.get("partition"))
     cfg = SolverConfig(**{**SolverConfig().__dict__,
                           **spec.get("solver", {}), "seed": seed})
 
@@ -245,6 +242,9 @@ def _bench_one(spec, proc, seed, tol, no_timing):
 
     t0 = time.perf_counter()
     try:
+        inst = gen_instance(
+            spec["assumption"], spec["dims"], spec["ranks"], seed=seed,
+            axes=spec.get("axes"), partition=spec.get("partition"))
         model = _run_procedure(proc, inst.tensor, tuple(spec["ranks"]),
                                cfg, _A)
         res = essential_match(model, inst.truth, tol=tol)

@@ -4,10 +4,13 @@ The dual cone of the rows of a nonnegative matrix ``h`` is
 ``{y : h @ y >= 0}``; its cross-section against ``sum(y) == 1`` is a
 polytope whose vertices decide SSC1 (all norms at most one), SSC2 (norm-one
 vertices sit at unit vectors) and p-SSC (all vertices inside the dual of the
-expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``).  Exact SSC checking
-is NP-hard in general, so enumeration is capped and a refutation search
-takes over beyond the cap: a returned certificate proves SSC1 fails, but
-absence of one proves nothing.
+expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``).  The vertices and
+the boundedness of the cross-section come from one double description
+(``lp.cross_section_vertices``).  Exact SSC checking is NP-hard in
+general, so enumeration is capped (``ENUM_CAP_R``, ``ENUM_CAP_N`` and the
+intermediate-ray budget) and a refutation search takes over beyond the
+cap: a returned certificate proves SSC1 fails, but absence of one proves
+nothing.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationCapError, UsageError, WitnessError
-from .lp import cross_section_vertices, linprog_dense
+from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
-_DEDUP_TOL = 1e-9
 
 
 def _validate_nonneg(h, name="h"):
@@ -87,10 +89,13 @@ def _recession_direction(h):
 def enumerate_dual_vertices(h, tol=1e-9):
     """Vertices of ``{y : h y >= 0, sum(y) = 1}`` plus an unboundedness flag.
 
-    Every vertex activates the normalization and r-1 rows of ``h``; the
-    basic solutions of all such subsets are deduplicated and sorted.  The
-    polytope is unbounded iff a nonzero recession direction ``h z >= 0``,
-    ``sum(z) = 0`` exists, which ``_recession_direction`` decides.
+    ``lp.cross_section_vertices`` finds both by the double description
+    method, which lists each vertex once; they are returned sorted.  Its
+    budget on intermediate rays, not the C(n, r-1) subset count, bounds the
+    work.  ``ENUM_CAP_N`` stays all the same: the benchmark's input guard
+    reads it as a subset count and ``evaluate`` uses it to choose exact
+    group certification, so raising it changes both.  Past either cap, or
+    past the ray budget, ``EnumerationCapError`` is raised.
     """
     h = np.asarray(h, dtype=float)
     n, r = h.shape
@@ -101,15 +106,10 @@ def enumerate_dual_vertices(h, tol=1e-9):
             f"enumeration cap exceeded (r={r} > {ENUM_CAP_R} or "
             f"n={n} > {ENUM_CAP_N})"
         )
-    vertices = []
-    for y in cross_section_vertices(h, np.ones(r), tol):
-        if not any(np.abs(y - v).max() <= _DEDUP_TOL for v in vertices):
-            vertices.append(y)
-    vertices.sort(key=tuple)
-    verts = np.array(vertices).reshape(len(vertices), r)
-
-    unbounded = _recession_direction(h) is not None
-    return verts, unbounded
+    verts, unbounded = cross_section_vertices(h, np.ones(r),
+                                              _VERTEX_ENUM_CAP, tol)
+    order = sorted(range(len(verts)), key=lambda k: tuple(verts[k]))
+    return verts[order], unbounded
 
 
 def _project_simplex(y):

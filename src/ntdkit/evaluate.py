@@ -13,7 +13,6 @@ from math import prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
                     estimate_min_p, kron_ssc_sufficient)
@@ -31,6 +30,8 @@ def align_columns(u_est, u_ref):
     Returns ``(perm, err)`` with ``u_est[:, perm[k]]`` matched to
     ``u_ref[:, k]`` and ``err`` the worst relative column distance.
     """
+    from scipy.optimize import linear_sum_assignment
+
     u_est = np.asarray(u_est, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
     if u_est.shape != u_ref.shape:

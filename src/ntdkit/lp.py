@@ -2,24 +2,30 @@
 dense LP entry point.
 
 Both the volume solvers and the cone checks optimize over cross-sections
-``{y : b y >= 0, a . y = 1}``.  When the number of (r-1)-row subsets is
-small, ``cross_section_vertices`` lists every vertex once and each linear
-objective becomes an argmax over them.  Every other linear program in the
-package goes through ``linprog_dense``, a single call to scipy's HiGHS,
-which is deterministic for a fixed input.
+``{y : b y >= 0, a . y = 1}``.  ``cross_section_vertices`` lists every
+vertex once by the double description method (Motzkin et al. 1953, as in
+Fukuda & Prodon 1996) in numpy alone, so each linear objective becomes an
+argmax over the vertices.  Every other linear program in the package goes
+through ``linprog_dense``, a single call to scipy's HiGHS, which is
+deterministic for a fixed input; scipy is imported on that first call.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import SolverError
+from .errors import EnumerationCapError, SolverError
 
-_VERTEX_BATCH = 4096
+# Budget on the double description's intermediate rays.  Past it the
+# volume solvers answer each query with an LP and the cone checks report
+# the enumeration cap.
+_VERTEX_ENUM_CAP = 2048
+
+# Rows and rays are unit vectors in the double description; a row whose
+# value on a ray is within this is active there.
+_ZERO_TOL = 1e-9
 
 
 class LpResult(NamedTuple):
@@ -37,6 +43,8 @@ def linprog_dense(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     statuses other than optimal, infeasible and unbounded raise
     ``SolverError``.
     """
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=float)
     if bounds is None:
         bounds = [(None, None)] * c.size
@@ -52,45 +60,152 @@ def linprog_dense(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     raise SolverError(f"HiGHS failed: {res.message}")
 
 
-def _subset_batches(n, k):
-    """All k-subsets of range(n) in lexicographic order, as index arrays of
-    at most ``_VERTEX_BATCH`` rows; no Python list of tuples is built."""
-    if k == 0:
-        yield np.zeros((1, 0), dtype=np.intp)
-        return
-    subsets = combinations(range(n), k)
-    dtype = np.dtype((np.intp, k))
+def _adjacent_pairs(zeros, pos, neg, r):
+    """Rays ``p`` of ``pos`` and ``q`` of ``neg`` that span a 2-face, by
+    the combinatorial test: at least r-2 rows are active at both (``zeros``
+    marks each ray's active rows) and no third ray is active on all of
+    them.  Pairs go in chunks, so memory stays bounded."""
+    zf = zeros.astype(float)
+    shared = zf[pos] @ zf[neg].T
+    pi, qi = np.nonzero(shared >= r - 2)
+    adjacent = np.zeros(len(pi), dtype=bool)
+    step = max(1, (1 << 20) // max(zeros.shape))
+    for lo in range(0, len(pi), step):
+        part = slice(lo, lo + step)
+        common = zeros[pos[pi[part]]] & zeros[neg[qi[part]]]
+        holders = common @ zf.T >= shared[pi[part], qi[part], None] - 0.5
+        adjacent[part] = holders.sum(axis=1) == 2
+    return pos[pi[adjacent]], neg[qi[adjacent]]
+
+
+def _extreme_rays(u, max_rays):
+    """Unit extreme rays of ``{y : u y >= 0}`` and their values on the
+    rows, ``rays @ u.T``; None when ``u`` has rank below its width.
+
+    Pivoted Gram-Schmidt picks r independent rows, whose simplicial cone
+    starts the double description.  The row cutting off the most rays is
+    added next; the rays it cuts off are replaced by one new ray per
+    adjacent pair across its hyperplane.  Once no row cuts off a ray, the
+    rest are redundant.
+    """
+    r = u.shape[1]
+    if len(u) < r:
+        return None
+    res, basis = u.copy(), []
+    for _ in range(r):
+        norms = np.einsum("ij,ij->i", res, res)
+        k = int(np.argmax(norms))
+        if norms[k] <= 1e-20:
+            return None
+        res -= np.outer(res @ res[k], res[k] / norms[k])
+        basis.append(k)
+    rays = np.linalg.inv(u[basis]).T
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    vals = rays @ u.T
+    done = np.zeros(len(u), dtype=bool)
+    done[basis] = True
     while True:
-        idx = np.fromiter(islice(subsets, _VERTEX_BATCH), dtype=dtype)
-        if not len(idx):
-            return
-        yield idx
+        cut = (vals < -_ZERO_TOL).sum(axis=0) * ~done
+        i = int(np.argmax(cut))
+        if not cut[i]:
+            return rays, vals
+        s = vals[:, i]
+        neg = s < -_ZERO_TOL
+        p, q = _adjacent_pairs(np.abs(vals[:, done]) <= _ZERO_TOL,
+                               np.flatnonzero(s > _ZERO_TOL),
+                               np.flatnonzero(neg), r)
+        new = s[p, None] * rays[q] - s[q, None] * rays[p]
+        new /= np.linalg.norm(new, axis=1, keepdims=True)
+        rays = np.concatenate([rays[~neg], new])
+        vals = np.concatenate([vals[~neg], new @ u.T])
+        done[i] = True
+        if len(rays) > max_rays:
+            raise EnumerationCapError(
+                f"vertex enumeration passed {max_rays} intermediate rays")
 
 
-def cross_section_vertices(b, a, tol=1e-9):
-    """Feasible basic solutions of ``{y : b y >= 0, a . y = 1}``.
+def _first_subset(b, a, active, thr, floor):
+    """``(subset, y)`` for the first (r-1)-subset of the rows ``active``,
+    in combinations order, whose system ``[b_S; a] y = e_r`` has
+    ``|det| > thr`` and ``b y >= floor``; None if there is none.
 
-    Each candidate activates the normalization and r-1 rows of ``b``; all
-    C(n, r-1) square systems are solved in fixed-size batches, in subset
-    order.  Near-singular systems and points violating ``b y >= 0`` by more
-    than ``tol * max(1, |b|)`` are dropped; duplicates (degenerate vertices
-    hit by several subsets) are kept.  Returns a ``(k, r)`` array.
+    The first subset is tried alone, then a depth-first search goes
+    through all of them in order.  Any completion of a prefix has
+    ``|det|`` at most the volume spanned by ``a`` and the prefix times the
+    largest row norm per row still to pick, so a prefix whose bound is
+    1000 times below ``thr`` is skipped whole: a vertex with hundreds of
+    active rows costs a few subsets, not C(hundreds, r-1).
+    """
+    r = b.shape[1]
+    cap = max(1.0, float(np.linalg.norm(b[active], axis=1).max(initial=0)))
+
+    def solve(subset):
+        system = np.vstack([b[subset].reshape(r - 1, r), a])
+        if abs(np.linalg.det(system)) <= thr:
+            return None
+        y = np.linalg.solve(system, np.eye(r)[-1])
+        return (tuple(subset), y) if (b @ y).min() >= floor else None
+
+    def search(start, basis, vol, subset):
+        if len(subset) == r - 1:
+            return solve(subset)
+        left = r - 2 - len(subset)
+        for k in range(start, len(active) - left):
+            row = b[active[k]]
+            row = row - basis.T @ (basis @ row)
+            row -= basis.T @ (basis @ row)
+            size = np.linalg.norm(row)
+            if vol * size * cap ** left > 1e-3 * thr:
+                hit = search(k + 1, np.vstack([basis, row / size]),
+                             vol * size, subset + [int(active[k])])
+                if hit is not None:
+                    return hit
+        return None
+
+    if len(active) >= r - 1:
+        hit = solve([int(i) for i in active[:r - 1]])
+        if hit is not None:
+            return hit
+    norm_a = np.linalg.norm(a)
+    return search(0, a[None] / norm_a, norm_a, [])
+
+
+def cross_section_vertices(b, a, max_rays, tol=1e-9):
+    """Vertices of ``{y : b y >= 0, a . y = 1}`` and whether it is
+    unbounded.
+
+    The vertices are the extreme rays of ``{y : [b; a] y >= 0}`` with
+    ``a . y > 0``; a ray with ``a . y = 0`` proves the cross-section
+    unbounded.  Rows below 1e-12 of the largest row norm constrain
+    nothing and are dropped.  A rank-deficient ``[b; a]`` gives no
+    vertices and the flag set, as the cross-section is then unbounded or
+    empty.  Each vertex is solved from the first (r-1)-subset of its
+    active rows, in combinations order, whose system has ``|det| > 1e-12
+    * max(1, |b|)^(r-1)`` and whose solution violates ``b y >= 0`` by at
+    most ``tol * max(1, |b|)``: the point and the order (that of those
+    subsets) of the ``(k, r)`` result are the ones a scan of all C(n, r-1)
+    subsets with these filters finds first.  Raises
+    ``EnumerationCapError`` past ``max_rays`` intermediate rays.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
     n, r = b.shape
+    m = np.vstack([b, a])
+    norms = np.linalg.norm(m, axis=1)
+    keep = np.flatnonzero(norms > 1e-12 * norms.max(initial=0.0))
+    cone = _extreme_rays(m[keep] / norms[keep, None], max_rays)
+    if cone is None:
+        return np.zeros((0, r)), True
+    rays, vals = cone
+    at_infinity = rays @ a <= _ZERO_TOL * np.linalg.norm(a)
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    rhs = np.zeros(r)
-    rhs[-1] = 1.0
-    found = [np.zeros((0, r))]
-    for idx in _subset_batches(n, r - 1):
-        m = np.empty((len(idx), r, r))
-        m[:, :r - 1] = b[idx]
-        m[:, r - 1] = a
-        good = np.abs(np.linalg.det(m)) > 1e-12 * scale ** (r - 1)
-        if not good.any():
-            continue
-        ys = np.linalg.solve(m[good], rhs)
-        feas = (b @ ys.T).min(axis=0) >= -tol * scale
-        found.append(ys[feas])
-    return np.concatenate(found)
+    found = {}
+    for k in np.flatnonzero(~at_infinity):
+        active = keep[(np.abs(vals[k]) <= _ZERO_TOL) & (keep < n)]
+        hit = _first_subset(b, a, active, 1e-12 * scale ** (r - 1),
+                            -tol * scale)
+        if hit is not None:
+            found.setdefault(*hit)
+    vertices = [found[s] for s in sorted(found)]
+    return (np.array(vertices).reshape(len(vertices), r),
+            bool(at_infinity.any()))

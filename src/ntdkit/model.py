@@ -68,10 +68,15 @@ class NtdModel:
             factors = [_finite_array(u, "model") for u in doc["factors"]]
             core = DenseTensor(tuple(doc["core"]["dims"]),
                                _finite_array(doc["core"]["data"], "model"))
-            ranks = tuple(doc["ranks"])
+            ranks = doc["ranks"]
             diagnostics = doc.get("diagnostics", {})
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed model document: {exc}") from exc
+        # Own guard: ShapeError is a ValueError and must keep its exit code.
+        try:
+            ranks = tuple(int(r) for r in ranks)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed model ranks: {exc}") from exc
         return cls(factors, core, ranks, diagnostics)
 
     def save(self, path):

@@ -422,8 +422,12 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
         rng = np.random.default_rng(derive_seed(cfg.seed, "d3-scan"))
         start = _scan_slices(t, rows, fixed_modes, cols, r, rng, scan_budget)
     else:
-        start = int(np.ravel_multi_index(
-            tuple(fixed_index), sizes, order="F"))
+        fixed_index = tuple(int(i) for i in fixed_index)
+        if len(fixed_index) != len(sizes) or not all(
+                0 <= i < n for i, n in zip(fixed_index, sizes)):
+            raise ShapeError(f"fixed_index {fixed_index} outside the "
+                             f"fixed-mode dims {tuple(sizes)}")
+        start = int(np.ravel_multi_index(fixed_index, sizes, order="F"))
     slices = [slice_matrix(t, SliceSpec(rows, _fixed_at(t, fixed_modes, j),
                                         cols))
               for j in range(prod(sizes))]

@@ -8,23 +8,24 @@ nonnegative ``u_i`` are parametrized by invertible ``q_i`` via ``u1 = W q1``,
 decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
 ``{q : W q >= 0, sum(W q) = 1}`` columnwise.  The column updates are exact
 linear optimizations (the determinant is linear in one column), answered
-from the polytope's vertices, enumerated once per call, or by an LP when
-there are too many candidates.  So the sweep objective is monotone; global
-optimality is heuristic and the best of several restarts is returned.
+from the polytope's vertices, enumerated once per call by the double
+description in ``lp.cross_section_vertices``, or by an LP when that passes
+its ray budget.  So the sweep objective is monotone; global optimality is
+heuristic and the best of several restarts is returned.  scipy's NNLS is
+imported by the separable solver only when it runs.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .errors import NotSeparable, RankError, ShapeError, SolverError
-from .lp import cross_section_vertices, linprog_dense
+from .errors import (EnumerationCapError, NotSeparable, RankError,
+                     ShapeError, SolverError)
+from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
 
 
 @dataclass(frozen=True)
@@ -93,35 +94,13 @@ def _cofactor_col(q, j):
     return signs * dets
 
 
-# Largest C(n, r-1) for which a cross-section's vertices are enumerated;
-# procedure d3's 64 x 4 slice stacks (41 664 subsets) stay under it.
-_VERTEX_ENUM_CAP = 50_000
-
-
-def _distinct_vertices(v, b):
-    """One copy of each vertex in ``v``, in first-hit order.
-
-    A degenerate vertex is hit by many subsets, and copies from
-    ill-conditioned ones drift off the polytope, where they can beat the
-    true optimum by that drift.  Copies within 1e-9 of each other are
-    merged into the one that violates ``b v >= 0`` least.
-    """
-    violation = np.maximum(-(b @ v.T).min(axis=0), 0.0)
-    order = np.argsort(violation, kind="stable")
-    keep = []
-    while order.size:
-        keep.append(order[0])
-        order = order[np.abs(v[order] - v[order[0]]).max(axis=1) > 1e-9]
-    return v[np.sort(keep)]
-
-
 class _CrossSection:
     """Linear optimization over the polytope {v : b v >= 0, sum(b v) = 1}.
 
-    When ``b`` has full column rank the polytope is bounded, and when it has
-    at most ``_VERTEX_ENUM_CAP`` candidate vertices they are listed once;
-    each query is then an argmax over them (ties to the lowest index).
-    Otherwise every query solves an LP.
+    When ``b`` has full column rank the polytope is bounded, and unless the
+    vertex enumeration passes ``_VERTEX_ENUM_CAP`` intermediate rays its
+    vertices are listed once; each query is then an argmax over them (ties
+    to the lowest index).  Otherwise every query solves an LP.
     """
 
     def __init__(self, b):
@@ -131,11 +110,13 @@ class _CrossSection:
         self._b_ub = np.zeros(self.n)
         self._a_eq = self.b.sum(axis=0).reshape(1, -1)
         self.vertices = None
-        if comb(self.n, self.r - 1) <= _VERTEX_ENUM_CAP \
-                and numerical_rank(self.b) == self.r:
-            v = cross_section_vertices(self.b, self._a_eq[0])
-            if len(v):
-                self.vertices = _distinct_vertices(v, self.b)
+        try:
+            v, unbounded = cross_section_vertices(
+                self.b, self._a_eq[0], _VERTEX_ENUM_CAP)
+        except EnumerationCapError:
+            return
+        if len(v) and not unbounded:
+            self.vertices = v
 
     def extreme(self, c, maximize=True):
         if self.vertices is not None:
@@ -312,6 +293,8 @@ def spa_separable_nmf(x, r, feas_tol=1e-9, extreme_tol=1e-6):
     with zero residual).  Returns ``(anchors, w, h)`` with ``x = w @ h.T``,
     ``h >= 0``.
     """
+    from scipy.optimize import nnls
+
     x = np.asarray(x, dtype=float)
     m, n = x.shape
     _check_exact_rank(x, r)

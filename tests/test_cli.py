@@ -209,6 +209,25 @@ class TestBench:
         assert len(lines) == 4
         assert all(line.split(",")[3] == "true" for line in lines[1:])
 
+    def test_ungeneratable_spec_is_a_failed_row(self, tmp_path, capsys):
+        # A4.2 cannot certify an SSC factor at r = 7: procedure 3's rows
+        # fail, procedure 1's still run.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "defaults": {"assumption": "A4.2", "dims": [10, 10, 6],
+                         "ranks": [3, 3, 2]},
+            "procedures": {"3": {"dims": [20, 20, 15],
+                                 "ranks": [7, 7, 3]}}}))
+        out = tmp_path / "bench.csv"
+        code, _ = run(capsys, "bench", "--procedures", "1,3", "--seeds", "2",
+                      "--spec", str(spec), "--out", str(out), "--no-timing")
+        assert code == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [r[1:4] for r in rows] == [
+            ["1", "0", "true"], ["1", "1", "true"],
+            ["3", "0", "false"], ["3", "1", "false"]]
+        assert all(v == "inf" for r in rows[2:] for v in r[4:7])
+
     def test_zero_seeds_header_only(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path)
         out = tmp_path / "bench.csv"
@@ -282,6 +301,8 @@ class TestBench:
       "--out", "{tmp}/missing/m.json"], 2),
     (["bench", "--procedures", "1", "--seeds", "1",
       "--spec", "{tmp}/spec.json", "--out", "{tmp}/missing/b.csv"], 2),
+    (["eval", "--model", "{tmp}/rank-model.json",
+      "--truth", "{bundle}/truth.json"], 3),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
@@ -293,6 +314,8 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     (tmp_path / "text.json").write_text(json.dumps(
         {"dims": [12, 12, 8], "data": ["a"] * arr.size}))
     truth = json.loads((bundle / "truth.json").read_text())
+    (tmp_path / "rank-model.json").write_text(
+        json.dumps({**truth, "ranks": ["a", "a", "a"]}))
     for name, value in (("text", "a"), ("nan", math.nan)):
         truth["core"]["data"][0] = value
         (tmp_path / f"{name}-model.json").write_text(json.dumps(truth))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ntdkit import cones
 from ntdkit.cones import (_cp_dual_margin, _polish_feasible,
                           _recession_direction, check_pssc,
                           check_separable, check_ssc,
@@ -159,6 +160,7 @@ class TestDualVertices:
             r = h.shape[1]
             z = _recession_direction(h)
             assert (z is not None) == box_lp_unbounded(h)
+            assert enumerate_dual_vertices(h)[1] == (z is not None)
             full_rank = numerical_rank(np.vstack([h, np.ones(r)])) == r
             seen.add((kind, z is not None, full_rank))
             if z is None:
@@ -220,6 +222,14 @@ class TestCheckSsc:
         rep = check_ssc(ray)
         assert rep.method == "refutation-search-only"
         assert rep.ssc1 is False and rep.refutation is not None
+
+    def test_ray_budget_falls_back_to_refutation_search(self, monkeypatch):
+        h = np.random.default_rng(3).random((30, 5))
+        assert check_ssc(h).method == "exact-enumeration"
+        monkeypatch.setattr(cones, "_VERTEX_ENUM_CAP", 5)
+        with pytest.raises(EnumerationCapError):
+            enumerate_dual_vertices(h)
+        assert check_ssc(h).method == "refutation-search-only"
 
     def test_pssc_cap(self, rng):
         with pytest.raises(EnumerationCapError):

@@ -1,12 +1,18 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ntdkit.lp import cross_section_vertices, linprog_dense
+import ntdkit
+from ntdkit.errors import EnumerationCapError
+from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
+                       linprog_dense)
 from ntdkit.solvers import orthonormal_range
 from ntdkit.synth import gen_instance
-from ntdkit.tensor import unfold
+from ntdkit.tensor import SliceSpec, slice_matrix, unfold
 
 
 def test_bounded_max():
@@ -88,7 +94,8 @@ def test_optimal_point_is_feasible_on_degenerate_cross_section():
 
 
 def naive_cross_section_vertices(b, a, tol=1e-9):
-    """One subset at a time, in the same order and with the same filters."""
+    """One subset at a time, in the same order and with the same filters;
+    a solution within 1e-9 of an earlier one is a copy and is dropped."""
     n, r = b.shape
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     rhs = np.zeros(r)
@@ -99,9 +106,15 @@ def naive_cross_section_vertices(b, a, tol=1e-9):
         if abs(np.linalg.det(m)) <= 1e-12 * scale ** (r - 1):
             continue
         y = np.linalg.solve(m, rhs)
-        if (b @ y).min() >= -tol * scale:
+        if (b @ y).min() < -tol * scale:
+            continue
+        if not any(np.abs(y - v).max() <= 1e-9 for v in out):
             out.append(y)
     return np.array(out).reshape(len(out), r)
+
+
+def vertices(b, a):
+    return cross_section_vertices(b, a, _VERTEX_ENUM_CAP)[0]
 
 
 @pytest.mark.parametrize("n,r", [(28, 5), (12, 3), (7, 2), (5, 1), (2, 4)])
@@ -109,16 +122,74 @@ def test_cross_section_vertices_match_naive(n, r):
     rng = np.random.default_rng(1000 * n + r)
     b = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
     for a in (np.ones(r), b.sum(axis=0)):
-        fast = cross_section_vertices(b, a)
-        assert np.array_equal(fast, naive_cross_section_vertices(b, a))
+        assert np.array_equal(vertices(b, a),
+                              naive_cross_section_vertices(b, a))
 
 
-def test_cross_section_vertices_keep_duplicates():
+def test_cross_section_vertices_each_vertex_once():
     # The identity's cross-section is the simplex; with r = 3 each vertex
     # e_k is hit by the single subset of rows that vanish there.
-    v = cross_section_vertices(np.eye(3), np.ones(3))
-    assert np.array_equal(v, np.eye(3)[::-1])
-    # Two copies of a row make every vertex on it degenerate.
+    v, unbounded = cross_section_vertices(np.eye(3), np.ones(3),
+                                          _VERTEX_ENUM_CAP)
+    assert np.array_equal(v, np.eye(3)[::-1]) and not unbounded
+    # Two copies of a row make every vertex on it degenerate; each is still
+    # listed once, solved from its first subset.
     b = np.vstack([np.eye(3), np.eye(3)[:1]])
-    v = cross_section_vertices(b, np.ones(3))
-    assert len(v) > len(np.unique(v, axis=0))
+    assert np.array_equal(vertices(b, np.ones(3)), np.eye(3)[::-1])
+
+
+def test_cross_section_near_zero_rows_constrain_nothing():
+    # The range basis of data with all-zero rows has rows of norm ~1e-17
+    # there; scaled up to unit length they would cut off true vertices.
+    rng = np.random.default_rng(11)
+    for r in (2, 4):
+        x = rng.random((16, r))
+        x[::3] = 0.0
+        b = orthonormal_range(x, r)
+        assert np.linalg.norm(b[::3], axis=1).max() < 1e-12
+        a = b.sum(axis=0)
+        v = vertices(b, a)
+        assert len(v) and np.array_equal(v, naive_cross_section_vertices(b, a))
+
+
+def test_cross_section_grouped_rows():
+    # Procedure d3's first slice on a grouped-row A5.4 instance: 240
+    # feasible subsets hit its 4 vertices, each solved from its first one.
+    inst = gen_instance("A5.4", (5, 4, 14, 6), (2, 2, 4, 2), seed=52,
+                        partition={"rows": [0, 1], "fixed": [3],
+                                   "cols": [2]})
+    b = orthonormal_range(
+        slice_matrix(inst.tensor, SliceSpec((0, 1), {3: 0}, (2,))), 4)
+    a = b.sum(axis=0)
+    v = vertices(b, a)
+    assert len(v) == 4
+    assert np.array_equal(v, naive_cross_section_vertices(b, a))
+
+
+def test_cross_section_unbounded_and_rank_deficient():
+    # y1 >= 0 alone: the cross-section y1 + y2 = 1 is a ray from e2.
+    v, unbounded = cross_section_vertices(np.array([[1.0, 0.0]]),
+                                          np.ones(2), _VERTEX_ENUM_CAP)
+    assert unbounded and np.array_equal(v, [[0.0, 1.0]])
+    v, unbounded = cross_section_vertices(np.full((4, 3), 0.5), np.ones(3),
+                                          _VERTEX_ENUM_CAP)
+    assert unbounded and v.shape == (0, 3)
+
+
+def test_cross_section_ray_budget():
+    b = np.random.default_rng(3).random((30, 5))
+    with pytest.raises(EnumerationCapError):
+        cross_section_vertices(b, np.ones(5), 5)
+
+
+def test_vertex_path_leaves_scipy_unloaded():
+    # scipy.optimize alone costs ~50 MB of RSS; only LPs, NNLS and column
+    # matching load it.
+    code = ("import sys; import numpy as np; import ntdkit; "
+            "ntdkit.check_ssc(np.eye(4)); "
+            "print('scipy.optimize' in sys.modules)")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(ntdkit.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -307,6 +307,14 @@ class TestProcedureD3:
             assert np.array_equal(ua, ub)
         assert np.array_equal(m3.core.data, md.core.data)
 
+    def test_fixed_index_outside_fixed_dims(self):
+        inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=5)
+        part = ModePartition((0,), (2,), (1,))
+        for index in ((99,), (-1,), (0, 0)):
+            with pytest.raises(ShapeError, match="fixed_index"):
+                procedure_d3(inst.tensor, (3, 3, 2), part, CFG,
+                             fixed_index=index)
+
     def test_fixed_rank_exceeds_r_squared(self, rng):
         t, _ = identity_instance(rng, (2, 2, 5))
         with pytest.raises(ShapeError, match="fixed-mode rank product 5"):

@@ -11,7 +11,7 @@ from ntdkit.solvers import (SolverConfig, derive_seed, maxdet_simplex,
                             orthonormal_range, separable_order2_ntd,
                             spa_separable_nmf)
 from ntdkit.synth import gen_separable_factor
-from tests.conftest import align_error, two_nonzero_ssc
+from tests.conftest import align_error, two_nonzero, two_nonzero_ssc
 
 CFG = SolverConfig(seed=7)
 
@@ -90,7 +90,7 @@ class TestVertexOracle:
         cases = 0
         while cases < 60:
             n, r = int(rng.integers(6, 41)), int(rng.integers(2, 6))
-            if comb(n, r - 1) > solvers._VERTEX_ENUM_CAP:
+            if comb(n, r - 1) > 50_000:
                 continue
             x = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
             try:
@@ -111,6 +111,25 @@ class TestVertexOracle:
                         abs(ref.value), np.linalg.norm(c))
                     assert (b @ v).min() >= -1e-9
             cases += 1
+
+    @pytest.mark.parametrize("n,r", [(150, 4), (150, 6), (300, 8)])
+    def test_beyond_the_subset_cap_equals_highs(self, n, r):
+        # C(300, 7) subsets are out of reach; the cross-section of a
+        # two-nonzero factor's range has few vertices all the same.
+        rng = np.random.default_rng(n + r)
+        b = orthonormal_range(two_nonzero(n, r, rng), r)
+        cs = solvers._CrossSection(b)
+        assert cs.vertices is not None
+        for _ in range(20):
+            c = rng.standard_normal(r)
+            for maximize in (True, False):
+                v, val = cs.extreme(c, maximize)
+                ref = linprog_dense(c, a_ub=-b, b_ub=np.zeros(n),
+                                    a_eq=b.sum(axis=0).reshape(1, -1),
+                                    b_eq=np.ones(1), maximize=maximize)
+                assert abs(val - ref.value) <= 1e-12 * max(
+                    abs(ref.value), np.linalg.norm(c))
+                assert (b @ v).min() >= -1e-9
 
     def test_ties_go_to_lowest_index(self):
         cs = solvers._CrossSection(np.eye(3))
