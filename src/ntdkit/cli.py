@@ -62,9 +62,27 @@ def _parse_partition(text) -> ModePartition:
     return ModePartition(_ints(parts[0]), _ints(parts[1]), _ints(parts[2]))
 
 
+_SOLVER_FIELDS = {"max_sweeps": int, "det_rel_tol": float,
+                  "feas_tol": float, "restarts": int, "seed": int}
+
+
+def _solver_config(values, **flags) -> SolverConfig:
+    """A ``SolverConfig`` from named values, each cast by its field's type,
+    with ``flags`` on top; InputError for an unknown name or a bad value."""
+    kwargs = {}
+    for name, val in values.items():
+        if name not in _SOLVER_FIELDS:
+            raise InputError(f"unknown solver config field {name!r}")
+        try:
+            kwargs[name] = _SOLVER_FIELDS[name](val)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"solver config {name}: {exc}") from exc
+    return SolverConfig(**{**kwargs, **flags})
+
+
 def _load_solver_config(args) -> SolverConfig:
     values = {}
-    if getattr(args, "solver_config", None):
+    if args.solver_config:
         try:
             with open(args.solver_config) as fh:
                 for line in fh:
@@ -75,24 +93,9 @@ def _load_solver_config(args) -> SolverConfig:
                     values[key.strip().replace("-", "_")] = val.strip()
         except OSError as exc:
             raise InputError(f"cannot read solver config: {exc}") from exc
-    cfg = SolverConfig()
-    fields = {
-        "max_sweeps": int, "det_rel_tol": float, "feas_tol": float,
-        "restarts": int, "seed": int,
-    }
-    kwargs = {}
-    for name, cast in fields.items():
-        if name in values:
-            try:
-                kwargs[name] = cast(values[name])
-            except ValueError as exc:
-                raise InputError(f"solver config {name}: {exc}") from exc
-        flag = getattr(args, name, None)
-        if flag is not None:
-            kwargs[name] = flag
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return SolverConfig(**{**cfg.__dict__, **kwargs})
+    flags = {name: getattr(args, name) for name in _SOLVER_FIELDS
+             if getattr(args, name) is not None}
+    return _solver_config(values, **flags)
 
 
 def _read_matrix(path) -> np.ndarray:
@@ -157,27 +160,26 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _run_procedure(proc, tensor, ranks, cfg, args):
+def _run_procedure(proc, tensor, ranks, cfg, slice_index=None, axes=None,
+                   partition=None):
     if proc == "0":
         return procedure0(tensor, ranks, cfg)
     if proc == "1":
-        return procedure1(tensor, ranks, cfg, i3=args.slice_index)
+        return procedure1(tensor, ranks, cfg, i3=slice_index)
     if proc == "2":
         return procedure2(tensor, ranks, cfg)
     if proc == "3":
-        return procedure3(tensor, ranks, cfg, slice_index=args.slice_index)
+        return procedure3(tensor, ranks, cfg, slice_index=slice_index)
     if proc == "4":
         return procedure4(tensor, ranks, cfg)
     if proc == "d0":
-        axes = _ints(args.axes) if args.axes else (tensor.order - 1,)
-        return procedure_d0(tensor, ranks, axes, cfg)
+        return procedure_d0(tensor, ranks, axes or (tensor.order - 1,), cfg)
     if proc == "d1":
         return procedure_d1(tensor, ranks, cfg)
     if proc == "d3":
-        if not args.partition:
+        if partition is None:
             raise UsageError("--procedure d3 needs --partition")
-        return procedure_d3(tensor, ranks, _parse_partition(args.partition),
-                            cfg)
+        return procedure_d3(tensor, ranks, partition, cfg)
     if proc == "sep-d":
         return separable_orderd(tensor, ranks, cfg.feas_tol)
     raise UsageError(f"unknown procedure {proc!r}")
@@ -196,7 +198,10 @@ def cmd_decompose(args) -> int:
     ranks = _ints(args.ranks)
     cfg = _load_solver_config(args)
     t0 = time.perf_counter()
-    model = _run_procedure(args.procedure, tensor, ranks, cfg, args)
+    model = _run_procedure(
+        args.procedure, tensor, ranks, cfg, args.slice_index,
+        _ints(args.axes) if args.axes else None,
+        _parse_partition(args.partition) if args.partition else None)
     ms = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1e3
     model.save(args.out)
     record = {
@@ -231,22 +236,40 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _bench_spec(spec_doc, proc):
+    """``(assumption, dims, ranks, axes, partition, cfg)`` from ``proc``'s
+    entry of a bench spec over its defaults, each field cast.  InputError
+    for a malformed spec, UsageError for a missing key."""
+    try:
+        spec = {**spec_doc.get("defaults", {}),
+                **spec_doc.get("procedures", {}).get(proc, {})}
+        for key in ("assumption", "dims", "ranks"):
+            if key not in spec:
+                raise UsageError(f"bench spec missing {key!r} for "
+                                 f"procedure {proc}")
+        part = spec.get("partition")
+        return (spec["assumption"], tuple(map(int, spec["dims"])),
+                tuple(map(int, spec["ranks"])),
+                tuple(map(int, spec["axes"])) if spec.get("axes") else None,
+                {k: list(map(int, part[k])) for k in ("rows", "fixed", "cols")}
+                if part else None, _solver_config(spec.get("solver", {})))
+    except UsageError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed bench spec for procedure {proc}: "
+                         f"{exc!r}") from exc
+
+
 def _bench_one(spec, proc, seed, tol, no_timing):
-    cfg = SolverConfig(**{**SolverConfig().__dict__,
-                          **spec.get("solver", {}), "seed": seed})
-
-    class _A:  # bench runs procedures with spec-file options only
-        slice_index = None
-        axes = ",".join(map(str, spec["axes"])) if spec.get("axes") else None
-        partition = spec.get("partition_text")
-
+    assumption, dims, ranks, axes, part, cfg = spec
+    modes = part and ModePartition(
+        *(tuple(part[k]) for k in ("rows", "fixed", "cols")))
     t0 = time.perf_counter()
     try:
-        inst = gen_instance(
-            spec["assumption"], spec["dims"], spec["ranks"], seed=seed,
-            axes=spec.get("axes"), partition=spec.get("partition"))
-        model = _run_procedure(proc, inst.tensor, tuple(spec["ranks"]),
-                               cfg, _A)
+        inst = gen_instance(assumption, dims, ranks, seed=seed, axes=axes,
+                            partition=part)
+        model = _run_procedure(proc, inst.tensor, ranks, cfg.with_seed(seed),
+                               axes=axes, partition=modes)
         res = essential_match(model, inst.truth, tol=tol)
         ok, fe, ce = res.matched, max(res.factor_errors), res.core_error
         recon = model.diagnostics.get("recon_error", 0.0)
@@ -262,22 +285,10 @@ def cmd_bench(args) -> int:
             spec_doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read bench spec: {exc}") from exc
-    defaults = spec_doc.get("defaults", {})
-    per_proc = spec_doc.get("procedures", {})
-    procs = args.procedures.split(",")
     jobs = []
-    for proc in procs:
-        spec = {**defaults, **per_proc.get(proc, {})}
-        for key in ("assumption", "dims", "ranks"):
-            if key not in spec:
-                raise UsageError(f"bench spec missing {key!r} for "
-                                 f"procedure {proc}")
-        if spec.get("partition"):
-            p = spec["partition"]
-            spec["partition_text"] = "|".join(
-                ",".join(map(str, p[k])) for k in ("rows", "fixed", "cols"))
-        for seed in range(args.seeds):
-            jobs.append((spec, proc, seed))
+    for proc in args.procedures.split(","):
+        spec = _bench_spec(spec_doc, proc)
+        jobs += [(spec, proc, seed) for seed in range(args.seeds)]
 
     rows = [_bench_one(s, p, sd, args.tol, args.no_timing)
             for s, p, sd in jobs]

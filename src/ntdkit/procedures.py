@@ -49,6 +49,17 @@ class ModePartition:
         return groups
 
 
+def _axes_and_rest(axes, d):
+    """The sorted ``axes`` and the other modes, in order; PartitionError
+    unless ``axes`` is a proper non-empty subset of the d modes."""
+    axes = tuple(sorted(int(a) for a in axes))
+    rest = tuple(k for k in range(d) if k not in axes)
+    # Out-of-range or repeated axes leave more than d modes in total.
+    if not axes or not rest or len(axes) + len(rest) != d:
+        raise PartitionError("axes must be a proper non-empty mode subset")
+    return axes, rest
+
+
 def _core_via_pinv(t, factors):
     pinvs = [np.linalg.pinv(u) for u in factors]
     return multilinear_transform(t, pinvs)
@@ -132,11 +143,7 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
     d = t.order
     if len(ranks) != d:
         raise ShapeError("ranks length must match tensor order")
-    axes = tuple(sorted(int(a) for a in axes))
-    rest = tuple(k for k in range(d) if k not in axes)
-    # Out-of-range or repeated axes leave more than d modes in total.
-    if not axes or not rest or len(axes) + len(rest) != d:
-        raise PartitionError("axes must be a proper non-empty mode subset")
+    axes, rest = _axes_and_rest(axes, d)
     r = prod(ranks[k] for k in axes)
     if r != prod(ranks[k] for k in rest):
         raise ShapeError(

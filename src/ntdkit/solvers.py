@@ -152,10 +152,7 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
         return v
 
     def greedy_start(rng):
-        c0 = cs.b.mean(axis=0)
-        if np.linalg.norm(c0) < 1e-12:
-            c0 = rng.standard_normal(r)
-        cols = [cs.extreme(c0)[0]]
+        cols = [random_vertex(rng)]
         while len(cols) < r:
             base = cols[0]
             diffs = np.array([c - base for c in cols[1:]]).T

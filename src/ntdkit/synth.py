@@ -15,9 +15,10 @@ from math import prod
 import numpy as np
 
 from .cones import check_ssc
-from .errors import GenerationError, InputError, ShapeError
+from .errors import GenerationError, InputError, PartitionError, ShapeError
 from .evaluate import validate_assumptions
 from .model import NtdModel
+from .procedures import ModePartition, _axes_and_rest
 from .solvers import numerical_rank
 from .tensor import (DenseTensor, mode_slice, read_tensor, unfold,
                      write_tensor_json)
@@ -194,7 +195,9 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
 
     Kronecker-group SSC requirements are certified constructively: beyond
     the enumeration cap one group member is generated separable so that
-    the SSC of the other member carries over to the product.
+    the SSC of the other member carries over to the product.  ``axes``
+    must be a proper mode subset and ``partition`` must map rows, fixed
+    and cols to mode sets that partition the modes, else PartitionError.
     """
     dims = tuple(int(n) for n in dims)
     ranks = tuple(int(r) for r in ranks)
@@ -203,6 +206,13 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
         raise ShapeError("dims and ranks must have equal length")
     if any(n < r for n, r in zip(dims, ranks)):
         raise ShapeError(f"dims {dims} smaller than ranks {ranks}")
+    if axes is not None:
+        _axes_and_rest(axes, d)
+    if partition is not None:
+        if not {"rows", "fixed", "cols"} <= set(partition):
+            raise PartitionError("partition needs rows, fixed and cols")
+        ModePartition(partition["rows"], partition["fixed"],
+                      partition["cols"]).validate(d)
     rng = np.random.default_rng(int(seed))
     meta = {"dims": list(dims), "ranks": list(ranks)}
     if axes is not None:

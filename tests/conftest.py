@@ -28,6 +28,18 @@ def two_nonzero_ssc(n, r, rng):
             return h
 
 
+def same_vertices(v, w):
+    """``v`` and ``w`` list the same vertices: equal shape and a one-to-one
+    match whose pairs agree within 1e-12 * max(1, max|w_k|)."""
+    v, w = np.asarray(v), np.asarray(w)
+    if v.shape != w.shape:
+        return False
+    tol = 1e-12 * np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+    close = np.abs(v[:, None] - w[None]).max(axis=2, initial=0.0) <= tol
+    return bool((close.sum(axis=0) == 1).all()
+                and (close.sum(axis=1) == 1).all())
+
+
 def align_error(u_est, u_ref):
     """Worst relative column error after Hungarian matching."""
     _, err = align_columns(u_est, u_ref)

@@ -277,6 +277,19 @@ class TestBench:
             assert serial.read_bytes() == other.read_bytes()
 
 
+BENCH_DEFAULTS = {"assumption": "A4.2", "dims": [10, 10, 6],
+                  "ranks": [3, 3, 2]}
+MALFORMED_SPECS = {
+    "list": [BENCH_DEFAULTS],
+    "dims": {"defaults": {**BENCH_DEFAULTS, "dims": "abc"}},
+    "restarts": {"defaults": {**BENCH_DEFAULTS,
+                              "solver": {"restarts": "x"}}},
+    "field": {"defaults": {**BENCH_DEFAULTS, "solver": {"bogus": 1}}},
+    "partition": {"defaults": {**BENCH_DEFAULTS,
+                               "partition": {"rows": [0]}}},
+}
+
+
 @pytest.mark.parametrize("argv,code", [
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
       "--solver-config", "{cfg}"], 3),
@@ -303,10 +316,22 @@ class TestBench:
       "--spec", "{tmp}/spec.json", "--out", "{tmp}/missing/b.csv"], 2),
     (["eval", "--model", "{tmp}/rank-model.json",
       "--truth", "{bundle}/truth.json"], 3),
+    (["gen", "--assumption", "A5.2", "--dims", "6,5,6,5", "--ranks",
+      "2,2,2,2", "--axes", "9", "--out", "{tmp}/g"], 2),
+    (["gen", "--assumption", "A5.4", "--dims", "6,5,6,5", "--ranks",
+      "2,2,2,2", "--partition", "0|1|9", "--out", "{tmp}/g"], 2),
+] + [(["bench", "--procedures", "1", "--seeds", "1",
+       "--spec", f"{{tmp}}/{name}-spec.json", "--out", "{tmp}/b.csv"], 3)
+     for name in MALFORMED_SPECS] + [
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--solver-config", "{tmp}/field.cfg"], 3),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("restarts = two\n")
+    (tmp_path / "field.cfg").write_text("restarts = 2\nbogus = 1\n")
+    for name, doc in MALFORMED_SPECS.items():
+        (tmp_path / f"{name}-spec.json").write_text(json.dumps(doc))
     arr = np.ones((12, 12, 8))
     arr[1, 2, 3] = np.nan
     write_tensor_json(DenseTensor.from_array(arr), tmp_path / "nan.json")

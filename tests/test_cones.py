@@ -15,9 +15,10 @@ from ntdkit.cones import (_cp_dual_margin, _polish_feasible,
                           ssc1_violation_witness)
 from ntdkit.errors import EnumerationCapError, UsageError
 from ntdkit.kron import kron
+from ntdkit.lp import _VERTEX_ENUM_CAP, cross_section_vertices
 from ntdkit.solvers import numerical_rank
 from ntdkit.synth import gen_separable_factor
-from tests.conftest import two_nonzero, two_nonzero_ssc
+from tests.conftest import same_vertices, two_nonzero, two_nonzero_ssc
 
 
 def naive_dual_vertices(h, tol=1e-9):
@@ -147,7 +148,14 @@ class TestDualVertices:
         for h in (two_nonzero(n, r, rng), rng.random((n, r)),
                   gen_separable_factor(n, r, rng)):
             verts, _ = enumerate_dual_vertices(h)
-            assert np.array_equal(verts, naive_dual_vertices(h))
+            assert same_vertices(verts, naive_dual_vertices(h))
+
+    def test_vertices_come_sorted_from_the_cross_section(self, rng):
+        h = two_nonzero(20, 4, rng)
+        verts, _ = enumerate_dual_vertices(h)
+        assert np.array_equal(
+            verts, cross_section_vertices(h, np.ones(4), _VERTEX_ENUM_CAP)[0])
+        assert np.array_equal(verts, np.array(sorted(map(tuple, verts))))
 
     def test_unbounded_halfspace(self):
         h = np.full((4, 4), 0.25)

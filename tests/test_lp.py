@@ -13,6 +13,7 @@ from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
 from ntdkit.solvers import orthonormal_range
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import SliceSpec, slice_matrix, unfold
+from tests.conftest import same_vertices
 
 
 def test_bounded_max():
@@ -94,8 +95,8 @@ def test_optimal_point_is_feasible_on_degenerate_cross_section():
 
 
 def naive_cross_section_vertices(b, a, tol=1e-9):
-    """One subset at a time, in the same order and with the same filters;
-    a solution within 1e-9 of an earlier one is a copy and is dropped."""
+    """One subset at a time, with the same filters; a solution within 1e-9
+    of an earlier one is a copy and is dropped."""
     n, r = b.shape
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     rhs = np.zeros(r)
@@ -122,8 +123,8 @@ def test_cross_section_vertices_match_naive(n, r):
     rng = np.random.default_rng(1000 * n + r)
     b = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
     for a in (np.ones(r), b.sum(axis=0)):
-        assert np.array_equal(vertices(b, a),
-                              naive_cross_section_vertices(b, a))
+        assert same_vertices(vertices(b, a),
+                             naive_cross_section_vertices(b, a))
 
 
 def test_cross_section_vertices_each_vertex_once():
@@ -133,7 +134,7 @@ def test_cross_section_vertices_each_vertex_once():
                                           _VERTEX_ENUM_CAP)
     assert np.array_equal(v, np.eye(3)[::-1]) and not unbounded
     # Two copies of a row make every vertex on it degenerate; each is still
-    # listed once, solved from its first subset.
+    # listed once.
     b = np.vstack([np.eye(3), np.eye(3)[:1]])
     assert np.array_equal(vertices(b, np.ones(3)), np.eye(3)[::-1])
 
@@ -149,12 +150,12 @@ def test_cross_section_near_zero_rows_constrain_nothing():
         assert np.linalg.norm(b[::3], axis=1).max() < 1e-12
         a = b.sum(axis=0)
         v = vertices(b, a)
-        assert len(v) and np.array_equal(v, naive_cross_section_vertices(b, a))
+        assert len(v) and same_vertices(v, naive_cross_section_vertices(b, a))
 
 
 def test_cross_section_grouped_rows():
     # Procedure d3's first slice on a grouped-row A5.4 instance: 240
-    # feasible subsets hit its 4 vertices, each solved from its first one.
+    # feasible subsets of rows hit its 4 vertices.
     inst = gen_instance("A5.4", (5, 4, 14, 6), (2, 2, 4, 2), seed=52,
                         partition={"rows": [0, 1], "fixed": [3],
                                    "cols": [2]})
@@ -163,7 +164,15 @@ def test_cross_section_grouped_rows():
     a = b.sum(axis=0)
     v = vertices(b, a)
     assert len(v) == 4
-    assert np.array_equal(v, naive_cross_section_vertices(b, a))
+    assert same_vertices(v, naive_cross_section_vertices(b, a))
+
+
+def test_same_vertices_is_strict():
+    v = np.array([[0.5, 0.5], [1.0, 0.0]])
+    assert same_vertices(v[::-1], v)
+    assert not same_vertices(v[:1], v)
+    assert not same_vertices(v + [[0.0, 1e-9], [0.0, 0.0]], v)
+    assert not same_vertices(v[[0, 0]], v)
 
 
 def test_cross_section_unbounded_and_rank_deficient():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ntdkit.cones import check_separable, check_ssc
-from ntdkit.errors import GenerationError, ShapeError
+from ntdkit.errors import GenerationError, PartitionError, ShapeError
 from ntdkit.solvers import numerical_rank, spa_separable_nmf
 from ntdkit.synth import (CoreConstraints, gen_anchor_factor, gen_core,
                           gen_instance, gen_separable_factor, gen_ssc_factor,
@@ -127,3 +127,15 @@ class TestGenInstance:
     def test_unknown_assumption(self):
         with pytest.raises(ShapeError):
             gen_instance("A7.7", (5, 5, 5), (2, 2, 2), seed=1)
+
+    @pytest.mark.parametrize("tag,kwargs", [
+        ("A5.2", {"axes": (9,)}), ("A5.2", {"axes": (2, 2)}),
+        ("A5.2", {"axes": (0, 1, 2, 3)}), ("A5.2", {"axes": ()}),
+        ("A5.4", {"partition": {"rows": [0], "fixed": [1]}}),
+        ("A5.4", {"partition": {"rows": [0], "fixed": [1], "cols": [9]}}),
+        ("A5.4", {"partition": {"rows": [0, 1], "fixed": [1],
+                                "cols": [2, 3]}}),
+    ])
+    def test_modes_checked_against_order(self, tag, kwargs):
+        with pytest.raises(PartitionError):
+            gen_instance(tag, (6, 5, 6, 5), (2, 2, 2, 2), **kwargs)
