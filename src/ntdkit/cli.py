@@ -34,7 +34,7 @@ from .tensor import read_tensor
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_SOLVER = 0, 2, 3, 4
 
 CSV_HEADER = ["command", "procedure", "seed", "matched", "max_factor_err",
-              "core_err", "recon_err", "ms"]
+              "core_err", "recon_err", "ms", "error"]
 
 
 def _fmt(x) -> str:
@@ -264,7 +264,7 @@ def _bench_one(spec, proc, seed, tol, no_timing):
     assumption, dims, ranks, axes, part, cfg = spec
     modes = part and ModePartition(
         *(tuple(part[k]) for k in ("rows", "fixed", "cols")))
-    t0 = time.perf_counter()
+    t0, error = time.perf_counter(), ""
     try:
         inst = gen_instance(assumption, dims, ranks, seed=seed, axes=axes,
                             partition=part)
@@ -273,10 +273,11 @@ def _bench_one(spec, proc, seed, tol, no_timing):
         res = essential_match(model, inst.truth, tol=tol)
         ok, fe, ce = res.matched, max(res.factor_errors), res.core_error
         recon = model.diagnostics.get("recon_error", 0.0)
-    except ComputationError:
+    except ComputationError as exc:
         ok, fe, ce, recon = False, math.inf, math.inf, math.inf
+        error = type(exc).__name__
     ms = 0.0 if no_timing else (time.perf_counter() - t0) * 1e3
-    return ["bench", proc, seed, ok, fe, ce, recon, ms]
+    return ["bench", proc, seed, ok, fe, ce, recon, ms, error]
 
 
 def cmd_bench(args) -> int:

@@ -10,7 +10,8 @@ the boundedness of the cross-section come from one double description
 general, so enumeration is capped (``ENUM_CAP_R``, ``ENUM_CAP_N`` and the
 intermediate-ray budget) and a refutation search takes over beyond the
 cap: a returned certificate proves SSC1 fails, but absence of one proves
-nothing.
+nothing.  Its linear steps go through the oracle ``lp.CrossSection``,
+which answers from the vertices when the ray budget allows.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnumerationCapError, UsageError, WitnessError
-from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
+from .errors import (EnumerationCapError, InputError, SolverError,
+                     UsageError, WitnessError)
+from .lp import (_VERTEX_ENUM_CAP, CrossSection, cross_section_vertices,
+                 linprog_dense)
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
@@ -35,6 +38,9 @@ def _validate_nonneg(h, name="h"):
         raise UsageError(f"{name} must be a matrix")
     if h.size and h.min() < -1e-12:
         raise UsageError(f"{name} has negative entries")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(h.sum(axis=0)).all():
+            raise InputError(f"{name} has non-finite column sums")
     return np.maximum(h, 0.0)
 
 
@@ -330,19 +336,18 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
     When the dual cross-section is unbounded, the uniform point walked far
     along a recession direction is the certificate.  Otherwise Frank-Wolfe
     steps maximize the norm over the (bounded) cross-section: from the
-    current point, an LP moves to the vertex maximizing the linearized
-    objective, which can only increase the norm.  ``seeds`` may supply
-    analytic starting points.  Returning None proves nothing.
+    current point, the oracle ``lp.CrossSection`` moves to the vertex
+    maximizing the linearized objective, which can only increase the norm;
+    a step whose fallback LP is not optimal ends that start.  ``seeds`` may
+    supply analytic starting points.  Returning None proves nothing.
     """
     h = np.asarray(h, dtype=float)
-    n, r = h.shape
+    r = h.shape[1]
     if rng is None:
         rng = np.random.default_rng(0)
     elif isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    a_ub, b_ub = -h, np.zeros(n)
-    ones = np.ones((1, r))
 
     def feasible(y):
         return (h @ y).min() >= -feas_tol * scale and abs(y.sum() - 1) <= 1e-7
@@ -356,20 +361,24 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
         return certificate(y + (10.0 + np.linalg.norm(y))
                            / np.linalg.norm(ray) * ray)
 
+    cs = CrossSection(h, np.ones(r), _VERTEX_ENUM_CAP)
+
+    def extreme(c):
+        try:
+            return cs.extreme(c)[0]
+        except SolverError:
+            return None
+
     cands = []
     if seeds is not None:
         for s in seeds:
             s = np.asarray(s, dtype=float).ravel()
             if abs(s.sum()) > 1e-12:
                 cands.append(s / s.sum())
-    cands.append(np.full(r, 1.0 / r))
+    # No start at e/r: every point ties for its step, so a tie-break picks.
     directions = [sgn * np.eye(r)[k] for k in range(r) for sgn in (1., -1.)]
     directions += [rng.standard_normal(r) for _ in range(starts)]
-    for c in directions:
-        res = linprog_dense(c, a_ub=a_ub, b_ub=b_ub,
-                            a_eq=ones, b_eq=[1.0], maximize=True)
-        if res.status == "optimal":
-            cands.append(res.x)
+    cands += [z for z in map(extreme, directions) if z is not None]
 
     best = None
     for y0 in cands:
@@ -377,12 +386,9 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
             continue
         y = y0.copy()
         for _ in range(iters):
-            res = linprog_dense(y, a_ub=a_ub, b_ub=b_ub, a_eq=ones,
-                                b_eq=[1.0], maximize=True)
-            if res.status != "optimal":
-                break
-            z = res.x
-            if np.linalg.norm(z) <= np.linalg.norm(y) * (1 + 1e-12):
+            z = extreme(y)
+            if z is None or \
+                    np.linalg.norm(z) <= np.linalg.norm(y) * (1 + 1e-12):
                 break
             y = z
         if best is None or np.linalg.norm(y) > np.linalg.norm(best):

@@ -8,11 +8,12 @@ nonnegative ``u_i`` are parametrized by invertible ``q_i`` via ``u1 = W q1``,
 decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
 ``{q : W q >= 0, sum(W q) = 1}`` columnwise.  The column updates are exact
 linear optimizations (the determinant is linear in one column), answered
-from the polytope's vertices, enumerated once per call by the double
-description in ``lp.cross_section_vertices``, or by an LP when that passes
-its ray budget.  So the sweep objective is monotone; global optimality is
-heuristic and the best of several restarts is returned.  scipy's NNLS is
-imported by the separable solver only when it runs.
+by the package's one cross-section oracle, ``lp.CrossSection``: from the
+polytope's vertices, enumerated once per call by the double description,
+or by an LP when that passes its ray budget.  So the sweep objective is
+monotone; global optimality is heuristic and the best of several restarts
+is returned.  scipy's NNLS is imported by the separable solver only when
+it runs.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (EnumerationCapError, NotSeparable, RankError,
-                     ShapeError, SolverError)
-from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
+from .errors import NotSeparable, RankError, ShapeError, SolverError
+from .lp import _VERTEX_ENUM_CAP, CrossSection
 
 
 @dataclass(frozen=True)
@@ -94,44 +94,6 @@ def _cofactor_col(q, j):
     return signs * dets
 
 
-class _CrossSection:
-    """Linear optimization over the polytope {v : b v >= 0, sum(b v) = 1}.
-
-    When ``b`` has full column rank the polytope is bounded, and unless the
-    vertex enumeration passes ``_VERTEX_ENUM_CAP`` intermediate rays its
-    vertices are listed once; each query is then an argmax over them (ties
-    to the lowest index).  Otherwise every query solves an LP.
-    """
-
-    def __init__(self, b):
-        self.b = np.asarray(b, dtype=float)
-        self.n, self.r = self.b.shape
-        self._a_ub = -self.b
-        self._b_ub = np.zeros(self.n)
-        self._a_eq = self.b.sum(axis=0).reshape(1, -1)
-        self.vertices = None
-        try:
-            v, unbounded = cross_section_vertices(
-                self.b, self._a_eq[0], _VERTEX_ENUM_CAP)
-        except EnumerationCapError:
-            return
-        if len(v) and not unbounded:
-            self.vertices = v
-
-    def extreme(self, c, maximize=True):
-        if self.vertices is not None:
-            vals = self.vertices @ c
-            i = int(np.argmax(vals) if maximize else np.argmin(vals))
-            return self.vertices[i].copy(), float(vals[i])
-        res = linprog_dense(c, a_ub=self._a_ub, b_ub=self._b_ub,
-                            a_eq=self._a_eq, b_eq=[1.0], maximize=maximize)
-        if res.status == "infeasible":
-            raise SolverError("infeasible column subproblem")
-        if res.status == "unbounded":
-            raise SolverError("degenerate cross-section (unbounded)")
-        return res.x, res.value
-
-
 def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     """Heuristically maximize |det q| with every column of ``b q`` feasible.
 
@@ -142,14 +104,13 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     (the larger of the maximum and the minimum of a linear objective), so
     the sweep objective never decreases.
     """
-    cs = _CrossSection(b)
+    cs = CrossSection(b, np.sum(b, axis=0), _VERTEX_ENUM_CAP)
     r = cs.r
     root = np.random.SeedSequence(derive_seed(cfg.seed, "maxdet"))
     streams = [np.random.default_rng(s) for s in root.spawn(cfg.restarts)]
 
     def random_vertex(rng):
-        v, _ = cs.extreme(rng.standard_normal(r))
-        return v
+        return cs.extreme(rng.standard_normal(r))[0]
 
     def greedy_start(rng):
         cols = [random_vertex(rng)]
@@ -287,29 +248,29 @@ def spa_separable_nmf(x, r, feas_tol=1e-9, extreme_tol=1e-6):
     A column is an anchor candidate iff its direction is an extreme ray of
     the cone of all columns, certified by a nonnegative least squares fit
     against the other directions (exact data leaves interior directions
-    with zero residual).  Returns ``(anchors, w, h)`` with ``x = w @ h.T``,
-    ``h >= 0``.
+    with zero residual).  Directions and both fits use the columns'
+    coordinates in an orthonormal basis of the rank-r range; the residual
+    is checked on ``x``.
+    Returns ``(anchors, w, h)`` with ``x = w @ h.T``, ``h >= 0``.
     """
     from scipy.optimize import nnls
 
     x = np.asarray(x, dtype=float)
-    m, n = x.shape
     _check_exact_rank(x, r)
-    norms = np.linalg.norm(x, axis=0)
-    scale = norms.max(initial=0.0)
-    kept = [j for j in range(n) if norms[j] > 1e-12 * max(scale, 1.0)]
-    reps, rep_cols = [], []
-    for j in kept:
-        d = x[:, j] / norms[j]
-        if not any(np.linalg.norm(d - q) <= 1e-8 for q in reps):
-            reps.append(d)
-            rep_cols.append(j)
-    dirs = np.stack(reps, axis=1)
+    basis = orthonormal_range(x, r)
+    y = basis.T @ x
+    norms = np.linalg.norm(y, axis=0)
+    left = np.flatnonzero(norms > 1e-12 * max(norms.max(initial=0.0), 1.0))
+    dirs = y / np.where(norms > 0, norms, 1.0)
+    rep_cols = []
+    while left.size:  # the first column left is a new direction
+        rep_cols.append(int(left[0]))
+        dist = np.linalg.norm(dirs[:, left] - dirs[:, left[:1]], axis=0)
+        left = left[dist > 1e-8]
+    dirs = dirs[:, rep_cols]
     anchors = []
     for k in range(dirs.shape[1]):
-        others = np.delete(dirs, k, axis=1)
-        _, resid = nnls(others, dirs[:, k])
-        if resid > extreme_tol:
+        if nnls(np.delete(dirs, k, axis=1), dirs[:, k])[1] > extreme_tol:
             anchors.append(rep_cols[k])
     if len(anchors) != r:
         raise NotSeparable(
@@ -317,9 +278,8 @@ def spa_separable_nmf(x, r, feas_tol=1e-9, extreme_tol=1e-6):
         )
     anchors = sorted(anchors)
     w = x[:, anchors] / np.linalg.norm(x[:, anchors], axis=0)
-    h = np.empty((n, r))
-    for j in range(n):
-        h[j], _ = nnls(w, x[:, j])
+    wy = basis.T @ w
+    h = np.array([nnls(wy, col)[0] for col in y.T])
     resid = np.linalg.norm(x - w @ h.T) / max(np.linalg.norm(x), 1e-300)
     if resid > feas_tol:
         raise NotSeparable(f"separable residual {resid:.3e}")

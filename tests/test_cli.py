@@ -205,9 +205,10 @@ class TestBench:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ("command,procedure,seed,matched,max_factor_err,"
-                            "core_err,recon_err,ms")
+                            "core_err,recon_err,ms,error")
         assert len(lines) == 4
         assert all(line.split(",")[3] == "true" for line in lines[1:])
+        assert all(line.split(",")[8] == "" for line in lines[1:])
 
     def test_ungeneratable_spec_is_a_failed_row(self, tmp_path, capsys):
         # A4.2 cannot certify an SSC factor at r = 7: procedure 3's rows
@@ -227,6 +228,8 @@ class TestBench:
             ["1", "0", "true"], ["1", "1", "true"],
             ["3", "0", "false"], ["3", "1", "false"]]
         assert all(v == "inf" for r in rows[2:] for v in r[4:7])
+        assert [r[8] for r in rows] == ["", "", "GenerationError",
+                                        "GenerationError"]
 
     def test_zero_seeds_header_only(self, tmp_path, capsys):
         spec = self.make_spec(tmp_path)
@@ -325,11 +328,14 @@ MALFORMED_SPECS = {
      for name in MALFORMED_SPECS] + [
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
       "--solver-config", "{tmp}/field.cfg"], 3),
+    (["check", "ssc", "{tmp}/huge.json"], 3),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("restarts = two\n")
     (tmp_path / "field.cfg").write_text("restarts = 2\nbogus = 1\n")
+    # finite entries whose column sums overflow to inf
+    (tmp_path / "huge.json").write_text("[[1e308, 1e308], [1e308, 0]]")
     for name, doc in MALFORMED_SPECS.items():
         (tmp_path / f"{name}-spec.json").write_text(json.dumps(doc))
     arr = np.ones((12, 12, 8))

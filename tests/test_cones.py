@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ntdkit import cones
+from ntdkit import cones, lp
 from ntdkit.cones import (_cp_dual_margin, _polish_feasible,
                           _recession_direction, check_pssc,
                           check_separable, check_ssc,
@@ -15,7 +15,8 @@ from ntdkit.cones import (_cp_dual_margin, _polish_feasible,
                           ssc1_violation_witness)
 from ntdkit.errors import EnumerationCapError, UsageError
 from ntdkit.kron import kron
-from ntdkit.lp import _VERTEX_ENUM_CAP, cross_section_vertices
+from ntdkit.lp import (_VERTEX_ENUM_CAP, CrossSection,
+                       cross_section_vertices)
 from ntdkit.solvers import numerical_rank
 from ntdkit.synth import gen_separable_factor
 from tests.conftest import same_vertices, two_nonzero, two_nonzero_ssc
@@ -35,7 +36,8 @@ def naive_dual_vertices(h, tol=1e-9):
         y = np.linalg.solve(m, rhs)
         if (h @ y).min() < -tol * scale:
             continue
-        if not any(np.abs(y - v).max() <= 1e-9 for v in vertices):
+        if not any(np.abs(y - v).max() <= 1e-9 * max(1.0, np.abs(v).max())
+                   for v in vertices):
             vertices.append(y)
     vertices.sort(key=tuple)
     return np.array(vertices).reshape(len(vertices), r)
@@ -79,6 +81,27 @@ def boundedness_corpus(count=240):
             h[int(rng.integers(1, 3)):, -1] = 0.0
             h = h * rng.uniform(0.1, 10.0, r)
         yield kind, h
+
+
+def refutation_corpus(count=104):
+    """Seeded h on both sides of the n <= 60 enumeration cap: two- and
+    three-nonzero rows, dense rows away from zero, and random sparse."""
+    rng = np.random.default_rng(2025)
+    for i in range(count):
+        n, r = int(rng.integers(8, 121)), int(rng.integers(3, 7))
+        kind = ("two", "three", "dense", "sparse")[i % 4]
+        if kind in ("two", "three"):
+            h = np.zeros((n, r))
+            for row in h:
+                cols = rng.choice(r, size=2 + (kind == "three"),
+                                  replace=False)
+                row[cols] = rng.random(cols.size)
+        elif kind == "dense":
+            h = rng.random((n, r)) + 0.5
+        else:
+            h = rng.random((n, r)) * (rng.random((n, r)) < 0.4)
+        h[0, h.sum(axis=0) == 0] = 1.0
+        yield h / h.sum(axis=0)
 
 
 def rows_near_center(n, r, c, rng, shrink=0.9):
@@ -231,6 +254,19 @@ class TestCheckSsc:
         assert rep.method == "refutation-search-only"
         assert rep.ssc1 is False and rep.refutation is not None
 
+    def test_over_cap_search_solves_no_lp(self, rng, monkeypatch):
+        real, calls = lp.linprog_dense, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "linprog_dense", counted)
+        monkeypatch.setattr(cones, "linprog_dense", counted)
+        rep = check_ssc(two_nonzero(150, 4, rng))
+        assert rep.method == "refutation-search-only"
+        assert calls == []
+
     def test_ray_budget_falls_back_to_refutation_search(self, monkeypatch):
         h = np.random.default_rng(3).random((30, 5))
         assert check_ssc(h).method == "exact-enumeration"
@@ -272,6 +308,27 @@ class TestRefutation:
         assert found > 0 and false_cases > 0
         # the search: good enough to catch every violation at these sizes
         assert found == false_cases
+
+    def test_vertex_oracle_agrees_with_lp_fallback(self, monkeypatch):
+        # With no ray budget the same search answers every step by an LP.
+        cases = list(refutation_corpus())
+        listed = sum(CrossSection(h, np.ones(h.shape[1]), _VERTEX_ENUM_CAP)
+                     .vertices is not None for h in cases)
+        fast = [ssc1_refute(h, rng=i) for i, h in enumerate(cases)]
+        monkeypatch.setattr(cones, "_VERTEX_ENUM_CAP", 0)
+        found = 0
+        for i, (h, y) in enumerate(zip(cases, fast)):
+            y_lp = ssc1_refute(h, rng=i)
+            assert (y is None) == (y_lp is None)
+            if y is None:
+                continue
+            found += 1
+            for v in (y, y_lp):
+                assert (h @ v).min() >= -1e-9 * max(1.0, h.max())
+                assert v.sum() == pytest.approx(1.0, abs=1e-7)
+                assert np.linalg.norm(v) > 1.0 + 1e-7
+            assert np.abs(y - y_lp).max() <= 1e-9 * np.abs(y_lp).max()
+        assert listed >= 90 and 20 <= found <= 90
 
 
 class TestPssc:

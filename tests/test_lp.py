@@ -95,8 +95,8 @@ def test_optimal_point_is_feasible_on_degenerate_cross_section():
 
 
 def naive_cross_section_vertices(b, a, tol=1e-9):
-    """One subset at a time, with the same filters; a solution within 1e-9
-    of an earlier one is a copy and is dropped."""
+    """One subset at a time, with the same filters; a solution within
+    1e-9 max(1, |v|) of an earlier one ``v`` is a copy and is dropped."""
     n, r = b.shape
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     rhs = np.zeros(r)
@@ -109,7 +109,8 @@ def naive_cross_section_vertices(b, a, tol=1e-9):
         y = np.linalg.solve(m, rhs)
         if (b @ y).min() < -tol * scale:
             continue
-        if not any(np.abs(y - v).max() <= 1e-9 for v in out):
+        if not any(np.abs(y - v).max() <= 1e-9 * max(1.0, np.abs(v).max())
+                   for v in out):
             out.append(y)
     return np.array(out).reshape(len(out), r)
 
@@ -165,6 +166,21 @@ def test_cross_section_grouped_rows():
     v = vertices(b, a)
     assert len(v) == 4
     assert same_vertices(v, naive_cross_section_vertices(b, a))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_cross_section_far_vertices_counted_once(k):
+    # Slices 0, 1 and 4 of a seed-50 grouped-row A5.4 instance with a = ones:
+    # the cross-section is unbounded, and solves of different subsets give
+    # its two vertices (entries up to 189) 1-2e-8 apart.
+    inst = gen_instance("A5.4", (5, 4, 14, 6), (2, 2, 4, 2), seed=50,
+                        partition={"rows": [0, 1], "fixed": [3],
+                                   "cols": [2]})
+    b = orthonormal_range(
+        slice_matrix(inst.tensor, SliceSpec((0, 1), {3: k}, (2,))), 4)
+    v, unbounded = cross_section_vertices(b, np.ones(4), _VERTEX_ENUM_CAP)
+    assert unbounded and len(v) == 2
+    assert same_vertices(v, naive_cross_section_vertices(b, np.ones(4)))
 
 
 def test_same_vertices_is_strict():

@@ -5,7 +5,7 @@ import pytest
 
 from ntdkit import solvers
 from ntdkit.errors import NotSeparable, RankError, ShapeError
-from ntdkit.lp import linprog_dense
+from ntdkit.lp import _VERTEX_ENUM_CAP, CrossSection, linprog_dense
 from ntdkit.solvers import (SolverConfig, derive_seed, maxdet_simplex,
                             minvol_nmf, minvol_order2_ntd, numerical_rank,
                             orthonormal_range, separable_order2_ntd,
@@ -77,7 +77,8 @@ class TestMaxdetSimplex:
         b = orthonormal_range(u, 4)
         q_vertex = maxdet_simplex(b, CFG)
         monkeypatch.setattr(solvers, "_VERTEX_ENUM_CAP", 0)
-        assert solvers._CrossSection(b).vertices is None
+        assert CrossSection(b, b.sum(axis=0),
+                            solvers._VERTEX_ENUM_CAP).vertices is None
         q_lp = maxdet_simplex(b, CFG)
         assert abs(np.linalg.det(q_lp)) == pytest.approx(
             abs(np.linalg.det(q_vertex)), rel=1e-10)
@@ -97,7 +98,7 @@ class TestVertexOracle:
                 b = orthonormal_range(x, r)
             except RankError:
                 continue
-            cs = solvers._CrossSection(b)
+            cs = CrossSection(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
             assert cs.vertices is not None
             for _ in range(3):
                 c = rng.standard_normal(r)
@@ -118,7 +119,7 @@ class TestVertexOracle:
         # two-nonzero factor's range has few vertices all the same.
         rng = np.random.default_rng(n + r)
         b = orthonormal_range(two_nonzero(n, r, rng), r)
-        cs = solvers._CrossSection(b)
+        cs = CrossSection(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
         assert cs.vertices is not None
         for _ in range(20):
             c = rng.standard_normal(r)
@@ -132,7 +133,7 @@ class TestVertexOracle:
                 assert (b @ v).min() >= -1e-9
 
     def test_ties_go_to_lowest_index(self):
-        cs = solvers._CrossSection(np.eye(3))
+        cs = CrossSection(np.eye(3), np.ones(3), _VERTEX_ENUM_CAP)
         # vertices in subset order: e2, e1, e0; c ties e0 and e1
         v, val = cs.extreme(np.array([1.0, 1.0, 0.0]))
         assert np.array_equal(v, np.eye(3)[1]) and val == 1.0
@@ -141,7 +142,8 @@ class TestVertexOracle:
 
     def test_rank_deficient_stays_on_lp_path(self):
         b = np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
-        assert solvers._CrossSection(b).vertices is None
+        assert CrossSection(b, b.sum(axis=0),
+                            _VERTEX_ENUM_CAP).vertices is None
 
     def test_cofactor_from_inverse_and_minors(self, rng):
         for q in (rng.standard_normal((4, 4)),
