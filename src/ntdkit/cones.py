@@ -4,8 +4,11 @@ The dual cone of the rows of a nonnegative matrix ``h`` is
 ``{y : h @ y >= 0}``; its cross-section against ``sum(y) == 1`` is a
 polytope whose vertices decide SSC1 (all norms at most one), SSC2 (norm-one
 vertices sit at unit vectors) and p-SSC (all vertices inside the dual of the
-expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``).  The vertices and
-the boundedness of the cross-section come from one double description
+expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``).  Each vertex has one
+exact p-level, the least p that admits it, found by enumerating supports;
+``check_pssc`` and ``estimate_min_p`` compare and report the largest one,
+with no search over p.  The vertices and the boundedness of the
+cross-section come from one double description
 (``lp.cross_section_vertices``).  Exact SSC checking is NP-hard in
 general, so enumeration is capped (``ENUM_CAP_R``, ``ENUM_CAP_N`` and the
 intermediate-ray budget) and a refutation search takes over beyond the
@@ -16,7 +19,6 @@ which answers from the vertices when the ray budget allows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -115,91 +117,51 @@ def enumerate_dual_vertices(h, tol=1e-9):
     return cross_section_vertices(h, np.ones(r), _VERTEX_ENUM_CAP, tol)
 
 
-def _project_simplex(y):
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, y.size + 1)
-    idx = np.nonzero(u - css / ks > 0)[0][-1]
-    tau = css[idx] / (idx + 1.0)
-    return np.maximum(y - tau, 0.0)
+# A vertex entry, or a p-level, within this of its bound is on it.
+_P_TOL = 1e-9
 
 
-def _polish_feasible(x, p):
-    """Exact point of {x >= 0, sum(x)=1, ||x|| <= 1/p} near x."""
-    r = x.size
-    x = _project_simplex(x)
-    center = np.full(r, 1.0 / r)
-    radius = math.sqrt(max(1.0 / p**2 - 1.0 / r, 0.0))
-    dev = x - center
-    nrm = np.linalg.norm(dev)
-    if nrm > radius:
-        x = center + dev * (radius / nrm if nrm > 0 else 0.0)
-    return x
+def _vertex_p_level(v):
+    """The least p >= 1 with ``v`` in the dual of ``C_p``: 1 when
+    ``v >= 0``, else ``1 / ||x*||`` for the minimum-norm point ``x*`` of
+    ``{x >= 0, sum(x) = 1, v . x <= 0}``.
 
-
-def _cp_dual_margin(v, p, tol=1e-9):
-    """min { x.v : x in C_p, sum(x) = 1 }, >= 0 iff v is in the dual of C_p.
-
-    The feasible set is simplex-intersect-ball; a linear objective attains
-    its minimum at an extreme point, and every extreme point is either a
-    feasible unit vector or, on the face supported on S, one of the two
-    KKT points ``e/|S| +- rho * unit(v_S - mean(v_S))`` of the active
-    sphere.  Dimension r is capped at 8, so enumerating all supports is
-    exact and cheap.  The minimizer over the enclosing disc
-    ``{sum(x)=1, ||x|| <= 1/p}`` is used first: when it is nonnegative it
-    is the exact optimum, and its value is always a valid lower bound, so
-    a value clearing ``-tol`` certifies membership outright.
+    As ``sum(v) = 1`` the uniform point is cut off, so ``v . x* = 0`` and,
+    on its support S, ``x*`` is the combination of ``1`` and ``v_S`` that
+    meets both equations: with ``s = |S|``, ``m = sum(v_S)`` and
+    ``q = ||v_S||^2`` it is ``(q - m v_S) / (s q - m^2)``, of level squared
+    ``s - m^2/q``.  Each such point that is nonnegative is feasible, so
+    the largest level among them, over all 2**r - 1 supports, is exact.
+    (A support on which ``v`` vanishes is never that of ``x*``.)
     """
-    v = np.asarray(v, dtype=float)
+    if v.min() >= -_P_TOL:
+        return 1.0
     r = v.size
-    center = np.full(r, 1.0 / r)
-    radius = math.sqrt(max(1.0 / p**2 - 1.0 / r, 0.0))
-    g = v - (v.sum() / r)
-    gn = np.linalg.norm(g)
-    disc = center - radius * g / gn if gn > 1e-300 else center.copy()
-    disc_val = float(v @ disc)
-    if disc.min() >= -1e-12:
-        return disc_val
-    if disc_val >= -tol:  # lower bound over a superset already clears -tol
-        return disc_val
-
-    best = math.inf
-    if p <= 1.0 + 1e-12:
-        best = float(v.min())  # unit vectors are feasible only when p <= 1
-    for s in range(2, r + 1):
-        if p > math.sqrt(s) + 1e-12:
-            continue
-        rho = math.sqrt(max(1.0 / p**2 - 1.0 / s, 0.0))
-        idx = np.array(list(itertools.combinations(range(r), s)))
-        vs = v[idx]                                   # (K, s)
-        dev = vs - vs.mean(axis=1, keepdims=True)
-        dn = np.linalg.norm(dev, axis=1, keepdims=True)
-        unit = np.divide(dev, dn, out=np.zeros_like(dev), where=dn > 1e-300)
-        for sign in (-1.0, 1.0):
-            x = 1.0 / s + sign * rho * unit
-            feas = x.min(axis=1) >= -1e-12
-            if feas.any():
-                vals = np.einsum("ks,ks->k", vs[feas], x[feas])
-                best = min(best, float(vals.min()))
-    return best
+    supports = ((np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1) * 1.0
+    s = supports.sum(axis=1)
+    m = supports @ v
+    q = supports @ (v * v)
+    det = s * q - m * m
+    ok = det > 0.0
+    ok &= ((q[:, None] - m[:, None] * v) * supports
+           >= -1e-12 * q[:, None]).all(axis=1)
+    return math.sqrt((det[ok] / q[ok]).max(initial=1.0))
 
 
-def _pssc_from_vertices(vertices, unbounded, p, tol):
+def _max_p_level(h):
+    """The largest vertex p-level of ``h``'s dual cross-section (1 with no
+    vertex), or inf when the cross-section is unbounded."""
+    vertices, unbounded = enumerate_dual_vertices(h)
     if unbounded:
-        return False
-    if len(vertices):
-        # Likely violators first: large-norm vertices sit furthest outside.
-        order = np.argsort(-np.linalg.norm(vertices, axis=1))
-        for v in vertices[order]:
-            if _cp_dual_margin(v, p, tol=tol) < -tol:
-                return False
-    return True
+        return math.inf
+    return max(map(_vertex_p_level, vertices), default=1.0)
 
 
-def check_pssc(h, p, tol=1e-9):
+def check_pssc(h, p):
     """Does ``cone(h.T)`` contain ``C_p``?  Decided on the dual side.
 
-    p = 1 is separability, p = sqrt(r-1) is SSC1.
+    It does iff the dual cross-section is bounded and every vertex's exact
+    p-level is at most ``p``.  p = 1 is separability, p = sqrt(r-1) is SSC1.
     """
     h = _validate_nonneg(h)
     r = h.shape[1]
@@ -207,30 +169,19 @@ def check_pssc(h, p, tol=1e-9):
         raise UsageError("p-SSC needs r >= 2")
     if not 1.0 - 1e-12 <= p <= math.sqrt(r) + 1e-12:
         raise UsageError(f"p={p} outside [1, sqrt(r)] for r={r}")
-    vertices, unbounded = enumerate_dual_vertices(h, tol=max(tol, 1e-9))
-    return _pssc_from_vertices(vertices, unbounded, p, tol)
+    return _max_p_level(h) <= p + _P_TOL
 
 
-def estimate_min_p(h, tol=1e-6):
-    """Smallest p with the p-SSC, by bisection; inf when SSC1 fails."""
+def estimate_min_p(h):
+    """Smallest p with the p-SSC: the largest vertex p-level, exact with
+    no search; inf when SSC1 fails (an unbounded cross-section or a level
+    above sqrt(r-1))."""
     h = _validate_nonneg(h)
     r = h.shape[1]
     if r < 2:
         raise UsageError("p-SSC needs r >= 2")
-    vertices, unbounded = enumerate_dual_vertices(h)
-    hi = math.sqrt(r - 1.0)
-    if not _pssc_from_vertices(vertices, unbounded, hi, 1e-9):
-        return math.inf
-    lo = 1.0
-    if _pssc_from_vertices(vertices, unbounded, lo, 1e-9):
-        return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _pssc_from_vertices(vertices, unbounded, mid, 1e-9):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    p, hi = _max_p_level(h), math.sqrt(r - 1.0)
+    return min(p, hi) if p <= hi + _P_TOL else math.inf
 
 
 @dataclass
@@ -330,7 +281,7 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
 
 
 def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
-                feas_tol=1e-9, seeds=None):
+                feas_tol=1e-9):
     """Search for a certificate that SSC1 fails.
 
     When the dual cross-section is unbounded, the uniform point walked far
@@ -338,8 +289,8 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
     steps maximize the norm over the (bounded) cross-section: from the
     current point, the oracle ``lp.CrossSection`` moves to the vertex
     maximizing the linearized objective, which can only increase the norm;
-    a step whose fallback LP is not optimal ends that start.  ``seeds`` may
-    supply analytic starting points.  Returning None proves nothing.
+    a step whose fallback LP is not optimal ends that start.  Returning
+    None proves nothing.
     """
     h = np.asarray(h, dtype=float)
     r = h.shape[1]
@@ -369,16 +320,10 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
         except SolverError:
             return None
 
-    cands = []
-    if seeds is not None:
-        for s in seeds:
-            s = np.asarray(s, dtype=float).ravel()
-            if abs(s.sum()) > 1e-12:
-                cands.append(s / s.sum())
     # No start at e/r: every point ties for its step, so a tie-break picks.
     directions = [sgn * np.eye(r)[k] for k in range(r) for sgn in (1., -1.)]
     directions += [rng.standard_normal(r) for _ in range(starts)]
-    cands += [z for z in map(extreme, directions) if z is not None]
+    cands = [z for z in map(extreme, directions) if z is not None]
 
     best = None
     for y0 in cands:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
                     estimate_min_p, kron_ssc_sufficient)
-from .errors import RankError, ShapeError, UsageError
+from .errors import EnumerationCapError, RankError, ShapeError, UsageError
 from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .procedures import _scan_slices
@@ -180,7 +180,8 @@ def _group_ssc_status(factors, ranks):
     Exact enumeration when the product fits the cap; otherwise the
     separable-closure rules (a product of separables is separable, and one
     SSC factor times separables keeps the SSC); otherwise the two-factor
-    sufficient condition on estimated expansion levels; else undetermined.
+    sufficient condition on the members' expansion levels, when both fit
+    the cap; else undetermined.
     """
     if len(factors) == 1:
         return _factor_ssc_status(factors[0])
@@ -198,8 +199,11 @@ def _group_ssc_status(factors, ranks):
             return "pass", "one SSC member, the rest separable"
         return status, detail
     if len(factors) == 2:
-        p1 = estimate_min_p(factors[0])
-        p2 = estimate_min_p(factors[1])
+        try:
+            p1 = estimate_min_p(factors[0])
+            p2 = estimate_min_p(factors[1])
+        except EnumerationCapError:
+            return "undetermined", "expansion level over the enumeration cap"
         if np.isfinite(p1) and np.isfinite(p2) and \
                 kron_ssc_sufficient(ranks[0], p1, ranks[1], p2):
             return "pass", f"sufficient condition holds (p=({p1:.4f}," \

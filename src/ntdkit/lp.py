@@ -27,6 +27,9 @@ from .errors import EnumerationCapError, SolverError
 # the enumeration cap.
 _VERTEX_ENUM_CAP = 2048
 
+# Entries per block of the pair test in ``_adjacent_pairs``.
+_PAIR_CHUNK = 1 << 20
+
 # Rows and rays are unit vectors in the double description; a row whose
 # value on a ray is within this is active there.
 _ZERO_TOL = 1e-9
@@ -68,18 +71,27 @@ def _adjacent_pairs(zeros, pos, neg, r):
     """Rays ``p`` of ``pos`` and ``q`` of ``neg`` that span a 2-face, by
     the combinatorial test: at least r-2 rows are active at both (``zeros``
     marks each ray's active rows) and no third ray is active on all of
-    them.  Pairs go in chunks, so memory stays bounded."""
+    them.  The counts of shared rows are built one block of ``pos`` at a
+    time and the candidate pairs tested in chunks, each of about
+    ``_PAIR_CHUNK`` entries, so memory stays bounded; pairs come in
+    row-major order of (``pos``, ``neg``)."""
     zf = zeros.astype(float)
-    shared = zf[pos] @ zf[neg].T
-    pi, qi = np.nonzero(shared >= r - 2)
-    adjacent = np.zeros(len(pi), dtype=bool)
-    step = max(1, (1 << 20) // max(zeros.shape))
-    for lo in range(0, len(pi), step):
-        part = slice(lo, lo + step)
-        common = zeros[pos[pi[part]]] & zeros[neg[qi[part]]]
-        holders = common @ zf.T >= shared[pi[part], qi[part], None] - 0.5
-        adjacent[part] = holders.sum(axis=1) == 2
-    return pos[pi[adjacent]], neg[qi[adjacent]]
+    zneg = zf[neg].T
+    rows = max(1, _PAIR_CHUNK // max(1, len(neg)))
+    step = max(1, _PAIR_CHUNK // max(zeros.shape))
+    ps, qs = [pos[:0]], [neg[:0]]
+    for lo in range(0, len(pos), rows):
+        block = pos[lo:lo + rows]
+        shared = zf[block] @ zneg
+        pi, qi = np.nonzero(shared >= r - 2)
+        for at in range(0, len(pi), step):
+            bi, qj = pi[at:at + step], qi[at:at + step]
+            common = zeros[block[bi]] & zeros[neg[qj]]
+            holders = common @ zf.T >= shared[bi, qj, None] - 0.5
+            adjacent = holders.sum(axis=1) == 2
+            ps.append(block[bi[adjacent]])
+            qs.append(neg[qj[adjacent]])
+    return np.concatenate(ps), np.concatenate(qs)
 
 
 def _extreme_rays(u, max_rays):

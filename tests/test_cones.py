@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from ntdkit import cones, lp
-from ntdkit.cones import (_cp_dual_margin, _polish_feasible,
-                          _recession_direction, check_pssc,
-                          check_separable, check_ssc,
+from ntdkit.cones import (_recession_direction, _vertex_p_level,
+                          check_pssc, check_separable, check_ssc,
                           counterexample_dims_ok, enumerate_dual_vertices,
                           estimate_min_p, kron_ssc_margin,
                           kron_ssc_sufficient, ssc1_refute,
@@ -363,38 +362,50 @@ class TestPssc:
             check_pssc(np.eye(4), 2.5)
 
 
-class TestCpDualMargin:
-    def test_exact_vs_socp_oracle(self, rng):
-        # Independent oracle: solve the membership program with a real
-        # second-order-cone solver and compare.
-        cp = pytest.importorskip("cvxpy")
-        for _ in range(40):
-            r = int(rng.integers(2, 8))
-            p = float(rng.uniform(1.0, math.sqrt(r)))
-            v = rng.standard_normal(r)
-            x = cp.Variable(r)
-            prob = cp.Problem(
-                cp.Minimize(v @ x),
-                [x >= 0, cp.sum(x) == 1, cp.norm(x) <= 1 / p])
-            prob.solve()
-            exact = _cp_dual_margin(v, p, tol=-np.inf)
-            assert exact == pytest.approx(prob.value, abs=2e-6)
+def slsqp_p_level(v):
+    """1 / min ||x|| over {x >= 0, sum(x) = 1, v . x <= 0} by SLSQP."""
+    r = v.size
+    res = minimize(lambda x: x @ x, np.full(r, 1.0 / r),
+                   jac=lambda x: 2.0 * x, method="SLSQP",
+                   bounds=[(0.0, None)] * r,
+                   constraints=[{"type": "eq", "fun": lambda x: x.sum() - 1,
+                                 "jac": lambda x: np.ones(r)},
+                                {"type": "ineq", "fun": lambda x: -v @ x,
+                                 "jac": lambda x: -v}],
+                   options={"ftol": 1e-15, "maxiter": 500})
+    assert res.success, res.message
+    return 1.0 / math.sqrt(res.fun)
 
-    def test_exact_below_projected_gradient(self, rng):
-        # Projected subgradient descent evaluates feasible points only, so
-        # it can never go below the exact minimum.
-        for _ in range(25):
-            r = int(rng.integers(2, 7))
-            p = float(rng.uniform(1.0, math.sqrt(r)))
-            v = rng.standard_normal(r)
-            exact = _cp_dual_margin(v, p, tol=-np.inf)
-            best = float("inf")
-            x = _polish_feasible(rng.random(r), p)
-            step0 = (2.0 / p) / max(np.linalg.norm(v), 1e-300)
-            for t in range(300):
-                best = min(best, float(v @ x))
-                x = _polish_feasible(x - step0 / math.sqrt(t + 1) * v, p)
-            assert exact <= best + 1e-9
+
+class TestVertexPLevel:
+    def test_matches_slsqp(self, rng):
+        # Vertices of the dual cross-section sum to one; only those with a
+        # negative entry have a level above 1.  Every third draw is put on
+        # a random support and is exactly zero off it, as vertices on
+        # several facets are.
+        checked = 0
+        while checked < 120:
+            r = int(rng.integers(2, 9))
+            k = int(rng.integers(2, r + 1)) if checked % 3 == 0 else r
+            w = rng.standard_normal(k) * rng.uniform(0.2, 3.0)
+            w += (1.0 - w.sum()) / k
+            if w.min() >= -1e-3:
+                continue
+            v = np.zeros(r)
+            v[rng.permutation(r)[:k]] = w
+            level = _vertex_p_level(v)
+            assert 1.0 < level <= math.sqrt(r)
+            assert level == pytest.approx(slsqp_p_level(v), rel=1e-6)
+            checked += 1
+
+    def test_nonnegative_vertex_is_one(self):
+        for v in ([0.5, 0.5, 0.0], [-1e-12, 0.5, 0.5 + 1e-12], [1.0, 0.0]):
+            assert _vertex_p_level(np.array(v)) == 1.0
+
+    def test_norm_one_vertex_sits_at_sqrt_r_minus_1(self):
+        # Full support: level^2 = r - 1/||v||^2, so sqrt(r-1) at norm one.
+        v = np.array([2.0, 2.0, -1.0]) / 3.0
+        assert _vertex_p_level(v) == pytest.approx(math.sqrt(2))
 
 
 class TestEstimateMinP:
@@ -404,13 +415,12 @@ class TestEstimateMinP:
     def test_ssc1_failure_is_inf(self):
         assert estimate_min_p(np.full((4, 4), 0.25)) == math.inf
 
-    def test_bisection_self_consistency(self, rng):
+    def test_threshold_self_consistency(self, rng):
         h = two_nonzero_ssc(20, 4, rng)
-        tol = 1e-6
-        p = estimate_min_p(h, tol=tol)
-        assert 1.0 < p <= math.sqrt(3.0) + tol
-        assert check_pssc(h, p + tol)
-        assert not check_pssc(h, p - 10 * tol)
+        p = estimate_min_p(h)
+        assert 1.0 < p <= math.sqrt(3.0)
+        assert check_pssc(h, p)
+        assert not check_pssc(h, p - 1e-7)
 
 
 class TestKronSufficient:
@@ -482,9 +492,11 @@ class TestWitness:
         u2 = rows_near_center(6, r2, c, rng)
         v = ssc1_violation_witness(u1, u2)
         assert v is not None
-        y = ssc1_refute(kron(u1.T / u1.sum(0), u2.T / u2.sum(0)).T
-                        if False else kron(u1, u2),
-                        seeds=[v.ravel(order="F")])
+        # The witness is itself a certificate, and the search finds one.
+        h = kron(u1, u2)
+        w = v.ravel(order="F") / v.sum()
+        assert (h @ w).min() >= -1e-12 and np.linalg.norm(w) > 1 + 1e-7
+        y = ssc1_refute(h)
         assert y is not None
         assert np.linalg.norm(y) > 1 + 1e-7
 

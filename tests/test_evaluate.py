@@ -196,6 +196,20 @@ class TestValidateAssumptions:
         status, _ = _group_ssc_status([u1, sep], [4, 4])
         assert status == "pass"
 
+    def test_kron_group_over_cap_is_undetermined(self, rng):
+        # Two non-separable 70x3 members: past ENUM_CAP_N neither level can
+        # be computed, so the group is undetermined, not an error.
+        from tests.conftest import two_nonzero
+        u1, u2 = two_nonzero(70, 3, rng), two_nonzero(70, 3, rng)
+        u3 = stochastic(5, 9, rng)
+        core = DenseTensor.from_array(rng.random((3, 3, 9)))
+        truth = NtdModel([u1, u2, u3], core, (3, 3, 9))
+        inst = Instance(truth.reconstruct(), truth, "A4.x-unfold", 0)
+        report = validate_assumptions(inst)
+        names = {n: (s, d) for n, s, d in report.checks}
+        assert names["ssc-kron-group-0x1"][0] == "undetermined"
+        assert "enumeration cap" in names["ssc-kron-group-0x1"][1]
+
 
 class TestRankProfile:
     def test_rank_one(self, rng):

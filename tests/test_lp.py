@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ntdkit
+from ntdkit import lp
 from ntdkit.errors import EnumerationCapError
 from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
                        linprog_dense)
@@ -205,6 +206,44 @@ def test_cross_section_ray_budget():
     b = np.random.default_rng(3).random((30, 5))
     with pytest.raises(EnumerationCapError):
         cross_section_vertices(b, np.ones(5), 5)
+
+
+def unchunked_adjacent_pairs(zeros, pos, neg, r):
+    """The pair test on the whole |pos| x |neg| count matrix at once."""
+    zf = zeros.astype(float)
+    shared = zf[pos] @ zf[neg].T
+    pi, qi = np.nonzero(shared >= r - 2)
+    common = zeros[pos[pi]] & zeros[neg[qi]]
+    holders = common @ zf.T >= shared[pi, qi, None] - 0.5
+    adjacent = holders.sum(axis=1) == 2
+    return pos[pi[adjacent]], neg[qi[adjacent]]
+
+
+def test_adjacent_pairs_chunks_match_unchunked(monkeypatch):
+    # Record every pair test of the double description on a dense 40x6
+    # input, then replay each with chunks of 64 entries: pairs, their order
+    # and the vertices must not change.
+    b = np.random.default_rng(5).random((40, 6))
+    calls = []
+    adjacent_pairs = lp._adjacent_pairs
+
+    def record(zeros, pos, neg, r):
+        calls.append((zeros, pos, neg, r))
+        return adjacent_pairs(zeros, pos, neg, r)
+
+    monkeypatch.setattr(lp, "_adjacent_pairs", record)
+    v, unbounded = cross_section_vertices(b, np.ones(6), _VERTEX_ENUM_CAP)
+    monkeypatch.setattr(lp, "_adjacent_pairs", adjacent_pairs)
+    monkeypatch.setattr(lp, "_PAIR_CHUNK", 64)
+    assert max(len(pos) * len(neg) for _, pos, neg, _ in calls) > 20 * 64
+    for zeros, pos, neg, r in calls:
+        p, q = lp._adjacent_pairs(zeros, pos, neg, r)
+        p0, q0 = unchunked_adjacent_pairs(zeros, pos, neg, r)
+        assert np.array_equal(p, p0) and np.array_equal(q, q0)
+    v_small, unbounded_small = cross_section_vertices(b, np.ones(6),
+                                                      _VERTEX_ENUM_CAP)
+    assert np.array_equal(v_small, v) and unbounded_small == unbounded
+    assert len(v) > 20
 
 
 def test_vertex_path_leaves_scipy_unloaded():
