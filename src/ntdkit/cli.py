@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,8 +63,7 @@ def _parse_partition(text) -> ModePartition:
     return ModePartition(_ints(parts[0]), _ints(parts[1]), _ints(parts[2]))
 
 
-_SOLVER_FIELDS = {"max_sweeps": int, "det_rel_tol": float,
-                  "feas_tol": float, "restarts": int, "seed": int}
+_SOLVER_FIELDS = {"feas_tol": float, "seed": int}
 
 
 def _solver_config(values, **flags) -> SolverConfig:
@@ -268,8 +268,9 @@ def _bench_one(spec, proc, seed, tol, no_timing):
     try:
         inst = gen_instance(assumption, dims, ranks, seed=seed, axes=axes,
                             partition=part)
-        model = _run_procedure(proc, inst.tensor, ranks, cfg.with_seed(seed),
-                               axes=axes, partition=modes)
+        model = _run_procedure(proc, inst.tensor, ranks,
+                               replace(cfg, seed=seed), axes=axes,
+                               partition=modes)
         res = essential_match(model, inst.truth, tol=tol)
         ok, fe, ce = res.matched, max(res.factor_errors), res.core_error
         recon = model.diagnostics.get("recon_error", 0.0)
@@ -344,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--axes", default=None)
     d.add_argument("--partition", default=None)
     d.add_argument("--solver-config", default=None)
-    d.add_argument("--max-sweeps", type=int, dest="max_sweeps")
-    d.add_argument("--det-rel-tol", type=float, dest="det_rel_tol")
     d.add_argument("--feas-tol", type=float, dest="feas_tol")
-    d.add_argument("--restarts", type=int, dest="restarts")
     d.add_argument("--tol", type=float, default=1e-6)
     d.add_argument("--no-timing", action="store_true")
     d.set_defaults(func=cmd_decompose)

@@ -238,6 +238,7 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     SSC1 holds iff the cross-section is bounded and every vertex has norm
     at most one (the maximum of a convex function over a polytope sits at a
     vertex); SSC2 additionally pins every norm-one vertex to a unit vector.
+    After a double description here, the refutation search steps by LP.
     """
     h = _validate_nonneg(h)
     n, r = h.shape
@@ -249,7 +250,10 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     try:
         vertices, unbounded = enumerate_dual_vertices(h, tol=feas_tol)
     except EnumerationCapError:
-        y = ssc1_refute(h, rng=rng, tol=tol, feas_tol=feas_tol)
+        if r <= ENUM_CAP_R and n <= ENUM_CAP_N:  # past the ray budget
+            y = _ssc1_refute(h, None, rng, tol, feas_tol)
+        else:
+            y = ssc1_refute(h, rng=rng, tol=tol, feas_tol=feas_tol)
         return SscReport(
             separable=separable, anchors=anchors,
             ssc1=False if y is not None else None, ssc2=None,
@@ -271,7 +275,7 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
         if norms.size and max_norm > 1.0 + tol:
             refutation = vertices[int(np.argmax(norms))]
         else:
-            refutation = ssc1_refute(h, rng=rng, tol=tol, feas_tol=feas_tol)
+            refutation = _ssc1_refute(h, None, rng, tol, feas_tol)
     return SscReport(
         separable=separable, anchors=anchors, ssc1=ssc1, ssc2=ssc2,
         dual_vertices=vertices, max_vertex_norm=max_norm,
@@ -292,7 +296,13 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
     a step whose fallback LP is not optimal ends that start.  Returning
     None proves nothing.
     """
-    h = np.asarray(h, dtype=float)
+    return _ssc1_refute(np.asarray(h, dtype=float), _VERTEX_ENUM_CAP, rng,
+                        tol, feas_tol, starts, iters)
+
+
+def _ssc1_refute(h, max_rays, rng, tol, feas_tol, starts=10, iters=60):
+    """``ssc1_refute`` with the oracle's ray budget ``max_rays``; None
+    skips its double description (LP steps only)."""
     r = h.shape[1]
     if rng is None:
         rng = np.random.default_rng(0)
@@ -312,7 +322,7 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
         return certificate(y + (10.0 + np.linalg.norm(y))
                            / np.linalg.norm(ray) * ray)
 
-    cs = CrossSection(h, np.ones(r), _VERTEX_ENUM_CAP)
+    cs = CrossSection(h, np.ones(r), max_rays)
 
     def extreme(c):
         try:

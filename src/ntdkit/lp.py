@@ -9,9 +9,10 @@ Fukuda & Prodon 1996) in numpy alone: the extreme rays of the cone
 kept if feasible and sorted lexicographically.  No subset of rows is
 solved.  ``CrossSection``, the package's one oracle for linear objectives
 over a cross-section, takes an argmax over those vertices, or solves an LP
-per query past the ray budget.  Every linear program in the package goes
-through ``linprog_dense``, a single call to scipy's HiGHS, which is
-deterministic for a fixed input; scipy is imported on that first call.
+per query past the ray budget or when told to skip the enumeration.  Every
+linear program in the package goes through ``linprog_dense``, a single
+call to scipy's HiGHS, which is deterministic for a fixed input; scipy is
+imported on that first call.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from .errors import EnumerationCapError, SolverError
 
 # Budget on the double description's intermediate rays.  Past it
-# ``CrossSection`` answers each query with an LP and the cone checks report
-# the enumeration cap.
+# ``CrossSection`` answers each query with an LP, the cone checks report
+# the enumeration cap and ``maxdet_simplex`` fails.
 _VERTEX_ENUM_CAP = 2048
 
 # Entries per block of the pair test in ``_adjacent_pairs``.
@@ -176,19 +177,25 @@ class CrossSection:
 
     An argmax over its vertices (ties to the lowest index) when it is
     bounded and its double description stays within ``max_rays``
-    intermediate rays; otherwise an LP per query, and ``extreme`` raises
-    ``SolverError`` when that LP is not optimal.
+    intermediate rays; otherwise, or with ``max_rays=None`` (no
+    enumeration, for a caller whose own double description already
+    failed), an LP per query, and ``extreme`` raises ``SolverError`` when
+    that LP is not optimal.
     """
 
     def __init__(self, b, a, max_rays):
         self.b = np.asarray(b, dtype=float)
         self.a = np.asarray(a, dtype=float)
-        self.n, self.r = self.b.shape
+        self.n = len(self.b)
+        self.vertices = None
+        if max_rays is None:
+            return
         try:
             v, unbounded = cross_section_vertices(self.b, self.a, max_rays)
         except EnumerationCapError:
-            v, unbounded = None, True
-        self.vertices = None if unbounded or not len(v) else v
+            return
+        if not unbounded and len(v):
+            self.vertices = v
 
     def extreme(self, c, maximize=True):
         """The optimal point and value of ``c . y``."""

@@ -160,15 +160,15 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
             res_left**2 + res_right**2)
 
 
-def _slice_pair_route(t, ranks, first, pairs, cfg, diagnostics):
+def _slice_pair_route(t, ranks, first, mats, cfg, diagnostics):
     """Min-vol order-2 nTD of ``first`` gives U1 and U2; each further
-    ``(matrix, cfg)`` pair, projected by the pseudo-inverse of U1, gives
-    the next factor by min-vol NMF; the core follows by pseudo-inverses."""
+    matrix, projected by the pseudo-inverse of U1, gives the next factor by
+    min-vol NMF; the core follows by pseudo-inverses."""
     fac = minvol_order2_ntd(first, ranks[0], cfg)
     p1 = np.linalg.pinv(fac.u1)
     factors = [fac.u1, fac.u2]
-    for (mat, mode_cfg), r in zip(pairs, ranks[2:]):
-        factors.append(minvol_nmf(p1 @ mat, r, mode_cfg)[1])
+    for mat, r in zip(mats, ranks[2:]):
+        factors.append(minvol_nmf(p1 @ mat, r, cfg)[1])
     diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
     return _finalize(t, factors, _core_via_pinv(t, factors), ranks, cfg,
                      diagnostics)
@@ -299,7 +299,7 @@ def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
     i3 = select_max_rank_slice(t, 2) if i3 is None else int(i3)
     i2 = select_max_rank_slice(t, 1) if i2 is None else int(i2)
     return _slice_pair_route(t, (r1, r2, r3), mode_slice(t, 2, i3),
-                             [(mode_slice(t, 1, i2), cfg)], cfg,
+                             [mode_slice(t, 1, i2)], cfg,
                              {"procedure": "1", "i3": i3, "i2": i2})
 
 
@@ -317,7 +317,7 @@ def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
     beta = rng.standard_normal(t.dims[1]) if beta is None \
         else np.asarray(beta, dtype=float)
     return _slice_pair_route(t, (r1, r2, r3), slice_combination(t, 2, alpha),
-                             [(slice_combination(t, 1, beta), cfg)], cfg,
+                             [slice_combination(t, 1, beta)], cfg,
                              {"procedure": "2", "alpha": alpha.tolist(),
                               "beta": beta.tolist()})
 
@@ -395,13 +395,12 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
                 t, (0,), others, (i,), ranks[i], rng, scan_budget))
     mats = {i: slice_matrix(t, SliceSpec((0,), fixed, (i,)))
             for i, fixed in used.items()}
-    pairs = [(mats[i], cfg.with_seed(derive_seed(cfg.seed, "d1-mode", i)))
-             for i in range(2, d)]
     diagnostics = {"procedure": "d1",
                    "slice_indices": {str(k): {str(m): int(v)
                                               for m, v in f.items()}
                                      for k, f in used.items()}}
-    return _slice_pair_route(t, ranks, mats[1], pairs, cfg, diagnostics)
+    return _slice_pair_route(t, ranks, mats[1],
+                             [mats[i] for i in range(2, d)], cfg, diagnostics)
 
 
 def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,

@@ -6,45 +6,46 @@ The reduction used throughout: if ``W`` spans the column space of ``x`` and
 nonnegative ``u_i`` are parametrized by invertible ``q_i`` via ``u1 = W q1``,
 ``u2 = Z q2``, ``g = q1^-1 (W' x Z) q2^-T``; minimizing ``|det g|`` then
 decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
-``{q : W q >= 0, sum(W q) = 1}`` columnwise.  The column updates are exact
-linear optimizations (the determinant is linear in one column), answered
-by the package's one cross-section oracle, ``lp.CrossSection``: from the
-polytope's vertices, enumerated once per call by the double description,
-or by an LP when that passes its ray budget.  So the sweep objective is
-monotone; global optimality is heuristic and the best of several restarts
-is returned.  scipy's NNLS is imported by the separable solver only when
-it runs.
+``{q : W q >= 0, sum(W q) = 1}`` columnwise.  The determinant is linear in
+each column, so the maximum sits at vertices of that polytope:
+``maxdet_simplex`` lists them by the double description
+(``lp.cross_section_vertices``) and takes the largest |det| over their
+r-subsets, which is the global optimum.  scipy's NNLS is imported by the
+separable solver only when it runs.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain, combinations, islice
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotSeparable, RankError, ShapeError, SolverError
-from .lp import _VERTEX_ENUM_CAP, CrossSection
+from .errors import (EnumerationCapError, NotSeparable, RankError,
+                     ShapeError, SolverError)
+from .lp import _VERTEX_ENUM_CAP, cross_section_vertices
+
+# Budget on the vertex r-subsets ``maxdet_simplex`` evaluates, in chunks of
+# ``_SUBSET_CHUNK``; the full budget takes 1.1-2 s at r = 5-8 on one core
+# of a Xeon with one BLAS thread.
+_SUBSET_CAP = 1 << 20
+_SUBSET_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the volume solvers; everything is deterministic per seed."""
+    """Feasibility tolerance of the volume solvers and the seed of the
+    randomized procedures; the solvers themselves draw nothing."""
 
-    max_sweeps: int = 200
-    det_rel_tol: float = 1e-10
     feas_tol: float = 1e-9
-    restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_sweeps < 1 or self.restarts < 1 \
-                or self.det_rel_tol <= 0 or self.feas_tol <= 0:
-            raise ShapeError("solver config fields must be positive")
-
-    def with_seed(self, seed) -> "SolverConfig":
-        return replace(self, seed=int(seed))
+        if self.feas_tol <= 0:
+            raise ShapeError("solver config feas_tol must be positive")
 
 
 def derive_seed(base, *tags) -> int:
@@ -79,102 +80,51 @@ def orthonormal_range(x, r, tol=None) -> np.ndarray:
     return u[:, :r]
 
 
-def _cofactor_col(q, j):
-    """Cofactor vector of column j: det(q) == cof . q[:, j]."""
-    r = q.shape[0]
-    if r == 1:
-        return np.ones(1)
-    det = np.linalg.det(q)
-    if abs(det) > 1e-200:
-        return det * np.linalg.inv(q)[j]
-    sub = np.delete(q, j, axis=1)
-    minors = np.array([np.delete(sub, i, axis=0) for i in range(r)])
-    dets = np.linalg.det(minors)
-    signs = np.where((np.arange(r) + j) % 2 == 0, 1.0, -1.0)
-    return signs * dets
-
-
 def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
-    """Heuristically maximize |det q| with every column of ``b q`` feasible.
+    """Maximize |det q| with every column of ``b q`` in the cross-section
+    ``{y : b y >= 0, sum(b y) = 1}``; exact.
 
-    Initialization is a greedy extreme-direction selection (successive
-    projections away from the affine hull of the chosen vertices) plus
-    ``restarts - 1`` random-direction starts; each column update moves to the
-    cross-section vertex with the largest absolute cofactor inner product
-    (the larger of the maximum and the minimum of a linear objective), so
-    the sweep objective never decreases.
+    With the other columns fixed, |det q| is the absolute value of a linear
+    function of one column, so some global maximizer has every column at a
+    vertex.  The vertices come from one double description; the largest
+    |det| over their r-subsets is taken, ties to the lowest subset in
+    lexicographic order, and the columns of ``q`` are its vertices in
+    order.  Raises ``SolverError`` past the ray budget or past
+    ``_SUBSET_CAP`` subsets, as maximum-volume subset selection is NP-hard
+    in general.  ``return_history`` adds the list ``[|det q|]``.
     """
-    cs = CrossSection(b, np.sum(b, axis=0), _VERTEX_ENUM_CAP)
-    r = cs.r
-    root = np.random.SeedSequence(derive_seed(cfg.seed, "maxdet"))
-    streams = [np.random.default_rng(s) for s in root.spawn(cfg.restarts)]
-
-    def random_vertex(rng):
-        return cs.extreme(rng.standard_normal(r))[0]
-
-    def greedy_start(rng):
-        cols = [random_vertex(rng)]
-        while len(cols) < r:
-            base = cols[0]
-            diffs = np.array([c - base for c in cols[1:]]).T
-            if diffs.size:
-                qbasis, _ = np.linalg.qr(diffs.reshape(r, -1))
-            else:
-                qbasis = np.zeros((r, 0))
-            best = None
-            for _ in range(8):
-                g = rng.standard_normal(r)
-                g -= qbasis @ (qbasis.T @ g)
-                if np.linalg.norm(g) < 1e-12:
-                    continue
-                for sign in (1.0, -1.0):
-                    v, _ = cs.extreme(sign * g)
-                    dist = abs(g @ (v - base)) / np.linalg.norm(g)
-                    if best is None or dist > best[0]:
-                        best = (dist, v)
-                if best is not None and best[0] > 1e-12:
-                    break
-            if best is None:
-                best = (0.0, random_vertex(rng))
-            cols.append(best[1])
-        return np.stack(cols, axis=1)
-
-    best_q, best_val, history = None, -1.0, []
-    for restart, rng in enumerate(streams):
-        q = greedy_start(rng) if restart == 0 else \
-            np.stack([random_vertex(rng) for _ in range(r)], axis=1)
-        val = abs(np.linalg.det(q))
-        trace = [val]
-        for _ in range(cfg.max_sweeps):
-            prev = val
-            for j in range(r):
-                cof = _cofactor_col(q, j)
-                if np.linalg.norm(cof) < 1e-300:
-                    q[:, j] = random_vertex(rng)
-                    continue
-                cur = abs(cof @ q[:, j])
-                vhi, hi = cs.extreme(cof, maximize=True)
-                vlo, lo = cs.extreme(cof, maximize=False)
-                cand_v, cand = (vhi, abs(hi)) if abs(hi) >= abs(lo) \
-                    else (vlo, abs(lo))
-                if cand > cur * (1 + 1e-15) + 1e-300:
-                    q[:, j] = cand_v
-            val = abs(np.linalg.det(q))
-            trace.append(val)
-            if val - prev <= cfg.det_rel_tol * max(prev, 1e-300):
-                break
-        if val > best_val:
-            best_q, best_val, history = q, val, trace
-
-    if best_q is None or best_val <= 0.0:
+    b = np.asarray(b, dtype=float)
+    r = b.shape[1]
+    try:
+        v, unbounded = cross_section_vertices(b, b.sum(axis=0),
+                                              _VERTEX_ENUM_CAP)
+    except EnumerationCapError as exc:
+        raise SolverError(f"maxdet cross-section: {exc}") from exc
+    if unbounded:
+        raise SolverError("maxdet cross-section is unbounded")
+    count = comb(len(v), r)
+    if count > _SUBSET_CAP:
+        raise SolverError(f"{count} vertex subsets exceed the budget of "
+                          f"{_SUBSET_CAP}")
+    subsets = combinations(range(len(v)), r)
+    best, best_val = None, 0.0
+    for _ in range(0, count, _SUBSET_CHUNK):
+        idx = np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_CHUNK)),
+                          dtype=np.intp).reshape(-1, r)
+        dets = np.abs(np.linalg.det(v[idx]))
+        k = int(np.argmax(dets))
+        if dets[k] > best_val:
+            best, best_val = idx[k], float(dets[k])
+    if best is None:
         raise SolverError("determinant maximization collapsed to zero")
-    y = cs.b @ best_q
+    q = v[best].T
+    y = b @ q
     if y.min() < -cfg.feas_tol or np.abs(y.sum(axis=0) - 1).max() \
             > cfg.feas_tol:
         raise SolverError("maxdet solution violates feasibility")
     if return_history:
-        return best_q, history
-    return best_q
+        return q, [best_val]
+    return q
 
 
 class Order2Ntd(NamedTuple):
@@ -208,8 +158,8 @@ def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     _check_exact_rank(x, r)
     w = orthonormal_range(x, r)
     z = orthonormal_range(x.T, r)
-    q1 = maxdet_simplex(w, cfg.with_seed(derive_seed(cfg.seed, "mv2-left")))
-    q2 = maxdet_simplex(z, cfg.with_seed(derive_seed(cfg.seed, "mv2-right")))
+    q1 = maxdet_simplex(w, cfg)
+    q2 = maxdet_simplex(z, cfg)
     u1, u2 = w @ q1, z @ q2
     m = w.T @ x @ z
     g = np.linalg.solve(q1, m)
@@ -233,7 +183,7 @@ def minvol_nmf(x, r, cfg: SolverConfig):
         raise ShapeError(f"need at least r={r} rows, got {m}")
     _check_exact_rank(x, r)
     z = orthonormal_range(x.T, r)
-    q = maxdet_simplex(z, cfg.with_seed(derive_seed(cfg.seed, "mvnmf")))
+    q = maxdet_simplex(z, cfg)
     h = z @ q
     w = np.linalg.solve(q, (x @ z).T).T
     resid = np.linalg.norm(x - w @ h.T) / max(np.linalg.norm(x), 1e-300)

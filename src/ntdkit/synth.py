@@ -37,12 +37,6 @@ class Instance:
     meta: dict = field(default_factory=dict)
 
 
-def _as_rng(rng):
-    if rng is None or isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(0 if rng is None else int(rng))
-    return rng
-
-
 def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     """Sparse stochastic matrix certified to satisfy the SSC.
 
@@ -58,7 +52,7 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
         )
     if not 1 <= nnz_per_row <= r:
         raise ShapeError(f"nnz_per_row={nnz_per_row} out of range")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     for _ in range(max_tries):
         h = np.zeros((n, r))
         for i in range(n):
@@ -76,7 +70,7 @@ def gen_separable_factor(n, r, rng=None):
     """Stochastic matrix with a scaled identity block on its first r rows."""
     if n < r:
         raise ShapeError(f"need n >= r, got n={n}, r={r}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     top = np.diag(rng.random(r) + 0.5)
     rest = np.abs(rng.standard_normal((n - r, r)))
     h = np.vstack([top, rest])
@@ -92,7 +86,7 @@ def gen_anchor_factor(n, r, rng=None):
     """
     if n < r:
         raise ShapeError(f"need n >= r, got n={n}, r={r}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     cols = np.concatenate([rng.permutation(r),
                            rng.integers(r, size=n - r)])
     h = np.zeros((n, r))
@@ -133,7 +127,7 @@ def gen_core(ranks, constraints=None, rng=None, max_tries=100):
     """Gaussian core resampled until every requested constraint verifies."""
     ranks = tuple(int(r) for r in ranks)
     constraints = constraints or CoreConstraints()
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     for _ in range(max_tries):
         if constraints.deficient_slices_mode is not None:
             core = _structured_deficient_core(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ntdkit import solvers
 from ntdkit.cli import main
 from ntdkit.tensor import (DenseTensor, write_tensor_binary,
                            write_tensor_json)
@@ -140,16 +141,28 @@ class TestDecompose:
 
     def test_solver_config_file_with_flag_override(self, bundle, tmp_path,
                                                    capsys):
+        # The file's feas_tol is below any reconstruction error; the flag's
+        # is not, so the run succeeds only when the flag wins.
         cfg = tmp_path / "solver.cfg"
-        cfg.write_text("max_sweeps = 150\nrestarts = 2\nseed = 9\n")
+        cfg.write_text("feas_tol = 1e-30\nseed = 9\n")
         out = tmp_path / "m.json"
-        code, text = run(capsys, "decompose", "--procedure", "1", "--input",
-                         str(bundle), "--ranks", "3,3,2", "--solver-config",
-                         str(cfg), "--restarts", "3", "--out", str(out),
-                         "--no-timing")
+        argv = ["decompose", "--procedure", "1", "--input", str(bundle),
+                "--ranks", "3,3,2", "--solver-config", str(cfg),
+                "--out", str(out), "--no-timing"]
+        assert run(capsys, *argv)[0] == 4
+        code, text = run(capsys, *argv, "--feas-tol", "1e-9")
         assert code == 0
         assert json.loads(text)["seed"] == 9  # from the file
         assert json.loads(out.read_text())["diagnostics"]["seed"] == 9
+
+    @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_SUBSET_CAP"])
+    def test_solver_budget_exits_4(self, cap, bundle, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.setattr(solvers, cap, 0)
+        code, _ = run(capsys, "decompose", "--procedure", "1", "--input",
+                      str(bundle), "--ranks", "3,3,2",
+                      "--out", str(tmp_path / "m.json"))
+        assert code == 4
 
     def test_byte_identical_models(self, bundle, tmp_path, capsys):
         outs = []
@@ -285,8 +298,7 @@ BENCH_DEFAULTS = {"assumption": "A4.2", "dims": [10, 10, 6],
 MALFORMED_SPECS = {
     "list": [BENCH_DEFAULTS],
     "dims": {"defaults": {**BENCH_DEFAULTS, "dims": "abc"}},
-    "restarts": {"defaults": {**BENCH_DEFAULTS,
-                              "solver": {"restarts": "x"}}},
+    "seed": {"defaults": {**BENCH_DEFAULTS, "solver": {"seed": "x"}}},
     "field": {"defaults": {**BENCH_DEFAULTS, "solver": {"bogus": 1}}},
     "partition": {"defaults": {**BENCH_DEFAULTS,
                                "partition": {"rows": [0]}}},
@@ -329,11 +341,15 @@ MALFORMED_SPECS = {
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
       "--solver-config", "{tmp}/field.cfg"], 3),
     (["check", "ssc", "{tmp}/huge.json"], 3),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--solver-config", "{tmp}/restarts.cfg"], 3),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("restarts = two\n")
-    (tmp_path / "field.cfg").write_text("restarts = 2\nbogus = 1\n")
+    cfg.write_text("seed = two\n")
+    (tmp_path / "field.cfg").write_text("seed = 2\nbogus = 1\n")
+    # a field of the removed coordinate-ascent solver
+    (tmp_path / "restarts.cfg").write_text("restarts = 2\n")
     # finite entries whose column sums overflow to inf
     (tmp_path / "huge.json").write_text("[[1e308, 1e308], [1e308, 0]]")
     for name, doc in MALFORMED_SPECS.items():

@@ -329,6 +329,24 @@ class TestRefutation:
             assert np.abs(y - y_lp).max() <= 1e-9 * np.abs(y_lp).max()
         assert listed >= 90 and 20 <= found <= 90
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_check_ssc_runs_one_double_description(self, seed,
+                                                   monkeypatch):
+        # A dense 60x8 input passes the ray budget; the refutation search
+        # then steps by LP instead of repeating the double description.
+        h = np.random.default_rng(seed).random((60, 8))
+        runs = []
+        extreme_rays = lp._extreme_rays
+        monkeypatch.setattr(lp, "_extreme_rays",
+                            lambda *a: runs.append(1) or extreme_rays(*a))
+        report = check_ssc(h)
+        assert len(runs) == 1
+        assert report.method == "refutation-search-only"
+        assert report.ssc1 is False
+        # the public search runs its own double description, to no avail
+        assert np.array_equal(report.refutation, ssc1_refute(h))
+        assert len(runs) == 2
+
 
 class TestPssc:
     def test_matches_separability_at_p1(self, rng):

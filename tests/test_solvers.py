@@ -1,17 +1,20 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
 from ntdkit import solvers
-from ntdkit.errors import NotSeparable, RankError, ShapeError
-from ntdkit.lp import _VERTEX_ENUM_CAP, CrossSection, linprog_dense
+from ntdkit.errors import NotSeparable, RankError, ShapeError, SolverError
+from ntdkit.lp import (_VERTEX_ENUM_CAP, CrossSection, cross_section_vertices,
+                       linprog_dense)
 from ntdkit.solvers import (SolverConfig, derive_seed, maxdet_simplex,
                             minvol_nmf, minvol_order2_ntd, numerical_rank,
                             orthonormal_range, separable_order2_ntd,
                             spa_separable_nmf)
 from ntdkit.synth import gen_separable_factor
-from tests.conftest import align_error, two_nonzero, two_nonzero_ssc
+from tests.conftest import (align_error, stochastic, two_nonzero,
+                            two_nonzero_ssc)
 
 CFG = SolverConfig(seed=7)
 
@@ -52,12 +55,6 @@ class TestMaxdetSimplex:
         q = maxdet_simplex(b, CFG)
         assert align_error(b @ q, u) <= 1e-8
 
-    def test_monotone_sweeps(self, rng):
-        u = two_nonzero_ssc(20, 4, rng)
-        b = orthonormal_range(u, 4)
-        _, history = maxdet_simplex(b, CFG, return_history=True)
-        assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(history, history[1:]))
-
     def test_ssc_recovery_rate(self):
         hits = 0
         for seed in range(10):
@@ -71,18 +68,56 @@ class TestMaxdetSimplex:
             hits += align_error(b @ q, u) <= 1e-8
         assert hits >= 8
 
+    def test_exact_beats_ascent_and_truth(self):
+        # A reference coordinate ascent over the listed vertices: each
+        # column moves to the vertex of largest |det| with the others
+        # fixed, from the first nonsingular r-subset and two random ones.
+        def ascent(v, r, rng):
+            best = 0.0
+            starts = [next(s for s in combinations(range(len(v)), r)
+                           if abs(np.linalg.det(v[list(s)])) > 1e-12)]
+            starts += [rng.choice(len(v), r, replace=False) for _ in "ab"]
+            for start in starts:
+                q = v[list(start)].copy()
+                val = abs(np.linalg.det(q))
+                while True:
+                    prev = val
+                    for j in range(r):
+                        trial = np.repeat(q[None], len(v), axis=0)
+                        trial[:, j] = v
+                        dets = np.abs(np.linalg.det(trial))
+                        if dets.max() > val:
+                            q[j], val = v[int(np.argmax(dets))], dets.max()
+                    if val <= prev:
+                        break
+                best = max(best, val)
+            return best
 
-    def test_lp_fallback_agrees_with_vertex_oracle(self, rng, monkeypatch):
-        u = two_nonzero_ssc(20, 4, rng)
-        b = orthonormal_range(u, 4)
-        q_vertex = maxdet_simplex(b, CFG)
-        monkeypatch.setattr(solvers, "_VERTEX_ENUM_CAP", 0)
-        assert CrossSection(b, b.sum(axis=0),
-                            solvers._VERTEX_ENUM_CAP).vertices is None
-        q_lp = maxdet_simplex(b, CFG)
-        assert abs(np.linalg.det(q_lp)) == pytest.approx(
-            abs(np.linalg.det(q_vertex)), rel=1e-10)
-        assert align_error(b @ q_lp, u) <= 1e-8
+        for seed in range(120):
+            rng = np.random.default_rng(3000 + seed)
+            r = int(rng.integers(2, 6))
+            if seed % 3 == 2:  # dense: more vertices per row, so few rows
+                u = stochastic(int(rng.integers(r, 2 * r + 1)), r, rng)
+            else:
+                draw = (two_nonzero, gen_separable_factor)[seed % 3]
+                u = draw(int(rng.integers(2 * r, 17)), r, rng)
+            b = orthonormal_range(u, r)
+            v = cross_section_vertices(b, b.sum(axis=0),
+                                       _VERTEX_ENUM_CAP)[0]
+            q, history = maxdet_simplex(b, CFG, return_history=True)
+            val = abs(np.linalg.det(q))
+            assert history == pytest.approx([val], rel=1e-12)
+            assert all((v == col).all(axis=1).any() for col in q.T)
+            assert val >= ascent(v, r, rng) * (1 - 1e-12)
+            gt = abs(np.linalg.det(np.linalg.lstsq(b, u, rcond=None)[0]))
+            assert val >= gt * (1 - 1e-9)
+
+    @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_SUBSET_CAP"])
+    def test_over_budget_raises(self, cap, rng, monkeypatch):
+        b = orthonormal_range(two_nonzero_ssc(20, 4, rng), 4)
+        monkeypatch.setattr(solvers, cap, 0)
+        with pytest.raises(SolverError):
+            maxdet_simplex(b, CFG)
 
 
 class TestVertexOracle:
@@ -144,19 +179,6 @@ class TestVertexOracle:
         b = np.array([[1.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
         assert CrossSection(b, b.sum(axis=0),
                             _VERTEX_ENUM_CAP).vertices is None
-
-    def test_cofactor_from_inverse_and_minors(self, rng):
-        for q in (rng.standard_normal((4, 4)),
-                  np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0],
-                            [1.0, 0.0, 1.0]])):
-            det = np.linalg.det(q)
-            for j in range(q.shape[0]):
-                cof = solvers._cofactor_col(q, j)
-                assert cof @ q[:, j] == pytest.approx(det, abs=1e-12)
-                moved = q.copy()
-                moved[:, j] += 1.0
-                assert cof @ moved[:, j] == pytest.approx(
-                    np.linalg.det(moved), abs=1e-10)
 
 
 class TestMinvolOrder2:
@@ -290,7 +312,7 @@ class TestSuboptimalityImplication:
 class TestConfig:
     def test_invalid_config(self):
         with pytest.raises(ShapeError):
-            SolverConfig(max_sweeps=0)
+            SolverConfig(feas_tol=0)
 
     def test_derive_seed_stable(self):
         assert derive_seed(5, "a", 1) == derive_seed(5, "a", 1)
