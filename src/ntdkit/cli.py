@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -108,8 +109,7 @@ def _read_matrix(path) -> np.ndarray:
 
 
 def _emit(doc):
-    json.dump(doc, sys.stdout, indent=None, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def cmd_gen(args) -> int:
@@ -304,7 +304,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, so ``main`` reuses it across calls."""
     parser = argparse.ArgumentParser(
         prog="ntdkit",
         description="Identifiable nonnegative Tucker decompositions",

@@ -81,8 +81,7 @@ class NtdModel:
 
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json()) + "\n")
 
     @classmethod
     def load(cls, path) -> "NtdModel":

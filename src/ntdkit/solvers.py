@@ -10,7 +10,11 @@ decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
 each column, so the maximum sits at vertices of that polytope:
 ``maxdet_simplex`` lists them by the double description
 (``lp.cross_section_vertices``) and takes the largest |det| over their
-r-subsets, which is the global optimum.  scipy's NNLS is imported by the
+r-subsets, which is the global optimum.  ``W`` and ``Z`` are the leading
+left and right singular vectors of one thin SVD of ``x``, whose singular
+values also decide that ``x`` has numerical rank exactly r, so each
+solver, the separable one included, factors its input once
+(``_exact_rank_bases``).  scipy's NNLS is imported by the
 separable solver only when it runs.
 """
 
@@ -55,29 +59,45 @@ def derive_seed(base, *tags) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _rank_from_values(s, shape, tol=None) -> int:
+    """How many singular values ``s`` of a ``shape`` matrix lie above
+    ``max(shape) * eps * smax * 1e3`` (or ``tol``)."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    if tol is None:
+        tol = max(shape) * np.finfo(float).eps * s[0] * 1e3
+    return int((s > tol).sum())
+
+
 def numerical_rank(a, tol=None) -> int:
     """Singular values above ``max(m,n) * eps * smax * 1e3`` (overridable)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    if tol is None:
-        tol = max(a.shape) * np.finfo(float).eps * s[0] * 1e3
-    return int((s > tol).sum())
+    return _rank_from_values(np.linalg.svd(a, compute_uv=False), a.shape,
+                             tol)
 
 
 def orthonormal_range(x, r, tol=None) -> np.ndarray:
     """Orthonormal basis of the leading r-dimensional column space."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if numerical_rank(x, tol) < r:
-        raise RankError(
-            f"matrix of numerical rank {numerical_rank(x, tol)} cannot "
-            f"provide a rank-{r} range basis"
-        )
-    u, _, _ = np.linalg.svd(x, full_matrices=False)
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    k = _rank_from_values(s, x.shape, tol)
+    if k < r:
+        raise RankError(f"matrix of numerical rank {k} cannot provide a "
+                        f"rank-{r} range basis")
     return u[:, :r]
+
+
+def _exact_rank_bases(x, r):
+    """``(w, z)``: orthonormal bases of the column and row spaces of ``x``
+    from one thin SVD; ``RankError`` unless its numerical rank is exactly
+    ``r``."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    k = _rank_from_values(s, x.shape)
+    if k != r:
+        raise RankError(f"input has numerical rank {k}, expected {r}")
+    return u[:, :r], vt[:r].T
 
 
 def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
@@ -142,12 +162,6 @@ class Order2Ntd(NamedTuple):
         return self.u1 @ self.g @ self.u2.T
 
 
-def _check_exact_rank(x, r, what="input"):
-    k = numerical_rank(x)
-    if k != r:
-        raise RankError(f"{what} has numerical rank {k}, expected {r}")
-
-
 def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     """Minimum-|det| exact tri-factorization of a rank-r matrix.
 
@@ -155,9 +169,7 @@ def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     space parametrization; exact fit holds by construction.
     """
     x = np.asarray(x, dtype=float)
-    _check_exact_rank(x, r)
-    w = orthonormal_range(x, r)
-    z = orthonormal_range(x.T, r)
+    w, z = _exact_rank_bases(x, r)
     q1 = maxdet_simplex(w, cfg)
     q2 = maxdet_simplex(z, cfg)
     u1, u2 = w @ q1, z @ q2
@@ -181,8 +193,7 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     m, n = x.shape
     if m < r:
         raise ShapeError(f"need at least r={r} rows, got {m}")
-    _check_exact_rank(x, r)
-    z = orthonormal_range(x.T, r)
+    _, z = _exact_rank_bases(x, r)
     q = maxdet_simplex(z, cfg)
     h = z @ q
     w = np.linalg.solve(q, (x @ z).T).T
@@ -206,8 +217,7 @@ def spa_separable_nmf(x, r, feas_tol=1e-9, extreme_tol=1e-6):
     from scipy.optimize import nnls
 
     x = np.asarray(x, dtype=float)
-    _check_exact_rank(x, r)
-    basis = orthonormal_range(x, r)
+    basis, _ = _exact_rank_bases(x, r)
     y = basis.T @ x
     norms = np.linalg.norm(y, axis=0)
     left = np.flatnonzero(norms > 1e-12 * max(norms.max(initial=0.0), 1.0))

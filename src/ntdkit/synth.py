@@ -21,7 +21,7 @@ from .model import NtdModel
 from .procedures import ModePartition, _axes_and_rest
 from .solvers import numerical_rank
 from .tensor import (DenseTensor, mode_slice, read_tensor, unfold,
-                     write_tensor_json)
+                     write_tensor_binary, write_tensor_json)
 
 GEN_SSC_MAX_RANK = 6  # exact certification stays cheap up to here
 
@@ -321,17 +321,23 @@ def _draw(assumption_id, dims, ranks, rng, meta):
 
 
 def save_instance(inst: Instance, path):
+    """Write a bundle: the tensor as JSON and as its binary twin
+    ``tensor.bin``, the truth model and the metadata."""
     os.makedirs(path, exist_ok=True)
     write_tensor_json(inst.tensor, os.path.join(path, "tensor.json"))
+    write_tensor_binary(inst.tensor, os.path.join(path, "tensor.bin"))
     inst.truth.save(os.path.join(path, "truth.json"))
     with open(os.path.join(path, "meta.json"), "w") as fh:
-        json.dump({"assumption_id": inst.assumption_id,
-                   "seed": inst.seed, "meta": inst.meta}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"assumption_id": inst.assumption_id,
+                             "seed": inst.seed, "meta": inst.meta}) + "\n")
 
 
 def load_instance(path) -> Instance:
-    tensor = read_tensor(os.path.join(path, "tensor.json"))
+    """Read a bundle, taking the tensor from ``tensor.bin`` when the bundle
+    has one and from ``tensor.json`` otherwise."""
+    binary = os.path.join(path, "tensor.bin")
+    tensor = read_tensor(binary if os.path.exists(binary)
+                         else os.path.join(path, "tensor.json"))
     truth = NtdModel.load(os.path.join(path, "truth.json"))
     try:
         with open(os.path.join(path, "meta.json")) as fh:

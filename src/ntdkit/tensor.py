@@ -247,8 +247,7 @@ def write_tensor_json(t: DenseTensor, path):
     doc = {"dims": list(t.dims), "layout": "col-major",
            "data": t.data.tolist()}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def write_tensor_binary(t: DenseTensor, path):

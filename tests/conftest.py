@@ -21,11 +21,18 @@ def two_nonzero(n, r, rng):
             return h / h.sum(axis=0)
 
 
-def two_nonzero_ssc(n, r, rng):
-    while True:
+def two_nonzero_ssc(n, r, rng, max_tries=200):
+    """A ``two_nonzero`` draw that passes ``check_ssc``.  At r = 2 every row
+    is positive, so no draw is SSC; ``ValueError`` there and after
+    ``max_tries`` failed draws."""
+    if r < 3:
+        raise ValueError(f"no two-nonzero {n}x{r} factor is SSC (r < 3)")
+    for _ in range(max_tries):
         h = two_nonzero(n, r, rng)
         if check_ssc(h).ssc:
             return h
+    raise ValueError(f"no SSC two-nonzero {n}x{r} factor in {max_tries} "
+                     f"draws")
 
 
 def same_vertices(v, w):

@@ -1,11 +1,13 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from ntdkit import solvers
+from ntdkit import cli, solvers
 from ntdkit.cli import main
+from ntdkit.synth import load_instance
 from ntdkit.tensor import (DenseTensor, write_tensor_binary,
                            write_tensor_json)
 
@@ -45,7 +47,7 @@ class TestGen:
                           "10,10,6", "--ranks", "3,3,2", "--seed", "4",
                           "--out", str(tmp_path / name))
             assert code == 0
-        for f in ("tensor.json", "truth.json", "meta.json"):
+        for f in ("tensor.json", "tensor.bin", "truth.json", "meta.json"):
             assert (tmp_path / "a" / f).read_bytes() == \
                 (tmp_path / "b" / f).read_bytes()
 
@@ -164,6 +166,16 @@ class TestDecompose:
                       "--out", str(tmp_path / "m.json"))
         assert code == 4
 
+    def test_parser_reuse_keeps_no_state(self, bundle, tmp_path, capsys):
+        argv = ["decompose", "--procedure", "1", "--input", str(bundle),
+                "--ranks", "3,3,2", "--out", str(tmp_path / "m.json"),
+                "--no-timing"]
+        code, text = run(capsys, *argv, "--seed", "7")
+        assert code == 0 and json.loads(text)["seed"] == 7
+        code, text = run(capsys, *argv)
+        assert code == 0 and json.loads(text)["seed"] == 0
+        assert cli.build_parser() is cli.build_parser()
+
     def test_byte_identical_models(self, bundle, tmp_path, capsys):
         outs = []
         for name in ("m1.json", "m2.json"):
@@ -174,6 +186,54 @@ class TestDecompose:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestBinaryTwin:
+    def decompose(self, capsys, bundle, out):
+        code, text = run(capsys, "decompose", "--procedure", "1", "--input",
+                         str(bundle), "--ranks", "3,3,2", "--seed", "5",
+                         "--out", str(out), "--no-timing")
+        doc = json.loads(text) if code == 0 else None
+        return code, doc
+
+    def test_json_only_bundle_loads_and_decomposes_the_same(
+            self, bundle, tmp_path, capsys):
+        old = shutil.copytree(bundle, tmp_path / "old")
+        (old / "tensor.bin").unlink()
+        a, b = load_instance(bundle), load_instance(old)
+        assert a.tensor.dims == b.tensor.dims
+        assert a.tensor.data.tobytes() == b.tensor.data.tobytes()
+        assert a.truth.to_json() == b.truth.to_json()
+        assert (a.assumption_id, a.seed, a.meta) == \
+            (b.assumption_id, b.seed, b.meta)
+        records, models = [], []
+        for name, path in (("new", bundle), ("old", old)):
+            out = tmp_path / f"{name}.json"
+            code, doc = self.decompose(capsys, path, out)
+            assert code == 0 and doc.pop("out") == str(out)
+            records.append(doc)
+            models.append(out.read_bytes())
+        assert records[0] == records[1] and models[0] == models[1]
+
+    def test_garbage_json_tensor_unread(self, bundle, tmp_path, capsys):
+        twin = shutil.copytree(bundle, tmp_path / "twin")
+        (twin / "tensor.json").write_text("garbage")
+        code, doc = self.decompose(capsys, twin, tmp_path / "m.json")
+        assert code == 0 and doc["matched"] is True
+
+    @pytest.mark.parametrize("fault", ["truncated", "nan"])
+    def test_bad_binary_tensor_exits_3(self, fault, bundle, tmp_path,
+                                       capsys):
+        bad = shutil.copytree(bundle, tmp_path / "bad")
+        path = bad / "tensor.bin"
+        if fault == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            arr = np.ones((12, 12, 8))
+            arr[1, 2, 3] = np.nan
+            write_tensor_binary(DenseTensor.from_array(arr), path)
+        code, _ = self.decompose(capsys, bad, tmp_path / "m.json")
+        assert code == 3
 
 
 class TestEval:

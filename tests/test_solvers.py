@@ -40,6 +40,48 @@ class TestRankTools:
         with pytest.raises(RankError):
             orthonormal_range(x, 2)
 
+    def test_exact_rank_bases_agree_with_two_step(self):
+        # rank-k products of random shapes, k one below, at or above r
+        agreed = 0
+        for seed in range(60):
+            rng = np.random.default_rng(3000 + seed)
+            m, n = rng.integers(3, 12, size=2)
+            r = int(rng.integers(1, min(m, n) + 1))
+            k = int(np.clip(r + rng.integers(-1, 2), 0, min(m, n)))
+            x = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+            if numerical_rank(x) != r:
+                with pytest.raises(RankError):
+                    solvers._exact_rank_bases(x, r)
+                continue
+            w, z = solvers._exact_rank_bases(x, r)
+            assert np.array_equal(w, orthonormal_range(x, r))
+            b = orthonormal_range(x.T, r)
+            assert np.abs(z @ z.T - b @ b.T).max() <= 1e-12
+            agreed += 1
+        assert 20 <= agreed < 60
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x, r: spa_separable_nmf(x, r),
+    lambda x, r: minvol_order2_ntd(x, r, CFG),
+    lambda x, r: minvol_nmf(x, r, CFG),
+], ids=["spa_separable_nmf", "minvol_order2_ntd", "minvol_nmf"])
+def test_one_svd_per_solve(solve, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    solve(np.eye(4), 4)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(RankError):
+        solve(np.diag([1.0, 1.0, 1.0, 0.0]), 4)
+    assert len(calls) == 1
+
 
 class TestMaxdetSimplex:
     def test_identity_cross_section(self):

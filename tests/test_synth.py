@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from ntdkit.solvers import numerical_rank, spa_separable_nmf
 from ntdkit.synth import (CoreConstraints, gen_anchor_factor, gen_core,
                           gen_instance, gen_separable_factor, gen_ssc_factor,
                           load_instance, save_instance)
-from ntdkit.tensor import mode_slice, unfold
+from ntdkit.tensor import mode_slice, read_tensor, unfold
+from tests.conftest import two_nonzero, two_nonzero_ssc
 
 
 class TestGenSscFactor:
@@ -29,12 +33,21 @@ class TestGenSscFactor:
 
     def test_acceptance_rate_near_reported(self):
         # two-nonzero 20x4 draws: a clear majority band, not all-or-nothing
-        from tests.conftest import two_nonzero
         hits = 0
         for seed in range(30):
             h = two_nonzero(20, 4, np.random.default_rng(seed))
             hits += bool(check_ssc(h).ssc)
         assert 0.40 <= hits / 30 <= 0.95
+
+    def test_two_nonzero_ssc_gives_up(self):
+        # every row of a two-nonzero 2-column factor is positive: no draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="16x2"):
+            two_nonzero_ssc(16, 2, rng)
+        assert rng.bit_generator.state == state  # raised before drawing
+        with pytest.raises(ValueError, match="20x4 factor in 0 draws"):
+            two_nonzero_ssc(20, 4, rng, max_tries=0)
 
 
 class TestGenSeparableFactor:
@@ -108,9 +121,32 @@ class TestGenInstance:
         b = gen_instance("A4.2", (10, 10, 8), (3, 3, 2), seed=12)
         save_instance(a, tmp_path / "a")
         save_instance(b, tmp_path / "b")
-        for name in ("tensor.json", "truth.json", "meta.json"):
+        for name in ("tensor.json", "tensor.bin", "truth.json", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_binary_twin_bit_equal(self, tmp_path):
+        inst = gen_instance("A-sep", (12, 10, 8), (3, 3, 2), seed=14)
+        save_instance(inst, tmp_path)
+        a = read_tensor(tmp_path / "tensor.bin")
+        b = read_tensor(tmp_path / "tensor.json")
+        assert a.dims == b.dims == inst.tensor.dims
+        assert a.data.tobytes() == b.data.tobytes() == \
+            inst.tensor.data.tobytes()
+
+    def test_json_files_match_json_dump(self, tmp_path):
+        inst = gen_instance("A4.2", (10, 10, 8), (3, 3, 2), seed=12)
+        save_instance(inst, tmp_path)
+        docs = {"tensor.json": {"dims": list(inst.tensor.dims),
+                                "layout": "col-major",
+                                "data": inst.tensor.data.tolist()},
+                "truth.json": inst.truth.to_json(),
+                "meta.json": {"assumption_id": inst.assumption_id,
+                              "seed": inst.seed, "meta": inst.meta}}
+        for name, doc in docs.items():
+            buf = io.StringIO()
+            json.dump(doc, buf)
+            assert (tmp_path / name).read_text() == buf.getvalue() + "\n"
 
     def test_roundtrip(self, tmp_path):
         inst = gen_instance("A4.4", (10, 10, 6), (3, 3, 2), seed=13)
