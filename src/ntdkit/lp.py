@@ -100,10 +100,12 @@ def _extreme_rays(u, max_rays):
     below its width.
 
     Pivoted Gram-Schmidt picks r independent rows, whose simplicial cone
-    starts the double description.  The row cutting off the most rays is
-    added next; the rays it cuts off are replaced by one new ray per
-    adjacent pair across its hyperplane.  Once no row cuts off a ray, the
-    rest are redundant.
+    starts the double description.  The deepest cut is added next: the
+    unprocessed row with the most negative value on a current ray (rows
+    and rays are unit vectors), ties to the lowest index.  The rays it
+    cuts off are replaced by one new ray per adjacent pair across its
+    hyperplane.  Once no unprocessed row is below ``-_ZERO_TOL`` on a
+    ray, the rest are redundant.
     """
     r = u.shape[1]
     if len(u) < r:
@@ -122,9 +124,9 @@ def _extreme_rays(u, max_rays):
     done = np.zeros(len(u), dtype=bool)
     done[basis] = True
     while True:
-        cut = (vals < -_ZERO_TOL).sum(axis=0) * ~done
-        i = int(np.argmax(cut))
-        if not cut[i]:
+        depth = np.where(done, 0.0, vals.min(axis=0, initial=0.0))
+        i = int(np.argmin(depth))
+        if depth[i] >= -_ZERO_TOL:
             return rays
         s = vals[:, i]
         neg = s < -_ZERO_TOL

@@ -10,12 +10,16 @@ decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
 each column, so the maximum sits at vertices of that polytope:
 ``maxdet_simplex`` lists them by the double description
 (``lp.cross_section_vertices``) and takes the largest |det| over their
-r-subsets, which is the global optimum.  ``W`` and ``Z`` are the leading
-left and right singular vectors of one thin SVD of ``x``, whose singular
-values also decide that ``x`` has numerical rank exactly r, so each
-solver, the separable one included, factors its input once
-(``_exact_rank_bases``).  scipy's NNLS is imported by the
-separable solver only when it runs.
+r-subsets, which is the global optimum.  Each solver factors its input
+once, and the singular values of that factorization also decide that
+``x`` has numerical rank exactly r.  ``minvol_order2_ntd`` needs both
+bases and takes ``W`` and ``Z`` from one thin SVD of ``x``
+(``_exact_rank_bases``).  ``minvol_nmf`` and the separable solver need
+only the row space: ``_row_space`` takes the singular values and right
+singular vectors of a tall ``x`` from the SVD of the square R factor of
+its QR (the R-SVD of Chan 1982), so the m x n left factor is never
+built.  scipy's NNLS is imported by the separable solver only when it
+runs.
 """
 
 from __future__ import annotations
@@ -100,6 +104,20 @@ def _exact_rank_bases(x, r):
     return u[:, :r], vt[:r].T
 
 
+def _row_space(x, r):
+    """``(s, vt)``: the leading r singular values and right singular
+    vectors of ``x``; ``RankError`` unless its numerical rank is exactly
+    ``r``.  A tall ``x`` is factored through the R factor of its QR, the
+    others directly; the left singular vectors are never returned."""
+    m, n = x.shape
+    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r") if m > n else x,
+                             full_matrices=False)
+    k = _rank_from_values(s, x.shape)
+    if k != r:
+        raise RankError(f"input has numerical rank {k}, expected {r}")
+    return s[:r], vt[:r]
+
+
 def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     """Maximize |det q| with every column of ``b q`` in the cross-section
     ``{y : b y >= 0, sum(b y) = 1}``; exact.
@@ -124,8 +142,12 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
         raise SolverError("maxdet cross-section is unbounded")
     count = comb(len(v), r)
     if count > _SUBSET_CAP:
-        raise SolverError(f"{count} vertex subsets exceed the budget of "
-                          f"{_SUBSET_CAP}")
+        raise SolverError(
+            f"{len(v)} cross-section vertices give {count} vertex "
+            f"{r}-subsets, past the budget of {_SUBSET_CAP}; the factor is "
+            f"likely not SSC (a dense positive factor gives such "
+            f"cross-sections), and then the volume criterion would not "
+            f"identify it anyway")
     subsets = combinations(range(len(v)), r)
     best, best_val = None, 0.0
     for _ in range(0, count, _SUBSET_CHUNK):
@@ -193,7 +215,7 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     m, n = x.shape
     if m < r:
         raise ShapeError(f"need at least r={r} rows, got {m}")
-    _, z = _exact_rank_bases(x, r)
+    z = _row_space(x, r)[1].T
     q = maxdet_simplex(z, cfg)
     h = z @ q
     w = np.linalg.solve(q, (x @ z).T).T
@@ -210,24 +232,30 @@ def spa_separable_nmf(x, r, feas_tol=1e-9, extreme_tol=1e-6):
     the cone of all columns, certified by a nonnegative least squares fit
     against the other directions (exact data leaves interior directions
     with zero residual).  Directions and both fits use the columns'
-    coordinates in an orthonormal basis of the rank-r range; the residual
-    is checked on ``x``.
+    coordinates ``s vt = U' x`` in the rank-r range, taken from
+    ``_row_space`` without building ``U``; the residual is checked on
+    ``x``.  Columns whose directions lie within 1e-8 of an earlier
+    representative's are one direction, represented by its first column.
     Returns ``(anchors, w, h)`` with ``x = w @ h.T``, ``h >= 0``.
     """
     from scipy.optimize import nnls
+    from scipy.spatial.distance import cdist
 
     x = np.asarray(x, dtype=float)
-    basis, _ = _exact_rank_bases(x, r)
-    y = basis.T @ x
+    s, vt = _row_space(x, r)
+    y = s[:, None] * vt
     norms = np.linalg.norm(y, axis=0)
     left = np.flatnonzero(norms > 1e-12 * max(norms.max(initial=0.0), 1.0))
-    dirs = y / np.where(norms > 0, norms, 1.0)
-    rep_cols = []
-    while left.size:  # the first column left is a new direction
-        rep_cols.append(int(left[0]))
-        dist = np.linalg.norm(dirs[:, left] - dirs[:, left[:1]], axis=0)
-        left = left[dist > 1e-8]
-    dirs = dirs[:, rep_cols]
+    dirs = (y[:, left] / norms[left]).T
+    close = cdist(dirs, dirs) <= 1e-8
+    covered = np.zeros(len(left), dtype=bool)
+    reps = []
+    for i in range(len(left)):  # an uncovered column is a new direction
+        if not covered[i]:
+            reps.append(i)
+            covered |= close[i]
+    rep_cols = left[reps].tolist()
+    dirs = dirs[reps].T
     anchors = []
     for k in range(dirs.shape[1]):
         if nnls(np.delete(dirs, k, axis=1), dirs[:, k])[1] > extreme_tol:
@@ -237,8 +265,9 @@ def spa_separable_nmf(x, r, feas_tol=1e-9, extreme_tol=1e-6):
             f"found {len(anchors)} extreme directions, expected {r}"
         )
     anchors = sorted(anchors)
-    w = x[:, anchors] / np.linalg.norm(x[:, anchors], axis=0)
-    wy = basis.T @ w
+    scale = np.linalg.norm(x[:, anchors], axis=0)
+    w = x[:, anchors] / scale
+    wy = y[:, anchors] / scale
     h = np.array([nnls(wy, col)[0] for col in y.T])
     resid = np.linalg.norm(x - w @ h.T) / max(np.linalg.norm(x), 1e-300)
     if resid > feas_tol:

@@ -14,7 +14,7 @@ from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
 from ntdkit.solvers import orthonormal_range
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import SliceSpec, slice_matrix, unfold
-from tests.conftest import same_vertices
+from tests.conftest import same_vertices, two_nonzero, two_nonzero_ssc
 
 
 def test_bounded_max():
@@ -244,6 +244,31 @@ def test_adjacent_pairs_chunks_match_unchunked(monkeypatch):
                                                       _VERTEX_ENUM_CAP)
     assert np.array_equal(v_small, v) and unbounded_small == unbounded
     assert len(v) > 20
+
+
+@pytest.mark.parametrize("case,rows_added,count", [
+    ("80x4", 10, 8), ("64x9", 29, 1594)])
+def test_deepest_cut_first(case, rows_added, count, monkeypatch):
+    # One pair test per row the double description adds.  Taking the row
+    # that cuts most rays first added 26 rows on this 80x4 two-nonzero
+    # factor and 30 on this product of two 8x3 SSC factors.
+    rng = np.random.default_rng(0)
+    if case == "80x4":
+        b = two_nonzero(80, 4, rng)
+    else:
+        b = np.kron(two_nonzero_ssc(8, 3, rng), two_nonzero_ssc(8, 3, rng))
+    calls = []
+    adjacent_pairs = lp._adjacent_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return adjacent_pairs(*args)
+
+    monkeypatch.setattr(lp, "_adjacent_pairs", counted)
+    v, unbounded = cross_section_vertices(b, np.ones(b.shape[1]),
+                                          _VERTEX_ENUM_CAP)
+    assert len(calls) == rows_added
+    assert len(v) == count and not unbounded
 
 
 def test_vertex_path_leaves_scipy_unloaded():

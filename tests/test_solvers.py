@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb
 
@@ -59,6 +60,37 @@ class TestRankTools:
             assert np.abs(z @ z.T - b @ b.T).max() <= 1e-12
             agreed += 1
         assert 20 <= agreed < 60
+
+
+def row_space_case(seed):
+    """A seeded tall, wide or square (by ``seed % 3``) rank-k product of
+    random scale, with r one below, at or above k."""
+    rng = np.random.default_rng(5000 + seed)
+    small = int(rng.integers(2, 10))
+    big = small + int(rng.integers(1, 40))
+    m, n = [(big, small), (small, big), (small, small)][seed % 3]
+    r = int(rng.integers(1, small + 1))
+    k = int(np.clip(r + rng.integers(-1, 2), 0, small))
+    x = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+    return x * 10.0 ** rng.uniform(-3, 3), r
+
+
+def test_row_space_agrees_with_svd():
+    decided = 0
+    for seed in range(90):
+        x, r = row_space_case(seed)
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        if solvers._rank_from_values(s, x.shape) != r:
+            with pytest.raises(RankError):
+                solvers._row_space(x, r)
+            continue
+        s_r, vt_r = solvers._row_space(x, r)
+        assert s_r.shape == (r,) and vt_r.shape == (r, x.shape[1])
+        assert np.abs(s_r - s[:r]).max() <= 1e-12 * s[0]
+        sign = np.sign(np.einsum("ij,ij->i", vt_r, vt[:r]))
+        assert np.abs(sign[:, None] * vt_r - vt[:r]).max() <= 1e-12
+        decided += 1
+    assert 30 <= decided < 90
 
 
 @pytest.mark.parametrize("solve", [
@@ -153,6 +185,20 @@ class TestMaxdetSimplex:
             assert val >= ascent(v, r, rng) * (1 - 1e-12)
             gt = abs(np.linalg.det(np.linalg.lstsq(b, u, rcond=None)[0]))
             assert val >= gt * (1 - 1e-9)
+
+    def test_over_budget_names_counts(self):
+        # A dense positive factor is not SSC; its 20x5 cross-section has
+        # dozens of vertices and millions of 5-subsets.
+        rng = np.random.default_rng(0)
+        h = rng.random((20, 5)) + 0.05
+        x = rng.random((8, 5)) @ h.T
+        with pytest.raises(SolverError) as exc:
+            minvol_nmf(x, 5, CFG)
+        m = re.match(r"(\d+) cross-section vertices give (\d+) vertex "
+                     r"5-subsets, past the budget of 1048576; the factor is "
+                     r"likely not SSC", str(exc.value))
+        assert m and int(m[2]) == comb(int(m[1]), 5) > solvers._SUBSET_CAP
+        assert "volume criterion would not identify it" in str(exc.value)
 
     @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_SUBSET_CAP"])
     def test_over_budget_raises(self, cap, rng, monkeypatch):
@@ -292,6 +338,106 @@ class TestSpa:
         x = rng.standard_normal((12, 4)) @ u.T
         with pytest.raises(NotSeparable):
             spa_separable_nmf(x, 4)
+
+
+def reference_spa(x, r, feas_tol=1e-9, extreme_tol=1e-6):
+    """The anchor pass through an explicit basis: coordinates ``U_r' x``
+    from a thin SVD, and representatives by a shrinking loop, in which the
+    first column left is a new direction and every column within 1e-8 of
+    it is dropped."""
+    from scipy.optimize import nnls
+
+    u, s, _ = np.linalg.svd(x, full_matrices=False)
+    if solvers._rank_from_values(s, x.shape) != r:
+        raise RankError("rank")
+    basis = u[:, :r]
+    y = basis.T @ x
+    norms = np.linalg.norm(y, axis=0)
+    left = np.flatnonzero(norms > 1e-12 * max(norms.max(initial=0.0), 1.0))
+    dirs = y / np.where(norms > 0, norms, 1.0)
+    rep_cols = []
+    while left.size:
+        rep_cols.append(int(left[0]))
+        dist = np.linalg.norm(dirs[:, left] - dirs[:, left[:1]], axis=0)
+        left = left[dist > 1e-8]
+    dirs = dirs[:, rep_cols]
+    anchors = sorted(rep_cols[k] for k in range(dirs.shape[1])
+                     if nnls(np.delete(dirs, k, axis=1), dirs[:, k])[1]
+                     > extreme_tol)
+    if len(anchors) != r:
+        raise NotSeparable("anchors")
+    w = x[:, anchors] / np.linalg.norm(x[:, anchors], axis=0)
+    h = np.array([nnls(basis.T @ w, col)[0] for col in y.T])
+    if np.linalg.norm(x - w @ h.T) > feas_tol * np.linalg.norm(x):
+        raise NotSeparable("residual")
+    return anchors, w, h
+
+
+def separable_case(seed):
+    """A seeded tall (even seed) or wide separable ``x = w h'`` whose
+    columns are shuffled and include rescaled repeats of some columns."""
+    rng = np.random.default_rng(6000 + seed)
+    r = int(rng.integers(2, 7))
+    n = r + int(rng.integers(0, 20))
+    m = n + int(rng.integers(1, 60)) if seed % 2 == 0 else \
+        int(rng.integers(r, n + 1))
+    h = gen_separable_factor(n, r, rng)
+    x = rng.random((m, r)) @ h.T
+    repeats = rng.integers(0, n, size=int(rng.integers(0, 5)))
+    x = np.hstack([x, x[:, repeats] * rng.uniform(0.5, 2.0, len(repeats))])
+    return x[:, rng.permutation(x.shape[1])], r
+
+
+def test_spa_matches_reference_route():
+    shapes = set()
+    for seed in range(40):
+        x, r = separable_case(seed)
+        anchors, w, h = spa_separable_nmf(x, r)
+        ref_anchors, ref_w, ref_h = reference_spa(x, r)
+        assert anchors == ref_anchors
+        assert np.array_equal(w, ref_w)
+        assert np.abs(h - ref_h).max() <= 1e-12 * max(1.0, np.abs(h).max())
+        shapes.add(x.shape[0] > x.shape[1])
+    assert shapes == {True, False}
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda rng: rng.random((30, 4)) @ two_nonzero_ssc(20, 4, rng).T,
+     NotSeparable),
+    (lambda rng: rng.random((8, 4)) @ two_nonzero_ssc(20, 4, rng).T,
+     NotSeparable),
+    (lambda rng: rng.random((30, 3)) @ gen_separable_factor(20, 3, rng).T,
+     RankError),
+    (lambda rng: rng.random((30, 5)) @ gen_separable_factor(20, 5, rng).T,
+     RankError),
+], ids=["ssc-tall", "ssc-wide", "rank-below", "rank-above"])
+def test_spa_fails_like_reference_route(make, error):
+    for seed in range(3):
+        x = make(np.random.default_rng(seed))
+        with pytest.raises(error):
+            spa_separable_nmf(x, 4)
+        with pytest.raises(error):
+            reference_spa(x, 4)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda x, r: spa_separable_nmf(x, r),
+    lambda x, r: minvol_nmf(x, r, CFG),
+], ids=["spa_separable_nmf", "minvol_nmf"])
+def test_tall_input_factored_through_r(solve, monkeypatch):
+    # A 2000x60 input: the SVD sees the 60x60 R factor, never the input.
+    rng = np.random.default_rng(8)
+    x = rng.random((2000, 4)) @ gen_separable_factor(60, 4, rng).T
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    solve(x, 4)
+    assert shapes == [(60, 60)]
 
 
 class TestSeparableOrder2:
