@@ -11,10 +11,11 @@ with no search over p.  The vertices and the boundedness of the
 cross-section come from one double description
 (``lp.cross_section_vertices``).  Exact SSC checking is NP-hard in
 general, so enumeration is capped (``ENUM_CAP_R``, ``ENUM_CAP_N`` and the
-intermediate-ray budget) and a refutation search takes over beyond the
-cap: a returned certificate proves SSC1 fails, but absence of one proves
-nothing.  Its linear steps go through the oracle ``lp.CrossSection``,
-which answers from the vertices when the ray budget allows.
+intermediate-ray budget).  Within the ray budget an SSC1 refutation is
+exact: a point far along a recession direction of an unbounded
+cross-section, else the largest-norm vertex.  Past the budget a
+Frank-Wolfe search steps by LP (``lp.linprog_dense``): a returned
+certificate proves SSC1 fails, but absence of one proves nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import (EnumerationCapError, InputError, SolverError,
                      UsageError, WitnessError)
-from .lp import (_VERTEX_ENUM_CAP, CrossSection, cross_section_vertices,
-                 linprog_dense)
+from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
+from .solvers import _rank_from_values
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
@@ -53,19 +54,11 @@ def check_separable(h, tol=1e-9):
     separable, else ``(False, None)``.
     """
     h = _validate_nonneg(h)
-    n, r = h.shape
-    anchors = []
-    for k in range(r):
-        rows = None
-        for i in range(n):
-            m = h[i].max()
-            if h[i, k] > 0 and h[i].sum() - h[i, k] <= tol * m:
-                rows = i
-                break
-        if rows is None:
-            return False, None
-        anchors.append(rows)
-    return True, anchors
+    qualifies = (h > 0) & (h.sum(axis=1, keepdims=True) - h
+                           <= tol * h.max(axis=1, keepdims=True, initial=0.0))
+    if not qualifies.any(axis=0).all():
+        return False, None
+    return True, qualifies.argmax(axis=0).tolist()
 
 
 def _recession_direction(h):
@@ -81,8 +74,7 @@ def _recession_direction(h):
     n, r = h.shape
     m = np.vstack([h, np.ones((1, r))])
     _, s, vt = np.linalg.svd(m)
-    rank_tol = max(m.shape) * np.finfo(float).eps * s[0] * 1e3
-    if s.size < r or s[-1] <= rank_tol:  # as in solvers.numerical_rank
+    if _rank_from_values(s, m.shape) < r:
         return vt[-1]
     col_sums = h.sum(axis=0)
     if np.abs(col_sums - 1.0).max() <= 1e-12:
@@ -238,7 +230,8 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     SSC1 holds iff the cross-section is bounded and every vertex has norm
     at most one (the maximum of a convex function over a polytope sits at a
     vertex); SSC2 additionally pins every norm-one vertex to a unit vector.
-    After a double description here, the refutation search steps by LP.
+    The double description runs at most once: past the ray budget the
+    refutation search steps by LP.
     """
     h = _validate_nonneg(h)
     n, r = h.shape
@@ -251,7 +244,7 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
         vertices, unbounded = enumerate_dual_vertices(h, tol=feas_tol)
     except EnumerationCapError:
         if r <= ENUM_CAP_R and n <= ENUM_CAP_N:  # past the ray budget
-            y = _ssc1_refute(h, None, rng, tol, feas_tol)
+            y = _lp_refute(h, rng, tol, feas_tol)
         else:
             y = ssc1_refute(h, rng=rng, tol=tol, feas_tol=feas_tol)
         return SscReport(
@@ -260,75 +253,100 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
             dual_vertices=None, max_vertex_norm=None, unbounded=None,
             refutation=y, method="refutation-search-only",
         )
-    norms = np.linalg.norm(vertices, axis=1) if vertices.size else np.zeros(0)
-    max_norm = float(norms.max()) if norms.size else 0.0
+    norms = np.linalg.norm(vertices, axis=1)
+    max_norm = float(norms.max(initial=0.0))
     ssc1 = (not unbounded) and max_norm <= 1.0 + tol
-    ssc2 = True
-    for v, nv in zip(vertices, norms):
-        if nv >= 1.0 - tol:
-            dist = min(np.linalg.norm(v - np.eye(r)[k]) for k in range(r))
-            if dist > tol:
-                ssc2 = False
-                break
-    refutation = None
-    if not ssc1:
-        if norms.size and max_norm > 1.0 + tol:
-            refutation = vertices[int(np.argmax(norms))]
-        else:
-            refutation = _ssc1_refute(h, None, rng, tol, feas_tol)
+    top = vertices[norms >= 1.0 - tol]
+    dist = np.linalg.norm(top[:, None, :] - np.eye(r), axis=2).min(axis=1)
     return SscReport(
-        separable=separable, anchors=anchors, ssc1=ssc1, ssc2=ssc2,
-        dual_vertices=vertices, max_vertex_norm=max_norm,
-        unbounded=unbounded, refutation=refutation,
+        separable=separable, anchors=anchors, ssc1=ssc1,
+        ssc2=bool((dist <= tol).all()), dual_vertices=vertices,
+        max_vertex_norm=max_norm, unbounded=unbounded,
+        refutation=None if ssc1 else
+        _listed_refutation(h, vertices, unbounded, tol, feas_tol),
         method="exact-enumeration",
     )
 
 
 def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
                 feas_tol=1e-9):
-    """Search for a certificate that SSC1 fails.
+    """A certificate that SSC1 fails, or None.
 
-    When the dual cross-section is unbounded, the uniform point walked far
-    along a recession direction is the certificate.  Otherwise Frank-Wolfe
-    steps maximize the norm over the (bounded) cross-section: from the
-    current point, the oracle ``lp.CrossSection`` moves to the vertex
-    maximizing the linearized objective, which can only increase the norm;
-    a step whose fallback LP is not optimal ends that start.  Returning
-    None proves nothing.
+    Within the ray budget one double description decides it exactly
+    (``_listed_refutation``).  Past the budget ``_lp_refute`` searches by
+    LP from ``starts`` random and 2r unit directions, ``iters`` steps
+    each; there None proves nothing.
     """
-    return _ssc1_refute(np.asarray(h, dtype=float), _VERTEX_ENUM_CAP, rng,
-                        tol, feas_tol, starts, iters)
+    h = np.asarray(h, dtype=float)
+    try:
+        vertices, unbounded = cross_section_vertices(
+            h, np.ones(h.shape[1]), _VERTEX_ENUM_CAP, feas_tol)
+    except EnumerationCapError:
+        return _lp_refute(h, rng, tol, feas_tol, starts, iters)
+    return _listed_refutation(h, vertices, unbounded, tol, feas_tol)
 
 
-def _ssc1_refute(h, max_rays, rng, tol, feas_tol, starts=10, iters=60):
-    """``ssc1_refute`` with the oracle's ray budget ``max_rays``; None
-    skips its double description (LP steps only)."""
-    r = h.shape[1]
+def _feasible(h, y, feas_tol):
+    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
+    return (h @ y).min() >= -feas_tol * scale and abs(y.sum() - 1) <= 1e-7
+
+
+def _certified(h, y, tol, feas_tol):
+    """``y`` when it proves SSC1 fails for ``h``, else None."""
+    if np.linalg.norm(y) > 1.0 + tol and _feasible(h, y, feas_tol):
+        return y
+    return None
+
+
+def _far_point(h, ray, tol, feas_tol):
+    """The uniform point walked far along the recession direction ``ray``,
+    when that certifies."""
+    y = np.full(h.shape[1], 1.0 / h.shape[1])
+    return _certified(h, y + (10.0 + np.linalg.norm(y))
+                      / np.linalg.norm(ray) * ray, tol, feas_tol)
+
+
+def _listed_refutation(h, vertices, unbounded, tol, feas_tol):
+    """The SSC1 certificate from the double description's ``vertices`` and
+    ``unbounded`` flag: a far point along a recession direction when the
+    cross-section is unbounded, else the largest-norm vertex when that norm
+    passes ``1 + tol``, else None."""
+    if unbounded:
+        ray = _recession_direction(h)
+        return None if ray is None else _far_point(h, ray, tol, feas_tol)
+    norms = np.linalg.norm(vertices, axis=1)
+    if norms.size and norms.max() > 1.0 + tol:
+        return vertices[int(np.argmax(norms))]
+    return None
+
+
+def _lp_refute(h, rng, tol, feas_tol, starts=10, iters=60):
+    """Search by LP for an SSC1 certificate, for use past the ray budget.
+
+    An unbounded cross-section gives a far point along a recession
+    direction.  Otherwise Frank-Wolfe steps maximize the norm: each start
+    is the LP optimum along one of 2r signed unit directions or ``starts``
+    seeded random ones, and each step moves to the LP optimum of the
+    linearized norm ``y . z``, which can only increase it.  A step whose LP
+    is not optimal, or fails, ends that start.
+    """
+    ray = _recession_direction(h)
+    if ray is not None:
+        return _far_point(h, ray, tol, feas_tol)
+    n, r = h.shape
     if rng is None:
         rng = np.random.default_rng(0)
     elif isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-
-    def feasible(y):
-        return (h @ y).min() >= -feas_tol * scale and abs(y.sum() - 1) <= 1e-7
-
-    def certificate(y):
-        return y if np.linalg.norm(y) > 1.0 + tol and feasible(y) else None
-
-    ray = _recession_direction(h)
-    if ray is not None:
-        y = np.full(r, 1.0 / r)
-        return certificate(y + (10.0 + np.linalg.norm(y))
-                           / np.linalg.norm(ray) * ray)
-
-    cs = CrossSection(h, np.ones(r), max_rays)
 
     def extreme(c):
         try:
-            return cs.extreme(c)[0]
+            res = linprog_dense(c, a_ub=-h, b_ub=np.zeros(n),
+                                a_eq=np.ones((1, r)), b_eq=[1.0],
+                                maximize=True)
         except SolverError:
             return None
+        return res.x if res.status == "optimal" else None
 
     # No start at e/r: every point ties for its step, so a tie-break picks.
     directions = [sgn * np.eye(r)[k] for k in range(r) for sgn in (1., -1.)]
@@ -337,7 +355,7 @@ def _ssc1_refute(h, max_rays, rng, tol, feas_tol, starts=10, iters=60):
 
     best = None
     for y0 in cands:
-        if not feasible(y0):
+        if not _feasible(h, y0, feas_tol):
             continue
         y = y0.copy()
         for _ in range(iters):
@@ -348,7 +366,7 @@ def _ssc1_refute(h, max_rays, rng, tol, feas_tol, starts=10, iters=60):
             y = z
         if best is None or np.linalg.norm(y) > np.linalg.norm(best):
             best = y
-    return None if best is None else certificate(best)
+    return None if best is None else _certified(h, best, tol, feas_tol)
 
 
 def kron_ssc_margin(r1, p1_sq, r2, p2_sq) -> float:

@@ -1,5 +1,5 @@
-"""Polytope oracles: vertex enumeration of simplex cross-sections, the
-one linear-optimization oracle over them, and one dense LP entry point.
+"""Polytope tools: vertex enumeration of simplex cross-sections and one
+dense LP entry point.
 
 Both the volume solvers and the cone checks optimize over cross-sections
 ``{y : b y >= 0, a . y = 1}``.  ``cross_section_vertices`` lists every
@@ -7,11 +7,12 @@ vertex once by the double description method (Motzkin et al. 1953, as in
 Fukuda & Prodon 1996) in numpy alone: the extreme rays of the cone
 ``{y : [b; a] y >= 0}`` with ``a . y > 0``, each scaled to ``a . y = 1``,
 kept if feasible and sorted lexicographically.  No subset of rows is
-solved.  ``CrossSection``, the package's one oracle for linear objectives
-over a cross-section, takes an argmax over those vertices, or solves an LP
-per query past the ray budget or when told to skip the enumeration.  Every
-linear program in the package goes through ``linprog_dense``, a single
-call to scipy's HiGHS, which is deterministic for a fixed input; scipy is
+solved.  The objectives the package maximizes over a bounded
+cross-section (a norm, a determinant linear in each column) peak at
+vertices, so within the ray budget callers search the vertices alone.
+Past it the SSC1 refutation search solves LPs instead.  Every linear
+program in the package goes through ``linprog_dense``, a single call to
+scipy's HiGHS, which is deterministic for a fixed input; scipy is
 imported on that first call.
 """
 
@@ -23,9 +24,9 @@ import numpy as np
 
 from .errors import EnumerationCapError, SolverError
 
-# Budget on the double description's intermediate rays.  Past it
-# ``CrossSection`` answers each query with an LP, the cone checks report
-# the enumeration cap and ``maxdet_simplex`` fails.
+# Budget on the double description's intermediate rays.  Past it the cone
+# checks report the enumeration cap, the SSC1 refutation steps by LP and
+# ``maxdet_simplex`` fails.
 _VERTEX_ENUM_CAP = 2048
 
 # Entries per block of the pair test in ``_adjacent_pairs``.
@@ -173,41 +174,3 @@ def cross_section_vertices(b, a, max_rays, tol=1e-9):
     v = v[(v @ b.T).min(axis=1, initial=np.inf) >= -tol * scale]
     return v[np.lexsort(v.T[::-1])], bool(at_infinity.any())
 
-
-class CrossSection:
-    """Linear optimization over the polytope ``{y : b y >= 0, a . y = 1}``.
-
-    An argmax over its vertices (ties to the lowest index) when it is
-    bounded and its double description stays within ``max_rays``
-    intermediate rays; otherwise, or with ``max_rays=None`` (no
-    enumeration, for a caller whose own double description already
-    failed), an LP per query, and ``extreme`` raises ``SolverError`` when
-    that LP is not optimal.
-    """
-
-    def __init__(self, b, a, max_rays):
-        self.b = np.asarray(b, dtype=float)
-        self.a = np.asarray(a, dtype=float)
-        self.n = len(self.b)
-        self.vertices = None
-        if max_rays is None:
-            return
-        try:
-            v, unbounded = cross_section_vertices(self.b, self.a, max_rays)
-        except EnumerationCapError:
-            return
-        if not unbounded and len(v):
-            self.vertices = v
-
-    def extreme(self, c, maximize=True):
-        """The optimal point and value of ``c . y``."""
-        if self.vertices is not None:
-            vals = self.vertices @ c
-            i = int(np.argmax(vals) if maximize else np.argmin(vals))
-            return self.vertices[i].copy(), float(vals[i])
-        res = linprog_dense(c, a_ub=-self.b, b_ub=np.zeros(self.n),
-                            a_eq=self.a.reshape(1, -1), b_eq=[1.0],
-                            maximize=maximize)
-        if res.status != "optimal":
-            raise SolverError(f"{res.status} cross-section LP")
-        return res.x, res.value

@@ -96,7 +96,9 @@ def orthonormal_range(x, r, tol=None) -> np.ndarray:
 def _exact_rank_bases(x, r):
     """``(w, z)``: orthonormal bases of the column and row spaces of ``x``
     from one thin SVD; ``RankError`` unless its numerical rank is exactly
-    ``r``."""
+    ``r``, ``ShapeError`` unless ``r >= 1``."""
+    if r < 1:
+        raise ShapeError(f"rank must be positive, got {r}")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     k = _rank_from_values(s, x.shape)
     if k != r:
@@ -107,8 +109,11 @@ def _exact_rank_bases(x, r):
 def _row_space(x, r):
     """``(s, vt)``: the leading r singular values and right singular
     vectors of ``x``; ``RankError`` unless its numerical rank is exactly
-    ``r``.  A tall ``x`` is factored through the R factor of its QR, the
-    others directly; the left singular vectors are never returned."""
+    ``r``, ``ShapeError`` unless ``r >= 1``.  A tall ``x`` is factored
+    through the R factor of its QR, the others directly; the left singular
+    vectors are never returned."""
+    if r < 1:
+        raise ShapeError(f"rank must be positive, got {r}")
     m, n = x.shape
     _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r") if m > n else x,
                              full_matrices=False)

@@ -344,5 +344,7 @@ def load_instance(path) -> Instance:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read instance metadata: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
+        raise InputError("instance metadata is not a JSON object")
     return Instance(tensor, truth, doc.get("assumption_id", ""),
                     int(doc.get("seed", 0)), doc.get("meta", {}))

@@ -129,6 +129,37 @@ class TestDecompose:
                          "--no-timing")
         assert code == 0 and json.loads(text)["matched"] is True
 
+    @pytest.mark.parametrize("ranks", ["0,0,0", "-1,2,2"])
+    def test_non_positive_ranks_exit_2(self, ranks, tmp_path, capsys):
+        # On an all-zero tensor, rank 0 used to reach a 0 x 0 NNLS, which
+        # aborts the interpreter (sep-d), or an empty argmin (exit 1).
+        path = tmp_path / "zero.json"
+        write_tensor_json(DenseTensor.from_array(np.zeros((3, 4, 2))), path)
+        for proc in ("0", "1", "2", "3", "4", "d0", "d1", "d3", "sep-d"):
+            argv = ["decompose", "--procedure", proc, "--input", str(path),
+                    f"--ranks={ranks}", "--out", str(tmp_path / "m.json")]
+            if proc == "d3":
+                argv += ["--partition", "0|1|2"]
+            assert run(capsys, *argv)[0] == 2, proc
+
+    def test_assumption_overall_read_from_bundle(self, bundle, tmp_path,
+                                                 capsys):
+        argv = ["decompose", "--procedure", "1", "--input", str(bundle),
+                "--ranks", "3,3,2", "--seed", "5",
+                "--out", str(tmp_path / "m.json"), "--no-timing"]
+        code, text = run(capsys, *argv)
+        assert code == 0 and json.loads(text)["assumption_overall"] == "pass"
+        meta = json.loads((bundle / "meta.json").read_text())
+        for validation in (None, 5):
+            meta["meta"]["validation"] = validation
+            (bundle / "meta.json").write_text(json.dumps(meta))
+            code, text = run(capsys, *argv)
+            assert code == 0
+            assert json.loads(text)["assumption_overall"] is None
+        for doc in ([], {**meta, "meta": 5}):
+            (bundle / "meta.json").write_text(json.dumps(doc))
+            assert run(capsys, *argv)[0] == 3
+
     def test_solver_failure_exits_4(self, tmp_path, capsys):
         # a stress instance defeats procedure 1 (no full-rank slice)
         inst_dir = tmp_path / "stress"

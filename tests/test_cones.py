@@ -14,8 +14,7 @@ from ntdkit.cones import (_recession_direction, _vertex_p_level,
                           ssc1_violation_witness)
 from ntdkit.errors import EnumerationCapError, UsageError
 from ntdkit.kron import kron
-from ntdkit.lp import (_VERTEX_ENUM_CAP, CrossSection,
-                       cross_section_vertices)
+from ntdkit.lp import _VERTEX_ENUM_CAP, cross_section_vertices
 from ntdkit.solvers import numerical_rank
 from ntdkit.synth import gen_separable_factor
 from tests.conftest import same_vertices, two_nonzero, two_nonzero_ssc
@@ -134,6 +133,38 @@ class TestSeparable:
         with pytest.raises(UsageError):
             check_separable(np.array([[1.0, -0.1], [0.0, 1.0]]))
 
+    def test_matches_row_scan(self):
+        def row_scan(h, tol=1e-9):
+            anchors = []
+            for k in range(h.shape[1]):
+                for i, row in enumerate(h):
+                    if row[k] > 0 and row.sum() - row[k] <= tol * row.max():
+                        anchors.append(i)
+                        break
+                else:
+                    return False, None
+            return True, anchors
+
+        rng = np.random.default_rng(11)
+        separable = 0
+        for i in range(200):
+            n, r = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+            h = rng.random((n, r)) * (rng.random((n, r)) < 0.5)
+            # anchor rows, some repeated, some off by less than the tolerance
+            rows = rng.integers(0, n, size=int(rng.integers(0, 2 * r)))
+            cols = rng.integers(0, r, size=rows.size)
+            h[rows] = 0.0
+            h[rows, cols] = rng.random(rows.size) + 0.1
+            h[rows, (cols + 1) % r] += rng.choice([0.0, 1e-12, 1e-8],
+                                                  size=rows.size)
+            if i % 2:
+                h = np.asfortranarray(h)
+            flag, anchors = check_separable(h)
+            assert (flag, anchors) == row_scan(np.maximum(h, 0.0))
+            assert anchors is None or all(type(a) is int for a in anchors)
+            separable += flag
+        assert 20 <= separable <= 180
+
 
 class TestDualVertices:
     def test_identity_gives_simplex_vertices(self):
@@ -242,6 +273,25 @@ class TestCheckSsc:
         with pytest.raises(UsageError):
             check_ssc(h)
 
+    def test_ssc2_matches_vertex_loop(self, rng):
+        def vertex_loop(vertices, r, tol=1e-7):
+            for v in vertices:
+                if np.linalg.norm(v) >= 1.0 - tol and min(
+                        np.linalg.norm(v - np.eye(r)[k])
+                        for k in range(r)) > tol:
+                    return False
+            return True
+
+        cases = [two_nonzero_ssc(20, 4, rng) for _ in range(4)]
+        cases += [gen_separable_factor(20, 4, rng) for _ in range(4)]
+        cases += [h for h in refutation_corpus(40) if len(h) <= 60]
+        seen = set()
+        for h in cases:
+            rep = check_ssc(h)
+            assert rep.ssc2 == vertex_loop(rep.dual_vertices, h.shape[1])
+            seen.add(rep.ssc2)
+        assert seen == {True, False}
+
     def test_over_cap_falls_back_to_refutation_search(self, rng):
         # r = 9 exceeds the enumeration cap: refutation-only reporting
         rep = check_ssc(np.eye(9))
@@ -308,26 +358,39 @@ class TestRefutation:
         # the search: good enough to catch every violation at these sizes
         assert found == false_cases
 
-    def test_vertex_oracle_agrees_with_lp_fallback(self, monkeypatch):
-        # With no ray budget the same search answers every step by an LP.
+    def test_exact_within_budget_and_lp_search_sound(self, monkeypatch):
+        # Within the ray budget the refutation is exact; with no budget the
+        # LP search finds only certificates, none longer than the exact one.
         cases = list(refutation_corpus())
-        listed = sum(CrossSection(h, np.ones(h.shape[1]), _VERTEX_ENUM_CAP)
-                     .vertices is not None for h in cases)
-        fast = [ssc1_refute(h, rng=i) for i, h in enumerate(cases)]
+        exact, kinds = [], []
+        for i, h in enumerate(cases):
+            # every cross-section here is bounded and within the budget
+            assert not cross_section_vertices(h, np.ones(h.shape[1]),
+                                              _VERTEX_ENUM_CAP)[1]
+            y = ssc1_refute(h, rng=i)
+            rep = check_ssc(h, rng=i)
+            assert (y is not None) == (rep.ssc1 is False)
+            if rep.method == "exact-enumeration" and y is not None:
+                assert np.array_equal(y, rep.refutation)
+                assert np.linalg.norm(y) == pytest.approx(
+                    rep.max_vertex_norm, rel=1e-15)
+            exact.append(y)
+            kinds.append((rep.method, y is not None))
         monkeypatch.setattr(cones, "_VERTEX_ENUM_CAP", 0)
         found = 0
-        for i, (h, y) in enumerate(zip(cases, fast)):
+        for i, (h, y) in enumerate(zip(cases, exact)):
             y_lp = ssc1_refute(h, rng=i)
-            assert (y is None) == (y_lp is None)
-            if y is None:
+            if y_lp is None:
                 continue
             found += 1
-            for v in (y, y_lp):
-                assert (h @ v).min() >= -1e-9 * max(1.0, h.max())
-                assert v.sum() == pytest.approx(1.0, abs=1e-7)
-                assert np.linalg.norm(v) > 1.0 + 1e-7
-            assert np.abs(y - y_lp).max() <= 1e-9 * np.abs(y_lp).max()
-        assert listed >= 90 and 20 <= found <= 90
+            assert (h @ y_lp).min() >= -1e-9 * max(1.0, h.max())
+            assert y_lp.sum() == pytest.approx(1.0, abs=1e-7)
+            assert np.linalg.norm(y_lp) > 1.0 + 1e-7
+            assert y is not None
+            assert np.linalg.norm(y_lp) <= np.linalg.norm(y) * (1 + 1e-9)
+        # refuted and unrefuted inputs on both sides of the n cap
+        assert len(set(kinds)) == 4
+        assert 30 <= found <= sum(refuted for _, refuted in kinds)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_check_ssc_runs_one_double_description(self, seed,

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import ntdkit
 from ntdkit import lp
-from ntdkit.errors import EnumerationCapError
+from ntdkit.errors import EnumerationCapError, RankError
 from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
                        linprog_dense)
 from ntdkit.solvers import orthonormal_range
@@ -269,6 +270,53 @@ def test_deepest_cut_first(case, rows_added, count, monkeypatch):
                                           _VERTEX_ENUM_CAP)
     assert len(calls) == rows_added
     assert len(v) == count and not unbounded
+
+
+def assert_best_vertex_is_highs_optimum(b, v, c):
+    """The best of the vertices ``v`` for ``c . y``, up and down, is HiGHS'
+    optimum over ``{y : b y >= 0, sum(b y) = 1}``."""
+    vals = v @ c
+    for best, maximize in ((vals.max(), True), (vals.min(), False)):
+        ref = linprog_dense(c, a_ub=-b, b_ub=np.zeros(len(b)),
+                            a_eq=b.sum(axis=0).reshape(1, -1),
+                            b_eq=np.ones(1), maximize=maximize)
+        assert ref.status == "optimal"
+        assert abs(best - ref.value) <= 1e-12 * max(abs(ref.value),
+                                                    np.linalg.norm(c))
+
+
+def test_best_vertex_equals_highs():
+    rng = np.random.default_rng(77)
+    cases = 0
+    while cases < 60:
+        n, r = int(rng.integers(6, 41)), int(rng.integers(2, 6))
+        if comb(n, r - 1) > 50_000:
+            continue
+        x = rng.random((n, r)) * (rng.random((n, r)) < 0.7)
+        try:
+            b = orthonormal_range(x, r)
+        except RankError:
+            continue
+        v, unbounded = cross_section_vertices(b, b.sum(axis=0),
+                                              _VERTEX_ENUM_CAP)
+        assert len(v) and not unbounded
+        assert (b @ v.T).min() >= -1e-9
+        for _ in range(3):
+            assert_best_vertex_is_highs_optimum(b, v, rng.standard_normal(r))
+        cases += 1
+
+
+@pytest.mark.parametrize("n,r", [(150, 4), (150, 6), (300, 8)])
+def test_best_vertex_beyond_the_subset_cap_equals_highs(n, r):
+    # C(300, 7) subsets are out of reach; the cross-section of a
+    # two-nonzero factor's range has few vertices all the same.
+    rng = np.random.default_rng(n + r)
+    b = orthonormal_range(two_nonzero(n, r, rng), r)
+    v, unbounded = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
+    assert len(v) and not unbounded
+    assert (b @ v.T).min() >= -1e-9
+    for _ in range(20):
+        assert_best_vertex_is_highs_optimum(b, v, rng.standard_normal(r))
 
 
 def test_vertex_path_leaves_scipy_unloaded():
