@@ -10,16 +10,19 @@ decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
 each column, so the maximum sits at vertices of that polytope:
 ``maxdet_simplex`` lists them by the double description
 (``lp.cross_section_vertices``) and takes the largest |det| over their
-r-subsets, which is the global optimum.  Each solver factors its input
-once, and the singular values of that factorization also decide that
-``x`` has numerical rank exactly r.  ``minvol_order2_ntd`` needs both
+r-subsets, which is the global optimum.  The separable anchor pass runs the
+same double description on the unit directions of the columns: their cone
+is simplicial exactly when it has r facets, its anchors are the first
+columns on each extreme ray (off one facet, on all others), and one r x r
+solve against the anchors fits every column.  Each solver factors its
+input once, and the singular values of that factorization also decide
+that ``x`` has numerical rank exactly r.  ``minvol_order2_ntd`` needs both
 bases and takes ``W`` and ``Z`` from one thin SVD of ``x``
 (``_exact_rank_bases``).  ``minvol_nmf`` and the separable solver need
 only the row space: ``_row_space`` takes the singular values and right
 singular vectors of a tall ``x`` from the SVD of the square R factor of
 its QR (the R-SVD of Chan 1982), so the m x n left factor is never
-built.  scipy's NNLS is imported by the separable solver only when it
-runs.
+built.  This module does not import scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import numpy as np
 
 from .errors import (EnumerationCapError, NotSeparable, RankError,
                      ShapeError, SolverError)
-from .lp import _VERTEX_ENUM_CAP, cross_section_vertices
+from .lp import (_VERTEX_ENUM_CAP, _ZERO_TOL, _extreme_rays,
+                 cross_section_vertices)
 
 # Budget on the vertex r-subsets ``maxdet_simplex`` evaluates, in chunks of
 # ``_SUBSET_CHUNK``; the full budget takes 1.1-2 s at r = 5-8 on one core
@@ -230,50 +234,46 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     return w, h
 
 
-def spa_separable_nmf(x, r, feas_tol=1e-9, extreme_tol=1e-6):
+def spa_separable_nmf(x, r, feas_tol=1e-9):
     """Anchor extraction for a separable factorization of exact data.
 
-    A column is an anchor candidate iff its direction is an extreme ray of
-    the cone of all columns, certified by a nonnegative least squares fit
-    against the other directions (exact data leaves interior directions
-    with zero residual).  Directions and both fits use the columns'
-    coordinates ``s vt = U' x`` in the rank-r range, taken from
-    ``_row_space`` without building ``U``; the residual is checked on
-    ``x``.  Columns whose directions lie within 1e-8 of an earlier
-    representative's are one direction, represented by its first column.
+    Works on the columns' coordinates ``y = s vt = U' x`` in the rank-r
+    range, taken from ``_row_space`` without building ``U``.  The double
+    description gives the facet normals of the cone of the columns' unit
+    directions; a separable ``x`` gives a simplicial cone, so anything but
+    exactly r normals raises ``NotSeparable``.  Anchor k is the lowest-index
+    column off facet k and on every other facet, within ``_ZERO_TOL``: the
+    first column of extreme direction k, whatever repeats it has.  ``h``
+    solves ``y`` against the anchors' coordinates once for all columns and
+    is clipped at 0; the residual check on ``x`` certifies the fit.  Raises
+    ``SolverError`` when the double description passes the ray budget.
     Returns ``(anchors, w, h)`` with ``x = w @ h.T``, ``h >= 0``.
     """
-    from scipy.optimize import nnls
-    from scipy.spatial.distance import cdist
-
     x = np.asarray(x, dtype=float)
     s, vt = _row_space(x, r)
     y = s[:, None] * vt
     norms = np.linalg.norm(y, axis=0)
     left = np.flatnonzero(norms > 1e-12 * max(norms.max(initial=0.0), 1.0))
     dirs = (y[:, left] / norms[left]).T
-    close = cdist(dirs, dirs) <= 1e-8
-    covered = np.zeros(len(left), dtype=bool)
-    reps = []
-    for i in range(len(left)):  # an uncovered column is a new direction
-        if not covered[i]:
-            reps.append(i)
-            covered |= close[i]
-    rep_cols = left[reps].tolist()
-    dirs = dirs[reps].T
+    try:
+        normals = _extreme_rays(dirs, _VERTEX_ENUM_CAP)
+    except EnumerationCapError as exc:
+        raise SolverError(f"separable anchor cone: {exc}") from exc
+    facets = 0 if normals is None else len(normals)
+    if facets != r:
+        raise NotSeparable(f"column cone has {facets} facets, expected {r}")
+    off = np.abs(dirs @ normals.T) > _ZERO_TOL
+    on_ray = off.sum(axis=1) == 1
     anchors = []
-    for k in range(dirs.shape[1]):
-        if nnls(np.delete(dirs, k, axis=1), dirs[:, k])[1] > extreme_tol:
-            anchors.append(rep_cols[k])
-    if len(anchors) != r:
-        raise NotSeparable(
-            f"found {len(anchors)} extreme directions, expected {r}"
-        )
-    anchors = sorted(anchors)
+    for k in range(r):
+        hits = np.flatnonzero(off[:, k] & on_ray)
+        if hits.size == 0:
+            raise NotSeparable(f"no column spans extreme direction {k}")
+        anchors.append(int(left[hits[0]]))
+    anchors.sort()
     scale = np.linalg.norm(x[:, anchors], axis=0)
     w = x[:, anchors] / scale
-    wy = y[:, anchors] / scale
-    h = np.array([nnls(wy, col)[0] for col in y.T])
+    h = np.maximum(np.linalg.solve(y[:, anchors] / scale, y), 0.0).T
     resid = np.linalg.norm(x - w @ h.T) / max(np.linalg.norm(x), 1e-300)
     if resid > feas_tol:
         raise NotSeparable(f"separable residual {resid:.3e}")

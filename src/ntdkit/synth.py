@@ -346,5 +346,9 @@ def load_instance(path) -> Instance:
         raise InputError(f"cannot read instance metadata: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
         raise InputError("instance metadata is not a JSON object")
-    return Instance(tensor, truth, doc.get("assumption_id", ""),
-                    int(doc.get("seed", 0)), doc.get("meta", {}))
+    try:
+        seed = int(doc.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"instance seed is not an integer: {exc}") from exc
+    return Instance(tensor, truth, doc.get("assumption_id", ""), seed,
+                    doc.get("meta", {}))

@@ -197,6 +197,17 @@ class TestDecompose:
                       "--out", str(tmp_path / "m.json"))
         assert code == 4
 
+    def test_sep_d_ray_budget_exits_4(self, tmp_path, capsys, monkeypatch):
+        sep_dir = tmp_path / "sep"
+        run(capsys, "gen", "--assumption", "A-sep", "--dims", "12,10,8",
+            "--ranks", "3,3,2", "--seed", "9", "--out", str(sep_dir))
+        monkeypatch.setattr(solvers, "_VERTEX_ENUM_CAP", 0)
+        code = main(["decompose", "--procedure", "sep-d", "--input",
+                     str(sep_dir), "--ranks", "3,3,2",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 4
+        assert "passed 0 intermediate rays" in capsys.readouterr().err
+
     def test_parser_reuse_keeps_no_state(self, bundle, tmp_path, capsys):
         argv = ["decompose", "--procedure", "1", "--input", str(bundle),
                 "--ranks", "3,3,2", "--out", str(tmp_path / "m.json"),
@@ -434,6 +445,8 @@ MALFORMED_SPECS = {
     (["check", "ssc", "{tmp}/huge.json"], 3),
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
       "--solver-config", "{tmp}/restarts.cfg"], 3),
+    (["decompose", "--procedure", "sep-d", "--ranks", "3,3,2",
+      "--input", "{tmp}/seed-x"], 3),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
@@ -457,6 +470,10 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     for name, value in (("text", "a"), ("nan", math.nan)):
         truth["core"]["data"][0] = value
         (tmp_path / f"{name}-model.json").write_text(json.dumps(truth))
+    shutil.copytree(bundle, tmp_path / "seed-x")
+    meta = json.loads((bundle / "meta.json").read_text())
+    (tmp_path / "seed-x" / "meta.json").write_text(
+        json.dumps({**meta, "seed": "x"}))
     (tmp_path / "spec.json").write_text(json.dumps({"defaults": {
         "assumption": "A4.2", "dims": [10, 10, 6], "ranks": [3, 3, 2]}}))
     argv = [a.format(cfg=cfg, tmp=tmp_path, bundle=bundle) for a in argv]

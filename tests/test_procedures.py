@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from ntdkit.errors import (NotPermutedKronecker, PartitionError, RankError,
-                           ShapeError)
+from ntdkit.errors import (ComputationError, NotPermutedKronecker,
+                           PartitionError, RankError, ShapeError)
 from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
 from ntdkit.kron import kron
-from ntdkit.procedures import (ModePartition, allatonce_penalized,
-                               procedure0, procedure1, procedure2, procedure3,
-                               procedure4, procedure_d0, procedure_d1,
-                               procedure_d3, select_max_rank_slice,
-                               separable_orderd)
+from ntdkit.procedures import (ModePartition, _core_via_pinv, _finalize,
+                               allatonce_penalized, procedure0, procedure1,
+                               procedure2, procedure3, procedure4,
+                               procedure_d0, procedure_d1, procedure_d3,
+                               select_max_rank_slice, separable_orderd)
 from ntdkit.solvers import SolverConfig, minvol_order2_ntd
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import DenseTensor, fold, unfold
 from tests.conftest import align_error, two_nonzero_ssc
+from tests.test_solvers import reference_spa
 
 CFG = SolverConfig(seed=3)
 AAO_CFG = SolverConfig(seed=7)
@@ -343,6 +344,66 @@ class TestSeparableOrderD:
         inst = gen_instance("A4.2", (14, 14, 10), (3, 3, 2), seed=39)
         with pytest.raises(NotSeparable):
             separable_orderd(inst.tensor, (3, 3, 2))
+
+
+def reference_separable_orderd(t, ranks, feas_tol=1e-9):
+    """The separable route without contractions: the reference anchor pass
+    on each full single-mode unfolding, then the core by pinv."""
+    factors, anchor_sets = [], []
+    for k in range(t.order):
+        anchors, _, h = reference_spa(unfold(t, (k,)), ranks[k], feas_tol)
+        factors.append(h / h.sum(axis=0))
+        anchor_sets.append(anchors)
+    core = _core_via_pinv(t, factors)
+    return _finalize(t, factors, core, ranks, SolverConfig(feas_tol=feas_tol),
+                     {"anchors": anchor_sets})
+
+
+def separable_route_cases():
+    """44 seeded A-sep instances of order 3 and 4, with their ranks."""
+    cases = []
+    for seed in range(44):
+        rng = np.random.default_rng(7000 + seed)
+        d = 3 + seed % 2
+        ranks = tuple(int(r) for r in rng.integers(2, 5 if d == 3 else 4,
+                                                   size=d))
+        dims = tuple(r + int(rng.integers(1, 10 if d == 3 else 5))
+                     for r in ranks)
+        cases.append((gen_instance("A-sep", dims, ranks, seed=seed).tensor,
+                      ranks))
+    return cases
+
+
+class TestSeparableRouteAgreement:
+    def test_matches_uncontracted_route(self):
+        for t, ranks in separable_route_cases():
+            model = separable_orderd(t, ranks)
+            ref = reference_separable_orderd(t, ranks)
+            assert model.diagnostics["anchors"] == ref.diagnostics["anchors"]
+            for u, v in zip(model.factors, ref.factors):
+                assert np.abs(u - v).max() <= 1e-12
+            core, ref_core = model.core.data, ref.core.data
+            assert np.abs(core - ref_core).max() \
+                <= 1e-10 * np.abs(ref_core).max()
+
+    def test_fails_like_uncontracted_route(self):
+        cases = [(gen_instance("A4.2", (14, 14, 10), (3, 3, 2),
+                               seed=200 + seed).tensor, (3, 3, 2))
+                 for seed in range(6)]
+        for k, (t, ranks) in enumerate(separable_route_cases()[:12]):
+            bad = list(ranks)
+            bad[k % t.order] += 1 if k % 3 else -1
+            if min(bad) >= 1:
+                cases.append((t, tuple(bad)))
+        errors = set()
+        for t, ranks in cases:
+            with pytest.raises(ComputationError) as ref:
+                reference_separable_orderd(t, ranks)
+            with pytest.raises(ComputationError) as got:
+                separable_orderd(t, ranks)
+            assert got.type is ref.type
+            errors.add(ref.type.__name__)
+        assert errors == {"NotSeparable", "RankError"}
 
 
 class TestModelContract:

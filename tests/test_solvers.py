@@ -288,6 +288,22 @@ class TestSpa:
         with pytest.raises(NotSeparable):
             spa_separable_nmf(x, 4)
 
+    def test_ray_budget_is_a_solver_error(self, monkeypatch):
+        # Past the budget the cone is unknown, not proved non-separable.
+        # A draw whose first r pivoted rows are its anchors needs no cut
+        # and so never meets the budget.
+        monkeypatch.setattr(solvers, "_VERTEX_ENUM_CAP", 3)
+        raised = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x = rng.random((30, 4)) @ gen_separable_factor(200, 4, rng).T
+            try:
+                spa_separable_nmf(x, 4)
+            except SolverError as exc:  # NotSeparable is not one
+                assert "passed 3 intermediate rays" in str(exc)
+                raised += 1
+        assert raised >= 3
+
 
 def reference_spa(x, r, feas_tol=1e-9, extreme_tol=1e-6):
     """The anchor pass through an explicit basis: coordinates ``U_r' x``

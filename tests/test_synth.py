@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ntdkit.cones import check_separable, check_ssc
-from ntdkit.errors import GenerationError, PartitionError, ShapeError
+from ntdkit.errors import (GenerationError, InputError, PartitionError,
+                           ShapeError)
 from ntdkit.solvers import numerical_rank, spa_separable_nmf
 from ntdkit.synth import (CoreConstraints, gen_anchor_factor, gen_core,
                           gen_instance, gen_separable_factor, gen_ssc_factor,
@@ -155,6 +156,17 @@ class TestGenInstance:
         assert back.assumption_id == "A4.4"
         assert np.array_equal(back.tensor.data, inst.tensor.data)
         assert np.array_equal(back.truth.core.data, inst.truth.core.data)
+
+    @pytest.mark.parametrize("seed", ["x", [1], None, 1e400],
+                             ids=["text", "list", "null", "inf"])
+    def test_non_integer_seed_unread(self, seed, tmp_path):
+        inst = gen_instance("A4.4", (10, 10, 6), (3, 3, 2), seed=13)
+        save_instance(inst, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(
+            json.dumps({**meta, "seed": seed}))
+        with pytest.raises(InputError):
+            load_instance(tmp_path)
 
     def test_dims_smaller_than_ranks(self):
         with pytest.raises(ShapeError):
