@@ -16,11 +16,18 @@ exact: a point far along a recession direction of an unbounded
 cross-section, else the largest-norm vertex.  Past the budget a
 Frank-Wolfe search steps by LP (``lp.linprog_dense``): a returned
 certificate proves SSC1 fails, but absence of one proves nothing.
+
+Reports are reused only within one generation: ``synth.gen_instance``
+opens a memo around its retry loop (``_ssc_memo``), so the validation of
+a factor returns the report its generator computed.  Everywhere else
+each ``check_ssc`` call computes its report afresh.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +40,21 @@ from .solvers import _rank_from_values
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
+
+# SSC reports keyed by (shape, float64 bytes, tol, feas_tol); None when no
+# memo is open.
+_SSC_REPORTS: ContextVar[Optional[dict]] = ContextVar("_SSC_REPORTS",
+                                                      default=None)
+
+
+@contextmanager
+def _ssc_memo():
+    """Reuse ``check_ssc`` reports inside the block, and drop them after."""
+    token = _SSC_REPORTS.set({})
+    try:
+        yield
+    finally:
+        _SSC_REPORTS.reset(token)
 
 
 def _validate_nonneg(h, name="h"):
@@ -231,7 +253,9 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     at most one (the maximum of a convex function over a polytope sits at a
     vertex); SSC2 additionally pins every norm-one vertex to a unit vector.
     The double description runs at most once: past the ray budget the
-    refutation search steps by LP.
+    refutation search steps by LP.  Inside ``gen_instance`` (and only
+    there) a matrix already checked with the same tolerances and no
+    ``rng`` returns its earlier report instead.
     """
     h = _validate_nonneg(h)
     n, r = h.shape
@@ -239,6 +263,17 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
         raise UsageError("the SSC is defined for r >= 2")
     if np.any(h.sum(axis=0) <= 0):
         raise UsageError("zero column in h")
+    memo = _SSC_REPORTS.get() if rng is None else None
+    if memo is None:
+        return _ssc_report(h, tol, feas_tol, rng)
+    key = (h.shape, h.tobytes(), tol, feas_tol)
+    if key not in memo:
+        memo[key] = _ssc_report(h, tol, feas_tol, rng)
+    return memo[key]
+
+
+def _ssc_report(h, tol, feas_tol, rng):
+    n, r = h.shape
     separable, anchors = check_separable(h)
     try:
         vertices, unbounded = enumerate_dual_vertices(h, tol=feas_tol)

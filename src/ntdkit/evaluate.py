@@ -19,7 +19,7 @@ from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
 from .errors import EnumerationCapError, RankError, ShapeError, UsageError
 from .kron import kron_all
 from .model import NtdModel, _jsonable
-from .procedures import _scan_slices
+from .procedures import _scan_slices, _slice_ranks
 from .solvers import numerical_rank
 from .tensor import DenseTensor, mode_slice, multilinear_transform, unfold
 
@@ -116,11 +116,7 @@ def rank_profile(t: DenseTensor) -> dict:
     out = {"unfolding_ranks": {k: numerical_rank(unfold(t, (k,)))
                                for k in range(t.order)}}
     if t.order == 3:
-        out["slice_ranks"] = {
-            k: [numerical_rank(mode_slice(t, k, j))
-                for j in range(t.dims[k])]
-            for k in range(3)
-        }
+        out["slice_ranks"] = {k: _slice_ranks(t, k) for k in range(3)}
     return out
 
 
@@ -213,8 +209,7 @@ def _group_ssc_status(factors, ranks):
 
 
 def _exists_full_slice(t, mode, target):
-    best = max(numerical_rank(mode_slice(t, mode, j))
-               for j in range(t.dims[mode]))
+    best = max(_slice_ranks(t, mode))
     return ("pass" if best == target else "fail"), f"best slice rank {best}"
 
 

@@ -23,11 +23,12 @@ from .errors import (NotPermutedKronecker, PartitionError, RankError,
                      ShapeError, SolverError)
 from .kron import kron_all, kron_split_multi, nearest_kron
 from .model import NtdModel
-from .solvers import (SolverConfig, derive_seed, minvol_nmf,
-                      minvol_order2_ntd, numerical_rank, spa_separable_nmf)
-from .tensor import (DenseTensor, SliceSpec, fold, mode_slice,
-                     multilinear_transform, slice_combination, slice_matrix,
-                     unfold)
+from .solvers import (SolverConfig, _rank_from_values, derive_seed,
+                      minvol_nmf, minvol_order2_ntd, numerical_rank,
+                      spa_separable_nmf)
+from .tensor import (DenseTensor, SliceSpec, _as_mode_tuple, fold,
+                     mode_slice, multilinear_transform, slice_combination,
+                     slice_matrix, unfold)
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,26 @@ def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
     return model
 
 
+def _slice_ranks(t: DenseTensor, mode, tol=None) -> list:
+    """``numerical_rank(mode_slice(t, mode, j), tol)`` for every index j
+    along ``mode``, from one batched SVD of all the slices."""
+    if t.order < 3:
+        raise PartitionError("mode slices need an order-3 or higher tensor")
+    (mode,) = _as_mode_tuple(mode, t.order, name="mode")
+    rest = [n for k, n in enumerate(t.dims) if k != mode]
+    shape = (prod(rest[:-1]), rest[-1])
+    # one slice per index along `mode`, rows flattened first fastest as in
+    # `mode_slice`
+    stack = np.moveaxis(t.array, mode, -1).reshape(shape + (-1,), order="F")
+    s = np.linalg.svd(np.moveaxis(stack, -1, 0), compute_uv=False)
+    return [_rank_from_values(v, shape, tol) for v in s]
+
+
 def select_max_rank_slice(t: DenseTensor, mode, tol=None) -> int:
     """First slice index attaining the maximum numerical rank (order 3)."""
     if t.order != 3:
         raise ShapeError("slice selection is defined for order-3 tensors")
-    ranks = [numerical_rank(mode_slice(t, mode, j), tol)
-             for j in range(t.dims[mode])]
-    return int(np.argmax(ranks))
+    return int(np.argmax(_slice_ranks(t, mode, tol)))
 
 
 def _fold_sequence(mat, modes_seq, dims) -> DenseTensor:

@@ -14,11 +14,12 @@ from math import prod
 
 import numpy as np
 
-from .cones import check_ssc
-from .errors import GenerationError, InputError, PartitionError, ShapeError
+from .cones import _ssc_memo, check_ssc
+from .errors import (GenerationError, InputError, PartitionError, ShapeError,
+                     UsageError)
 from .evaluate import validate_assumptions
 from .model import NtdModel
-from .procedures import ModePartition, _axes_and_rest
+from .procedures import ModePartition, _axes_and_rest, _slice_ranks
 from .solvers import numerical_rank
 from .tensor import (DenseTensor, mode_slice, read_tensor, unfold,
                      write_tensor_binary, write_tensor_json)
@@ -152,9 +153,7 @@ def _core_ok(core, constraints, rng):
         if numerical_rank(unfold(core, tuple(axes))) != target:
             return False
     for mode, target in constraints.exists_full_slice.items():
-        ranks = [numerical_rank(mode_slice(core, mode, j))
-                 for j in range(core.dims[mode])]
-        if max(ranks) != target:
+        if max(_slice_ranks(core, mode)) != target:
             return False
     for mode, target in constraints.span_maximal.items():
         slices = [mode_slice(core, mode, j)
@@ -171,9 +170,8 @@ def _core_ok(core, constraints, rng):
     if constraints.deficient_slices_mode is not None:
         mode = constraints.deficient_slices_mode
         full = min(s for k, s in enumerate(core.dims) if k != mode)
-        for j in range(core.dims[mode]):
-            if numerical_rank(mode_slice(core, mode, j)) >= full:
-                return False
+        if max(_slice_ranks(core, mode)) >= full:
+            return False
     return True
 
 
@@ -192,6 +190,12 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     the SSC of the other member carries over to the product.  ``axes``
     must be a proper mode subset and ``partition`` must map rows, fixed
     and cols to mode sets that partition the modes, else PartitionError.
+    A negative ``seed`` raises UsageError.
+
+    Each certificate is computed once: the SSC reports of the generated
+    factors are held for the length of this call, so validating a factor
+    reuses the report its generator computed.  Nothing is kept after the
+    call returns or raises.
     """
     dims = tuple(int(n) for n in dims)
     ranks = tuple(int(r) for r in ranks)
@@ -207,6 +211,8 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
             raise PartitionError("partition needs rows, fixed and cols")
         ModePartition(partition["rows"], partition["fixed"],
                       partition["cols"]).validate(d)
+    if int(seed) < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(int(seed))
     meta = {"dims": list(dims), "ranks": list(ranks)}
     if axes is not None:
@@ -216,14 +222,15 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
                              for k, v in partition.items()}
 
     last_report = None
-    for _ in range(max_tries):
-        factors, core = _draw(assumption_id, dims, ranks, rng, meta)
-        inst = _compose(factors, core, assumption_id, seed, meta)
-        report = validate_assumptions(inst, assumption_id)
-        if report.overall == "pass":
-            inst.meta["validation"] = report.to_json()
-            return inst
-        last_report = report
+    with _ssc_memo():
+        for _ in range(max_tries):
+            factors, core = _draw(assumption_id, dims, ranks, rng, meta)
+            inst = _compose(factors, core, assumption_id, seed, meta)
+            report = validate_assumptions(inst, assumption_id)
+            if report.overall == "pass":
+                inst.meta["validation"] = report.to_json()
+                return inst
+            last_report = report
     raise GenerationError(
         f"no valid {assumption_id} instance in {max_tries} tries; last "
         f"report: {None if last_report is None else last_report.to_json()}"
@@ -350,5 +357,7 @@ def load_instance(path) -> Instance:
         seed = int(doc.get("seed", 0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"instance seed is not an integer: {exc}") from exc
+    if seed < 0:
+        raise InputError(f"instance seed {seed} is negative")
     return Instance(tensor, truth, doc.get("assumption_id", ""), seed,
                     doc.get("meta", {}))

@@ -447,6 +447,10 @@ MALFORMED_SPECS = {
       "--solver-config", "{tmp}/restarts.cfg"], 3),
     (["decompose", "--procedure", "sep-d", "--ranks", "3,3,2",
       "--input", "{tmp}/seed-x"], 3),
+    (["decompose", "--procedure", "sep-d", "--ranks", "3,3,2",
+      "--input", "{tmp}/seed-neg"], 3),
+    (["gen", "--assumption", "A4.2", "--dims", "20,20,15", "--ranks",
+      "4,4,3", "--seed", "-1", "--out", "{tmp}/g"], 2),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
@@ -470,10 +474,11 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     for name, value in (("text", "a"), ("nan", math.nan)):
         truth["core"]["data"][0] = value
         (tmp_path / f"{name}-model.json").write_text(json.dumps(truth))
-    shutil.copytree(bundle, tmp_path / "seed-x")
     meta = json.loads((bundle / "meta.json").read_text())
-    (tmp_path / "seed-x" / "meta.json").write_text(
-        json.dumps({**meta, "seed": "x"}))
+    for name, seed in (("seed-x", "x"), ("seed-neg", -1)):
+        shutil.copytree(bundle, tmp_path / name)
+        (tmp_path / name / "meta.json").write_text(
+            json.dumps({**meta, "seed": seed}))
     (tmp_path / "spec.json").write_text(json.dumps({"defaults": {
         "assumption": "A4.2", "dims": [10, 10, 6], "ranks": [3, 3, 2]}}))
     argv = [a.format(cfg=cfg, tmp=tmp_path, bundle=bundle) for a in argv]

@@ -248,6 +248,17 @@ class TestCheckSsc:
         assert rep.max_vertex_norm == pytest.approx(1.0)
         assert rep.method == "exact-enumeration"
 
+    def test_no_reuse_outside_generation(self, rng, monkeypatch):
+        h = two_nonzero_ssc(20, 4, rng)
+        runs = []
+        extreme_rays = lp._extreme_rays
+        monkeypatch.setattr(lp, "_extreme_rays",
+                            lambda *a: runs.append(1) or extreme_rays(*a))
+        first, second = check_ssc(h), check_ssc(h)
+        assert len(runs) == 2
+        assert first is not second
+        assert first.to_json() == second.to_json()
+
     def test_single_ray_fails(self):
         rep = check_ssc(np.full((4, 4), 0.25))
         assert rep.ssc1 is False and rep.unbounded

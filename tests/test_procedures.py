@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,13 @@ from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
 from ntdkit.kron import kron
 from ntdkit.procedures import (ModePartition, _core_via_pinv, _finalize,
-                               allatonce_penalized, procedure0, procedure1,
+                               _slice_ranks, allatonce_penalized, procedure0, procedure1,
                                procedure2, procedure3, procedure4,
                                procedure_d0, procedure_d1, procedure_d3,
                                select_max_rank_slice, separable_orderd)
-from ntdkit.solvers import SolverConfig, minvol_order2_ntd
+from ntdkit.solvers import SolverConfig, minvol_order2_ntd, numerical_rank
 from ntdkit.synth import gen_instance
-from ntdkit.tensor import DenseTensor, fold, unfold
+from ntdkit.tensor import DenseTensor, fold, mode_slice, unfold
 from tests.conftest import align_error, two_nonzero_ssc
 from tests.test_solvers import reference_spa
 
@@ -45,6 +47,38 @@ class TestSelectMaxRankSlice:
         arr = np.einsum("i,j,k->ijk", rng.random(3), rng.random(4),
                         rng.random(2))
         assert select_max_rank_slice(DenseTensor.from_array(arr), 2) == 0
+
+
+class TestSliceRanks:
+    """The one batched SVD agrees with one SVD per ``mode_slice``."""
+
+    @pytest.mark.parametrize("dims", [(5, 4, 6), (3, 4, 2, 5)])
+    @pytest.mark.parametrize("tol", [None, 0.05])
+    def test_matches_per_slice_path(self, dims, tol, monkeypatch):
+        svd = np.linalg.svd
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            arr = rng.standard_normal(dims)
+            arr[..., 0] = 0.0  # an all-zero slice
+            # a rank-one slice, and a small one that the tol override drops
+            arr[..., 1] = reduce(np.multiply.outer,
+                                 [rng.standard_normal(n) for n in dims[:-1]])
+            arr[..., 2] *= 1e-3
+            t = DenseTensor.from_array(arr)
+            for mode in range(len(dims)):
+                batched = []
+                monkeypatch.setattr(np.linalg, "svd", lambda a, **kw:
+                                    batched.append(svd(a, **kw)) or
+                                    batched[-1])
+                ranks = _slice_ranks(t, mode, tol)
+                monkeypatch.undo()
+                assert len(batched) == 1
+                slices = [mode_slice(t, mode, j) for j in range(dims[mode])]
+                assert ranks == [numerical_rank(s, tol) for s in slices]
+                for s, values in zip(slices, batched[0]):
+                    assert svd(s, compute_uv=False).tobytes() == \
+                        values.tobytes()
+            assert _slice_ranks(t, len(dims) - 1, tol)[:2] == [0, 1]
 
 
 class TestProcedure0:

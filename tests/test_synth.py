@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from ntdkit import cones
 from ntdkit.cones import check_separable, check_ssc
 from ntdkit.errors import (GenerationError, InputError, PartitionError,
-                           ShapeError)
+                           ShapeError, UsageError)
+from ntdkit.evaluate import validate_assumptions
 from ntdkit.solvers import numerical_rank, spa_separable_nmf
 from ntdkit.synth import (CoreConstraints, gen_anchor_factor, gen_core,
                           gen_instance, gen_separable_factor, gen_ssc_factor,
@@ -168,6 +170,16 @@ class TestGenInstance:
         with pytest.raises(InputError):
             load_instance(tmp_path)
 
+    def test_negative_seed_refused(self, tmp_path):
+        with pytest.raises(UsageError):
+            gen_instance("A4.2", (10, 10, 8), (3, 3, 2), seed=-1)
+        save_instance(gen_instance("A4.4", (10, 10, 6), (3, 3, 2), seed=13),
+                      tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps({**meta, "seed": -1}))
+        with pytest.raises(InputError):
+            load_instance(tmp_path)
+
     def test_dims_smaller_than_ranks(self):
         with pytest.raises(ShapeError):
             gen_instance("A4.2", (2, 10, 8), (3, 3, 2), seed=1)
@@ -187,3 +199,49 @@ class TestGenInstance:
     def test_modes_checked_against_order(self, tag, kwargs):
         with pytest.raises(PartitionError):
             gen_instance(tag, (6, 5, 6, 5), (2, 2, 2, 2), **kwargs)
+
+
+# One seeded instance per assumption tag: (tag, dims, ranks, keywords).
+EVERY_TAG = [
+    ("A4.1", (5, 4, 3), (2, 2, 2), {}),
+    ("A4.x-unfold", (6, 5, 20), (2, 2, 4), {}),
+    ("A4.2", (10, 10, 8), (3, 3, 2), {}),
+    ("A4.3", (12, 12, 8), (3, 3, 2), {}),
+    ("A4.4", (10, 10, 6), (3, 3, 2), {}),
+    ("A4.5", (12, 12, 6), (3, 3, 2), {}),
+    ("A5.1", (5, 4, 3, 3), (2, 2, 2, 2), {}),
+    ("A5.2", (6, 5, 4, 7), (2, 2, 2, 2), {"axes": (2, 3)}),
+    ("A5.3", (10, 10, 8, 8), (3, 3, 2, 2), {}),
+    ("A5.4", (5, 4, 14, 6), (2, 2, 4, 2),
+     {"partition": {"rows": [0, 1], "fixed": [3], "cols": [2]}}),
+    ("A-sep", (12, 10, 8), (3, 3, 2), {}),
+]
+
+
+class TestCertifyOnce:
+    """SSC reports are shared within one ``gen_instance`` call only."""
+
+    @pytest.mark.parametrize("tag,dims,ranks,kwargs", EVERY_TAG,
+                             ids=[case[0] for case in EVERY_TAG])
+    def test_each_matrix_enumerated_once(self, tag, dims, ranks, kwargs,
+                                         monkeypatch):
+        seen = []
+        enumerate_dual_vertices = cones.enumerate_dual_vertices
+
+        def spy(h, *args, **kw):
+            assert cones._SSC_REPORTS.get() is not None
+            seen.append(np.asarray(h, dtype=float).tobytes())
+            return enumerate_dual_vertices(h, *args, **kw)
+
+        monkeypatch.setattr(cones, "enumerate_dual_vertices", spy)
+        inst = gen_instance(tag, dims, ranks, seed=3, **kwargs)
+        monkeypatch.undo()
+        assert cones._SSC_REPORTS.get() is None
+        assert len(seen) == len(set(seen))
+        # without the memo the same validation is computed afresh
+        assert validate_assumptions(inst).to_json() == inst.meta["validation"]
+
+    def test_no_memo_after_generation_error(self):
+        with pytest.raises(GenerationError):
+            gen_instance("A4.2", (10, 10, 8), (7, 7, 2), seed=1)
+        assert cones._SSC_REPORTS.get() is None
