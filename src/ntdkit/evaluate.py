@@ -21,7 +21,8 @@ from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .procedures import _scan_slices, _slice_ranks
 from .solvers import numerical_rank
-from .tensor import DenseTensor, mode_slice, multilinear_transform, unfold
+from .tensor import (DenseTensor, _mode_groups, _partition, _slice_stack,
+                     multilinear_transform, unfold)
 
 
 def align_columns(u_est, u_ref):
@@ -213,20 +214,25 @@ def _exists_full_slice(t, mode, target):
     return ("pass" if best == target else "fail"), f"best slice rank {best}"
 
 
-def _span_maximal(slices, target, seed, trials=20):
-    """Probability-one surrogate for maximal rank of a slice span: any of
-    ``trials`` Gaussian combinations attaining it is a certificate.  The
-    deterministic span dimension is reported alongside."""
-    rng = np.random.default_rng(seed)
-    stack = np.stack([s.ravel() for s in slices], axis=1)
-    span_dim = numerical_rank(stack)
+def _combination_rank(t, mode, target, rng, trials=20):
+    """Rank of the first of ``trials`` Gaussian combinations of the slices
+    along ``mode`` to reach ``target``, else the best rank seen."""
+    slices = np.moveaxis(_slice_stack(t, *_mode_groups(mode, t.order)), -1, 0)
     best = 0
     for _ in range(trials):
         w = rng.standard_normal(len(slices))
-        combo = sum(wi * s for wi, s in zip(w, slices))
-        best = max(best, numerical_rank(combo))
-        if best == target:
-            break
+        rank = numerical_rank(sum(wi * s for wi, s in zip(w, slices)))
+        if rank == target:
+            return rank
+        best = max(best, rank)
+    return best
+
+
+def _span_maximal(core, mode, target, seed):
+    """Probability-one surrogate for maximal rank of the slice span along
+    ``mode``; the span dimension is reported alongside."""
+    span_dim = numerical_rank(unfold(core, (mode,)))
+    best = _combination_rank(core, mode, target, np.random.default_rng(seed))
     status = "pass" if best == target else "fail"
     return status, f"best combo rank {best}, span dimension {span_dim}"
 
@@ -281,10 +287,9 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         rep.add("rank-shape", "pass" if ranks[1] == r and ranks[2] <= r
                 else "fail", f"ranks {ranks}")
         ssc_each()
-        s3 = [mode_slice(core, 2, j) for j in range(ranks[2])]
-        rep.add("span-mode3-maximal", *_span_maximal(s3, r, seed + 31))
-        s2 = [mode_slice(core, 1, j) for j in range(ranks[1])]
-        rep.add("span-mode2-maximal", *_span_maximal(s2, ranks[2], seed + 37))
+        rep.add("span-mode3-maximal", *_span_maximal(core, 2, r, seed + 31))
+        rep.add("span-mode2-maximal",
+                *_span_maximal(core, 1, ranks[2], seed + 37))
     elif aid in ("A4.4", "A4.5"):
         r = ranks[0]
         ok = ranks[1] == r and sqrt(ranks[2]) <= r + 1e-12
@@ -297,8 +302,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
             status, detail = _exists_full_slice(t, 2, r)
             rep.add("exists-full-mode3-slice", status, detail)
         else:
-            s3 = [mode_slice(core, 2, j) for j in range(ranks[2])]
-            rep.add("span-mode3-maximal", *_span_maximal(s3, r, seed + 31))
+            rep.add("span-mode3-maximal",
+                    *_span_maximal(core, 2, r, seed + 31))
     elif aid == "A5.2":
         axes = tuple(instance.meta.get("axes", (d - 1,)))
         rest = tuple(k for k in range(d) if k not in axes)
@@ -324,7 +329,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
             target = r if i == 1 else ranks[i]
             others = tuple(m for m in range(d) if m not in (0, i))
             try:
-                _scan_slices(t, (0,), others, (i,), target, rng, 200)
+                _scan_slices(_slice_stack(t, (0,), others, (i,)), (0,), (i,),
+                             target, rng, 200)
                 rep.add(f"exists-full-[0,{i}]-slice", "pass")
             except RankError as exc:
                 rep.add(f"exists-full-[0,{i}]-slice", "fail", str(exc))
@@ -333,9 +339,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         if part is None:
             rep.add("partition-present", "fail", "no partition in meta")
         else:
-            rows, fixed_modes, cols = (tuple(part["rows"]),
-                                       tuple(part["fixed"]),
-                                       tuple(part["cols"]))
+            rows, fixed_modes, cols = _partition(d, part["rows"],
+                                                 part["fixed"], part["cols"])
             r = prod(ranks[m] for m in rows)
             rep.add("rank-product",
                     "pass" if r == prod(ranks[m] for m in cols) else "fail")
@@ -351,11 +356,11 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
                     [truth.factors[m] for m in modes],
                     [ranks[m] for m in modes])
                 rep.add(f"ssc-kron-group-{name}", status, detail)
-            nfixed = prod(t.dims[m] for m in fixed_modes)
+            stack = _slice_stack(t, rows, fixed_modes, cols)
             rng = np.random.default_rng(seed + 43)
             try:
-                _scan_slices(t, rows, fixed_modes, cols, r, rng,
-                             min(200, nfixed) - 1)
+                _scan_slices(stack, rows, cols, r, rng,
+                             min(200, stack.shape[2]) - 1)
                 rep.add("exists-full-generalized-slice", "pass",
                         f"best rank {r}")
             except RankError as exc:

@@ -9,7 +9,8 @@ Kronecker splits), the slice-pair route (1, 2, d1; one slice for two modes,
 one projected slice per further mode) or the slice-stack route (3, 4, d3;
 one slice, then the projected stack of all slices).  Procedures 2 and 4
 randomize 1 and 3 with Gaussian slice combinations; the d-prefixed ones
-are the order-d versions.
+are the order-d versions.  Slices and unfoldings come from ``tensor``,
+which alone flattens modes; 3 and d3 read every slice from one stack.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .model import NtdModel
 from .solvers import (SolverConfig, _rank_from_values, derive_seed,
                       minvol_nmf, minvol_order2_ntd, numerical_rank,
                       spa_separable_nmf)
-from .tensor import (DenseTensor, SliceSpec, _as_mode_tuple, fold,
-                     mode_slice, multilinear_transform, slice_combination,
-                     slice_matrix, unfold)
+from .tensor import (DenseTensor, SliceSpec, _flatten, _mode_groups,
+                     _partition, _slice_stack, _unflatten, fold, mode_slice,
+                     multilinear_transform, slice_combination, slice_matrix,
+                     unfold)
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,8 @@ class ModePartition:
     col_modes: tuple
 
     def validate(self, d):
-        groups = (tuple(self.row_modes), tuple(self.fixed_modes),
-                  tuple(self.col_modes))
-        merged = sorted(m for g in groups for m in g)
-        if any(len(g) == 0 for g in groups) or merged != list(range(d)):
-            raise PartitionError(
-                f"mode sets {groups} do not partition the {d} modes"
-            )
-        return groups
+        return _partition(d, self.row_modes, self.fixed_modes,
+                          self.col_modes)
 
 
 def _axes_and_rest(axes, d):
@@ -80,16 +76,9 @@ def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
 def _slice_ranks(t: DenseTensor, mode, tol=None) -> list:
     """``numerical_rank(mode_slice(t, mode, j), tol)`` for every index j
     along ``mode``, from one batched SVD of all the slices."""
-    if t.order < 3:
-        raise PartitionError("mode slices need an order-3 or higher tensor")
-    (mode,) = _as_mode_tuple(mode, t.order, name="mode")
-    rest = [n for k, n in enumerate(t.dims) if k != mode]
-    shape = (prod(rest[:-1]), rest[-1])
-    # one slice per index along `mode`, rows flattened first fastest as in
-    # `mode_slice`
-    stack = np.moveaxis(t.array, mode, -1).reshape(shape + (-1,), order="F")
+    stack = _slice_stack(t, *_mode_groups(mode, t.order))
     s = np.linalg.svd(np.moveaxis(stack, -1, 0), compute_uv=False)
-    return [_rank_from_values(v, shape, tol) for v in s]
+    return [_rank_from_values(v, stack.shape[:2], tol) for v in s]
 
 
 def select_max_rank_slice(t: DenseTensor, mode, tol=None) -> int:
@@ -99,14 +88,6 @@ def select_max_rank_slice(t: DenseTensor, mode, tol=None) -> int:
     return int(np.argmax(_slice_ranks(t, mode, tol)))
 
 
-def _fold_sequence(mat, modes_seq, dims) -> DenseTensor:
-    """Fold a matrix whose overall column-major flattening runs through
-    ``modes_seq`` (first listed fastest) back into a tensor."""
-    shaped = mat.ravel(order="F").reshape(
-        [dims[m] for m in modes_seq], order="F")
-    return DenseTensor.from_array(np.transpose(shaped, np.argsort(modes_seq)))
-
-
 def _split_group(u, modes, dims, ranks):
     """``(factors, perm, residual)`` of a grouped factor's Kronecker split."""
     if len(modes) == 1:
@@ -114,29 +95,21 @@ def _split_group(u, modes, dims, ranks):
     return kron_split_multi(u, [(dims[m], ranks[m]) for m in modes])
 
 
-def _fixed_at(t, fixed_modes, flat):
-    """Fixed-index dict at a flat index, first fixed mode fastest."""
-    idx = np.unravel_index(flat, [t.dims[m] for m in fixed_modes], order="F")
-    return dict(zip(fixed_modes, (int(i) for i in idx)))
-
-
-def _scan_slices(t, rows, fixed_modes, cols, target, rng, budget):
-    """Flat index of a ``rows x cols`` slice of numerical rank ``target``.
+def _scan_slices(stack, rows, cols, target, rng, budget):
+    """Index of a rank-``target`` slice in the ``rows x cols`` ``stack``.
 
     Tries index 0, then ``budget`` indices drawn from ``rng``; generic
     instances succeed at once, so the scan is a probability-one surrogate
     for the existence assumption.  Raises ``RankError`` with the best rank
     seen when no candidate reaches ``target``.
     """
-    nfixed = prod(t.dims[m] for m in fixed_modes)
     best, seen = 0, set()
-    for flat in [0, *rng.integers(nfixed, size=budget)]:
+    for flat in [0, *rng.integers(stack.shape[2], size=budget)]:
         flat = int(flat)
         if flat in seen:
             continue
         seen.add(flat)
-        rank = numerical_rank(slice_matrix(
-            t, SliceSpec(rows, _fixed_at(t, fixed_modes, flat), cols)))
+        rank = numerical_rank(stack[:, :, flat])
         if rank == target:
             return flat
         best = max(best, rank)
@@ -191,7 +164,7 @@ def _slice_pair_route(t, ranks, first, mats, cfg, diagnostics):
 def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics,
                        unmix=None):
     """Min-vol order-2 nTD of ``first`` over the ``(rows, fixed, cols)``
-    groups; the stack of all ``slices``, projected on both sides, factors
+    groups; the ``(R, C, F)`` ``slices``, projected on both sides, factor
     as core unfolding times the fixed-group factor.  ``unmix`` undoes a
     mixing of the slices (the stack is multiplied by its inverse)."""
     rows, fixed, cols = groups
@@ -199,8 +172,7 @@ def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics,
     fac = minvol_order2_ntd(first, r, cfg)
     p1 = np.linalg.pinv(fac.u1)
     p2t = np.linalg.pinv(fac.u2).T
-    stack = np.stack([(p1 @ m @ p2t).ravel(order="F") for m in slices],
-                     axis=1)
+    stack = _flatten(p1 @ np.moveaxis(slices, -1, 0) @ p2t, ((1, 2), (0,)))
     if unmix is not None:
         stack = np.linalg.solve(unmix.T, stack.T).T
     g, u_fixed = minvol_nmf(stack, prod(ranks[m] for m in fixed), cfg)
@@ -210,8 +182,8 @@ def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics,
     mids, perm_mid, _ = _split_group(u_fixed, fixed, t.dims, ranks)
     row_gather = (perm_left[:, None] + perm_right[None, :] * r) \
         .ravel(order="F")
-    core = _fold_sequence(g[np.ix_(row_gather, perm_mid)],
-                          rows + cols + fixed, ranks)
+    core = _unflatten(g[np.ix_(row_gather, perm_mid)], rows + cols + fixed,
+                      ranks)
     factors = [None] * t.order
     for mode, u in zip(rows + cols + fixed, [*left, *right, *mids]):
         factors[mode] = u
@@ -347,9 +319,9 @@ def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
         raise ShapeError(f"procedure 3 needs r3 <= r^2 = {r1 * r1}")
     i = select_max_rank_slice(t, 2) if slice_index is None else \
         int(slice_index)
-    slices = [mode_slice(t, 2, j) for j in range(t.dims[2])]
     return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
-                              mode_slice(t, 2, i), slices, cfg,
+                              mode_slice(t, 2, i),
+                              _slice_stack(t, (0,), (2,), (1,)), cfg,
                               {"procedure": "3", "slice_index": i})
 
 
@@ -372,9 +344,10 @@ def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
             raise SolverError("could not draw a well-conditioned mix")
     else:
         mix = np.asarray(mix, dtype=float)
-    combos = [slice_combination(t, 2, mix[:, i]) for i in range(n3)]
+    combos = np.stack([slice_combination(t, 2, mix[:, i])
+                       for i in range(n3)], axis=2)
     return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
-                              combos[0], combos, cfg,
+                              combos[:, :, 0], combos, cfg,
                               {"procedure": "4", "mix": mix.tolist(),
                                "mix_cond": float(np.linalg.cond(mix))},
                               unmix=mix)
@@ -405,8 +378,11 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
             used[i] = dict(slice_indices[i])
         else:
             others = tuple(m for m in range(d) if m not in (0, i))
-            used[i] = _fixed_at(t, others, _scan_slices(
-                t, (0,), others, (i,), ranks[i], rng, scan_budget))
+            flat = _scan_slices(_slice_stack(t, (0,), others, (i,)), (0,),
+                                (i,), ranks[i], rng, scan_budget)
+            index = np.unravel_index(flat, [t.dims[m] for m in others],
+                                     order="F")
+            used[i] = dict(zip(others, map(int, index)))
     mats = {i: slice_matrix(t, SliceSpec((0,), fixed, (i,)))
             for i, fixed in used.items()}
     diagnostics = {"procedure": "d1",
@@ -437,26 +413,24 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
     if r_fixed > r * r:
         raise ShapeError(f"fixed-mode rank product {r_fixed} exceeds r^2")
 
+    stack = _slice_stack(t, rows, fixed_modes, cols)
     sizes = [t.dims[m] for m in fixed_modes]
     if fixed_index is None:
         rng = np.random.default_rng(derive_seed(cfg.seed, "d3-scan"))
-        start = _scan_slices(t, rows, fixed_modes, cols, r, rng, scan_budget)
+        start = _scan_slices(stack, rows, cols, r, rng, scan_budget)
     else:
         fixed_index = tuple(int(i) for i in fixed_index)
-        if len(fixed_index) != len(sizes) or not all(
-                0 <= i < n for i, n in zip(fixed_index, sizes)):
+        try:
+            start = int(np.ravel_multi_index(fixed_index, sizes, order="F"))
+        except ValueError:
             raise ShapeError(f"fixed_index {fixed_index} outside the "
-                             f"fixed-mode dims {tuple(sizes)}")
-        start = int(np.ravel_multi_index(fixed_index, sizes, order="F"))
-    slices = [slice_matrix(t, SliceSpec(rows, _fixed_at(t, fixed_modes, j),
-                                        cols))
-              for j in range(prod(sizes))]
+                             f"fixed-mode dims {tuple(sizes)}") from None
     diagnostics = {"procedure": "d3", "fixed_flat_index": start,
                    "partition": {"rows": list(rows),
                                  "fixed": list(fixed_modes),
                                  "cols": list(cols)}}
     return _slice_stack_route(t, ranks, (rows, fixed_modes, cols),
-                              slices[start], slices, cfg, diagnostics)
+                              stack[:, :, start], stack, cfg, diagnostics)
 
 
 def separable_orderd(t: DenseTensor, ranks, feas_tol=1e-9) -> NtdModel:

@@ -17,12 +17,12 @@ import numpy as np
 from .cones import _ssc_memo, check_ssc
 from .errors import (GenerationError, InputError, PartitionError, ShapeError,
                      UsageError)
-from .evaluate import validate_assumptions
+from .evaluate import _combination_rank, validate_assumptions
 from .model import NtdModel
 from .procedures import ModePartition, _axes_and_rest, _slice_ranks
 from .solvers import numerical_rank
-from .tensor import (DenseTensor, mode_slice, read_tensor, unfold,
-                     write_tensor_binary, write_tensor_json)
+from .tensor import (DenseTensor, read_tensor, unfold, write_tensor_binary,
+                     write_tensor_json)
 
 GEN_SSC_MAX_RANK = 6  # exact certification stays cheap up to here
 
@@ -156,16 +156,7 @@ def _core_ok(core, constraints, rng):
         if max(_slice_ranks(core, mode)) != target:
             return False
     for mode, target in constraints.span_maximal.items():
-        slices = [mode_slice(core, mode, j)
-                  for j in range(core.dims[mode])]
-        hit = False
-        for _ in range(20):
-            w = rng.standard_normal(len(slices))
-            if numerical_rank(sum(wi * s for wi, s in zip(w, slices))) \
-                    == target:
-                hit = True
-                break
-        if not hit:
+        if _combination_rank(core, mode, target, rng) != target:
             return False
     if constraints.deficient_slices_mode is not None:
         mode = constraints.deficient_slices_mode

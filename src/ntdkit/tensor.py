@@ -3,9 +3,12 @@
 Layout convention (the only one supported): generalized column-major, the
 first index varies fastest.  The flat offset of the zero-based index tuple
 ``(i_0, ..., i_{d-1})`` is ``i_0 + n_0*i_1 + n_0*n_1*i_2 + ...``, which is
-numpy's Fortran order.  All unfoldings and slices flatten grouped modes in
-ascending mode order with the first listed mode fastest, so that an order-2
-tensor, its mode-1 unfolding and itself coincide.
+numpy's Fortran order.  Only this module merges modes (``_flatten``), for
+unfoldings and slices alike: grouped modes go in ascending mode order with
+the first listed mode fastest, so that an order-2 tensor, its mode-1
+unfolding and itself coincide.  Every slice is one of ``_slice_stack``'s,
+which holds all ``rows x cols`` slices with the fixed index tuples first
+fastest along its last axis; ``slice_combination`` weights that axis.
 
 Modes are zero-based everywhere in this package.
 """
@@ -26,7 +29,9 @@ TENSOR_MAGIC = b"NTDTNSR1"
 
 def _as_mode_tuple(modes, d, *, name="modes"):
     """Validate a mode set: strictly increasing, within range, non-empty."""
-    if np.isscalar(modes):
+    if modes is None:
+        modes = ()
+    elif np.isscalar(modes):
         modes = (int(modes),)
     modes = tuple(int(m) for m in modes)
     if len(modes) == 0:
@@ -36,6 +41,49 @@ def _as_mode_tuple(modes, d, *, name="modes"):
     if any(b <= a for a, b in zip(modes, modes[1:])):
         raise PartitionError(f"{name} {modes} must be strictly increasing")
     return modes
+
+
+def _partition(d, rows, fixed, cols):
+    """The three mode groups as tuples; ``PartitionError`` unless each is
+    non-empty and strictly increasing and they partition the ``d`` modes."""
+    groups = (_as_mode_tuple(rows, d, name="row_modes"),
+              _as_mode_tuple(fixed, d, name="fixed_modes"),
+              _as_mode_tuple(cols, d, name="col_modes"))
+    if sorted(m for g in groups for m in g) != list(range(d)):
+        raise PartitionError(f"row/fixed/col modes {groups} do not "
+                             f"partition the {d} modes")
+    return groups
+
+
+def _mode_groups(fixed, d):
+    """``(rows, fixed, cols)`` of the slices that fix ``fixed``: the other
+    modes, the largest one alone on the columns."""
+    rest = tuple(m for m in range(d) if m not in np.atleast_1d(fixed))
+    return rest[:-1], fixed, rest[-1:]
+
+
+def _unfolding_groups(axes, d):
+    """``(rest, axes)`` of the unfolding along the proper mode subset
+    ``axes``."""
+    axes = _as_mode_tuple(axes, d, name="axes")
+    if len(axes) >= d:
+        raise PartitionError("axes must be a proper subset of the modes")
+    return tuple(m for m in range(d) if m not in axes), axes
+
+
+def _flatten(arr, groups) -> np.ndarray:
+    """``arr`` with each mode group merged into one axis, the groups in
+    the order given, each flattened first mode fastest."""
+    merged = np.transpose(arr, [m for g in groups for m in g])
+    return merged.reshape([prod(arr.shape[m] for m in g) for g in groups],
+                          order="F")
+
+
+def _unflatten(arr, modes, dims) -> "DenseTensor":
+    """Inverse of :func:`_flatten`: the tensor of ``dims`` whose modes,
+    taken in the order ``modes``, run through ``arr`` column-major."""
+    shaped = np.reshape(arr, [dims[m] for m in modes], order="F")
+    return DenseTensor.from_array(np.transpose(shaped, np.argsort(modes)))
 
 
 @dataclass(frozen=True)
@@ -92,22 +140,6 @@ class SliceSpec:
     fixed: dict
     col_modes: tuple
 
-    def validate(self, dims):
-        d = len(dims)
-        rows = _as_mode_tuple(self.row_modes, d, name="row_modes")
-        cols = _as_mode_tuple(self.col_modes, d, name="col_modes")
-        fixed_modes = _as_mode_tuple(sorted(self.fixed), d, name="fixed modes")
-        all_modes = sorted(rows + cols + fixed_modes)
-        if all_modes != list(range(d)):
-            raise PartitionError(
-                f"row/fixed/col modes {rows}/{fixed_modes}/{cols} do not "
-                f"partition the {d} modes"
-            )
-        for m, i in self.fixed.items():
-            if not 0 <= int(i) < dims[m]:
-                raise ShapeError(f"fixed index {i} out of range for mode {m}")
-        return rows, cols
-
 
 def multilinear_transform(core: DenseTensor, factors) -> DenseTensor:
     """Apply one matrix per mode to a core tensor.
@@ -139,51 +171,39 @@ def unfold(t: DenseTensor, axes) -> np.ndarray:
     whose row index flattens the complement modes (ascending, first fastest)
     and whose column index flattens ``axes`` likewise.
     """
-    d = t.order
-    axes = _as_mode_tuple(axes, d, name="axes")
-    if len(axes) >= d:
-        raise PartitionError("axes must be a proper subset of the modes")
-    rows = tuple(m for m in range(d) if m not in axes)
-    arr = np.transpose(t.array, rows + axes)
-    return arr.reshape(
-        (prod(t.dims[m] for m in rows), prod(t.dims[m] for m in axes)),
-        order="F",
-    )
+    return _flatten(t.array, _unfolding_groups(axes, t.order))
 
 
 def fold(m, axes, dims) -> DenseTensor:
     """Inverse of :func:`unfold`: rebuild the tensor from its unfolding."""
     m = np.asarray(m, dtype=float)
     dims = tuple(int(n) for n in dims)
-    d = len(dims)
-    axes = _as_mode_tuple(axes, d, name="axes")
-    if len(axes) >= d:
-        raise PartitionError("axes must be a proper subset of the modes")
-    rows = tuple(k for k in range(d) if k not in axes)
+    rows, axes = _unfolding_groups(axes, len(dims))
     expect = (prod(dims[k] for k in rows), prod(dims[k] for k in axes))
     if m.shape != expect:
         raise ShapeError(f"matrix shape {m.shape} inconsistent with {expect}")
-    arr = m.reshape(tuple(dims[k] for k in rows + axes), order="F")
-    inv = np.argsort(rows + axes)
-    return DenseTensor.from_array(np.transpose(arr, inv))
+    return _unflatten(m, rows + axes, dims)
+
+
+def _slice_stack(t: DenseTensor, rows, fixed, cols) -> np.ndarray:
+    """Every ``rows x cols`` slice of ``t`` as one ``(R, C, F)`` array,
+    each group flattened first mode fastest as :func:`_flatten` does."""
+    rows, fixed, cols = _partition(t.order, rows, fixed, cols)
+    return _flatten(t.array, (rows, cols, fixed))
 
 
 def slice_matrix(t: DenseTensor, spec: SliceSpec) -> np.ndarray:
     """Extract the matrix slice described by ``spec``."""
-    rows, cols = spec.validate(t.dims)
-    indexer = tuple(
-        int(spec.fixed[m]) if m in spec.fixed else slice(None)
-        for m in range(t.order)
-    )
-    sub = t.array[indexer]
-    # Remaining axes of `sub` are rows+cols merged in ascending mode order.
-    remaining = sorted(rows + cols)
-    order = [remaining.index(m) for m in rows + cols]
-    sub = np.transpose(sub, order)
-    return sub.reshape(
-        (prod(t.dims[m] for m in rows), prod(t.dims[m] for m in cols)),
-        order="F",
-    )
+    rows, fixed, cols = _partition(t.order, spec.row_modes,
+                                   sorted(spec.fixed), spec.col_modes)
+    pinned = [slice(None)] * t.order
+    for m in fixed:
+        i = int(spec.fixed[m])
+        if not 0 <= i < t.dims[m]:
+            raise ShapeError(f"fixed index {i} out of range for mode {m}")
+        pinned[m] = slice(i, i + 1)
+    # the stack of the one-slice sub-tensor, so only that slice is copied
+    return _flatten(t.array[tuple(pinned)], (rows, cols, fixed))[:, :, 0]
 
 
 def mode_slice(t: DenseTensor, mode, index) -> np.ndarray:
@@ -192,10 +212,8 @@ def mode_slice(t: DenseTensor, mode, index) -> np.ndarray:
     Rows/columns are the remaining modes in ascending order, so fixing the
     last mode of an order-3 tensor gives the familiar frontal slices.
     """
-    d = t.order
-    rest = tuple(m for m in range(d) if m != mode)
-    spec = SliceSpec(rest[:-1], {mode: index}, rest[-1:])
-    return slice_matrix(t, spec)
+    rows, _, cols = _mode_groups(mode, t.order)
+    return slice_matrix(t, SliceSpec(rows, {mode: index}, cols))
 
 
 def slice_combination(t: DenseTensor, fixed_modes, weights,
@@ -207,29 +225,15 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
     and column modes default to the remaining modes with the largest one
     alone on the columns, matching the order-3 slice convention.
     """
-    d = t.order
-    fixed = _as_mode_tuple(fixed_modes, d, name="fixed_modes")
-    rest = tuple(m for m in range(d) if m not in fixed)
-    if not rest:
-        raise PartitionError("fixed_modes must leave at least one free mode")
     if row_modes is None and col_modes is None:
-        row_modes, col_modes = rest[:-1], rest[-1:]
-    rows = _as_mode_tuple(row_modes, d, name="row_modes")
-    cols = _as_mode_tuple(col_modes, d, name="col_modes")
-    if tuple(sorted(rows + cols)) != rest:
-        raise PartitionError("row/col modes must partition the free modes")
+        row_modes, _, col_modes = _mode_groups(fixed_modes, t.order)
+    stack = _slice_stack(t, row_modes, fixed_modes, col_modes)
     weights = np.asarray(weights, dtype=float).ravel()
-    nfixed = prod(t.dims[m] for m in fixed)
-    if weights.size != nfixed:
+    if weights.size != stack.shape[2]:
         raise ShapeError(
-            f"got {weights.size} weights for {nfixed} slices"
+            f"got {weights.size} weights for {stack.shape[2]} slices"
         )
-    arr = np.transpose(t.array, rows + cols + fixed)
-    arr = arr.reshape(
-        (prod(t.dims[m] for m in rows), prod(t.dims[m] for m in cols), nfixed),
-        order="F",
-    )
-    return arr @ weights
+    return stack @ weights
 
 
 def _finite_array(data, what) -> np.ndarray:

@@ -1,0 +1,50 @@
+"""The benchmark tracer's binding contract with the package.
+
+``perfbench/tracing.py`` wraps package functions by module attribute and
+reads their arguments through ``inspect.signature``, so a rename or a
+changed parameter list breaks traced benchmark runs.  These checks load the
+tracer by file path and fail on such a change instead.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+TENSOR_PARAMETERS = {
+    "unfold": ["t", "axes"],
+    "mode_slice": ["t", "mode", "index"],
+    "slice_matrix": ["t", "spec"],
+    "slice_combination": ["t", "fixed_modes", "weights", "row_modes",
+                          "col_modes"],
+}
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+def test_every_traced_attribute_resolves():
+    missing = []
+    for module, attr, _ in _traced():
+        obj = importlib.import_module(f"ntdkit.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"ntdkit.{module}.{attr}")
+    assert not missing
+
+
+def test_tensor_entries_keep_their_parameters():
+    traced = {attr for module, attr, _ in _traced() if module == "tensor"}
+    assert set(TENSOR_PARAMETERS) <= traced
+    tensor = importlib.import_module("ntdkit.tensor")
+    for name, params in TENSOR_PARAMETERS.items():
+        assert list(inspect.signature(getattr(tensor, name)).parameters) \
+            == params, name

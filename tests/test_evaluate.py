@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ntdkit.errors import ShapeError, UsageError
-from ntdkit.evaluate import (align_columns, essential_match, model_error,
-                             normalize_model, rank_profile,
-                             validate_assumptions)
+from ntdkit.evaluate import (_combination_rank, align_columns,
+                             essential_match, model_error, normalize_model,
+                             rank_profile, validate_assumptions)
 from ntdkit.model import NtdModel
 from ntdkit.synth import Instance, gen_instance
 from ntdkit.tensor import DenseTensor
@@ -209,6 +209,27 @@ class TestValidateAssumptions:
         names = {n: (s, d) for n, s, d in report.checks}
         assert names["ssc-kron-group-0x1"][0] == "undetermined"
         assert "enumeration cap" in names["ssc-kron-group-0x1"][1]
+
+
+class TestCombinationRank:
+    """The Gaussian span test shared by the A4.3/A4.5 validators and the
+    core generator: one draw per trial, stopping at the first hit."""
+
+    def test_stops_at_first_combination_reaching_target(self):
+        core = DenseTensor.from_array(
+            np.random.default_rng(0).standard_normal((3, 3, 4)))
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        assert _combination_rank(core, 2, 3, rng) == 3
+        ref.standard_normal(4)
+        assert rng.standard_normal() == ref.standard_normal()
+
+    def test_unreachable_target_returns_best_after_all_trials(self):
+        core = DenseTensor.from_array(
+            np.random.default_rng(1).standard_normal((3, 3, 4)))
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        assert _combination_rank(core, 2, 4, rng, trials=7) == 3
+        ref.standard_normal((7, 4))
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 class TestRankProfile:

@@ -125,6 +125,11 @@ class TestProcedure1:
         with pytest.raises(RankError):
             procedure1(inst.tensor, (4, 4, 2), CFG)
 
+    def test_slice_index_out_of_range(self, rng):
+        t, _ = identity_instance(rng, (3, 3, 2))
+        with pytest.raises(ShapeError):
+            procedure1(t, (3, 3, 2), CFG, i3=-1)
+
     def test_rank_preconditions(self, rng):
         t, _ = identity_instance(rng, (3, 3, 2))
         with pytest.raises(ShapeError):
@@ -181,6 +186,12 @@ class TestProcedure3:
         t, _ = identity_instance(rng, (2, 2, 4))
         with pytest.raises(ShapeError):
             procedure3(t, (2, 2, 5), CFG)
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_slice_index_out_of_range(self, rng, index):
+        t, _ = identity_instance(rng, (3, 3, 5))
+        with pytest.raises(ShapeError):
+            procedure3(t, (3, 3, 5), CFG, slice_index=index)
 
 
 class TestProcedure4:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ntdkit.errors import InputError, PartitionError, ShapeError
-from ntdkit.tensor import (DenseTensor, SliceSpec, fold, mode_slice,
-                           multilinear_transform, read_tensor,
+from ntdkit.procedures import ModePartition
+from ntdkit.tensor import (DenseTensor, SliceSpec, _slice_stack, fold,
+                           mode_slice, multilinear_transform, read_tensor,
                            slice_combination, slice_matrix, unfold,
                            write_tensor_binary, write_tensor_json)
 
@@ -193,6 +194,32 @@ class TestSlices:
         with pytest.raises(ShapeError):
             slice_matrix(t, SliceSpec((0,), {2: 9}, (1,)))
 
+    def test_stack_of_grouped_non_adjacent_partition(self, rng):
+        # rows (0, 2), fixed (1, 3), cols (4,): every slice of the stack is
+        # direct indexing plus a column-major reshape of the row group
+        arr = rng.standard_normal((2, 3, 4, 2, 3))
+        t = DenseTensor.from_array(arr)
+        stack = _slice_stack(t, (0, 2), (1, 3), (4,))
+        assert stack.shape == (8, 3, 6)
+        for flat in range(6):
+            i1, i3 = flat % 3, flat // 3  # first fixed mode fastest
+            expect = arr[:, i1, :, i3, :].reshape((8, 3), order="F")
+            assert np.array_equal(stack[:, :, flat], expect)
+            spec = SliceSpec((0, 2), {1: i1, 3: i3}, (4,))
+            assert np.array_equal(slice_matrix(t, spec), expect)
+            combo = slice_combination(t, (1, 3), np.eye(6)[flat],
+                                      row_modes=(0, 2), col_modes=(4,))
+            assert np.array_equal(combo, slice_matrix(t, spec))
+
+    def test_unsorted_group_refused(self, rng):
+        t = DenseTensor.from_array(rng.standard_normal((2, 3, 4, 2)))
+        with pytest.raises(PartitionError):
+            ModePartition((1, 0), (2,), (3,)).validate(4)
+        with pytest.raises(PartitionError):
+            _slice_stack(t, (1, 0), (2,), (3,))
+        with pytest.raises(PartitionError):
+            slice_matrix(t, SliceSpec((1, 0), {2: 0}, (3,)))
+
 
 class TestSliceCombination:
     def test_unit_weight_reproduces_slice(self, rng):
@@ -220,6 +247,13 @@ class TestSliceCombination:
         t = DenseTensor.from_array(rng.standard_normal((3, 4, 5)))
         with pytest.raises(ShapeError):
             slice_combination(t, 2, np.ones(4))
+
+    def test_one_free_group_given(self, rng):
+        t = DenseTensor.from_array(rng.standard_normal((3, 4, 5)))
+        with pytest.raises(PartitionError):
+            slice_combination(t, (2,), np.ones(5), row_modes=(0,))
+        with pytest.raises(PartitionError):
+            slice_combination(t, (2,), np.ones(5), col_modes=(1,))
 
 
 class TestTensorIO:
