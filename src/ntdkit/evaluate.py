@@ -21,8 +21,7 @@ from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .procedures import _scan_slices, _slice_ranks
 from .solvers import numerical_rank
-from .tensor import (DenseTensor, _mode_groups, _partition, _slice_stack,
-                     multilinear_transform, unfold)
+from .tensor import DenseTensor, _mode_groups, _partition, _slice_stack, unfold
 
 
 def align_columns(u_est, u_ref):
@@ -48,15 +47,14 @@ def align_columns(u_est, u_ref):
 
 def normalize_model(model: NtdModel) -> NtdModel:
     """Equivalent model with unit factor column sums (core compensated)."""
-    scales = []
-    factors = []
-    for u in model.factors:
+    factors, core = [], model.core.array
+    for k, u in enumerate(model.factors):
         s = u.sum(axis=0)
         s = np.where(np.abs(s) > 1e-300, s, 1.0)
         factors.append(u / s)
-        scales.append(np.diag(s))
-    core = multilinear_transform(model.core, scales)
-    return NtdModel(factors, core, model.ranks, dict(model.diagnostics))
+        core = core * s.reshape((-1,) + (1,) * (core.ndim - 1 - k))
+    return NtdModel(factors, DenseTensor.from_array(core), model.ranks,
+                    dict(model.diagnostics))
 
 
 @dataclass

@@ -7,13 +7,13 @@ vertex once by the double description method (Motzkin et al. 1953, as in
 Fukuda & Prodon 1996) in numpy alone: the extreme rays of the cone
 ``{y : [b; a] y >= 0}`` with ``a . y > 0``, each scaled to ``a . y = 1``,
 kept if feasible and sorted lexicographically.  No subset of rows is
-solved.  The objectives the package maximizes over a bounded
-cross-section (a norm, a determinant linear in each column) peak at
-vertices, so within the ray budget callers search the vertices alone.
-Past it the SSC1 refutation search solves LPs instead.  Every linear
-program in the package goes through ``linprog_dense``, a single call to
-scipy's HiGHS, which is deterministic for a fixed input; scipy is
-imported on that first call.
+solved, and each cut masks rows instead of gathering them.  The
+objectives the package maximizes over a bounded cross-section (a norm, a
+determinant linear in each column) peak at vertices, so within the ray
+budget callers search the vertices alone.  Past it the SSC1 refutation
+search solves LPs instead.  Every linear program in the package goes
+through ``linprog_dense``, a single call to scipy's HiGHS, which is
+deterministic for a fixed input; scipy is imported on that first call.
 """
 
 from __future__ import annotations
@@ -71,42 +71,44 @@ def linprog_dense(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 
 def _adjacent_pairs(zeros, pos, neg, r):
     """Rays ``p`` of ``pos`` and ``q`` of ``neg`` that span a 2-face, by
-    the combinatorial test: at least r-2 rows are active at both (``zeros``
-    marks each ray's active rows) and no third ray is active on all of
-    them.  The counts of shared rows are built one block of ``pos`` at a
-    time and the candidate pairs tested in chunks, each of about
-    ``_PAIR_CHUNK`` entries, so memory stays bounded; pairs come in
-    row-major order of (``pos``, ``neg``)."""
+    the combinatorial test: at least r-2 rows are active at both and no
+    third ray is active on all of them; ``zeros`` is one activity mask over
+    all rows, False on the unprocessed ones.  Shared-row counts are built
+    one block of ``pos`` at a time and the candidate pairs tested in chunks
+    of about ``_PAIR_CHUNK`` entries, so memory stays bounded; pairs come
+    in row-major order of (``pos``, ``neg``)."""
     zf = zeros.astype(float)
-    zneg = zf[neg].T
+    zneg = zf.take(neg, 0)
     rows = max(1, _PAIR_CHUNK // max(1, len(neg)))
     step = max(1, _PAIR_CHUNK // max(zeros.shape))
-    ps, qs = [pos[:0]], [neg[:0]]
+    ps, qs = [], []
     for lo in range(0, len(pos), rows):
         block = pos[lo:lo + rows]
-        shared = zf[block] @ zneg
-        pi, qi = np.nonzero(shared >= r - 2)
+        zpos = zf.take(block, 0)
+        pi, qi = (zpos @ zneg.T >= r - 2).nonzero()
         for at in range(0, len(pi), step):
             bi, qj = pi[at:at + step], qi[at:at + step]
-            common = zeros[block[bi]] & zeros[neg[qj]]
-            holders = common @ zf.T >= shared[bi, qj, None] - 0.5
+            common = zpos.take(bi, 0) * zneg.take(qj, 0)
+            holders = common @ zf.T >= common.sum(axis=1, keepdims=True)
             adjacent = holders.sum(axis=1) == 2
             ps.append(block[bi[adjacent]])
             qs.append(neg[qj[adjacent]])
-    return np.concatenate(ps), np.concatenate(qs)
+    if len(ps) == 1:
+        return ps[0], qs[0]
+    return np.concatenate([pos[:0], *ps]), np.concatenate([neg[:0], *qs])
 
 
 def _extreme_rays(u, max_rays):
     """Unit extreme rays of ``{y : u y >= 0}``; None when ``u`` has rank
-    below its width.
+    below its width, ``(0, r)`` when its rows positively span R^r.
 
     Pivoted Gram-Schmidt picks r independent rows, whose simplicial cone
     starts the double description.  The deepest cut is added next: the
     unprocessed row with the most negative value on a current ray (rows
-    and rays are unit vectors), ties to the lowest index.  The rays it
-    cuts off are replaced by one new ray per adjacent pair across its
-    hyperplane.  Once no unprocessed row is below ``-_ZERO_TOL`` on a
-    ray, the rest are redundant.
+    and rays are unit vectors; processed rows count as +inf), ties to the
+    lowest index.  The rays it cuts off are replaced by one new ray per
+    adjacent pair across its hyperplane.  Once no unprocessed row is below
+    ``-_ZERO_TOL`` on a ray, the rest are redundant.
     """
     r = u.shape[1]
     if len(u) < r:
@@ -114,31 +116,31 @@ def _extreme_rays(u, max_rays):
     res, basis = u.copy(), []
     for _ in range(r):
         norms = np.einsum("ij,ij->i", res, res)
-        k = int(np.argmax(norms))
+        k = int(norms.argmax())
         if norms[k] <= 1e-20:
             return None
-        res -= np.outer(res @ res[k], res[k] / norms[k])
+        res -= (res @ res[k])[:, None] * (res[k] / norms[k])
         basis.append(k)
     rays = np.linalg.inv(u[basis]).T
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    rays /= np.sqrt(np.add.reduce(rays * rays, axis=1, keepdims=True))
     vals = rays @ u.T
-    done = np.zeros(len(u), dtype=bool)
-    done[basis] = True
+    done = np.zeros(len(u))
+    done[basis] = np.inf
     while True:
-        depth = np.where(done, 0.0, vals.min(axis=0, initial=0.0))
-        i = int(np.argmin(depth))
+        depth = vals.min(axis=0, initial=np.inf) + done
+        i = int(depth.argmin())
         if depth[i] >= -_ZERO_TOL:
             return rays
         s = vals[:, i]
         neg = s < -_ZERO_TOL
-        p, q = _adjacent_pairs(np.abs(vals[:, done]) <= _ZERO_TOL,
-                               np.flatnonzero(s > _ZERO_TOL),
-                               np.flatnonzero(neg), r)
-        new = s[p, None] * rays[q] - s[q, None] * rays[p]
-        new /= np.linalg.norm(new, axis=1, keepdims=True)
-        rays = np.concatenate([rays[~neg], new])
-        vals = np.concatenate([vals[~neg], new @ u.T])
-        done[i] = True
+        p, q = _adjacent_pairs((np.abs(vals) <= _ZERO_TOL) & (done > 0),
+                               (s > _ZERO_TOL).nonzero()[0],
+                               neg.nonzero()[0], r)
+        new = s[p][:, None] * rays.take(q, 0) - s[q][:, None] * rays.take(p, 0)
+        new /= np.sqrt(np.add.reduce(new * new, axis=1, keepdims=True))
+        rays = np.concatenate([rays.compress(~neg, 0), new])
+        vals = np.concatenate([vals.compress(~neg, 0), new @ u.T])
+        done[i] = np.inf
         if len(rays) > max_rays:
             raise EnumerationCapError(
                 f"vertex enumeration passed {max_rays} intermediate rays")
@@ -160,16 +162,15 @@ def cross_section_vertices(b, a, max_rays, tol=1e-9):
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
-    r = b.shape[1]
-    m = np.vstack([b, a])
-    norms = np.linalg.norm(m, axis=1)
-    keep = np.flatnonzero(norms > 1e-12 * norms.max(initial=0.0))
-    rays = _extreme_rays(m[keep] / norms[keep, None], max_rays)
+    m = np.concatenate([b, a[None]])
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    keep = norms > 1e-12 * norms.max(initial=0.0)
+    rays = _extreme_rays(m[keep] / norms[keep][:, None], max_rays)
     if rays is None:
-        return np.zeros((0, r)), True
+        return np.zeros((0, b.shape[1])), True
     height = rays @ a
     at_infinity = height <= _ZERO_TOL * np.linalg.norm(a)
-    v = rays[~at_infinity] / height[~at_infinity, None]
+    v = rays[~at_infinity] / height[~at_infinity][:, None]
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     v = v[(v @ b.T).min(axis=1, initial=np.inf) >= -tol * scale]
     return v[np.lexsort(v.T[::-1])], bool(at_infinity.any())

@@ -9,7 +9,7 @@ from ntdkit.evaluate import (_combination_rank, align_columns,
                              rank_profile, validate_assumptions)
 from ntdkit.model import NtdModel
 from ntdkit.synth import Instance, gen_instance
-from ntdkit.tensor import DenseTensor
+from ntdkit.tensor import DenseTensor, multilinear_transform
 from tests.conftest import stochastic
 
 
@@ -114,6 +114,24 @@ class TestEssentialMatch:
         assert np.allclose(norm.reconstruct().data, m2.reconstruct().data,
                            atol=1e-12)
         assert all(np.abs(u.sum(0) - 1).max() < 1e-12 for u in norm.factors)
+
+    @pytest.mark.parametrize("dims,ranks,zero_column", [
+        ((6, 5, 4), (2, 2, 3), False), ((5, 4, 3, 3), (2, 3, 2, 2), False),
+        ((6, 5, 4), (2, 2, 3), True), ((5, 4, 3, 3), (2, 3, 2, 2), True)])
+    def test_normalize_matches_diagonal_route(self, rng, dims, ranks,
+                                              zero_column):
+        # Scaling the core by broadcasting gives the bits of the product
+        # with diagonal matrices, also for a zero column sum (kept as 1).
+        m = self.make_model(rng, dims, ranks)
+        if zero_column:
+            m.factors[1][:, 0] = 0.0
+        norm = normalize_model(m)
+        sums = [u.sum(axis=0) for u in m.factors]
+        sums = [np.where(np.abs(s) > 1e-300, s, 1.0) for s in sums]
+        core = multilinear_transform(m.core, [np.diag(s) for s in sums])
+        assert np.array_equal(norm.core.data, core.data)
+        assert all(np.array_equal(u, f / s)
+                   for u, f, s in zip(norm.factors, m.factors, sums))
 
 
 class TestModelError:

@@ -12,7 +12,7 @@ from ntdkit import lp
 from ntdkit.errors import EnumerationCapError, RankError
 from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
                        linprog_dense)
-from ntdkit.solvers import orthonormal_range
+from ntdkit.solvers import _row_space, orthonormal_range
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import SliceSpec, slice_matrix, unfold
 from tests.conftest import same_vertices, two_nonzero, two_nonzero_ssc
@@ -330,3 +330,193 @@ def test_vertex_path_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+# Reference double description: the plain per-cut loop, which gathers the
+# processed columns and masks the depth afresh on every cut.  The package's
+# loop must give the same rays bit for bit.
+
+def reference_adjacent_pairs(zeros, pos, neg, r):
+    zf = zeros.astype(float)
+    zneg = zf[neg].T
+    rows = max(1, lp._PAIR_CHUNK // max(1, len(neg)))
+    step = max(1, lp._PAIR_CHUNK // max(zeros.shape))
+    ps, qs = [pos[:0]], [neg[:0]]
+    for lo in range(0, len(pos), rows):
+        block = pos[lo:lo + rows]
+        shared = zf[block] @ zneg
+        pi, qi = np.nonzero(shared >= r - 2)
+        for at in range(0, len(pi), step):
+            bi, qj = pi[at:at + step], qi[at:at + step]
+            common = zeros[block[bi]] & zeros[neg[qj]]
+            holders = common @ zf.T >= shared[bi, qj, None] - 0.5
+            adjacent = holders.sum(axis=1) == 2
+            ps.append(block[bi[adjacent]])
+            qs.append(neg[qj[adjacent]])
+    return np.concatenate(ps), np.concatenate(qs)
+
+
+def reference_extreme_rays(u, max_rays):
+    r = u.shape[1]
+    if len(u) < r:
+        return None
+    res, basis = u.copy(), []
+    for _ in range(r):
+        norms = np.einsum("ij,ij->i", res, res)
+        k = int(np.argmax(norms))
+        if norms[k] <= 1e-20:
+            return None
+        res -= np.outer(res @ res[k], res[k] / norms[k])
+        basis.append(k)
+    rays = np.linalg.inv(u[basis]).T
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    vals = rays @ u.T
+    done = np.zeros(len(u), dtype=bool)
+    done[basis] = True
+    while True:
+        depth = np.where(done, 0.0, vals.min(axis=0, initial=0.0))
+        i = int(np.argmin(depth))
+        if depth[i] >= -lp._ZERO_TOL:
+            return rays
+        s = vals[:, i]
+        neg = s < -lp._ZERO_TOL
+        p, q = reference_adjacent_pairs(np.abs(vals[:, done]) <= lp._ZERO_TOL,
+                                        np.flatnonzero(s > lp._ZERO_TOL),
+                                        np.flatnonzero(neg), r)
+        new = s[p, None] * rays[q] - s[q, None] * rays[p]
+        new /= np.linalg.norm(new, axis=1, keepdims=True)
+        rays = np.concatenate([rays[~neg], new])
+        vals = np.concatenate([vals[~neg], new @ u.T])
+        done[i] = True
+        if len(rays) > max_rays:
+            raise EnumerationCapError(
+                f"vertex enumeration passed {max_rays} intermediate rays")
+
+
+def reference_cross_section_vertices(b, a, max_rays, tol=1e-9):
+    b = np.asarray(b, dtype=float)
+    a = np.asarray(a, dtype=float)
+    rays = reference_extreme_rays(dd_input(b, a), max_rays)
+    if rays is None:
+        return np.zeros((0, b.shape[1])), True
+    height = rays @ a
+    at_infinity = height <= lp._ZERO_TOL * np.linalg.norm(a)
+    v = rays[~at_infinity] / height[~at_infinity, None]
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    v = v[(v @ b.T).min(axis=1, initial=np.inf) >= -tol * scale]
+    return v[np.lexsort(v.T[::-1])], bool(at_infinity.any())
+
+
+def dd_input(b, a):
+    """The rows ``cross_section_vertices`` hands the double description:
+    those of ``[b; a]`` at unit length, rows below 1e-12 of the longest
+    dropped."""
+    m = np.vstack([b, a])
+    norms = np.linalg.norm(m, axis=1)
+    keep = np.flatnonzero(norms > 1e-12 * norms.max(initial=0.0))
+    return m[keep] / norms[keep, None]
+
+
+def column_directions(x, r):
+    """Unit directions of the columns' rank-r coordinates, the input of
+    ``spa_separable_nmf``'s double description."""
+    s, vt = _row_space(x, r)
+    y = s[:, None] * vt
+    return (y / np.linalg.norm(y, axis=0)).T
+
+
+def build_dd_corpus():
+    """Seeded cross-sections ``(b, a)`` and cones ``u`` shaped like the
+    benchmark's double descriptions: two-nonzero factors with a = 1 (the
+    SSC checks), their orthonormal ranges with a = b.sum(0) (maxdet), unit
+    column directions of separable data (the anchor search), a product of
+    two 8x3 SSC factors, duplicate rows, integer rows whose depths tie
+    exactly (so the tie order shows), a rank-deficient b and rows that
+    positively span the space."""
+    rng = np.random.default_rng(19)
+    sections = {}
+    for n, r in [(17, 4), (21, 5), (25, 5), (31, 5), (81, 4), (151, 4)]:
+        for k in range(2):
+            h = two_nonzero(n, r, rng)
+            sections[f"two-nonzero-{n}x{r}-{k}"] = (h, np.ones(r))
+            b = orthonormal_range(h, r)
+            sections[f"range-{n}x{r}-{k}"] = (b, b.sum(axis=0))
+    sections["kron-8x3-8x3"] = (
+        np.kron(two_nonzero_ssc(8, 3, rng), two_nonzero_ssc(8, 3, rng)),
+        np.ones(9))
+    h = two_nonzero(21, 5, rng)
+    sections["duplicate-rows-21x5"] = (np.vstack([h, h[:6]]), np.ones(5))
+    sections["exact-ties-8x4"] = (np.vstack([np.eye(4), 1 - 2 * np.eye(4)]),
+                                  np.ones(4))
+    grid = np.array(list(itertools.product([-1.0, 0.0, 1.0, 2.0], repeat=3)))
+    sections["exact-ties-44x3"] = (grid[grid.sum(axis=1) > 0], np.ones(3))
+    sections["rank-deficient"] = (rng.random((10, 2)) @ rng.random((2, 4)),
+                                  np.ones(4))
+    sections["positive-span"] = (np.vstack([np.eye(3), -np.eye(3)]),
+                                 np.ones(3))
+    cones = {name: dd_input(b, a) for name, (b, a) in sections.items()}
+    for n, r in [(40, 4), (50, 5), (60, 5)]:
+        h = np.vstack([np.eye(r), two_nonzero(n - r, r, rng), np.eye(r)[:1]])
+        x = (rng.random((30, r)) + 0.1) @ h.T
+        cones[f"columns-{n + 1}x{r}"] = column_directions(x, r)
+    return sections, cones
+
+
+DD_SECTIONS, DD_CONES = build_dd_corpus()
+
+
+def dd_outcome(extreme_rays, u, max_rays):
+    try:
+        return extreme_rays(u, max_rays)
+    except EnumerationCapError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chunk", [lp._PAIR_CHUNK, 64])
+@pytest.mark.parametrize("name", sorted(DD_CONES))
+def test_extreme_rays_match_reference(name, chunk, monkeypatch):
+    # The same rays, bit for bit, and the same over-budget message, with
+    # the pair test in one block and in chunks of 64 entries.
+    monkeypatch.setattr(lp, "_PAIR_CHUNK", chunk)
+    u = DD_CONES[name]
+    for max_rays in (_VERTEX_ENUM_CAP, u.shape[1] + 1):
+        got = dd_outcome(lp._extreme_rays, u, max_rays)
+        ref = dd_outcome(reference_extreme_rays, u, max_rays)
+        if isinstance(ref, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.shape == ref.shape
+            assert np.array_equal(got, ref)
+        else:
+            assert got == ref
+
+
+@pytest.mark.parametrize("chunk", [lp._PAIR_CHUNK, 64])
+@pytest.mark.parametrize("name", sorted(DD_SECTIONS))
+def test_cross_section_vertices_contract(name, chunk, monkeypatch):
+    # Each vertex once, rows in strictly increasing lexicographic order,
+    # feasible within the tolerance and on a . y = 1; the unbounded flag
+    # and the vertices are the reference's.
+    monkeypatch.setattr(lp, "_PAIR_CHUNK", chunk)
+    b, a = DD_SECTIONS[name]
+    v, unbounded = cross_section_vertices(b, a, _VERTEX_ENUM_CAP)
+    ref, ref_unbounded = reference_cross_section_vertices(b, a,
+                                                          _VERTEX_ENUM_CAP)
+    assert v.shape[1] == b.shape[1]
+    assert all(tuple(x) < tuple(y) for x, y in zip(v, v[1:]))
+    if len(v):
+        scale = max(1.0, np.abs(b).max())
+        assert (v @ b.T).min() >= -1e-9 * scale
+        assert np.abs(v @ a - 1.0).max() <= 1e-9
+    assert unbounded == ref_unbounded
+    assert np.array_equal(v, ref)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_positively_spanning_rows_cut_every_ray(r):
+    # Rows that positively span R^r leave only y = 0: the double
+    # description cuts every ray and returns none, and the cross-section is
+    # empty, not unbounded.
+    u = np.vstack([np.eye(r), -np.eye(r)])
+    rays = lp._extreme_rays(u, _VERTEX_ENUM_CAP)
+    assert rays.shape == (0, r)
+    v, unbounded = cross_section_vertices(u, np.ones(r), _VERTEX_ENUM_CAP)
+    assert v.shape == (0, r) and not unbounded

@@ -19,6 +19,13 @@ from tests.conftest import (align_error, stochastic, two_nonzero,
 CFG = SolverConfig(seed=7)
 
 
+def hexagon_columns(rng):
+    """Rank-2 data whose columns point along 0, 60, ..., 300 degrees and so
+    positively span their range."""
+    angles = np.arange(6) * np.pi / 3
+    return rng.random((5, 2)) @ np.array([np.cos(angles), np.sin(angles)])
+
+
 class TestRankTools:
     def test_numerical_rank(self, rng):
         a = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8))
@@ -267,6 +274,13 @@ class TestMinvolNmf:
         with pytest.raises(ShapeError):
             minvol_nmf(rng.random((2, 5)), 3, CFG)
 
+    def test_positively_spanning_columns_collapse(self, rng):
+        # Columns along 0, 60, ..., 300 degrees: the cross-section holds
+        # y = 0 alone, so there is no vertex and no simplex.
+        with pytest.raises(SolverError,
+                           match="determinant maximization collapsed"):
+            minvol_nmf(hexagon_columns(rng), 2, CFG)
+
 
 class TestSpa:
     def test_identity(self):
@@ -281,6 +295,11 @@ class TestSpa:
         # anchors are exactly the identity-block rows of the separable side
         assert sorted(anchors) == list(range(5))
         assert np.linalg.norm(x - w @ h.T) <= 1e-9 * np.linalg.norm(x)
+
+    def test_positively_spanning_columns_have_no_facets(self, rng):
+        with pytest.raises(NotSeparable,
+                           match="column cone has 0 facets, expected 2"):
+            spa_separable_nmf(hexagon_columns(rng), 2)
 
     def test_non_separable_rejected(self, rng):
         u = two_nonzero_ssc(20, 4, rng)  # SSC but not separable
