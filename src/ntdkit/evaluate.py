@@ -322,13 +322,12 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         ok = ranks[1] == r and all(ranks[i] <= r for i in range(2, d))
         rep.add("rank-shape", "pass" if ok else "fail", f"ranks {ranks}")
         ssc_each()
-        rng = np.random.default_rng(seed + 41)
         for i in range(1, d):
             target = r if i == 1 else ranks[i]
             others = tuple(m for m in range(d) if m not in (0, i))
             try:
                 _scan_slices(_slice_stack(t, (0,), others, (i,)), (0,), (i,),
-                             target, rng, 200)
+                             target)
                 rep.add(f"exists-full-[0,{i}]-slice", "pass")
             except RankError as exc:
                 rep.add(f"exists-full-[0,{i}]-slice", "fail", str(exc))
@@ -354,11 +353,9 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
                     [truth.factors[m] for m in modes],
                     [ranks[m] for m in modes])
                 rep.add(f"ssc-kron-group-{name}", status, detail)
-            stack = _slice_stack(t, rows, fixed_modes, cols)
-            rng = np.random.default_rng(seed + 43)
             try:
-                _scan_slices(stack, rows, cols, r, rng,
-                             min(200, stack.shape[2]) - 1)
+                _scan_slices(_slice_stack(t, rows, fixed_modes, cols), rows,
+                             cols, r)
                 rep.add("exists-full-generalized-slice", "pass",
                         f"best rank {r}")
             except RankError as exc:

@@ -7,10 +7,13 @@ within the feasibility tolerance.  It runs one of three routes: the
 unfolding route (0, d0, ``allatonce_penalized``; one unfolding, then
 Kronecker splits), the slice-pair route (1, 2, d1; one slice for two modes,
 one projected slice per further mode) or the slice-stack route (3, 4, d3;
-one slice, then the projected stack of all slices).  Procedures 2 and 4
-randomize 1 and 3 with Gaussian slice combinations; the d-prefixed ones
-are the order-d versions.  Slices and unfoldings come from ``tensor``,
-which alone flattens modes; 3 and d3 read every slice from one stack.
+one slice, then the projected stack of all slices).  Procedures 1, 3, d1
+and d3 take the first full-rank slice in flat index order unless told
+which (``_scan_slices``; no randomness); procedures 2 and 4 are 1 and 3
+with Gaussian slice combinations as the matrices they factor first, 4
+keeping 3's stack.  The d-prefixed ones are the order-d versions.  Slices
+and unfoldings come from ``tensor``, which alone flattens modes; 3, 4 and
+d3 read every slice from one stack.
 """
 
 from __future__ import annotations
@@ -95,20 +98,17 @@ def _split_group(u, modes, dims, ranks):
     return kron_split_multi(u, [(dims[m], ranks[m]) for m in modes])
 
 
-def _scan_slices(stack, rows, cols, target, rng, budget):
-    """Index of a rank-``target`` slice in the ``rows x cols`` ``stack``.
+def _scan_slices(stack, rows, cols, target):
+    """First flat index of a rank-``target`` slice in the ``rows x cols``
+    ``stack``, in index order.
 
-    Tries index 0, then ``budget`` indices drawn from ``rng``; generic
-    instances succeed at once, so the scan is a probability-one surrogate
-    for the existence assumption.  Raises ``RankError`` with the best rank
-    seen when no candidate reaches ``target``.
+    A slice's rank never exceeds ``target`` when the core fits the ranks,
+    so this is the first max-rank slice whenever a full-rank one exists;
+    generic instances stop at index 0.  Raises ``RankError`` naming the
+    slice count and the best rank seen when no slice reaches ``target``.
     """
-    best, seen = 0, set()
-    for flat in [0, *rng.integers(stack.shape[2], size=budget)]:
-        flat = int(flat)
-        if flat in seen:
-            continue
-        seen.add(flat)
+    best = 0
+    for flat in range(stack.shape[2]):
         rank = numerical_rank(stack[:, :, flat])
         if rank == target:
             return flat
@@ -116,8 +116,8 @@ def _scan_slices(stack, rows, cols, target, rng, budget):
     name = ",".join(str(g[0]) if len(g) == 1 else str(list(g))
                     for g in (rows, cols))
     raise RankError(
-        f"no [{name}]-slice of rank {target} found in {len(seen)} "
-        f"candidates (best was {best})"
+        f"none of the {stack.shape[2]} [{name}]-slices has rank {target} "
+        f"(best was {best})"
     )
 
 
@@ -161,20 +161,16 @@ def _slice_pair_route(t, ranks, first, mats, cfg, diagnostics):
                      diagnostics)
 
 
-def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics,
-                       unmix=None):
+def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics):
     """Min-vol order-2 nTD of ``first`` over the ``(rows, fixed, cols)``
     groups; the ``(R, C, F)`` ``slices``, projected on both sides, factor
-    as core unfolding times the fixed-group factor.  ``unmix`` undoes a
-    mixing of the slices (the stack is multiplied by its inverse)."""
+    as core unfolding times the fixed-group factor."""
     rows, fixed, cols = groups
     r = prod(ranks[m] for m in rows)
     fac = minvol_order2_ntd(first, r, cfg)
     p1 = np.linalg.pinv(fac.u1)
     p2t = np.linalg.pinv(fac.u2).T
     stack = _flatten(p1 @ np.moveaxis(slices, -1, 0) @ p2t, ((1, 2), (0,)))
-    if unmix is not None:
-        stack = np.linalg.solve(unmix.T, stack.T).T
     g, u_fixed = minvol_nmf(stack, prod(ranks[m] for m in fixed), cfg)
 
     left, perm_left, _ = _split_group(fac.u1, rows, t.dims, ranks)
@@ -275,15 +271,18 @@ def procedure0(t: DenseTensor, ranks, cfg: SolverConfig) -> NtdModel:
 
 def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
                i2=None, i3=None) -> NtdModel:
-    """Two max-rank slices: one mode-3 slice gives U1, U2 by min-vol
-    order-2 nTD, one projected mode-2 slice gives U3 by min-vol NMF."""
+    """Two full-rank slices, the first of each mode unless given: one
+    mode-3 slice gives U1, U2 by min-vol order-2 nTD, one projected mode-2
+    slice gives U3 by min-vol NMF."""
     r1, r2, r3 = _order3_ranks(t, ranks, "1")
     if r1 != r2:
         raise ShapeError("procedure 1 needs r1 == r2")
     if r3 > r1:
         raise ShapeError("procedure 1 needs r3 <= r1")
-    i3 = select_max_rank_slice(t, 2) if i3 is None else int(i3)
-    i2 = select_max_rank_slice(t, 1) if i2 is None else int(i2)
+    i3 = _scan_slices(_slice_stack(t, (0,), (2,), (1,)), (0,), (1,), r1) \
+        if i3 is None else int(i3)
+    i2 = _scan_slices(_slice_stack(t, (0,), (1,), (2,)), (0,), (2,), r3) \
+        if i2 is None else int(i2)
     return _slice_pair_route(t, (r1, r2, r3), mode_slice(t, 2, i3),
                              [mode_slice(t, 1, i2)], cfg,
                              {"procedure": "1", "i3": i3, "i2": i2})
@@ -310,56 +309,50 @@ def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
 
 def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
                slice_index=None) -> NtdModel:
-    """One max-rank slice gives U1, U2; the projected stack of all mode-3
-    slices factors as core-unfolding times U3' and min-vol NMF finishes."""
+    """One full-rank slice, the first unless given, gives U1, U2; the
+    projected stack of all mode-3 slices factors as core-unfolding times
+    U3' and min-vol NMF finishes."""
     r1, r2, r3 = _order3_ranks(t, ranks, "3")
     if r1 != r2:
         raise ShapeError("procedure 3 needs r1 == r2")
     if r3 > r1 * r1:
         raise ShapeError(f"procedure 3 needs r3 <= r^2 = {r1 * r1}")
-    i = select_max_rank_slice(t, 2) if slice_index is None else \
+    stack = _slice_stack(t, (0,), (2,), (1,))
+    i = _scan_slices(stack, (0,), (1,), r1) if slice_index is None else \
         int(slice_index)
     return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
-                              mode_slice(t, 2, i),
-                              _slice_stack(t, (0,), (2,), (1,)), cfg,
+                              mode_slice(t, 2, i), stack, cfg,
                               {"procedure": "3", "slice_index": i})
 
 
 def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
-               mix=None, max_cond=1e8, max_attempts=10) -> NtdModel:
-    """Randomized procedure 3: all slices are replaced by n3 Gaussian
-    combinations, undone afterwards by the inverse mixing matrix."""
+               alpha=None) -> NtdModel:
+    """Randomized procedure 3: the first matrix is one Gaussian combination
+    ``alpha`` of the mode-3 slices, which has full rank with probability
+    one whenever the slices span maximal rank; the projected stack is
+    procedure 3's.  ``diagnostics["mix"]`` holds ``alpha`` as one column."""
     r1, r2, r3 = _order3_ranks(t, ranks, "4")
     if r1 != r2 or r3 > r1 * r1:
         raise ShapeError("procedure 4 needs r3 <= r^2 with r1 == r2")
-    n3 = t.dims[2]
     rng = np.random.default_rng(
         derive_seed(cfg.seed, "procedure4") if rng is None else rng)
-    if mix is None:
-        for _ in range(max_attempts):
-            mix = rng.standard_normal((n3, n3))
-            if np.linalg.cond(mix) <= max_cond:
-                break
-        else:
-            raise SolverError("could not draw a well-conditioned mix")
-    else:
-        mix = np.asarray(mix, dtype=float)
-    combos = np.stack([slice_combination(t, 2, mix[:, i])
-                       for i in range(n3)], axis=2)
+    alpha = rng.standard_normal(t.dims[2]) if alpha is None \
+        else np.asarray(alpha, dtype=float)
     return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
-                              combos[:, :, 0], combos, cfg,
-                              {"procedure": "4", "mix": mix.tolist(),
-                               "mix_cond": float(np.linalg.cond(mix))},
-                              unmix=mix)
+                              slice_combination(t, 2, alpha),
+                              _slice_stack(t, (0,), (2,), (1,)), cfg,
+                              {"procedure": "4",
+                               "mix": alpha[:, None].tolist()})
 
 
 def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
-                 slice_indices=None, scan_budget=200) -> NtdModel:
+                 slice_indices=None) -> NtdModel:
     """Order-d slice route: a [0,1]-slice gives U0, U1; for every further
     mode one projected [0,i]-slice gives U_i by min-vol NMF.
 
     ``slice_indices`` optionally maps a column mode to the fixed-index
-    dict of its slice; missing entries are auto-searched.
+    dict of its slice; for a missing mode the first full-rank [0,i]-slice
+    in flat index order is used (no randomness).
     """
     ranks = tuple(int(r) for r in ranks)
     d = t.order
@@ -371,7 +364,6 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
     if any(ranks[i] > r for i in range(2, d)):
         raise ShapeError("procedure d.1 needs r_i <= r1 for i >= 3")
     slice_indices = dict(slice_indices or {})
-    rng = np.random.default_rng(derive_seed(cfg.seed, "d1-scan"))
     used = {}
     for i in range(1, d):
         if i in slice_indices:
@@ -379,7 +371,7 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
         else:
             others = tuple(m for m in range(d) if m not in (0, i))
             flat = _scan_slices(_slice_stack(t, (0,), others, (i,)), (0,),
-                                (i,), ranks[i], rng, scan_budget)
+                                (i,), ranks[i])
             index = np.unravel_index(flat, [t.dims[m] for m in others],
                                      order="F")
             used[i] = dict(zip(others, map(int, index)))
@@ -394,10 +386,11 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
 
 
 def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
-                 cfg: SolverConfig, fixed_index=None,
-                 scan_budget=200) -> NtdModel:
+                 cfg: SolverConfig, fixed_index=None) -> NtdModel:
     """Fully generalized slice route over a row/fixed/column mode
-    partition, with Kronecker splits of all three grouped factors."""
+    partition, with Kronecker splits of all three grouped factors.  The
+    first matrix is the slice at ``fixed_index`` or, when that is not
+    given, the first full-rank slice in flat index order."""
     ranks = tuple(int(r) for r in ranks)
     d = t.order
     if len(ranks) != d:
@@ -416,8 +409,7 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
     stack = _slice_stack(t, rows, fixed_modes, cols)
     sizes = [t.dims[m] for m in fixed_modes]
     if fixed_index is None:
-        rng = np.random.default_rng(derive_seed(cfg.seed, "d3-scan"))
-        start = _scan_slices(stack, rows, cols, r, rng, scan_budget)
+        start = _scan_slices(stack, rows, cols, r)
     else:
         fixed_index = tuple(int(i) for i in fixed_index)
         try:

@@ -56,8 +56,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feas_tol <= 0:
-            raise ShapeError("solver config feas_tol must be positive")
+        if not 0 < self.feas_tol < np.inf:  # also refuses nan
+            raise ShapeError("solver config feas_tol must be positive and "
+                             "finite")
 
 
 def derive_seed(base, *tags) -> int:

@@ -275,6 +275,8 @@ def read_tensor(path) -> DenseTensor:
                 if data.size != n:
                     raise InputError(f"truncated tensor file {path}")
                 return DenseTensor(dims, _finite_array(data.copy(), path))
+    except struct.error as exc:  # the header ends early
+        raise InputError(f"truncated tensor file {path}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:

@@ -2,8 +2,9 @@
 
 ``perfbench/tracing.py`` wraps package functions by module attribute and
 reads their arguments through ``inspect.signature``, so a rename or a
-changed parameter list breaks traced benchmark runs.  These checks load the
-tracer by file path and fail on such a change instead.
+changed parameter list breaks traced benchmark runs; ``perfbench/
+workloads.py`` calls the procedures positionally.  These checks load both
+files by path and fail on such a change instead.
 """
 
 import importlib
@@ -11,7 +12,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 TENSOR_PARAMETERS = {
     "unfold": ["t", "axes"],
@@ -22,12 +23,16 @@ TENSOR_PARAMETERS = {
 }
 
 
-def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def _traced():
+    return _load("tracing").TRACED
 
 
 def test_every_traced_attribute_resolves():
@@ -48,3 +53,12 @@ def test_tensor_entries_keep_their_parameters():
     for name, params in TENSOR_PARAMETERS.items():
         assert list(inspect.signature(getattr(tensor, name)).parameters) \
             == params, name
+
+
+def test_recover_calls_bind_every_procedure():
+    # the positional calls of ``Recover.op``
+    procedures = importlib.import_module("ntdkit.procedures")
+    for proc, *_ in _load("workloads").Recover.PIPELINES:
+        args = ("t", "ranks", "partition", "cfg") \
+            if proc == "procedure_d3" else ("t", "ranks", "cfg")
+        inspect.signature(getattr(procedures, proc)).bind(*args)

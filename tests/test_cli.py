@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from ntdkit import cli, solvers
 from ntdkit.cli import main
 from ntdkit.synth import load_instance
-from ntdkit.tensor import (DenseTensor, write_tensor_binary,
+from ntdkit.tensor import (TENSOR_MAGIC, DenseTensor, write_tensor_binary,
                            write_tensor_json)
 
 
@@ -451,6 +452,18 @@ MALFORMED_SPECS = {
       "--input", "{tmp}/seed-neg"], 3),
     (["gen", "--assumption", "A4.2", "--dims", "20,20,15", "--ranks",
       "4,4,3", "--seed", "-1", "--out", "{tmp}/g"], 2),
+    (["check", "ssc", "{tmp}/magic.bin"], 3),
+    (["check", "ssc", "{tmp}/one-dim.bin"], 3),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--input", "{tmp}/magic.bin"], 3),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--input", "{tmp}/one-dim.bin"], 3),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--feas-tol", "nan"], 2),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--feas-tol", "inf"], 2),
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--solver-config", "{tmp}/nan-tol.cfg"], 2),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
@@ -458,6 +471,12 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     (tmp_path / "field.cfg").write_text("seed = 2\nbogus = 1\n")
     # a field of the removed coordinate-ascent solver
     (tmp_path / "restarts.cfg").write_text("restarts = 2\n")
+    (tmp_path / "nan-tol.cfg").write_text("feas_tol = nan\n")
+    # binary headers that end early: the magic alone, then order 3 and
+    # one of the three dims
+    (tmp_path / "magic.bin").write_bytes(TENSOR_MAGIC)
+    (tmp_path / "one-dim.bin").write_bytes(
+        TENSOR_MAGIC + struct.pack("<2I", 3, 12))
     # finite entries whose column sums overflow to inf
     (tmp_path / "huge.json").write_text("[[1e308, 1e308], [1e308, 0]]")
     for name, doc in MALFORMED_SPECS.items():

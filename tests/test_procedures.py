@@ -1,4 +1,5 @@
 from functools import reduce
+from math import prod
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
 from ntdkit.kron import kron
 from ntdkit.procedures import (ModePartition, _core_via_pinv, _finalize,
-                               _slice_ranks, allatonce_penalized, procedure0, procedure1,
+                               _scan_slices, _slice_ranks,
+                               allatonce_penalized, procedure0, procedure1,
                                procedure2, procedure3, procedure4,
                                procedure_d0, procedure_d1, procedure_d3,
                                select_max_rank_slice, separable_orderd)
 from ntdkit.solvers import SolverConfig, minvol_order2_ntd, numerical_rank
 from ntdkit.synth import gen_instance
-from ntdkit.tensor import DenseTensor, fold, mode_slice, unfold
+from ntdkit.tensor import (DenseTensor, _mode_groups, _slice_stack, fold,
+                           mode_slice, unfold)
 from tests.conftest import align_error, two_nonzero_ssc
 from tests.test_solvers import reference_spa
 
@@ -79,6 +82,93 @@ class TestSliceRanks:
                     assert svd(s, compute_uv=False).tobytes() == \
                         values.tobytes()
             assert _slice_ranks(t, len(dims) - 1, tol)[:2] == [0, 1]
+
+
+def leading_unit_rows_instance(seed, dims, ranks, deficient):
+    """A tensor whose first [0,1]-slices, fixing modes 2 and 3 at
+    ``deficient`` indices, are rank one: the factors' first rows are unit
+    vectors, so those slices are core slices, made rank one here."""
+    rng = np.random.default_rng(seed)
+    core = rng.random(ranks)
+    for j2, j3 in deficient:
+        core[:, :, j2, j3] = np.outer(rng.random(ranks[0]),
+                                      rng.random(ranks[1]))
+    factors = [np.vstack([np.eye(r), rng.random((n - r, r))])
+               for n, r in zip(dims, ranks)]
+    return NtdModel(factors, DenseTensor.from_array(core), ranks).reconstruct()
+
+
+class TestScanSlices:
+    """The scan takes the first full-rank slice: the first max-rank slice
+    whenever one reaches the target, and no randomness."""
+
+    @pytest.mark.parametrize("dims", [(5, 4, 3), (3, 4, 2, 5)])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_matches_first_max_rank_slice(self, dims, k):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            arr = rng.standard_normal(dims)
+            for mode in range(len(dims)):
+                rows, fixed, cols = _mode_groups(mode, len(dims))
+                view = np.moveaxis(arr.copy(), mode, -1)
+                shape = view.shape[:-1]
+                target = min(prod(shape[:-1]), shape[-1])
+                for j in range(min(k, dims[mode])):
+                    view[..., j] = sum(
+                        np.multiply.outer(rng.standard_normal(shape[:-1]),
+                                          rng.standard_normal(shape[-1]))
+                        for _ in range(target - 1))
+                t = DenseTensor.from_array(np.moveaxis(view, -1, mode))
+                stack = _slice_stack(t, rows, fixed, cols)
+                ranks = _slice_ranks(t, mode)
+                if target in ranks:
+                    index = _scan_slices(stack, rows, cols, target)
+                    assert index == int(np.argmax(ranks))
+                    assert index == _scan_slices(stack, rows, cols, target)
+                    if len(dims) == 3:
+                        assert index == select_max_rank_slice(t, mode)
+                else:
+                    with pytest.raises(RankError):
+                        _scan_slices(stack, rows, cols, target)
+
+    def test_all_deficient_names_slice_count(self, rng):
+        stack = np.stack([np.outer(rng.random(4), rng.random(3))
+                          for _ in range(7)], axis=2)
+        with pytest.raises(RankError, match=r"none of the 7 \[0,1\]-slices "
+                           r"has rank 3 \(best was 1\)"):
+            _scan_slices(stack, (0,), (1,), 3)
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_procedure1_and_3_take_first_max_rank_slices(self, seed):
+        inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=seed)
+        t = inst.tensor
+        auto = procedure1(t, (3, 3, 2), CFG)
+        given = procedure1(t, (3, 3, 2), CFG, i2=select_max_rank_slice(t, 1),
+                           i3=select_max_rank_slice(t, 2))
+        inst = gen_instance("A4.4", (12, 12, 6), (3, 3, 2), seed=seed)
+        t = inst.tensor
+        auto3 = procedure3(t, (3, 3, 2), CFG)
+        given3 = procedure3(t, (3, 3, 2), CFG,
+                            slice_index=select_max_rank_slice(t, 2))
+        for a, b in ((auto, given), (auto3, given3)):
+            for ua, ub in zip(a.factors, b.factors):
+                assert np.array_equal(ua, ub)
+            assert np.array_equal(a.core.data, b.core.data)
+
+    def test_d1_and_d3_skip_deficient_leading_slices(self):
+        # slices (0, 0) and (1, 0) of modes (2, 3) are rank one, so the
+        # first full-rank [0,1]-slice has flat index 2, whatever the seed
+        t = leading_unit_rows_instance(0, (3, 3, 4, 4), (2, 2, 2, 2),
+                                       [(0, 0), (1, 0)])
+        stack = _slice_stack(t, (0,), (2, 3), (1,))
+        assert [numerical_rank(stack[:, :, j]) for j in range(3)] == [1, 1, 2]
+        part = ModePartition((0,), (2, 3), (1,))
+        for seed in (3, 11):
+            cfg = SolverConfig(seed=seed)
+            d1 = procedure_d1(t, (2, 2, 2, 2), cfg)
+            assert d1.diagnostics["slice_indices"]["1"] == {"2": 2, "3": 0}
+            d3 = procedure_d3(t, (2, 2, 2, 2), part, cfg)
+            assert d3.diagnostics["fixed_flat_index"] == 2
 
 
 class TestProcedure0:
@@ -206,10 +296,10 @@ class TestProcedure4:
         inst = gen_instance("A4.4", (12, 12, 6), (3, 3, 2), seed=30)
         m3 = procedure3(inst.tensor, (3, 3, 2), CFG, slice_index=0)
         m4 = procedure4(inst.tensor, (3, 3, 2), CFG,
-                        mix=np.eye(inst.tensor.dims[2]))
+                        alpha=np.eye(inst.tensor.dims[2])[0])
         for ua, ub in zip(m3.factors, m4.factors):
-            assert np.abs(ua - ub).max() <= 1e-12
-        assert np.abs(m3.core.data - m4.core.data).max() <= 1e-12
+            assert np.array_equal(ua, ub)
+        assert np.array_equal(m3.core.data, m4.core.data)
 
     def test_seed_determinism(self):
         inst = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31)
@@ -316,7 +406,7 @@ class TestProcedureD1:
         core[0, :, 1, :] = rng.standard_normal((2, 2))
         t, _ = identity_instance(rng, (2, 2, 2, 2), extra_core=core)
         with pytest.raises(RankError):
-            procedure_d1(t, (2, 2, 2, 2), CFG, scan_budget=20)
+            procedure_d1(t, (2, 2, 2, 2), CFG)
 
 
 class TestProcedureD3:
