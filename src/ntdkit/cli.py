@@ -379,6 +379,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # decompose, eval and bench share --tol; refused before any work
+        if not 0 < getattr(args, "tol", 1.0) < math.inf:  # refuses nan too
+            raise UsageError(f"--tol {args.tol} is not positive and finite")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -426,8 +426,11 @@ def kron_ssc_sufficient(r1, p1, r2, p2) -> bool:
 
 def counterexample_dims_ok(r1, r2) -> bool:
     """Dimension condition under which SSC factors with a non-SSC Kronecker
-    product exist: r1*r2 - 1 < (r1-1)^2 (r2-1), with r1 <= r2."""
+    product exist: r1*r2 - 1 < (r1-1)^2 (r2-1), with r1 <= r2.  Raises
+    ``UsageError`` unless both ranks are at least 2, as the SSC needs."""
     r1, r2 = int(r1), int(r2)
+    if min(r1, r2) < 2:
+        raise UsageError("factors need r >= 2")
     if r1 > r2:
         r1, r2 = r2, r1
     return r1 * r2 - 1 < (r1 - 1) ** 2 * (r2 - 1)

@@ -76,6 +76,8 @@ class AlignmentResult:
 def essential_match(model_a: NtdModel, model_b: NtdModel,
                     tol=1e-6) -> AlignmentResult:
     """Do two models agree up to per-mode permutation and scaling?"""
+    if not 0 < tol < np.inf:  # also refuses nan
+        raise ShapeError("essential_match tol must be positive and finite")
     if model_a.dims != model_b.dims or model_a.ranks != model_b.ranks:
         raise ShapeError("models have different dims or ranks")
     a = normalize_model(model_a)
@@ -207,9 +209,17 @@ def _group_ssc_status(factors, ranks):
     return "undetermined", "group too large for certification"
 
 
-def _exists_full_slice(t, mode, target):
-    best = max(_slice_ranks(t, mode))
-    return ("pass" if best == target else "fail"), f"best slice rank {best}"
+def _full_slice_status(t, groups, target, passed=None):
+    """``(status, detail)``: does a slice of ``t`` over the ``(rows, fixed,
+    cols)`` ``groups`` reach rank ``target``?  The first full-rank slice
+    of ``_scan_slices`` decides, as no slice of a tensor of these ranks
+    exceeds it; a pass reports ``passed``, a fail the ``RankError``."""
+    rows, _, cols = groups
+    try:
+        _scan_slices(_slice_stack(t, *groups), rows, cols, target)
+    except RankError as exc:
+        return "fail", str(exc)
+    return "pass", f"best slice rank {target}" if passed is None else passed
 
 
 def _combination_rank(t, mode, target, rng, trials=20):
@@ -276,10 +286,9 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         rep.add("rank-shape", "pass" if ranks[1] == r and ranks[2] <= r
                 else "fail", f"ranks {ranks}")
         ssc_each()
-        status, detail = _exists_full_slice(t, 2, r)
-        rep.add("exists-full-mode3-slice", status, detail)
-        status, detail = _exists_full_slice(t, 1, ranks[2])
-        rep.add("exists-full-mode2-slice", status, detail)
+        for mode, target in ((2, r), (1, ranks[2])):
+            rep.add(f"exists-full-mode{mode + 1}-slice",
+                    *_full_slice_status(t, _mode_groups(mode, d), target))
     elif aid == "A4.3":
         r = ranks[0]
         rep.add("rank-shape", "pass" if ranks[1] == r and ranks[2] <= r
@@ -297,8 +306,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         rep.add("core-unfolding-rank", "pass" if k == ranks[2] else "fail",
                 f"rank {k}")
         if aid == "A4.4":
-            status, detail = _exists_full_slice(t, 2, r)
-            rep.add("exists-full-mode3-slice", status, detail)
+            rep.add("exists-full-mode3-slice",
+                    *_full_slice_status(t, _mode_groups(2, d), r))
         else:
             rep.add("span-mode3-maximal",
                     *_span_maximal(core, 2, r, seed + 31))
@@ -325,12 +334,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         for i in range(1, d):
             target = r if i == 1 else ranks[i]
             others = tuple(m for m in range(d) if m not in (0, i))
-            try:
-                _scan_slices(_slice_stack(t, (0,), others, (i,)), (0,), (i,),
-                             target)
-                rep.add(f"exists-full-[0,{i}]-slice", "pass")
-            except RankError as exc:
-                rep.add(f"exists-full-[0,{i}]-slice", "fail", str(exc))
+            rep.add(f"exists-full-[0,{i}]-slice", *_full_slice_status(
+                t, ((0,), others, (i,)), target, passed=""))
     elif aid == "A5.4":
         part = instance.meta.get("partition")
         if part is None:
@@ -353,13 +358,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
                     [truth.factors[m] for m in modes],
                     [ranks[m] for m in modes])
                 rep.add(f"ssc-kron-group-{name}", status, detail)
-            try:
-                _scan_slices(_slice_stack(t, rows, fixed_modes, cols), rows,
-                             cols, r)
-                rep.add("exists-full-generalized-slice", "pass",
-                        f"best rank {r}")
-            except RankError as exc:
-                rep.add("exists-full-generalized-slice", "fail", str(exc))
+            rep.add("exists-full-generalized-slice", *_full_slice_status(
+                t, (rows, fixed_modes, cols), r, passed=f"best rank {r}"))
     elif aid == "A-sep":
         for i, u in enumerate(truth.factors):
             sep, _ = check_separable(u)

@@ -427,26 +427,25 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
 
 def separable_orderd(t: DenseTensor, ranks, feas_tol=1e-9) -> NtdModel:
     """Polynomial-time route when every factor is separable: one anchor
-    pass per single-mode unfolding.  After mode k the working tensor is
-    contracted along mode k with ``pinv(U_k)``, which is injective on the
-    range of ``U_k``: later unfoldings have r_k rows instead of n_k, their
-    columns move by one invertible map that keeps the anchors and the
-    normalized ``h``, and the last contraction is the core.  The
-    reconstruction check against ``t`` certifies the model."""
+    pass per single-mode unfolding, smallest ``n_k`` first (ties in mode
+    order) so that the one full-size pass factors the narrowest unfolding.
+    Each unfolding times ``pinv(U_k).T`` folds back into the working
+    tensor: ``pinv(U_k)`` is injective on the range of ``U_k``, so later
+    unfoldings have r_k rows instead of n_k, their columns move by one
+    invertible map that keeps the anchors and the normalized ``h``, and
+    the last contraction is the core.  The reconstruction check against
+    ``t`` certifies the model."""
     ranks = tuple(int(r) for r in ranks)
     d = t.order
     if len(ranks) != d:
         raise ShapeError("one rank per mode required")
-    factors = []
-    anchor_sets = []
-    work = t
-    for k in range(d):
-        anchors, _, h = spa_separable_nmf(unfold(work, (k,)), ranks[k],
-                                          feas_tol)
-        factors.append(h / h.sum(axis=0))
-        anchor_sets.append(anchors)
-        work = DenseTensor.from_array(np.moveaxis(np.tensordot(
-            np.linalg.pinv(factors[k]), work.array, axes=(1, k)), 0, k))
+    factors, anchor_sets, work = [None] * d, [None] * d, t
+    for k in sorted(range(d), key=lambda m: t.dims[m]):
+        x = unfold(work, (k,))
+        anchor_sets[k], _, h = spa_separable_nmf(x, ranks[k], feas_tol)
+        factors[k] = h / h.sum(axis=0)
+        work = fold(x @ np.linalg.pinv(factors[k]).T, (k,),
+                    work.dims[:k] + (ranks[k],) + work.dims[k + 1:])
     cfg = SolverConfig(feas_tol=feas_tol)
     diagnostics = {"procedure": "sep-d",
                    "anchors": [list(map(int, a)) for a in anchor_sets]}

@@ -275,7 +275,8 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     scale = np.linalg.norm(x[:, anchors], axis=0)
     w = x[:, anchors] / scale
     h = np.maximum(np.linalg.solve(y[:, anchors] / scale, y), 0.0).T
-    resid = np.linalg.norm(x - w @ h.T) / max(np.linalg.norm(x), 1e-300)
+    fit = (h @ w.T).T if x.flags.f_contiguous else w @ h.T  # x's layout
+    resid = np.linalg.norm(x - fit) / max(np.linalg.norm(x), 1e-300)
     if resid > feas_tol:
         raise NotSeparable(f"separable residual {resid:.3e}")
     return anchors, w, h

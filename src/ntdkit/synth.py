@@ -17,12 +17,13 @@ import numpy as np
 from .cones import _ssc_memo, check_ssc
 from .errors import (GenerationError, InputError, PartitionError, ShapeError,
                      UsageError)
-from .evaluate import _combination_rank, validate_assumptions
+from .evaluate import (_combination_rank, _full_slice_status,
+                       validate_assumptions)
 from .model import NtdModel
 from .procedures import ModePartition, _axes_and_rest, _slice_ranks
 from .solvers import numerical_rank
-from .tensor import (DenseTensor, read_tensor, unfold, write_tensor_binary,
-                     write_tensor_json)
+from .tensor import (DenseTensor, _mode_groups, read_tensor, unfold,
+                     write_tensor_binary, write_tensor_json)
 
 GEN_SSC_MAX_RANK = 6  # exact certification stays cheap up to here
 
@@ -153,7 +154,8 @@ def _core_ok(core, constraints, rng):
         if numerical_rank(unfold(core, tuple(axes))) != target:
             return False
     for mode, target in constraints.exists_full_slice.items():
-        if max(_slice_ranks(core, mode)) != target:
+        groups = _mode_groups(mode, core.order)
+        if _full_slice_status(core, groups, target)[0] != "pass":
             return False
     for mode, target in constraints.span_maximal.items():
         if _combination_rank(core, mode, target, rng) != target:

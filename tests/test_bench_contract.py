@@ -62,3 +62,22 @@ def test_recover_calls_bind_every_procedure():
         args = ("t", "ranks", "partition", "cfg") \
             if proc == "procedure_d3" else ("t", "ranks", "cfg")
         inspect.signature(getattr(procedures, proc)).bind(*args)
+
+
+def test_stored_argv_parses(monkeypatch):
+    # every argv one round of ``Stored`` passes to the CLI, placeholder paths
+    workloads = _load("workloads")
+    cli = importlib.import_module("ntdkit.cli")
+    stored = workloads.Stored()
+    calls = []
+    monkeypatch.setattr(workloads, "run_cli",
+                        lambda argv: calls.append(argv) or (0, ""))
+    state = {"bundles": [f"bundle{i}" for i in range(stored.BUNDLES)],
+             "files": {n: [(f"h{n}.json", None)] * stored.FACTOR_FILES
+                       for n in stored.CHECK_N}}
+    for k in range(len(stored.ROUND)):
+        stored.op(state, k, "out")()
+    assert [argv[0] for argv in calls] == \
+        [{"dec": "decompose"}.get(kind, kind) for kind, _ in stored.ROUND]
+    for argv in calls:
+        cli.build_parser().parse_args(argv)

@@ -464,6 +464,14 @@ MALFORMED_SPECS = {
       "--feas-tol", "inf"], 2),
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
       "--solver-config", "{tmp}/nan-tol.cfg"], 2),
+] + [(["decompose", "--procedure", "1", "--ranks", "3,3,2", "--tol", tol], 2)
+     for tol in ("nan", "-1", "0", "inf")] + [
+    (["eval", "--model", "{bundle}/truth.json", "--truth",
+      "{bundle}/truth.json", "--tol", tol], 2) for tol in ("nan", "-1")] + [
+    (["bench", "--procedures", "1", "--seeds", "1", "--spec",
+      "{tmp}/spec.json", "--out", "{tmp}/b.csv", "--tol", "inf"], 2),
+    (["check", "dims-ok", "--r1", "-1", "--r2", "2"], 2),
+    (["check", "dims-ok", "--r1", "3", "--r2", "1"], 2),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"

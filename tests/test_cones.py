@@ -544,6 +544,11 @@ class TestDimsCondition:
         for k in range(2, 13):
             assert not counterexample_dims_ok(2, k)
 
+    @pytest.mark.parametrize("r1,r2", [(-1, 2), (1, 5), (4, 0)])
+    def test_ranks_below_two_refused(self, r1, r2):
+        with pytest.raises(UsageError, match="r >= 2"):
+            counterexample_dims_ok(r1, r2)
+
 
 class TestWitness:
     def test_identity_factors_give_none(self):

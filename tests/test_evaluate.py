@@ -84,6 +84,12 @@ class TestEssentialMatch:
         res = essential_match(m, other, tol=1e-10)
         assert res.matched
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, rng, tol):
+        m = self.make_model(rng)
+        with pytest.raises(ShapeError, match="positive and finite"):
+            essential_match(m, m, tol=tol)
+
     def test_broken_core_not_matched(self, rng):
         m = self.make_model(rng)
         other = permuted_model(m, rng)

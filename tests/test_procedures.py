@@ -541,6 +541,43 @@ class TestSeparableRouteAgreement:
         assert errors == {"NotSeparable", "RankError"}
 
 
+class TestSeparableModeOrder:
+    """The separable route factors the smallest unfolding first, and the
+    order of the modes does not change the model."""
+
+    def test_smallest_mode_first(self, monkeypatch):
+        import ntdkit.procedures as procedures
+        inst = gen_instance("A-sep", (9, 12, 6, 8), (3, 2, 2, 3), seed=4)
+        shapes = []
+        spa = procedures.spa_separable_nmf
+        monkeypatch.setattr(procedures, "spa_separable_nmf", lambda x, *a:
+                            shapes.append(x.shape) or spa(x, *a))
+        separable_orderd(inst.tensor, (3, 2, 2, 3))
+        assert shapes[0] == (9 * 12 * 8, 6)
+        assert [n for _, n in shapes] == [6, 8, 9, 12]
+
+    @pytest.mark.parametrize("dims,ranks,perm", [
+        ((12, 9, 7), (3, 3, 2), (2, 0, 1)),
+        ((10, 10, 7), (3, 2, 3), (1, 0, 2)),  # equal dims swap places
+        ((8, 6, 8, 5), (2, 3, 3, 2), (3, 2, 0, 1)),
+    ])
+    def test_permuted_modes_permute_the_model(self, dims, ranks, perm):
+        for seed in range(3):
+            t = gen_instance("A-sep", dims, ranks, seed=seed).tensor
+            model = separable_orderd(t, ranks)
+            moved = separable_orderd(
+                DenseTensor.from_array(np.transpose(t.array, perm)),
+                [ranks[m] for m in perm])
+            anchors = model.diagnostics["anchors"]
+            assert moved.diagnostics["anchors"] == [anchors[m] for m in perm]
+            for k, m in enumerate(perm):
+                assert np.abs(moved.factors[k] - model.factors[m]).max() \
+                    <= 1e-12
+            core = np.transpose(model.core.array, perm)
+            assert np.abs(moved.core.array - core).max() \
+                <= 1e-10 * np.abs(core).max()
+
+
 class TestModelContract:
     def test_every_model_reconstructs(self):
         inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=40)

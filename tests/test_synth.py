@@ -1,5 +1,6 @@
 import io
 import json
+from math import prod
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from ntdkit import cones
 from ntdkit.cones import check_separable, check_ssc
 from ntdkit.errors import (GenerationError, InputError, PartitionError,
                            ShapeError, UsageError)
-from ntdkit.evaluate import validate_assumptions
+from ntdkit.evaluate import _full_slice_status, validate_assumptions
+from ntdkit.procedures import _slice_ranks
 from ntdkit.solvers import numerical_rank, spa_separable_nmf
-from ntdkit.synth import (CoreConstraints, gen_anchor_factor, gen_core,
-                          gen_instance, gen_separable_factor, gen_ssc_factor,
-                          load_instance, save_instance)
-from ntdkit.tensor import mode_slice, read_tensor, unfold
+from ntdkit.synth import (CoreConstraints, _core_ok, gen_anchor_factor,
+                          gen_core, gen_instance, gen_separable_factor,
+                          gen_ssc_factor, load_instance, save_instance)
+from ntdkit.tensor import (DenseTensor, _mode_groups, mode_slice,
+                           read_tensor, unfold)
 from tests.conftest import two_nonzero, two_nonzero_ssc
 
 
@@ -245,3 +248,42 @@ class TestCertifyOnce:
         with pytest.raises(GenerationError):
             gen_instance("A4.2", (10, 10, 8), (7, 7, 2), seed=1)
         assert cones._SSC_REPORTS.get() is None
+
+
+def deficient_leading_slices(arr, mode, k, rng):
+    """``arr`` with its first ``k`` slices along ``mode`` (all of them when
+    ``k`` is None) overwritten by matrices one rank short of full."""
+    view = np.moveaxis(arr.copy(), mode, -1)
+    rows, _, cols = _mode_groups(mode, arr.ndim)
+    shape = (prod(arr.shape[m] for m in rows), arr.shape[cols[0]])
+    full = min(shape)
+    for j in range(view.shape[-1] if k is None else min(k, view.shape[-1])):
+        low = rng.standard_normal((shape[0], full - 1)) \
+            @ rng.standard_normal((full - 1, shape[1]))
+        view[..., j] = low.reshape(view.shape[:-1], order="F")
+    return DenseTensor.from_array(np.moveaxis(view, -1, mode)), full
+
+
+class TestFullSliceScan:
+    """The first-witness scan gives the verdict of the maximum slice rank,
+    in the validators and in the core generator."""
+
+    @pytest.mark.parametrize("dims", [(4, 4, 3), (5, 3, 4), (3, 2, 4, 3)])
+    @pytest.mark.parametrize("k", [0, 1, 3, None])
+    def test_matches_max_slice_rank_rule(self, dims, k):
+        verdicts = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            arr = rng.standard_normal(dims)
+            for mode in range(len(dims)):
+                t, full = deficient_leading_slices(arr, mode, k, rng)
+                expected = max(_slice_ranks(t, mode)) == full
+                status, _ = _full_slice_status(
+                    t, _mode_groups(mode, len(dims)), full)
+                assert (status == "pass") == expected
+                ok = _core_ok(t, CoreConstraints(
+                    exists_full_slice={mode: full}), rng)
+                assert ok == expected
+                verdicts.add(expected)
+        # k = 3 overwrites every slice of the modes of size 3
+        assert verdicts == {None: {False}, 3: {True, False}}.get(k, {True})
