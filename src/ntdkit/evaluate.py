@@ -45,14 +45,20 @@ def align_columns(u_est, u_ref):
     return perm, err
 
 
-def normalize_model(model: NtdModel) -> NtdModel:
-    """Equivalent model with unit factor column sums (core compensated)."""
+def _unit_sums(model: NtdModel):
+    """Unit-column-sum factors (zero sums kept) and the compensated core."""
     factors, core = [], model.core.array
     for k, u in enumerate(model.factors):
         s = u.sum(axis=0)
         s = np.where(np.abs(s) > 1e-300, s, 1.0)
         factors.append(u / s)
         core = core * s.reshape((-1,) + (1,) * (core.ndim - 1 - k))
+    return factors, core
+
+
+def normalize_model(model: NtdModel) -> NtdModel:
+    """Equivalent model with unit factor column sums (core compensated)."""
+    factors, core = _unit_sums(model)
     return NtdModel(factors, DenseTensor.from_array(core), model.ranks,
                     dict(model.diagnostics))
 
@@ -65,12 +71,7 @@ class AlignmentResult:
     matched: bool
 
     def to_json(self) -> dict:
-        return {
-            "perms": [p.tolist() for p in self.perms],
-            "factor_errors": self.factor_errors,
-            "core_error": self.core_error,
-            "matched": self.matched,
-        }
+        return _jsonable(vars(self))
 
 
 def essential_match(model_a: NtdModel, model_b: NtdModel,
@@ -80,20 +81,14 @@ def essential_match(model_a: NtdModel, model_b: NtdModel,
         raise ShapeError("essential_match tol must be positive and finite")
     if model_a.dims != model_b.dims or model_a.ranks != model_b.ranks:
         raise ShapeError("models have different dims or ranks")
-    a = normalize_model(model_a)
-    b = normalize_model(model_b)
-    perms, errs = [], []
-    for ua, ub in zip(a.factors, b.factors):
-        perm, err = align_columns(ua, ub)
-        perms.append(perm)
-        errs.append(err)
-    permuted = a.core.array[np.ix_(*perms)]
+    factors_a, core_a = _unit_sums(model_a)
+    factors_b, core_b = _unit_sums(model_b)
+    perms, errs = map(list, zip(*map(align_columns, factors_a, factors_b)))
+    permuted = core_a[np.ix_(*perms)]
     denom = max(np.linalg.norm(permuted), 1e-300)
-    core_error = float(
-        np.linalg.norm(b.core.array - permuted) / denom)
+    core_error = float(np.linalg.norm(core_b - permuted) / denom)
     matched = bool(core_error <= tol and max(errs, default=0.0) <= tol)
-    return AlignmentResult(perms, [float(e) for e in errs],
-                           core_error, matched)
+    return AlignmentResult(perms, errs, core_error, matched)
 
 
 class ModelError(NamedTuple):
@@ -104,11 +99,8 @@ class ModelError(NamedTuple):
 def model_error(model: NtdModel, t: DenseTensor) -> ModelError:
     if model.dims != t.dims:
         raise ShapeError(f"model dims {model.dims} != tensor dims {t.dims}")
-    diff = float(np.linalg.norm(model.reconstruct().data - t.data))
-    ref = t.norm()
-    if ref == 0.0:
-        return ModelError(diff, True)
-    return ModelError(diff / ref, False)
+    ref = t.norm()  # a zero tensor gives the absolute error
+    return ModelError(model._residual_norm(t) / (ref or 1.0), ref == 0.0)
 
 
 def rank_profile(t: DenseTensor) -> dict:
@@ -209,17 +201,17 @@ def _group_ssc_status(factors, ranks):
     return "undetermined", "group too large for certification"
 
 
-def _full_slice_status(t, groups, target, passed=None):
+def _full_slice_status(t, groups, target):
     """``(status, detail)``: does a slice of ``t`` over the ``(rows, fixed,
     cols)`` ``groups`` reach rank ``target``?  The first full-rank slice
     of ``_scan_slices`` decides, as no slice of a tensor of these ranks
-    exceeds it; a pass reports ``passed``, a fail the ``RankError``."""
+    exceeds it; a pass names its flat index, a fail the ``RankError``."""
     rows, _, cols = groups
     try:
-        _scan_slices(_slice_stack(t, *groups), rows, cols, target)
+        flat = _scan_slices(_slice_stack(t, *groups), rows, cols, target)
     except RankError as exc:
         return "fail", str(exc)
-    return "pass", f"best slice rank {target}" if passed is None else passed
+    return "pass", f"slice {flat} has rank {target}"
 
 
 def _combination_rank(t, mode, target, rng, trials=20):
@@ -335,7 +327,7 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
             target = r if i == 1 else ranks[i]
             others = tuple(m for m in range(d) if m not in (0, i))
             rep.add(f"exists-full-[0,{i}]-slice", *_full_slice_status(
-                t, ((0,), others, (i,)), target, passed=""))
+                t, ((0,), others, (i,)), target))
     elif aid == "A5.4":
         part = instance.meta.get("partition")
         if part is None:
@@ -359,7 +351,7 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
                     [ranks[m] for m in modes])
                 rep.add(f"ssc-kron-group-{name}", status, detail)
             rep.add("exists-full-generalized-slice", *_full_slice_status(
-                t, (rows, fixed_modes, cols), r, passed=f"best rank {r}"))
+                t, (rows, fixed_modes, cols), r))
     elif aid == "A-sep":
         for i, u in enumerate(truth.factors):
             sep, _ = check_separable(u)

@@ -50,6 +50,12 @@ class NtdModel:
     def reconstruct(self) -> DenseTensor:
         return multilinear_transform(self.core, self.factors)
 
+    def _residual_norm(self, t: DenseTensor) -> float:
+        """``||reconstruct() - t||``, subtracted into the reconstruction."""
+        diff = self.reconstruct().data
+        diff -= t.data
+        return float(np.linalg.norm(diff))
+
     def core_is_nonnegative(self, tol=0.0) -> bool:
         return bool(self.core.data.min(initial=0.0) >= -tol)
 

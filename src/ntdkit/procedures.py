@@ -60,15 +60,15 @@ def _axes_and_rest(axes, d):
     return axes, rest
 
 
-def _core_via_pinv(t, factors):
-    pinvs = [np.linalg.pinv(u) for u in factors]
+def _core_via_pinv(t, factors, known=()):
+    """``t`` times each factor's pseudo-inverse, the first ones ``known``."""
+    pinvs = [*known, *map(np.linalg.pinv, factors[len(known):])]
     return multilinear_transform(t, pinvs)
 
 
 def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
     model = NtdModel(list(factors), core, tuple(ranks), diagnostics)
-    err = np.linalg.norm(model.reconstruct().data - t.data) \
-        / max(t.norm(), 1e-300)
+    err = model._residual_norm(t) / max(t.norm(), 1e-300)
     if err > cfg.feas_tol:
         raise SolverError(f"model reconstruction error {err:.3e}")
     diagnostics["recon_error"] = float(err)
@@ -150,15 +150,15 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
 def _slice_pair_route(t, ranks, first, mats, cfg, diagnostics):
     """Min-vol order-2 nTD of ``first`` gives U1 and U2; each further
     matrix, projected by the pseudo-inverse of U1, gives the next factor by
-    min-vol NMF; the core follows by pseudo-inverses."""
+    min-vol NMF; the core follows by pseudo-inverses, U1's reused."""
     fac = minvol_order2_ntd(first, ranks[0], cfg)
     p1 = np.linalg.pinv(fac.u1)
     factors = [fac.u1, fac.u2]
     for mat, r in zip(mats, ranks[2:]):
         factors.append(minvol_nmf(p1 @ mat, r, cfg)[1])
     diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
-    return _finalize(t, factors, _core_via_pinv(t, factors), ranks, cfg,
-                     diagnostics)
+    return _finalize(t, factors, _core_via_pinv(t, factors, [p1]), ranks,
+                     cfg, diagnostics)
 
 
 def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics):
@@ -244,8 +244,7 @@ def allatonce_penalized(t: DenseTensor, ranks, lam, cfg: SolverConfig,
     }
     model = NtdModel(factors, fold(core_mat, axes, ranks), ranks,
                      diagnostics)
-    err = np.linalg.norm(model.reconstruct().data - t.data) \
-        / max(t.norm(), 1e-300)
+    err = model._residual_norm(t) / max(t.norm(), 1e-300)
     if not heuristic and err > cfg.feas_tol:
         raise SolverError(f"reconstruction residual {err:.3e}")
     diagnostics["recon_error"] = float(err)

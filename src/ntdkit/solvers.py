@@ -221,7 +221,7 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     turns the problem into one determinant maximization.
     Returns ``(w, h)`` with ``x = w @ h.T``.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float, order="F")  # BLAS bits follow layout
     m, n = x.shape
     if m < r:
         raise ShapeError(f"need at least r={r} rows, got {m}")

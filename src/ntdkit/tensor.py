@@ -147,21 +147,24 @@ def multilinear_transform(core: DenseTensor, factors) -> DenseTensor:
     ``factors[k]`` has shape ``(n_k, r_k)`` with ``r_k = core.dims[k]``; the
     result has dims ``(n_0, ..., n_{d-1})`` and entries
     ``sum over (i_0..i_{d-1}) of prod_k U_k[j_k, i_k] * core[i_0..i_{d-1}]``.
+    Each mode is one ``np.matmul`` on the data as a C-order stack
+    ``(n_{>k}, n_k, n_{<k})``, the last mode first if the result shrinks.
     """
     factors = [np.asarray(u, dtype=float) for u in factors]
     if len(factors) != core.order:
-        raise ShapeError(
-            f"expected {core.order} factors, got {len(factors)}"
-        )
+        raise ShapeError(f"expected {core.order} factors, got "
+                         f"{len(factors)}")
     for k, u in enumerate(factors):
         if u.ndim != 2 or u.shape[1] != core.dims[k]:
-            raise ShapeError(
-                f"factor {k} has shape {u.shape}, expected (*, {core.dims[k]})"
-            )
-    arr = core.array
-    for k, u in enumerate(factors):
-        arr = np.moveaxis(np.tensordot(u, arr, axes=(1, k)), 0, k)
-    return DenseTensor.from_array(arr)
+            raise ShapeError(f"factor {k} has shape {u.shape}, expected "
+                             f"(*, {core.dims[k]})")
+    data, dims = core.data, list(core.dims)
+    shrinks = prod(u.shape[0] for u in factors) < data.size
+    for k in sorted(range(core.order), reverse=shrinks):
+        data = np.matmul(factors[k], data.reshape(
+            prod(dims[k + 1:]), dims[k], prod(dims[:k])))
+        dims[k] = factors[k].shape[0]
+    return DenseTensor(tuple(dims), data)
 
 
 def unfold(t: DenseTensor, axes) -> np.ndarray:

@@ -140,6 +140,40 @@ class TestEssentialMatch:
                    for u, f, s in zip(norm.factors, m.factors, sums))
 
 
+def composed_match(model_a, model_b):
+    """``essential_match``'s numbers through two ``normalize_model``
+    copies: ``(perms, factor_errors, core_error)``."""
+    a, b = normalize_model(model_a), normalize_model(model_b)
+    perms, errs = zip(*(align_columns(ua, ub)
+                        for ua, ub in zip(a.factors, b.factors)))
+    permuted = a.core.array[np.ix_(*perms)]
+    core_error = float(np.linalg.norm(b.core.array - permuted)
+                       / max(np.linalg.norm(permuted), 1e-300))
+    return list(perms), list(errs), core_error
+
+
+@pytest.mark.parametrize("dims,ranks", [((6, 5, 4), (2, 2, 3)),
+                                        ((5, 4, 3, 3), (2, 3, 2, 2))])
+def test_essential_match_equals_normalized_models(dims, ranks):
+    rng = np.random.default_rng(5)
+    for case in range(8):
+        factors = [stochastic(n, r, rng) * (rng.random(r) + 0.5)
+                   for n, r in zip(dims, ranks)]
+        if case % 2:
+            factors[1][:, 0] = 0.0  # a zero-sum column is kept as it is
+        core = DenseTensor.from_array(rng.standard_normal(ranks))
+        model = NtdModel(factors, core, ranks)
+        other = permuted_model(model, rng, scale=True)
+        if case % 4 == 3:
+            other.core.data[0] += 1e-3
+        for a, b in ((model, other), (other, model)):
+            res = essential_match(a, b)
+            perms, errs, core_error = composed_match(a, b)
+            assert all(np.array_equal(p, q) for p, q in zip(res.perms, perms))
+            assert res.factor_errors == errs
+            assert res.core_error == core_error
+
+
 class TestModelError:
     def test_exact(self, rng):
         inst = gen_instance("A4.1", (5, 4, 3), (2, 2, 2), seed=1)

@@ -409,6 +409,26 @@ class TestProcedureD1:
             procedure_d1(t, (2, 2, 2, 2), CFG)
 
 
+@pytest.mark.parametrize("proc,tag,dims,ranks", [
+    (procedure1, "A4.2", (12, 12, 8), (3, 3, 2)),
+    (procedure2, "A4.2", (12, 12, 8), (3, 3, 2)),
+    (procedure_d1, "A5.3", (8, 8, 6, 6), (3, 3, 2, 2))],
+    ids=["procedure1", "procedure2", "procedure_d1"])
+def test_one_pinv_per_factor(proc, tag, dims, ranks, monkeypatch):
+    t = gen_instance(tag, dims, ranks, seed=25).tensor
+    calls = 0
+    pinv = np.linalg.pinv
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted)
+    proc(t, ranks, CFG)
+    assert calls == len(ranks)
+
+
 class TestProcedureD3:
     def test_order4_singleton_groups(self):
         part = {"rows": [0], "fixed": [2, 3], "cols": [1]}

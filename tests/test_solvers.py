@@ -282,6 +282,21 @@ class TestMinvolNmf:
             minvol_nmf(hexagon_columns(rng), 2, CFG)
 
 
+@pytest.mark.parametrize("m,n,r", [(9, 64, 3), (16, 64, 4), (64, 16, 4),
+                                   (40, 12, 3)])
+def test_minvol_nmf_bits_ignore_layout(m, n, r):
+    # Wide and tall inputs stored row-major, column-major and as the
+    # transpose of a row-major copy.
+    rng = np.random.default_rng(m * n)
+    for _ in range(3):
+        x = rng.random((m, r)) @ two_nonzero(n, r, rng).T
+        outs = {(w.tobytes(), h.tobytes()) for w, h in (
+            minvol_nmf(v, r, CFG) for v in (
+                np.ascontiguousarray(x), np.asfortranarray(x),
+                np.ascontiguousarray(x.T).T))}
+        assert len(outs) == 1
+
+
 class TestSpa:
     def test_identity(self):
         anchors, w, h = spa_separable_nmf(np.eye(4), 4)

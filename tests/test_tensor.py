@@ -85,6 +85,40 @@ class TestMultilinearTransform:
             multilinear_transform(core, [np.eye(2), np.eye(3)])
 
 
+def einsum_reference(core, factors):
+    """One ``np.einsum`` per mode product, on the dims-shaped array."""
+    arr, d = core.array, core.order
+    for k, u in enumerate(factors):
+        axes = list(range(d))
+        arr = np.einsum(u, [d, k], arr, axes, axes[:k] + [d] + axes[k + 1:])
+    return arr
+
+
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "transposed-view": lambda u: np.ascontiguousarray(u.T).T,
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_multilinear_transform_matches_einsum(layout):
+    # Orders 1-5 with size-1 modes, results that grow, shrink or mix.
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        d = 1 + case % 5
+        ranks = tuple(int(r) for r in rng.integers(1, 5, size=d))
+        dims = tuple(int(n) for n in rng.integers(1, 7, size=d))
+        core = DenseTensor.from_array(rng.standard_normal(ranks))
+        factors = [LAYOUTS[layout](rng.standard_normal((n, r)))
+                   for n, r in zip(dims, ranks)]
+        t = multilinear_transform(core, factors)
+        expect = einsum_reference(core, factors)
+        assert t.dims == dims
+        scale = max(np.linalg.norm(expect), 1e-300)
+        assert np.linalg.norm(t.array - expect) <= 1e-13 * scale
+
+
 class TestUnfold:
     def test_order2_mode1_is_itself(self, rng):
         m = rng.standard_normal((4, 5))
