@@ -11,18 +11,17 @@ from .cones import (SscReport, check_pssc, check_separable, check_ssc,
                     estimate_min_p, kron_ssc_margin, kron_ssc_sufficient,
                     ssc1_refute, ssc1_violation_witness)
 from .evaluate import (AlignmentResult, AssumptionReport, align_columns,
-                       essential_match, model_error, rank_profile,
-                       validate_assumptions)
+                       essential_match, model_error, validate_assumptions)
 from .kron import (kron, kron_all, kron_split, kron_split_multi,
                    kron_split_permuted, nearest_kron)
 from .model import NtdModel
 from .procedures import (ModePartition, allatonce_penalized, procedure0,
                          procedure1, procedure2, procedure3, procedure4,
                          procedure_d0, procedure_d1, procedure_d3,
-                         select_max_rank_slice, separable_orderd)
+                         separable_orderd)
 from .solvers import (Order2Ntd, SolverConfig, maxdet_simplex, minvol_nmf,
-                      minvol_order2_ntd, numerical_rank, orthonormal_range,
-                      separable_order2_ntd, spa_separable_nmf)
+                      minvol_order2_ntd, numerical_rank, separable_order2_ntd,
+                      spa_separable_nmf)
 from .synth import (CoreConstraints, Instance, gen_anchor_factor, gen_core,
                     gen_instance, gen_separable_factor, gen_ssc_factor,
                     load_instance, save_instance)
@@ -44,10 +43,9 @@ __all__ = [
     "kron_split_permuted", "kron_ssc_margin", "kron_ssc_sufficient",
     "load_instance", "maxdet_simplex", "minvol_nmf", "minvol_order2_ntd",
     "mode_slice", "model_error", "multilinear_transform", "nearest_kron",
-    "numerical_rank", "orthonormal_range", "procedure0", "procedure1",
-    "procedure2", "procedure3", "procedure4", "procedure_d0", "procedure_d1",
-    "procedure_d3", "rank_profile", "read_tensor", "save_instance",
-    "select_max_rank_slice", "separable_order2_ntd", "separable_orderd",
+    "numerical_rank", "procedure0", "procedure1", "procedure2", "procedure3",
+    "procedure4", "procedure_d0", "procedure_d1", "procedure_d3",
+    "read_tensor", "save_instance", "separable_order2_ntd", "separable_orderd",
     "slice_combination", "slice_matrix", "spa_separable_nmf", "ssc1_refute",
     "ssc1_violation_witness", "unfold", "validate_assumptions",
     "write_tensor_binary", "write_tensor_json",

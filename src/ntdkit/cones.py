@@ -119,7 +119,7 @@ def enumerate_dual_vertices(h, tol=1e-9):
     group certification, so raising it changes both.  Past either cap, or
     past the ray budget, ``EnumerationCapError`` is raised.
     """
-    h = np.asarray(h, dtype=float)
+    h = _validate_nonneg(h)
     n, r = h.shape
     if r < 2:
         raise UsageError("dual-vertex enumeration needs r >= 2")
@@ -312,7 +312,9 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
     LP from ``starts`` random and 2r unit directions, ``iters`` steps
     each; there None proves nothing.
     """
-    h = np.asarray(h, dtype=float)
+    h = _validate_nonneg(h)
+    if h.shape[1] < 2:
+        raise UsageError("SSC1 refutation needs r >= 2")
     try:
         vertices, unbounded = cross_section_vertices(
             h, np.ones(h.shape[1]), _VERTEX_ENUM_CAP, feas_tol)

@@ -19,7 +19,7 @@ from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
 from .errors import EnumerationCapError, RankError, ShapeError, UsageError
 from .kron import kron_all
 from .model import NtdModel, _jsonable
-from .procedures import _scan_slices, _slice_ranks
+from .procedures import _scan_slices
 from .solvers import numerical_rank
 from .tensor import DenseTensor, _mode_groups, _partition, _slice_stack, unfold
 
@@ -54,13 +54,6 @@ def _unit_sums(model: NtdModel):
         factors.append(u / s)
         core = core * s.reshape((-1,) + (1,) * (core.ndim - 1 - k))
     return factors, core
-
-
-def normalize_model(model: NtdModel) -> NtdModel:
-    """Equivalent model with unit factor column sums (core compensated)."""
-    factors, core = _unit_sums(model)
-    return NtdModel(factors, DenseTensor.from_array(core), model.ranks,
-                    dict(model.diagnostics))
 
 
 @dataclass
@@ -101,16 +94,6 @@ def model_error(model: NtdModel, t: DenseTensor) -> ModelError:
         raise ShapeError(f"model dims {model.dims} != tensor dims {t.dims}")
     ref = t.norm()  # a zero tensor gives the absolute error
     return ModelError(model._residual_norm(t) / (ref or 1.0), ref == 0.0)
-
-
-def rank_profile(t: DenseTensor) -> dict:
-    """Numerical ranks of all single-mode unfoldings, plus per-mode slice
-    rank lists for order-3 tensors."""
-    out = {"unfolding_ranks": {k: numerical_rank(unfold(t, (k,)))
-                               for k in range(t.order)}}
-    if t.order == 3:
-        out["slice_ranks"] = {k: _slice_ranks(t, k) for k in range(3)}
-    return out
 
 
 @dataclass
@@ -217,11 +200,10 @@ def _full_slice_status(t, groups, target):
 def _combination_rank(t, mode, target, rng, trials=20):
     """Rank of the first of ``trials`` Gaussian combinations of the slices
     along ``mode`` to reach ``target``, else the best rank seen."""
-    slices = np.moveaxis(_slice_stack(t, *_mode_groups(mode, t.order)), -1, 0)
+    stack = _slice_stack(t, *_mode_groups(mode, t.order))
     best = 0
     for _ in range(trials):
-        w = rng.standard_normal(len(slices))
-        rank = numerical_rank(sum(wi * s for wi, s in zip(w, slices)))
+        rank = numerical_rank(stack @ rng.standard_normal(stack.shape[2]))
         if rank == target:
             return rank
         best = max(best, rank)

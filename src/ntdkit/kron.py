@@ -172,7 +172,9 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
 
     Peels the last factor: the product of the leading d-1 factors is again
     full column rank and column-stochastic, so the two-factor split applies
-    at every level.
+    at every level.  Each level's column permutation composes with the
+    permutation inside its leading block; the rebuilt product is then
+    checked column by column against ``x``.
     """
     x = np.asarray(x, dtype=float)
     shapes = [(int(n), int(r)) for n, r in shapes]
@@ -186,29 +188,23 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
         return MultiKronSplit([x.copy()], np.arange(ncol), 0.0)
 
     def peel(mat, shps):
+        """``(factors, perm)`` with ``kron_all(factors) == mat[:, perm]``."""
         if len(shps) == 1:
-            return [mat]
+            return [mat], np.arange(mat.shape[1])
         lead = (prod(n for n, _ in shps[:-1]), prod(r for _, r in shps[:-1]))
-        head, last, _, _ = kron_split_permuted(mat, (lead, shps[-1]), tol)
-        return peel(head, shps[:-1]) + [last]
+        head, last, perm, _ = kron_split_permuted(mat, (lead, shps[-1]), tol)
+        factors, inner = peel(head, shps[:-1])
+        # column (i, j) of kron_all(factors) is column inner[i] + R1*j of
+        # kron(head, last)
+        cols = inner[:, None] + lead[1] * np.arange(shps[-1][1])
+        return factors + [last], perm[cols.ravel(order="F")]
 
-    factors = peel(x, shapes)
-    rebuilt = kron_all(factors)
-    # Identify the overall column permutation by value matching; columns of
-    # a full-column-rank Kronecker product are pairwise distinct.
+    factors, perm = peel(x, shapes)
+    diff = kron_all(factors) - x[:, perm]
     scale = max(1.0, float(np.abs(x).max()))
-    perm = np.empty(ncol, dtype=int)
-    used = np.zeros(ncol, dtype=bool)
-    for q in range(ncol):
-        dists = np.linalg.norm(x - rebuilt[:, q][:, None], axis=0)
-        dists[used] = np.inf
-        p = int(np.argmin(dists))
-        if dists[p] > tol * scale * np.sqrt(nrow):
-            raise NotPermutedKronecker("could not match a rebuilt column")
-        used[p] = True
-        perm[q] = p
-    residual = float(np.linalg.norm(rebuilt - x[:, perm]))
-    return MultiKronSplit(factors, perm, residual)
+    if (np.linalg.norm(diff, axis=0) > tol * scale * np.sqrt(nrow)).any():
+        raise NotPermutedKronecker("a rebuilt column does not match x")
+    return MultiKronSplit(factors, perm, float(np.linalg.norm(diff)))
 
 
 def rearrange_to_rank_one(x, shape) -> np.ndarray:

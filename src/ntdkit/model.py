@@ -29,8 +29,8 @@ class NtdModel:
     def __post_init__(self):
         self.factors = [np.asarray(u, dtype=float) for u in self.factors]
         self.ranks = tuple(int(r) for r in self.ranks)
-        if len(self.factors) != self.core.order:
-            raise ShapeError("factor count does not match core order")
+        if not len(self.factors) == len(self.ranks) == self.core.order:
+            raise ShapeError("factor or rank count does not match core order")
         for k, u in enumerate(self.factors):
             if u.ndim != 2 or u.shape[1] != self.ranks[k] \
                     or self.core.dims[k] != self.ranks[k]:
@@ -74,16 +74,12 @@ class NtdModel:
             factors = [_finite_array(u, "model") for u in doc["factors"]]
             core = DenseTensor(tuple(doc["core"]["dims"]),
                                _finite_array(doc["core"]["data"], "model"))
-            ranks = doc["ranks"]
-            diagnostics = doc.get("diagnostics", {})
-        except (KeyError, TypeError) as exc:
+            ranks = tuple(int(r) for r in doc["ranks"])
+            return cls(factors, core, ranks, doc.get("diagnostics", {}))
+        # A ShapeError here is a file whose shapes disagree: bad input, not
+        # a bad argument.  int() of a non-numeric rank is a ValueError too.
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed model document: {exc}") from exc
-        # Own guard: ShapeError is a ValueError and must keep its exit code.
-        try:
-            ranks = tuple(int(r) for r in ranks)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed model ranks: {exc}") from exc
-        return cls(factors, core, ranks, diagnostics)
 
     def save(self, path):
         with open(path, "w") as fh:

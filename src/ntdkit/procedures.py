@@ -23,17 +23,15 @@ from math import prod
 
 import numpy as np
 
-from .errors import (NotPermutedKronecker, PartitionError, RankError,
-                     ShapeError, SolverError)
+from .errors import NotPermutedKronecker, RankError, ShapeError, SolverError
 from .kron import kron_all, kron_split_multi, nearest_kron
 from .model import NtdModel
-from .solvers import (SolverConfig, _rank_from_values, derive_seed,
-                      minvol_nmf, minvol_order2_ntd, numerical_rank,
-                      spa_separable_nmf)
-from .tensor import (DenseTensor, SliceSpec, _flatten, _mode_groups,
-                     _partition, _slice_stack, _unflatten, fold, mode_slice,
-                     multilinear_transform, slice_combination, slice_matrix,
-                     unfold)
+from .solvers import (SolverConfig, derive_seed, minvol_nmf,
+                      minvol_order2_ntd, numerical_rank, spa_separable_nmf)
+from .tensor import (DenseTensor, SliceSpec, _flatten, _partition,
+                     _slice_stack, _unflatten, _unfolding_groups, fold,
+                     mode_slice, multilinear_transform, slice_combination,
+                     slice_matrix, unfold)
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,6 @@ class ModePartition:
     def validate(self, d):
         return _partition(d, self.row_modes, self.fixed_modes,
                           self.col_modes)
-
-
-def _axes_and_rest(axes, d):
-    """The sorted ``axes`` and the other modes, in order; PartitionError
-    unless ``axes`` is a proper non-empty subset of the d modes."""
-    axes = tuple(sorted(int(a) for a in axes))
-    rest = tuple(k for k in range(d) if k not in axes)
-    # Out-of-range or repeated axes leave more than d modes in total.
-    if not axes or not rest or len(axes) + len(rest) != d:
-        raise PartitionError("axes must be a proper non-empty mode subset")
-    return axes, rest
 
 
 def _core_via_pinv(t, factors, known=()):
@@ -74,21 +61,6 @@ def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
     diagnostics["recon_error"] = float(err)
     diagnostics["core_nonnegative"] = model.core_is_nonnegative(cfg.feas_tol)
     return model
-
-
-def _slice_ranks(t: DenseTensor, mode, tol=None) -> list:
-    """``numerical_rank(mode_slice(t, mode, j), tol)`` for every index j
-    along ``mode``, from one batched SVD of all the slices."""
-    stack = _slice_stack(t, *_mode_groups(mode, t.order))
-    s = np.linalg.svd(np.moveaxis(stack, -1, 0), compute_uv=False)
-    return [_rank_from_values(v, stack.shape[:2], tol) for v in s]
-
-
-def select_max_rank_slice(t: DenseTensor, mode, tol=None) -> int:
-    """First slice index attaining the maximum numerical rank (order 3)."""
-    if t.order != 3:
-        raise ShapeError("slice selection is defined for order-3 tensors")
-    return int(np.argmax(_slice_ranks(t, mode, tol)))
 
 
 def _split_group(u, modes, dims, ranks):
@@ -130,7 +102,7 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
     d = t.order
     if len(ranks) != d:
         raise ShapeError("ranks length must match tensor order")
-    axes, rest = _axes_and_rest(axes, d)
+    rest, axes = _unfolding_groups(sorted(np.atleast_1d(axes)), d)
     r = prod(ranks[k] for k in axes)
     if r != prod(ranks[k] for k in rest):
         raise ShapeError(

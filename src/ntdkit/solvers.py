@@ -87,17 +87,6 @@ def numerical_rank(a, tol=None) -> int:
                              tol)
 
 
-def orthonormal_range(x, r, tol=None) -> np.ndarray:
-    """Orthonormal basis of the leading r-dimensional column space."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    u, s, _ = np.linalg.svd(x, full_matrices=False)
-    k = _rank_from_values(s, x.shape, tol)
-    if k < r:
-        raise RankError(f"matrix of numerical rank {k} cannot provide a "
-                        f"rank-{r} range basis")
-    return u[:, :r]
-
-
 def _exact_rank_bases(x, r):
     """``(w, z)``: orthonormal bases of the column and row spaces of ``x``
     from one thin SVD; ``RankError`` unless its numerical rank is exactly

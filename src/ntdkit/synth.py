@@ -20,10 +20,11 @@ from .errors import (GenerationError, InputError, PartitionError, ShapeError,
 from .evaluate import (_combination_rank, _full_slice_status,
                        validate_assumptions)
 from .model import NtdModel
-from .procedures import ModePartition, _axes_and_rest, _slice_ranks
+from .procedures import ModePartition
 from .solvers import numerical_rank
-from .tensor import (DenseTensor, _mode_groups, read_tensor, unfold,
-                     write_tensor_binary, write_tensor_json)
+from .tensor import (DenseTensor, _mode_groups, _unfolding_groups,
+                     read_tensor, unfold, write_tensor_binary,
+                     write_tensor_json)
 
 GEN_SSC_MAX_RANK = 6  # exact certification stays cheap up to here
 
@@ -160,10 +161,12 @@ def _core_ok(core, constraints, rng):
     for mode, target in constraints.span_maximal.items():
         if _combination_rank(core, mode, target, rng) != target:
             return False
-    if constraints.deficient_slices_mode is not None:
-        mode = constraints.deficient_slices_mode
+    mode = constraints.deficient_slices_mode
+    if mode is not None:
+        # no slice exceeds full rank, so a full-rank witness decides
         full = min(s for k, s in enumerate(core.dims) if k != mode)
-        if max(_slice_ranks(core, mode)) >= full:
+        if _full_slice_status(core, _mode_groups(mode, core.order),
+                              full)[0] == "pass":
             return False
     return True
 
@@ -198,7 +201,7 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     if any(n < r for n, r in zip(dims, ranks)):
         raise ShapeError(f"dims {dims} smaller than ranks {ranks}")
     if axes is not None:
-        _axes_and_rest(axes, d)
+        _, axes = _unfolding_groups(sorted(np.atleast_1d(axes)), d)
     if partition is not None:
         if not {"rows", "fixed", "cols"} <= set(partition):
             raise PartitionError("partition needs rows, fixed and cols")
@@ -209,7 +212,7 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     rng = np.random.default_rng(int(seed))
     meta = {"dims": list(dims), "ranks": list(ranks)}
     if axes is not None:
-        meta["axes"] = [int(a) for a in axes]
+        meta["axes"] = list(axes)
     if partition is not None:
         meta["partition"] = {k: [int(m) for m in v]
                              for k, v in partition.items()}

@@ -266,7 +266,16 @@ def write_tensor_binary(t: DenseTensor, path):
 
 
 def read_tensor(path) -> DenseTensor:
-    """Read a tensor file, auto-detecting the JSON and binary formats."""
+    """Read a tensor file, auto-detecting the JSON and binary formats;
+    ``InputError`` for a file that is unreadable, malformed or whose dims
+    and data disagree."""
+    try:
+        return _read_tensor(path)
+    except ShapeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_tensor(path) -> DenseTensor:
     try:
         with open(path, "rb") as fh:
             head = fh.read(len(TENSOR_MAGIC))

@@ -3,6 +3,8 @@ import pytest
 
 from ntdkit.cones import check_ssc
 from ntdkit.evaluate import align_columns
+from ntdkit.solvers import numerical_rank
+from ntdkit.tensor import mode_slice
 
 
 def stochastic(n, r, rng):
@@ -45,6 +47,25 @@ def same_vertices(v, w):
     close = np.abs(v[:, None] - w[None]).max(axis=2, initial=0.0) <= tol
     return bool((close.sum(axis=0) == 1).all()
                 and (close.sum(axis=1) == 1).all())
+
+
+def slice_ranks(t, mode):
+    """``numerical_rank`` of every slice along ``mode``, one SVD each: the
+    reference for the package's slice rules."""
+    return [numerical_rank(mode_slice(t, mode, j))
+            for j in range(t.dims[mode])]
+
+
+def max_rank_slice(t, mode):
+    """The first slice index along ``mode`` of the largest numerical rank."""
+    return int(np.argmax(slice_ranks(t, mode)))
+
+
+def range_basis(x, r):
+    """The leading ``r`` left singular vectors of ``x``: an orthonormal
+    basis of its column space when its rank is ``r``."""
+    return np.linalg.svd(np.asarray(x, dtype=float),
+                         full_matrices=False)[0][:, :r]
 
 
 def align_error(u_est, u_ref):

@@ -406,6 +406,13 @@ MALFORMED_SPECS = {
     "partition": {"defaults": {**BENCH_DEFAULTS,
                                "partition": {"rows": [0]}}},
 }
+# tensor files whose dims and data disagree, or whose dims are invalid
+MALFORMED_TENSORS = {
+    "short": {"dims": [2, 2], "data": [1, 2, 3]},
+    "zero-dim": {"dims": [0, 2], "data": []},
+    "negative-dim": {"dims": [-1], "data": []},
+    "empty": [],
+}
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -472,6 +479,16 @@ MALFORMED_SPECS = {
       "{tmp}/spec.json", "--out", "{tmp}/b.csv", "--tol", "inf"], 2),
     (["check", "dims-ok", "--r1", "-1", "--r2", "2"], 2),
     (["check", "dims-ok", "--r1", "3", "--r2", "1"], 2),
+] + [(["check", "ssc", f"{{tmp}}/{name}-tensor.json"], 3)
+     for name in MALFORMED_TENSORS] + [
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2",
+      "--input", "{tmp}/short-tensor.json"], 3),
+    (["eval", "--model", "{tmp}/core-dims-model.json",
+      "--truth", "{bundle}/truth.json"], 3),
+    (["eval", "--model", "{tmp}/factor-shape-model.json",
+      "--truth", "{bundle}/truth.json"], 3),
+    (["eval", "--model", "{tmp}/short-ranks-model.json",
+      "--truth", "{bundle}/truth.json"], 3),
 ])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
@@ -489,6 +506,8 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     (tmp_path / "huge.json").write_text("[[1e308, 1e308], [1e308, 0]]")
     for name, doc in MALFORMED_SPECS.items():
         (tmp_path / f"{name}-spec.json").write_text(json.dumps(doc))
+    for name, doc in MALFORMED_TENSORS.items():
+        (tmp_path / f"{name}-tensor.json").write_text(json.dumps(doc))
     arr = np.ones((12, 12, 8))
     arr[1, 2, 3] = np.nan
     write_tensor_json(DenseTensor.from_array(arr), tmp_path / "nan.json")
@@ -498,6 +517,15 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     truth = json.loads((bundle / "truth.json").read_text())
     (tmp_path / "rank-model.json").write_text(
         json.dumps({**truth, "ranks": ["a", "a", "a"]}))
+    # a core of the right size whose dims disagree with the ranks, and a
+    # factor one column short of its rank
+    (tmp_path / "core-dims-model.json").write_text(json.dumps(
+        {**truth, "core": {**truth["core"], "dims": [2, 3, 3]}}))
+    (tmp_path / "factor-shape-model.json").write_text(json.dumps(
+        {**truth, "factors": [[row[:-1] for row in truth["factors"][0]],
+                              *truth["factors"][1:]]}))
+    (tmp_path / "short-ranks-model.json").write_text(
+        json.dumps({**truth, "ranks": truth["ranks"][:2]}))
     for name, value in (("text", "a"), ("nan", math.nan)):
         truth["core"]["data"][0] = value
         (tmp_path / f"{name}-model.json").write_text(json.dumps(truth))

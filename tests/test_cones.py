@@ -12,7 +12,7 @@ from ntdkit.cones import (_recession_direction, _vertex_p_level,
                           estimate_min_p, kron_ssc_margin,
                           kron_ssc_sufficient, ssc1_refute,
                           ssc1_violation_witness)
-from ntdkit.errors import EnumerationCapError, UsageError
+from ntdkit.errors import EnumerationCapError, InputError, UsageError
 from ntdkit.kron import kron
 from ntdkit.lp import _VERTEX_ENUM_CAP, cross_section_vertices
 from ntdkit.solvers import numerical_rank
@@ -338,6 +338,18 @@ class TestCheckSsc:
     def test_pssc_cap(self, rng):
         with pytest.raises(EnumerationCapError):
             check_pssc(rng.random((10, 9)), 2.0)
+
+
+@pytest.mark.parametrize("check", [check_ssc, ssc1_refute,
+                                   enumerate_dual_vertices])
+def test_input_checked_as_check_ssc(check):
+    nan = np.eye(3)
+    nan[0, 1] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        check(nan)
+    for h in (-np.eye(3), np.ones(3), np.ones((3, 1))):
+        with pytest.raises(UsageError):
+            check(h)
 
 
 class TestRefutation:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ntdkit.errors import ShapeError, UsageError
-from ntdkit.evaluate import (_combination_rank, align_columns,
-                             essential_match, model_error, normalize_model,
-                             rank_profile, validate_assumptions)
+from ntdkit.evaluate import (_combination_rank, _unit_sums, align_columns,
+                             essential_match, model_error,
+                             validate_assumptions)
 from ntdkit.model import NtdModel
 from ntdkit.synth import Instance, gen_instance
 from ntdkit.tensor import DenseTensor, multilinear_transform
@@ -116,7 +116,8 @@ class TestEssentialMatch:
     def test_normalize_preserves_reconstruction(self, rng):
         m = self.make_model(rng)
         m2 = NtdModel([u * 3.0 for u in m.factors], m.core, m.ranks)
-        norm = normalize_model(m2)
+        factors, core = _unit_sums(m2)
+        norm = NtdModel(factors, DenseTensor.from_array(core), m2.ranks)
         assert np.allclose(norm.reconstruct().data, m2.reconstruct().data,
                            atol=1e-12)
         assert all(np.abs(u.sum(0) - 1).max() < 1e-12 for u in norm.factors)
@@ -131,23 +132,23 @@ class TestEssentialMatch:
         m = self.make_model(rng, dims, ranks)
         if zero_column:
             m.factors[1][:, 0] = 0.0
-        norm = normalize_model(m)
+        factors, core = _unit_sums(m)
         sums = [u.sum(axis=0) for u in m.factors]
         sums = [np.where(np.abs(s) > 1e-300, s, 1.0) for s in sums]
-        core = multilinear_transform(m.core, [np.diag(s) for s in sums])
-        assert np.array_equal(norm.core.data, core.data)
+        ref = multilinear_transform(m.core, [np.diag(s) for s in sums])
+        assert np.array_equal(core, ref.array)
         assert all(np.array_equal(u, f / s)
-                   for u, f, s in zip(norm.factors, m.factors, sums))
+                   for u, f, s in zip(factors, m.factors, sums))
 
 
 def composed_match(model_a, model_b):
-    """``essential_match``'s numbers through two ``normalize_model``
-    copies: ``(perms, factor_errors, core_error)``."""
-    a, b = normalize_model(model_a), normalize_model(model_b)
-    perms, errs = zip(*(align_columns(ua, ub)
-                        for ua, ub in zip(a.factors, b.factors)))
-    permuted = a.core.array[np.ix_(*perms)]
-    core_error = float(np.linalg.norm(b.core.array - permuted)
+    """``essential_match``'s numbers through the unit-sum factors and
+    cores of both models: ``(perms, factor_errors, core_error)``."""
+    (factors_a, core_a), (factors_b, core_b) = map(_unit_sums,
+                                                   (model_a, model_b))
+    perms, errs = zip(*map(align_columns, factors_a, factors_b))
+    permuted = core_a[np.ix_(*perms)]
+    core_error = float(np.linalg.norm(core_b - permuted)
                        / max(np.linalg.norm(permuted), 1e-300))
     return list(perms), list(errs), core_error
 
@@ -288,22 +289,3 @@ class TestCombinationRank:
         assert _combination_rank(core, 2, 4, rng, trials=7) == 3
         ref.standard_normal((7, 4))
         assert rng.standard_normal() == ref.standard_normal()
-
-
-class TestRankProfile:
-    def test_rank_one(self, rng):
-        t = DenseTensor.from_array(np.einsum(
-            "i,j,k->ijk", rng.random(4), rng.random(3), rng.random(5)))
-        prof = rank_profile(t)
-        assert all(r == 1 for r in prof["unfolding_ranks"].values())
-
-    def test_identity_core_model(self, rng):
-        inst = gen_instance("A4.2", (10, 10, 8), (3, 3, 2), seed=8)
-        prof = rank_profile(inst.tensor)
-        assert prof["unfolding_ranks"] == {0: 3, 1: 3, 2: 2}
-        assert all(r <= 3 for r in prof["slice_ranks"][2])
-
-    def test_zero_tensor(self):
-        t = DenseTensor((3, 3, 3), np.zeros(27))
-        prof = rank_profile(t)
-        assert all(r == 0 for r in prof["unfolding_ranks"].values())

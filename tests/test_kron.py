@@ -1,3 +1,6 @@
+import importlib
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,80 @@ class TestKronSplitMulti:
     def test_shape_product_mismatch(self, rng):
         with pytest.raises(ShapeError):
             kron_split_multi(np.zeros((10, 4)), [(2, 2), (2, 2)])
+
+    def test_equals_value_matching(self):
+        # the composed level permutations give the factors, permutation
+        # and residual of the nearest-column matching they replaced
+        rng = np.random.default_rng(23)
+        for _ in range(120):
+            shapes = [(int(r + rng.integers(0, 3)), int(r))
+                      for r in rng.integers(1, 4, size=rng.integers(2, 5))]
+            x, _ = permuted_product(shapes, rng)
+            got = kron_split_multi(x, shapes)
+            factors, perm, residual = value_matched_split(x, shapes)
+            assert [f.shape for f in got.factors] == \
+                [f.shape for f in factors]
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(got.factors, factors))
+            assert np.array_equal(got.perm, perm)
+            assert got.residual == residual
+
+    def test_tampered_column_raises(self, rng):
+        shapes = [(4, 2), (3, 2), (3, 3)]
+        x, _ = permuted_product(shapes, rng)
+        x[:, 5] = x[:, 5] * 0.9 + 0.1 * x[:, 7]
+        with pytest.raises(NotPermutedKronecker):
+            kron_split_multi(x, shapes)
+
+    def test_wrong_level_permutation_raises(self, rng, monkeypatch):
+        # the final column check catches a level that misreports its
+        # permutation, whatever the level checks saw
+        kron_module = importlib.import_module("ntdkit.kron")  # not kron()
+        split = kron_module.kron_split_permuted
+
+        def swapped(*args):
+            u1, u2, perm, residual = split(*args)
+            perm[[0, 1]] = perm[[1, 0]]
+            return u1, u2, perm, residual
+
+        x, _ = permuted_product([(4, 2), (3, 2), (5, 2)], rng)
+        monkeypatch.setattr(kron_module, "kron_split_permuted", swapped)
+        with pytest.raises(NotPermutedKronecker, match="rebuilt column"):
+            kron_split_multi(x, [(4, 2), (3, 2), (5, 2)])
+
+
+def permuted_product(shapes, rng):
+    """``(x, perm)``: the Kronecker product of random column-stochastic
+    factors of ``shapes``, with its columns in random order."""
+    x = kron_all(stochastic(n, r, rng) for n, r in shapes)
+    perm = rng.permutation(x.shape[1])
+    return x[:, perm], perm
+
+
+def value_matched_split(x, shapes, tol=1e-8):
+    """The earlier ``kron_split_multi``: peel the factors level by level,
+    then give every rebuilt column the nearest unused column of ``x``."""
+    def peel(mat, shps):
+        if len(shps) == 1:
+            return [mat]
+        lead = (prod(n for n, _ in shps[:-1]), prod(r for _, r in shps[:-1]))
+        head, last, _, _ = kron_split_permuted(mat, (lead, shps[-1]), tol)
+        return peel(head, shps[:-1]) + [last]
+
+    factors = peel(x, shapes)
+    rebuilt = kron_all(factors)
+    nrow, ncol = x.shape
+    scale = max(1.0, float(np.abs(x).max()))
+    perm = np.empty(ncol, dtype=int)
+    used = np.zeros(ncol, dtype=bool)
+    for q in range(ncol):
+        dists = np.linalg.norm(x - rebuilt[:, q][:, None], axis=0)
+        dists[used] = np.inf
+        p = int(np.argmin(dists))
+        assert dists[p] <= tol * scale * np.sqrt(nrow)
+        used[p] = True
+        perm[q] = p
+    return factors, perm, float(np.linalg.norm(rebuilt - x[:, perm]))
 
 
 class TestNearestKron:

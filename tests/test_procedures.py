@@ -1,4 +1,3 @@
-from functools import reduce
 from math import prod
 
 import numpy as np
@@ -10,16 +9,16 @@ from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
 from ntdkit.kron import kron
 from ntdkit.procedures import (ModePartition, _core_via_pinv, _finalize,
-                               _scan_slices, _slice_ranks,
-                               allatonce_penalized, procedure0, procedure1,
-                               procedure2, procedure3, procedure4,
+                               _scan_slices, allatonce_penalized, procedure0,
+                               procedure1, procedure2, procedure3, procedure4,
                                procedure_d0, procedure_d1, procedure_d3,
-                               select_max_rank_slice, separable_orderd)
+                               separable_orderd)
 from ntdkit.solvers import SolverConfig, minvol_order2_ntd, numerical_rank
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import (DenseTensor, _mode_groups, _slice_stack, fold,
-                           mode_slice, unfold)
-from tests.conftest import align_error, two_nonzero_ssc
+                           unfold)
+from tests.conftest import (align_error, max_rank_slice, slice_ranks,
+                            two_nonzero_ssc)
 from tests.test_solvers import reference_spa
 
 CFG = SolverConfig(seed=3)
@@ -32,56 +31,6 @@ def identity_instance(rng, ranks, extra_core=None):
     factors = [np.eye(r) for r in ranks]
     truth = NtdModel(factors, core, ranks)
     return truth.reconstruct(), truth
-
-
-class TestSelectMaxRankSlice:
-    def test_prefers_full_rank_slice(self, rng):
-        # slice 0 rank-deficient, slice 1 full: must pick index 1
-        arr = np.zeros((4, 4, 2))
-        arr[:, :, 0] = np.outer(rng.random(4), rng.random(4))
-        arr[:, :, 1] = rng.standard_normal((4, 4))
-        assert select_max_rank_slice(DenseTensor.from_array(arr), 2) == 1
-
-    def test_tie_takes_first(self, rng):
-        arr = rng.standard_normal((4, 4, 3))
-        assert select_max_rank_slice(DenseTensor.from_array(arr), 2) == 0
-
-    def test_rank_one_tensor(self, rng):
-        arr = np.einsum("i,j,k->ijk", rng.random(3), rng.random(4),
-                        rng.random(2))
-        assert select_max_rank_slice(DenseTensor.from_array(arr), 2) == 0
-
-
-class TestSliceRanks:
-    """The one batched SVD agrees with one SVD per ``mode_slice``."""
-
-    @pytest.mark.parametrize("dims", [(5, 4, 6), (3, 4, 2, 5)])
-    @pytest.mark.parametrize("tol", [None, 0.05])
-    def test_matches_per_slice_path(self, dims, tol, monkeypatch):
-        svd = np.linalg.svd
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            arr = rng.standard_normal(dims)
-            arr[..., 0] = 0.0  # an all-zero slice
-            # a rank-one slice, and a small one that the tol override drops
-            arr[..., 1] = reduce(np.multiply.outer,
-                                 [rng.standard_normal(n) for n in dims[:-1]])
-            arr[..., 2] *= 1e-3
-            t = DenseTensor.from_array(arr)
-            for mode in range(len(dims)):
-                batched = []
-                monkeypatch.setattr(np.linalg, "svd", lambda a, **kw:
-                                    batched.append(svd(a, **kw)) or
-                                    batched[-1])
-                ranks = _slice_ranks(t, mode, tol)
-                monkeypatch.undo()
-                assert len(batched) == 1
-                slices = [mode_slice(t, mode, j) for j in range(dims[mode])]
-                assert ranks == [numerical_rank(s, tol) for s in slices]
-                for s, values in zip(slices, batched[0]):
-                    assert svd(s, compute_uv=False).tobytes() == \
-                        values.tobytes()
-            assert _slice_ranks(t, len(dims) - 1, tol)[:2] == [0, 1]
 
 
 def leading_unit_rows_instance(seed, dims, ranks, deficient):
@@ -120,16 +69,30 @@ class TestScanSlices:
                         for _ in range(target - 1))
                 t = DenseTensor.from_array(np.moveaxis(view, -1, mode))
                 stack = _slice_stack(t, rows, fixed, cols)
-                ranks = _slice_ranks(t, mode)
+                ranks = slice_ranks(t, mode)
                 if target in ranks:
                     index = _scan_slices(stack, rows, cols, target)
-                    assert index == int(np.argmax(ranks))
+                    assert index == max_rank_slice(t, mode)
                     assert index == _scan_slices(stack, rows, cols, target)
-                    if len(dims) == 3:
-                        assert index == select_max_rank_slice(t, mode)
                 else:
                     with pytest.raises(RankError):
                         _scan_slices(stack, rows, cols, target)
+
+    def test_prefers_full_rank_slice(self, rng):
+        # slice 0 rank-deficient, slice 1 full: must pick index 1
+        arr = np.zeros((4, 4, 2))
+        arr[:, :, 0] = np.outer(rng.random(4), rng.random(4))
+        arr[:, :, 1] = rng.standard_normal((4, 4))
+        assert _scan_slices(arr, (0,), (1,), 4) == 1
+
+    def test_tie_takes_first(self, rng):
+        arr = rng.standard_normal((4, 4, 3))
+        assert _scan_slices(arr, (0,), (1,), 4) == 0
+
+    def test_rank_one_tensor(self, rng):
+        arr = np.einsum("i,j,k->ijk", rng.random(3), rng.random(4),
+                        rng.random(2))
+        assert _scan_slices(arr, (0,), (1,), 1) == 0
 
     def test_all_deficient_names_slice_count(self, rng):
         stack = np.stack([np.outer(rng.random(4), rng.random(3))
@@ -143,13 +106,13 @@ class TestScanSlices:
         inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=seed)
         t = inst.tensor
         auto = procedure1(t, (3, 3, 2), CFG)
-        given = procedure1(t, (3, 3, 2), CFG, i2=select_max_rank_slice(t, 1),
-                           i3=select_max_rank_slice(t, 2))
+        given = procedure1(t, (3, 3, 2), CFG, i2=max_rank_slice(t, 1),
+                           i3=max_rank_slice(t, 2))
         inst = gen_instance("A4.4", (12, 12, 6), (3, 3, 2), seed=seed)
         t = inst.tensor
         auto3 = procedure3(t, (3, 3, 2), CFG)
         given3 = procedure3(t, (3, 3, 2), CFG,
-                            slice_index=select_max_rank_slice(t, 2))
+                            slice_index=max_rank_slice(t, 2))
         for a, b in ((auto, given), (auto3, given3)):
             for ua, ub in zip(a.factors, b.factors):
                 assert np.array_equal(ua, ub)
@@ -234,8 +197,8 @@ class TestProcedure2:
 
     def test_unit_weights_reproduce_procedure1_first_step(self):
         inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=25)
-        i3 = select_max_rank_slice(inst.tensor, 2)
-        i2 = select_max_rank_slice(inst.tensor, 1)
+        i3 = max_rank_slice(inst.tensor, 2)
+        i2 = max_rank_slice(inst.tensor, 1)
         e3 = np.eye(inst.tensor.dims[2])[i3]
         e2 = np.eye(inst.tensor.dims[1])[i2]
         m1 = procedure1(inst.tensor, (3, 3, 2), CFG, i2=i2, i3=i3)
@@ -330,9 +293,26 @@ class TestProcedureD0:
 
     def test_axes_outside_the_modes(self, rng):
         t, _ = identity_instance(rng, (2, 2, 4))
-        for axes in ((5,), (-1,), (2, 2)):
+        for axes in ((5,), (-1,), (2, 2), (), (0, 1, 2)):
             with pytest.raises(PartitionError):
                 procedure_d0(t, (2, 2, 4), axes, CFG)
+            with pytest.raises(PartitionError):
+                allatonce_penalized(t, (2, 2, 4), 1.0, AAO_CFG, axes=axes)
+
+    @pytest.mark.parametrize("ranks,axes,same", [
+        ((2, 2, 2, 2), (2, 3), (3, 2)), ((2, 1, 1, 2), (3,), 3)])
+    def test_one_model_per_mode_set(self, ranks, axes, same):
+        # the unfolding route sorts the axes; a lone mode may be a scalar
+        inst = gen_instance("A5.2", (6, 5, 4, 7), ranks, seed=32, axes=axes)
+        for run in (lambda a: procedure_d0(inst.tensor, ranks, a, CFG),
+                    lambda a: allatonce_penalized(inst.tensor, ranks, 1.0,
+                                                  AAO_CFG, axes=a)):
+            a, b = run(axes), run(same)
+            assert all(np.array_equal(ua, ub)
+                       for ua, ub in zip(a.factors, b.factors))
+            assert np.array_equal(a.core.data, b.core.data)
+            assert a.diagnostics == b.diagnostics
+            assert essential_match(a, inst.truth, tol=1e-6).matched
 
 
 class TestAllAtOnce:
@@ -390,8 +370,8 @@ class TestProcedureD1:
 
     def test_d3_reduces_to_procedure1(self):
         inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=35)
-        i3 = select_max_rank_slice(inst.tensor, 2)
-        i2 = select_max_rank_slice(inst.tensor, 1)
+        i3 = max_rank_slice(inst.tensor, 2)
+        i2 = max_rank_slice(inst.tensor, 1)
         m1 = procedure1(inst.tensor, (3, 3, 2), CFG, i2=i2, i3=i3)
         md = procedure_d1(inst.tensor, (3, 3, 2), CFG,
                           slice_indices={1: {2: i3}, 2: {1: i2}})
@@ -614,8 +594,8 @@ class TestModelContract:
         perm = np.random.default_rng(0).permutation(t.dims[2])
         arr = t.array[:, :, perm]
         t_perm = DenseTensor.from_array(arr)
-        i3 = select_max_rank_slice(t, 2)
-        i2 = select_max_rank_slice(t, 1)
+        i3 = max_rank_slice(t, 2)
+        i2 = max_rank_slice(t, 1)
         i3p = int(np.flatnonzero(perm == i3)[0])
         m = procedure1(t, (3, 3, 2), CFG, i2=i2, i3=i3)
         mp = procedure1(t_perm, (3, 3, 2), CFG, i2=i2, i3=i3p)

@@ -10,11 +10,10 @@ from ntdkit.errors import NotSeparable, RankError, ShapeError, SolverError
 from ntdkit.lp import _VERTEX_ENUM_CAP, cross_section_vertices
 from ntdkit.solvers import (SolverConfig, derive_seed, maxdet_simplex,
                             minvol_nmf, minvol_order2_ntd, numerical_rank,
-                            orthonormal_range, separable_order2_ntd,
-                            spa_separable_nmf)
+                            separable_order2_ntd, spa_separable_nmf)
 from ntdkit.synth import gen_separable_factor
-from tests.conftest import (align_error, stochastic, two_nonzero,
-                            two_nonzero_ssc)
+from tests.conftest import (align_error, range_basis, stochastic,
+                            two_nonzero, two_nonzero_ssc)
 
 CFG = SolverConfig(seed=7)
 
@@ -31,21 +30,6 @@ class TestRankTools:
         a = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8))
         assert numerical_rank(a) == 3
         assert numerical_rank(np.zeros((4, 4))) == 0
-
-    def test_orthonormal_range_projector(self, rng):
-        x = rng.standard_normal((10, 2)) @ rng.standard_normal((2, 10))
-        b = orthonormal_range(x, 2)
-        assert np.allclose(b.T @ b, np.eye(2), atol=1e-12)
-        assert np.linalg.norm(b @ (b.T @ x) - x) <= 1e-12
-
-    def test_identity_basis(self):
-        b = orthonormal_range(np.eye(3), 3)
-        assert np.allclose(b @ b.T, np.eye(3), atol=1e-12)
-
-    def test_rank_deficient_rejected(self, rng):
-        x = np.outer(rng.random(6), rng.random(5))
-        with pytest.raises(RankError):
-            orthonormal_range(x, 2)
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_non_positive_rank_rejected(self, r):
@@ -72,8 +56,8 @@ class TestRankTools:
                     solvers._exact_rank_bases(x, r)
                 continue
             w, z = solvers._exact_rank_bases(x, r)
-            assert np.array_equal(w, orthonormal_range(x, r))
-            b = orthonormal_range(x.T, r)
+            assert np.array_equal(w, range_basis(x, r))
+            b = range_basis(x.T, r)
             assert np.abs(z @ z.T - b @ b.T).max() <= 1e-12
             agreed += 1
         assert 20 <= agreed < 60
@@ -142,7 +126,7 @@ class TestMaxdetSimplex:
 
     def test_separable_recovery(self, rng):
         u = gen_separable_factor(20, 4, rng)
-        b = orthonormal_range(u, 4)
+        b = range_basis(u, 4)
         q = maxdet_simplex(b, CFG)
         assert align_error(b @ q, u) <= 1e-8
 
@@ -151,7 +135,7 @@ class TestMaxdetSimplex:
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
             u = two_nonzero_ssc(20, 4, rng)
-            b = orthonormal_range(u, 4)
+            b = range_basis(u, 4)
             q = maxdet_simplex(b, SolverConfig(seed=seed))
             gt = abs(np.linalg.det(np.linalg.lstsq(b, u, rcond=None)[0]))
             val = abs(np.linalg.det(q))
@@ -192,7 +176,7 @@ class TestMaxdetSimplex:
             else:
                 draw = (two_nonzero, gen_separable_factor)[seed % 3]
                 u = draw(int(rng.integers(2 * r, 17)), r, rng)
-            b = orthonormal_range(u, r)
+            b = range_basis(u, r)
             v = cross_section_vertices(b, b.sum(axis=0),
                                        _VERTEX_ENUM_CAP)[0]
             q, history = maxdet_simplex(b, CFG, return_history=True)
@@ -219,7 +203,7 @@ class TestMaxdetSimplex:
 
     @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_SUBSET_CAP"])
     def test_over_budget_raises(self, cap, rng, monkeypatch):
-        b = orthonormal_range(two_nonzero_ssc(20, 4, rng), 4)
+        b = range_basis(two_nonzero_ssc(20, 4, rng), 4)
         monkeypatch.setattr(solvers, cap, 0)
         with pytest.raises(SolverError):
             maxdet_simplex(b, CFG)

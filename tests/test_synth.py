@@ -10,14 +10,14 @@ from ntdkit.cones import check_separable, check_ssc
 from ntdkit.errors import (GenerationError, InputError, PartitionError,
                            ShapeError, UsageError)
 from ntdkit.evaluate import _full_slice_status, validate_assumptions
-from ntdkit.procedures import _slice_ranks
 from ntdkit.solvers import numerical_rank, spa_separable_nmf
-from ntdkit.synth import (CoreConstraints, _core_ok, gen_anchor_factor,
+from ntdkit.synth import (CoreConstraints, _core_ok,
+                          _structured_deficient_core, gen_anchor_factor,
                           gen_core, gen_instance, gen_separable_factor,
                           gen_ssc_factor, load_instance, save_instance)
 from ntdkit.tensor import (DenseTensor, _mode_groups, mode_slice,
                            read_tensor, unfold)
-from tests.conftest import two_nonzero, two_nonzero_ssc
+from tests.conftest import slice_ranks, two_nonzero, two_nonzero_ssc
 
 
 class TestGenSscFactor:
@@ -277,7 +277,7 @@ class TestFullSliceScan:
             arr = rng.standard_normal(dims)
             for mode in range(len(dims)):
                 t, full = deficient_leading_slices(arr, mode, k, rng)
-                expected = max(_slice_ranks(t, mode)) == full
+                expected = max(slice_ranks(t, mode)) == full
                 status, _ = _full_slice_status(
                     t, _mode_groups(mode, len(dims)), full)
                 assert (status == "pass") == expected
@@ -287,3 +287,24 @@ class TestFullSliceScan:
                 verdicts.add(expected)
         # k = 3 overwrites every slice of the modes of size 3
         assert verdicts == {None: {False}, 3: {True, False}}.get(k, {True})
+
+    @pytest.mark.parametrize("dims", [(4, 4, 3), (5, 3, 4), (3, 3, 2)])
+    def test_deficient_slice_rule_matches_per_slice_ranks(self, dims):
+        # the constraint holds iff no slice along its mode has full rank,
+        # by one SVD per slice
+        verdicts = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            arr = rng.standard_normal(dims)
+            for mode in range(3):
+                cores = [deficient_leading_slices(arr, mode, k, rng)[0]
+                         for k in (0, 1, dims[mode] - 1, None)]
+                if mode == 2 and dims[0] == dims[1]:
+                    cores.append(_structured_deficient_core(dims, 2, rng))
+                full = min(n for m, n in enumerate(dims) if m != mode)
+                for core in cores:
+                    expected = max(slice_ranks(core, mode)) < full
+                    assert _core_ok(core, CoreConstraints(
+                        deficient_slices_mode=mode), rng) == expected
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
