@@ -3,7 +3,8 @@
 Essential uniqueness allows per-mode column permutations and positive
 diagonal rescalings (absorbed by the core), so models are compared after
 normalizing factor columns to unit sum (core compensated exactly) and
-Hungarian-matching the columns mode by mode.
+matching the columns mode by mode with an exact min-cost assignment by
+shortest augmenting paths, without scipy.
 """
 
 from __future__ import annotations
@@ -24,24 +25,77 @@ from .solvers import numerical_rank
 from .tensor import DenseTensor, _mode_groups, _partition, _slice_stack, unfold
 
 
+def _assignment(cost):
+    """Exact min-cost assignment of the square ``cost``: ``cols`` with row
+    ``i`` matched to column ``cols[i]`` at the least total cost.
+
+    Each row first takes its row-minimum column while that column is free.
+    With the row minima as row potentials this matching is tight and dual
+    feasible, so it is optimal when the minima fall in distinct columns.
+    Every row still free is then matched along a Dijkstra shortest
+    augmenting path on the reduced costs (Kuhn 1955; Jonker & Volgenant
+    1987), O(r^3) at worst, in scalar loops, which beat array calls at
+    these sizes.  Ties go to the lowest column index.
+    """
+    if not np.isfinite(cost).all():
+        raise ShapeError("assignment cost must be finite")
+    if not cost.size:
+        return np.arange(0)
+    cols = cost.argmin(axis=1)
+    best = cols.tolist()
+    if len(set(best)) == len(best):
+        return cols
+    c, n = cost.tolist(), len(best)
+    u = [row[j] for row, j in zip(c, best)]  # row potentials
+    v = [0.0] * n  # column potentials; every reduced cost stays >= 0
+    col_of, row_of = [-1] * n, [-1] * n
+    for i, j in enumerate(best):
+        if row_of[j] < 0:
+            row_of[j], col_of[i] = i, j
+    for free in [i for i in range(n) if col_of[i] < 0]:
+        dist = [a - u[free] - b for a, b in zip(c[free], v)]
+        prev = [free] * n  # the row each column is reached from
+        todo = list(range(n))  # columns not yet reached, in index order
+        while True:
+            j = min(todo, key=dist.__getitem__)
+            todo.remove(j)
+            i = row_of[j]
+            if i < 0:
+                break
+            for k in todo:
+                step = dist[j] + c[i][k] - u[i] - v[k]
+                if step < dist[k]:
+                    dist[k], prev[k] = step, i
+        # Shift the potentials so that the path's edges become tight.
+        u[free] += dist[j]
+        for k in set(range(n)).difference(todo):
+            if row_of[k] >= 0:
+                u[row_of[k]] += dist[j] - dist[k]
+            v[k] -= dist[j] - dist[k]
+        while True:  # augment: flip the path back to ``free``
+            i = prev[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == free:
+                break
+    return np.array(col_of)
+
+
 def align_columns(u_est, u_ref):
-    """Hungarian column matching of ``u_est`` onto ``u_ref``.
+    """Min-cost column matching of ``u_est`` onto ``u_ref`` by
+    :func:`_assignment` on the pairwise column distances.
 
     Returns ``(perm, err)`` with ``u_est[:, perm[k]]`` matched to
     ``u_ref[:, k]`` and ``err`` the worst relative column distance.
     """
-    from scipy.optimize import linear_sum_assignment
-
     u_est = np.asarray(u_est, dtype=float)
     u_ref = np.asarray(u_ref, dtype=float)
     if u_est.shape != u_ref.shape:
         raise ShapeError(f"shapes {u_est.shape} != {u_ref.shape}")
     cost = np.linalg.norm(u_ref[:, :, None] - u_est[:, None, :], axis=0)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(u_ref.shape[1], dtype=int)
-    perm[rows] = cols
+    perm = _assignment(cost)
     denom = np.maximum(np.linalg.norm(u_ref, axis=0), 1e-300)
-    err = float((cost[rows, cols] / denom[rows]).max(initial=0.0))
+    err = float((cost[np.arange(len(perm)), perm] / denom).max(initial=0.0))
     return perm, err
 
 

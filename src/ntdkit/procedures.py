@@ -102,7 +102,7 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
     d = t.order
     if len(ranks) != d:
         raise ShapeError("ranks length must match tensor order")
-    rest, axes = _unfolding_groups(sorted(np.atleast_1d(axes)), d)
+    rest, axes = _unfolding_groups(axes, d)
     r = prod(ranks[k] for k in axes)
     if r != prod(ranks[k] for k in rest):
         raise ShapeError(

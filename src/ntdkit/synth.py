@@ -201,7 +201,7 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     if any(n < r for n, r in zip(dims, ranks)):
         raise ShapeError(f"dims {dims} smaller than ranks {ranks}")
     if axes is not None:
-        _, axes = _unfolding_groups(sorted(np.atleast_1d(axes)), d)
+        _, axes = _unfolding_groups(axes, d)
     if partition is not None:
         if not {"rows", "fixed", "cols"} <= set(partition):
             raise PartitionError("partition needs rows, fixed and cols")

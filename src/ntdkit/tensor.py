@@ -64,7 +64,10 @@ def _mode_groups(fixed, d):
 
 def _unfolding_groups(axes, d):
     """``(rest, axes)`` of the unfolding along the proper mode subset
-    ``axes``."""
+    ``axes``, which may come unsorted or as one integer; the returned
+    axes are sorted."""
+    if axes is not None:
+        axes = sorted(np.atleast_1d(axes))
     axes = _as_mode_tuple(axes, d, name="axes")
     if len(axes) >= d:
         raise PartitionError("axes must be a proper subset of the modes")

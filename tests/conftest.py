@@ -69,7 +69,7 @@ def range_basis(x, r):
 
 
 def align_error(u_est, u_ref):
-    """Worst relative column error after Hungarian matching."""
+    """Worst relative column error after min-cost column matching."""
     _, err = align_columns(u_est, u_ref)
     return err
 

@@ -1,13 +1,21 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from ntdkit import evaluate
 from ntdkit.errors import ShapeError, UsageError
-from ntdkit.evaluate import (_combination_rank, _unit_sums, align_columns,
-                             essential_match, model_error,
+from ntdkit.evaluate import (_assignment, _combination_rank, _unit_sums,
+                             align_columns, essential_match, model_error,
                              validate_assumptions)
 from ntdkit.model import NtdModel
+from ntdkit.procedures import (ModePartition, procedure0, procedure1,
+                               procedure2, procedure3, procedure4,
+                               procedure_d0, procedure_d1, procedure_d3,
+                               separable_orderd)
+from ntdkit.solvers import SolverConfig
 from ntdkit.synth import Instance, gen_instance
 from ntdkit.tensor import DenseTensor, multilinear_transform
 from tests.conftest import stochastic
@@ -22,10 +30,50 @@ def permuted_model(model, rng, scale=False):
         d = rng.random(len(perm)) + 0.5 if scale else np.ones(len(perm))
         factors.append(u[:, perm] * d)
         diags.append(d)
-    core = model.core.array[np.ix_(*perms)]
-    core = core / np.einsum("i,j,k->ijk", *diags) if len(perms) == 3 \
-        else core
+    core = model.core.array[np.ix_(*perms)] / reduce(np.multiply.outer,
+                                                      diags)
     return NtdModel(factors, DenseTensor.from_array(core), model.ranks)
+
+
+def scipy_assignment(cost):
+    """The oracle: scipy's assignment of the same cost."""
+    return linear_sum_assignment(cost)[1]
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("r", range(1, 10))
+    def test_equals_scipy_on_uniform_costs(self, rng, r):
+        # a continuous draw has one optimum, so the columns must agree
+        for _ in range(40):
+            cost = rng.random((r, r))
+            assert np.array_equal(_assignment(cost), scipy_assignment(cost))
+
+    def test_integer_costs_reach_the_least_total(self, rng):
+        # ties: any optimal permutation, the same one on every call
+        for _ in range(400):
+            r = int(rng.integers(1, 10))
+            cost = rng.integers(0, 4, (r, r)).astype(float)
+            cols = _assignment(cost)
+            rows = np.arange(r)
+            assert np.array_equal(np.sort(cols), rows)
+            assert cost[rows, cols].sum() \
+                == cost[rows, scipy_assignment(cost)].sum()
+            assert np.array_equal(_assignment(cost.copy()), cols)
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_ties_go_to_the_lowest_column(self, r):
+        assert np.array_equal(_assignment(np.zeros((r, r))), np.arange(r))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost(self, rng, bad):
+        cost = rng.random((3, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            _assignment(cost)
+        u = rng.random((4, 3))
+        u[0, 1] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            align_columns(u, rng.random((4, 3)))
 
 
 class TestAlignColumns:
@@ -173,6 +221,61 @@ def test_essential_match_equals_normalized_models(dims, ranks):
             assert all(np.array_equal(p, q) for p, q in zip(res.perms, perms))
             assert res.factor_errors == errs
             assert res.core_error == core_error
+
+
+A54_PARTITION = {"rows": [0], "fixed": [2, 3], "cols": [1]}
+# (assumption, dims, ranks, generator keywords, decomposition); A4.1 and
+# A5.1 name no identifying procedure, so the truth stands in for one.
+RECOVERY_CASES = [
+    ("A4.1", (5, 4, 3), (2, 2, 2), {}, None),
+    ("A5.1", (5, 4, 3, 3), (2, 2, 2, 2), {}, None),
+    ("A4.x-unfold", (6, 5, 20), (2, 2, 4), {},
+     lambda t, cfg: procedure0(t, (2, 2, 4), cfg)),
+    ("A4.2", (12, 12, 8), (3, 3, 2), {},
+     lambda t, cfg: procedure1(t, (3, 3, 2), cfg)),
+    ("A4.3", (12, 12, 8), (3, 3, 2), {},
+     lambda t, cfg: procedure2(t, (3, 3, 2), cfg)),
+    ("A4.4", (12, 12, 6), (3, 3, 2), {},
+     lambda t, cfg: procedure3(t, (3, 3, 2), cfg)),
+    ("A4.5", (12, 12, 6), (3, 3, 2), {},
+     lambda t, cfg: procedure4(t, (3, 3, 2), cfg)),
+    ("A5.2", (6, 5, 4, 7), (2, 2, 2, 2), {"axes": (2, 3)},
+     lambda t, cfg: procedure_d0(t, (2, 2, 2, 2), (2, 3), cfg)),
+    ("A5.3", (8, 8, 6, 6), (3, 3, 2, 2), {},
+     lambda t, cfg: procedure_d1(t, (3, 3, 2, 2), cfg)),
+    ("A5.4", (12, 12, 6, 5), (3, 3, 2, 2), {"partition": A54_PARTITION},
+     lambda t, cfg: procedure_d3(t, (3, 3, 2, 2),
+                                 ModePartition((0,), (2, 3), (1,)), cfg)),
+    ("A-sep", (25, 20, 15), (3, 3, 2), {},
+     lambda t, cfg: separable_orderd(t, (3, 3, 2))),
+]
+
+
+@pytest.mark.parametrize("aid,dims,ranks,gen_kw,decompose", RECOVERY_CASES,
+                         ids=[case[0] for case in RECOVERY_CASES])
+def test_essential_match_equals_scipy_oracle(monkeypatch, aid, dims, ranks,
+                                             gen_kw, decompose):
+    # A decomposition against its permuted and rescaled truth, and against
+    # noisy copies of it (the larger noise makes row minima collide, so
+    # augmenting paths run): every number of the verdict is the one that
+    # scipy's assignment gives.
+    rng = np.random.default_rng(11)
+    for seed in (60, 61):
+        inst = gen_instance(aid, dims, ranks, seed=seed, **gen_kw)
+        model = inst.truth if decompose is None \
+            else decompose(inst.tensor, SolverConfig(seed=seed))
+        other = permuted_model(inst.truth, rng, scale=True)
+        assert essential_match(model, other).matched
+        pairs = [(model, other), (other, model)]
+        for noise in (1e-3, 1.0):
+            pairs.append((model, NtdModel(
+                [u + noise * rng.random(u.shape) for u in other.factors],
+                other.core, ranks)))
+        for a, b in pairs:
+            got = essential_match(a, b).to_json()
+            with monkeypatch.context() as m:
+                m.setattr(evaluate, "_assignment", scipy_assignment)
+                assert got == essential_match(a, b).to_json()
 
 
 class TestModelError:

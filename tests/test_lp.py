@@ -319,17 +319,41 @@ def test_best_vertex_beyond_the_subset_cap_equals_highs(n, r):
         assert_best_vertex_is_highs_optimum(b, v, rng.standard_normal(r))
 
 
-def test_vertex_path_leaves_scipy_unloaded():
-    # scipy.optimize alone costs ~50 MB of RSS; only LPs, NNLS and column
-    # matching load it.
-    code = ("import sys; import numpy as np; import ntdkit; "
-            "ntdkit.check_ssc(np.eye(4)); "
-            "print('scipy.optimize' in sys.modules)")
+# Run in a fresh interpreter: essential_match, one procedure and the CLI's
+# gen -> decompose (bundle) -> eval -> check ssc, all in process.
+_SCIPY_FREE_PATH = """
+import os, sys
+import ntdkit
+from ntdkit import cli
+from ntdkit.tensor import DenseTensor, write_tensor_json
+work = sys.argv[1]
+inst = ntdkit.gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=5)
+model = ntdkit.procedure1(inst.tensor, (3, 3, 2), ntdkit.SolverConfig(seed=5))
+assert ntdkit.essential_match(model, inst.truth).matched
+bundle, out = os.path.join(work, "inst"), os.path.join(work, "model.json")
+matrix = os.path.join(work, "h.json")
+write_tensor_json(DenseTensor.from_array(inst.truth.factors[0]), matrix)
+for argv in (["gen", "--assumption", "A4.2", "--dims", "12,12,8",
+              "--ranks", "3,3,2", "--seed", "5", "--out", bundle],
+             ["decompose", "--procedure", "1", "--input", bundle,
+              "--ranks", "3,3,2", "--out", out],
+             ["eval", "--model", out, "--truth",
+              os.path.join(bundle, "truth.json")],
+             ["check", "ssc", matrix]):
+    assert cli.main(argv) == 0, argv
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_vertex_path_leaves_scipy_unloaded(tmp_path):
+    # scipy.optimize alone costs ~50 MB of RSS; only the HiGHS LPs of
+    # lp.linprog_dense load it, and none of these calls reaches one.
     env = {**os.environ,
            "PYTHONPATH": os.path.dirname(os.path.dirname(ntdkit.__file__))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _SCIPY_FREE_PATH,
+                          str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 # Reference double description: the plain per-cut loop, which gathers the

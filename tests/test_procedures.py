@@ -298,6 +298,10 @@ class TestProcedureD0:
                 procedure_d0(t, (2, 2, 4), axes, CFG)
             with pytest.raises(PartitionError):
                 allatonce_penalized(t, (2, 2, 4), 1.0, AAO_CFG, axes=axes)
+        # procedure_d0 has no default axes; allatonce_penalized's None
+        # means the last mode
+        with pytest.raises(PartitionError):
+            procedure_d0(t, (2, 2, 4), None, CFG)
 
     @pytest.mark.parametrize("ranks,axes,same", [
         ((2, 2, 2, 2), (2, 3), (3, 2)), ((2, 1, 1, 2), (3,), 3)])
