@@ -195,6 +195,11 @@ def _load_input(path):
 
 
 def cmd_decompose(args) -> int:
+    for flag, procs in (("slice_index", ("1", "3")), ("axes", ("d0",)),
+                        ("partition", ("d3",))):  # the procedures that read it
+        if getattr(args, flag) is not None and args.procedure not in procs:
+            raise UsageError(f"--{flag.replace('_', '-')} applies only to "
+                             f"--procedure {' or '.join(procs)}")
     tensor, inst = _load_input(args.input)
     ranks = _ints(args.ranks)
     if min(ranks) < 1:

@@ -15,7 +15,9 @@ intermediate-ray budget).  Within the ray budget an SSC1 refutation is
 exact: a point far along a recession direction of an unbounded
 cross-section, else the largest-norm vertex.  Past the budget a
 Frank-Wolfe search steps by LP (``lp.linprog_dense``): a returned
-certificate proves SSC1 fails, but absence of one proves nothing.
+certificate proves SSC1 fails, but absence of one proves nothing.  Every
+check reads its matrix through ``_validate_nonneg``, which also refuses
+fewer than two columns wherever an SSC notion is asked for.
 
 Reports are reused only within one generation: ``synth.gen_instance``
 opens a memo around its retry loop (``_ssc_memo``), so the validation of
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import (EnumerationCapError, InputError, SolverError,
                      UsageError, WitnessError)
 from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
+from .model import _jsonable
 from .solvers import _rank_from_values
 
 ENUM_CAP_R = 8
@@ -57,15 +60,21 @@ def _ssc_memo():
         _SSC_REPORTS.reset(token)
 
 
-def _validate_nonneg(h, name="h"):
+def _validate_nonneg(h, check=None):
+    """``h`` as a float matrix clipped at 0: ``UsageError`` for another
+    shape or an entry below -1e-12, ``InputError`` for a non-finite column
+    sum and, when ``check`` names the caller, ``UsageError`` for fewer than
+    two columns, as every SSC notion needs r >= 2."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:
-        raise UsageError(f"{name} must be a matrix")
+        raise UsageError("h must be a matrix")
     if h.size and h.min() < -1e-12:
-        raise UsageError(f"{name} has negative entries")
+        raise UsageError("h has negative entries")
     with np.errstate(over="ignore"):
         if not np.isfinite(h.sum(axis=0)).all():
-            raise InputError(f"{name} has non-finite column sums")
+            raise InputError("h has non-finite column sums")
+    if check is not None and h.shape[1] < 2:
+        raise UsageError(f"{check} needs r >= 2")
     return np.maximum(h, 0.0)
 
 
@@ -119,10 +128,8 @@ def enumerate_dual_vertices(h, tol=1e-9):
     group certification, so raising it changes both.  Past either cap, or
     past the ray budget, ``EnumerationCapError`` is raised.
     """
-    h = _validate_nonneg(h)
+    h = _validate_nonneg(h, "dual-vertex enumeration")
     n, r = h.shape
-    if r < 2:
-        raise UsageError("dual-vertex enumeration needs r >= 2")
     if r > ENUM_CAP_R or n > ENUM_CAP_N:
         raise EnumerationCapError(
             f"enumeration cap exceeded (r={r} > {ENUM_CAP_R} or "
@@ -177,10 +184,8 @@ def check_pssc(h, p):
     It does iff the dual cross-section is bounded and every vertex's exact
     p-level is at most ``p``.  p = 1 is separability, p = sqrt(r-1) is SSC1.
     """
-    h = _validate_nonneg(h)
+    h = _validate_nonneg(h, "p-SSC")
     r = h.shape[1]
-    if r < 2:
-        raise UsageError("p-SSC needs r >= 2")
     if not 1.0 - 1e-12 <= p <= math.sqrt(r) + 1e-12:
         raise UsageError(f"p={p} outside [1, sqrt(r)] for r={r}")
     return _max_p_level(h) <= p + _P_TOL
@@ -190,11 +195,8 @@ def estimate_min_p(h):
     """Smallest p with the p-SSC: the largest vertex p-level, exact with
     no search; inf when SSC1 fails (an unbounded cross-section or a level
     above sqrt(r-1))."""
-    h = _validate_nonneg(h)
-    r = h.shape[1]
-    if r < 2:
-        raise UsageError("p-SSC needs r >= 2")
-    p, hi = _max_p_level(h), math.sqrt(r - 1.0)
+    h = _validate_nonneg(h, "p-SSC")
+    p, hi = _max_p_level(h), math.sqrt(h.shape[1] - 1.0)
     return min(p, hi) if p <= hi + _P_TOL else math.inf
 
 
@@ -230,20 +232,7 @@ class SscReport:
         return self.ssc is None
 
     def to_json(self) -> dict:
-        return {
-            "separable": self.separable,
-            "anchors": self.anchors,
-            "ssc1": self.ssc1,
-            "ssc2": self.ssc2,
-            "ssc": self.ssc,
-            "dual_vertices": None if self.dual_vertices is None
-            else self.dual_vertices.tolist(),
-            "max_vertex_norm": self.max_vertex_norm,
-            "unbounded": self.unbounded,
-            "refutation": None if self.refutation is None
-            else self.refutation.tolist(),
-            "method": self.method,
-        }
+        return _jsonable({**vars(self), "ssc": self.ssc})
 
 
 def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
@@ -257,10 +246,7 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     there) a matrix already checked with the same tolerances and no
     ``rng`` returns its earlier report instead.
     """
-    h = _validate_nonneg(h)
-    n, r = h.shape
-    if r < 2:
-        raise UsageError("the SSC is defined for r >= 2")
+    h = _validate_nonneg(h, "the SSC")
     if np.any(h.sum(axis=0) <= 0):
         raise UsageError("zero column in h")
     memo = _SSC_REPORTS.get() if rng is None else None
@@ -312,9 +298,7 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
     LP from ``starts`` random and 2r unit directions, ``iters`` steps
     each; there None proves nothing.
     """
-    h = _validate_nonneg(h)
-    if h.shape[1] < 2:
-        raise UsageError("SSC1 refutation needs r >= 2")
+    h = _validate_nonneg(h, "SSC1 refutation")
     try:
         vertices, unbounded = cross_section_vertices(
             h, np.ones(h.shape[1]), _VERTEX_ENUM_CAP, feas_tol)
@@ -371,10 +355,7 @@ def _lp_refute(h, rng, tol, feas_tol, starts=10, iters=60):
     if ray is not None:
         return _far_point(h, ray, tol, feas_tol)
     n, r = h.shape
-    if rng is None:
-        rng = np.random.default_rng(0)
-    elif isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(0 if rng is None else rng)
 
     def extreme(c):
         try:

@@ -20,8 +20,7 @@ from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
 from .errors import EnumerationCapError, RankError, ShapeError, UsageError
 from .kron import kron_all
 from .model import NtdModel, _jsonable
-from .procedures import _scan_slices
-from .solvers import numerical_rank
+from .solvers import _scan_slices, numerical_rank
 from .tensor import DenseTensor, _mode_groups, _partition, _slice_stack, unfold
 
 

@@ -9,11 +9,12 @@ Kronecker splits), the slice-pair route (1, 2, d1; one slice for two modes,
 one projected slice per further mode) or the slice-stack route (3, 4, d3;
 one slice, then the projected stack of all slices).  Procedures 1, 3, d1
 and d3 take the first full-rank slice in flat index order unless told
-which (``_scan_slices``; no randomness); procedures 2 and 4 are 1 and 3
-with Gaussian slice combinations as the matrices they factor first, 4
-keeping 3's stack.  The d-prefixed ones are the order-d versions.  Slices
-and unfoldings come from ``tensor``, which alone flattens modes; 3, 4 and
-d3 read every slice from one stack.
+which (``_scan_slices``, from ``solvers`` beside its rank gate; no
+randomness); procedures 2 and 4 are 1 and 3 with Gaussian slice
+combinations as the matrices they factor first, 4 keeping 3's stack.  The
+d-prefixed ones are the order-d versions.  Every procedure checks its rank
+list in ``_mode_ranks``.  Slices and unfoldings come from ``tensor``,
+which alone flattens modes; 3, 4 and d3 read every slice from one stack.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from math import prod
 
 import numpy as np
 
-from .errors import NotPermutedKronecker, RankError, ShapeError, SolverError
+from .errors import NotPermutedKronecker, ShapeError, SolverError
 from .kron import kron_all, kron_split_multi, nearest_kron
 from .model import NtdModel
-from .solvers import (SolverConfig, derive_seed, minvol_nmf,
-                      minvol_order2_ntd, numerical_rank, spa_separable_nmf)
+from .solvers import (SolverConfig, _scan_slices, derive_seed, minvol_nmf,
+                      minvol_order2_ntd, spa_separable_nmf)
 from .tensor import (DenseTensor, SliceSpec, _flatten, _partition,
                      _slice_stack, _unflatten, _unfolding_groups, fold,
                      mode_slice, multilinear_transform, slice_combination,
@@ -63,34 +64,24 @@ def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
     return model
 
 
+def _mode_ranks(t, ranks, name, low=1, high=None):
+    """``ranks`` as ints, one per mode of ``t``, whose order must lie in
+    ``[low, high]`` (no upper bound when ``high`` is None); ``ShapeError``
+    naming procedure ``name`` otherwise."""
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != t.order or not low <= t.order <= (high or t.order):
+        orders = low if low == high else f">= {low}"
+        raise ShapeError(f"procedure {name} runs on tensors of order "
+                         f"{orders} with one rank per mode, got "
+                         f"{len(ranks)} ranks for order {t.order}")
+    return ranks
+
+
 def _split_group(u, modes, dims, ranks):
     """``(factors, perm, residual)`` of a grouped factor's Kronecker split."""
     if len(modes) == 1:
         return [u], np.arange(u.shape[1]), 0.0
     return kron_split_multi(u, [(dims[m], ranks[m]) for m in modes])
-
-
-def _scan_slices(stack, rows, cols, target):
-    """First flat index of a rank-``target`` slice in the ``rows x cols``
-    ``stack``, in index order.
-
-    A slice's rank never exceeds ``target`` when the core fits the ranks,
-    so this is the first max-rank slice whenever a full-rank one exists;
-    generic instances stop at index 0.  Raises ``RankError`` naming the
-    slice count and the best rank seen when no slice reaches ``target``.
-    """
-    best = 0
-    for flat in range(stack.shape[2]):
-        rank = numerical_rank(stack[:, :, flat])
-        if rank == target:
-            return flat
-        best = max(best, rank)
-    name = ",".join(str(g[0]) if len(g) == 1 else str(list(g))
-                    for g in (rows, cols))
-    raise RankError(
-        f"none of the {stack.shape[2]} [{name}]-slices has rank {target} "
-        f"(best was {best})"
-    )
 
 
 def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
@@ -99,10 +90,7 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
     unfolding's factorization, the per-mode factors, the core unfolding
     permuted to match them, the sorted axes and the sum of the squared
     split residuals."""
-    d = t.order
-    if len(ranks) != d:
-        raise ShapeError("ranks length must match tensor order")
-    rest, axes = _unfolding_groups(axes, d)
+    rest, axes = _unfolding_groups(axes, t.order)
     r = prod(ranks[k] for k in axes)
     if r != prod(ranks[k] for k in rest):
         raise ShapeError(
@@ -112,7 +100,7 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
     fac = minvol_order2_ntd(unfold(t, axes), r, cfg)
     left, perm_left, res_left = split(fac.u1, rest, t.dims, ranks)
     right, perm_right, res_right = split(fac.u2, axes, t.dims, ranks)
-    factors = [None] * d
+    factors = [None] * t.order
     for mode, u in zip(rest + axes, [*left, *right]):
         factors[mode] = u
     return (fac, factors, fac.g[np.ix_(perm_left, perm_right)], axes,
@@ -163,9 +151,7 @@ def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig,
                  _name="d0") -> NtdModel:
     """Unfolding route: min-vol order-2 nTD of one unfolding, then
     Kronecker splits of both grouped factors."""
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != t.order or t.order < 3:
-        raise ShapeError("need an order >= 3 tensor and one rank per mode")
+    ranks = _mode_ranks(t, ranks, _name, 3)
     fac, factors, core_mat, axes, _ = _unfolding_route(t, ranks, axes, cfg)
     diagnostics = {"procedure": _name, "axes": list(axes),
                    "absdet": fac.absdet, "seed": cfg.seed}
@@ -184,7 +170,7 @@ def allatonce_penalized(t: DenseTensor, ranks, lam, cfg: SolverConfig,
     penalty to zero; otherwise factors fall back to alternating
     nearest-Kronecker fits and the result is flagged heuristic.
     """
-    ranks = tuple(int(r) for r in ranks)
+    ranks = _mode_ranks(t, ranks, "all-at-once")
     heuristic = []
 
     def split(u, modes, dims, ranks):
@@ -223,18 +209,9 @@ def allatonce_penalized(t: DenseTensor, ranks, lam, cfg: SolverConfig,
     return model
 
 
-def _order3_ranks(t, ranks, name):
-    """The three ranks of an order-3 procedure, checked against the tensor."""
-    ranks = tuple(int(r) for r in ranks)
-    if t.order != 3 or len(ranks) != 3:
-        raise ShapeError(f"procedure {name} runs on order-3 tensors with "
-                         f"three ranks")
-    return ranks
-
-
 def procedure0(t: DenseTensor, ranks, cfg: SolverConfig) -> NtdModel:
     """Order-3 unfolding route; needs r3 == r1*r2."""
-    r1, r2, r3 = _order3_ranks(t, ranks, "0")
+    r1, r2, r3 = _mode_ranks(t, ranks, "0", 3, 3)
     if r3 != r1 * r2:
         raise ShapeError(f"r3={r3} must equal r1*r2={r1 * r2}")
     return procedure_d0(t, ranks, (2,), cfg, _name="0")
@@ -245,7 +222,7 @@ def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
     """Two full-rank slices, the first of each mode unless given: one
     mode-3 slice gives U1, U2 by min-vol order-2 nTD, one projected mode-2
     slice gives U3 by min-vol NMF."""
-    r1, r2, r3 = _order3_ranks(t, ranks, "1")
+    r1, r2, r3 = _mode_ranks(t, ranks, "1", 3, 3)
     if r1 != r2:
         raise ShapeError("procedure 1 needs r1 == r2")
     if r3 > r1:
@@ -263,7 +240,7 @@ def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
                alpha=None, beta=None) -> NtdModel:
     """Randomized procedure 1 on Gaussian slice combinations; succeeds with
     probability one whenever the slice spans have maximal rank."""
-    r1, r2, r3 = _order3_ranks(t, ranks, "2")
+    r1, r2, r3 = _mode_ranks(t, ranks, "2", 3, 3)
     if r1 != r2 or r3 > r1:
         raise ShapeError("procedure 2 needs r3 <= r1 == r2")
     rng = np.random.default_rng(
@@ -283,7 +260,7 @@ def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
     """One full-rank slice, the first unless given, gives U1, U2; the
     projected stack of all mode-3 slices factors as core-unfolding times
     U3' and min-vol NMF finishes."""
-    r1, r2, r3 = _order3_ranks(t, ranks, "3")
+    r1, r2, r3 = _mode_ranks(t, ranks, "3", 3, 3)
     if r1 != r2:
         raise ShapeError("procedure 3 needs r1 == r2")
     if r3 > r1 * r1:
@@ -302,7 +279,7 @@ def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
     ``alpha`` of the mode-3 slices, which has full rank with probability
     one whenever the slices span maximal rank; the projected stack is
     procedure 3's.  ``diagnostics["mix"]`` holds ``alpha`` as one column."""
-    r1, r2, r3 = _order3_ranks(t, ranks, "4")
+    r1, r2, r3 = _mode_ranks(t, ranks, "4", 3, 3)
     if r1 != r2 or r3 > r1 * r1:
         raise ShapeError("procedure 4 needs r3 <= r^2 with r1 == r2")
     rng = np.random.default_rng(
@@ -321,20 +298,22 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
     """Order-d slice route: a [0,1]-slice gives U0, U1; for every further
     mode one projected [0,i]-slice gives U_i by min-vol NMF.
 
-    ``slice_indices`` optionally maps a column mode to the fixed-index
-    dict of its slice; for a missing mode the first full-rank [0,i]-slice
-    in flat index order is used (no randomness).
+    ``slice_indices`` optionally maps a column mode (1..d-1, else
+    ``ShapeError``) to the fixed-index dict of its slice; for a missing
+    mode the first full-rank [0,i]-slice in flat index order is used (no
+    randomness).
     """
-    ranks = tuple(int(r) for r in ranks)
-    d = t.order
-    if len(ranks) != d or d < 3:
-        raise ShapeError("need an order >= 3 tensor and one rank per mode")
+    ranks, d = _mode_ranks(t, ranks, "d1", 3), t.order
     r = ranks[0]
     if ranks[1] != r:
         raise ShapeError("procedure d.1 needs r1 == r2")
     if any(ranks[i] > r for i in range(2, d)):
         raise ShapeError("procedure d.1 needs r_i <= r1 for i >= 3")
     slice_indices = dict(slice_indices or {})
+    stray = [k for k in slice_indices if k not in range(1, d)]
+    if stray:
+        raise ShapeError(f"slice_indices keys {stray} are not column modes "
+                         f"1..{d - 1}")
     used = {}
     for i in range(1, d):
         if i in slice_indices:
@@ -362,11 +341,8 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
     partition, with Kronecker splits of all three grouped factors.  The
     first matrix is the slice at ``fixed_index`` or, when that is not
     given, the first full-rank slice in flat index order."""
-    ranks = tuple(int(r) for r in ranks)
-    d = t.order
-    if len(ranks) != d:
-        raise ShapeError("one rank per mode required")
-    rows, fixed_modes, cols = partition.validate(d)
+    ranks = _mode_ranks(t, ranks, "d3")
+    rows, fixed_modes, cols = partition.validate(t.order)
     r = prod(ranks[m] for m in rows)
     if r != prod(ranks[m] for m in cols):
         raise ShapeError(
@@ -406,10 +382,7 @@ def separable_orderd(t: DenseTensor, ranks, feas_tol=1e-9) -> NtdModel:
     invertible map that keeps the anchors and the normalized ``h``, and
     the last contraction is the core.  The reconstruction check against
     ``t`` certifies the model."""
-    ranks = tuple(int(r) for r in ranks)
-    d = t.order
-    if len(ranks) != d:
-        raise ShapeError("one rank per mode required")
+    ranks, d = _mode_ranks(t, ranks, "sep-d"), t.order
     factors, anchor_sets, work = [None] * d, [None] * d, t
     for k in sorted(range(d), key=lambda m: t.dims[m]):
         x = unfold(work, (k,))

@@ -15,14 +15,15 @@ same double description on the unit directions of the columns: their cone
 is simplicial exactly when it has r facets, its anchors are the first
 columns on each extreme ray (off one facet, on all others), and one r x r
 solve against the anchors fits every column.  Each solver factors its
-input once, and the singular values of that factorization also decide
-that ``x`` has numerical rank exactly r.  ``minvol_order2_ntd`` needs both
-bases and takes ``W`` and ``Z`` from one thin SVD of ``x``
-(``_exact_rank_bases``).  ``minvol_nmf`` and the separable solver need
-only the row space: ``_row_space`` takes the singular values and right
-singular vectors of a tall ``x`` from the SVD of the square R factor of
-its QR (the R-SVD of Chan 1982), so the m x n left factor is never
-built.  This module does not import scipy.
+input once in the one rank gate, ``_rank_r_svd``, whose singular values
+also decide that ``x`` has numerical rank exactly r.  ``minvol_order2_ntd``
+needs both bases and takes ``W`` and ``Z`` from one thin SVD of ``x``.
+``minvol_nmf`` and the separable solver need only the row space, which
+the gate takes for a tall ``x`` from the SVD of the square R factor of its
+QR (the R-SVD of Chan 1982), so the m x n left factor is never built.
+Every solver ends in the one fit check, ``_check_fit``.  The procedures'
+slice scan, ``_scan_slices``, sits beside the gate.  This module does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -68,53 +69,70 @@ def derive_seed(base, *tags) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _rank_from_values(s, shape, tol=None) -> int:
+def _rank_from_values(s, shape) -> int:
     """How many singular values ``s`` of a ``shape`` matrix lie above
-    ``max(shape) * eps * smax * 1e3`` (or ``tol``)."""
+    ``max(shape) * eps * smax * 1e3``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    if tol is None:
-        tol = max(shape) * np.finfo(float).eps * s[0] * 1e3
-    return int((s > tol).sum())
+    return int((s > max(shape) * np.finfo(float).eps * s[0] * 1e3).sum())
 
 
-def numerical_rank(a, tol=None) -> int:
-    """Singular values above ``max(m,n) * eps * smax * 1e3`` (overridable)."""
+def numerical_rank(a) -> int:
+    """Singular values above ``max(m,n) * eps * smax * 1e3``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    return _rank_from_values(np.linalg.svd(a, compute_uv=False), a.shape,
-                             tol)
+    return _rank_from_values(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
-def _exact_rank_bases(x, r):
-    """``(w, z)``: orthonormal bases of the column and row spaces of ``x``
-    from one thin SVD; ``RankError`` unless its numerical rank is exactly
-    ``r``, ``ShapeError`` unless ``r >= 1``."""
+def _rank_r_svd(x, r, left=False):
+    """``(u, s, vt)``: the leading r singular triplets of ``x``, the rank
+    gate of every solver; ``RankError`` unless its numerical rank is
+    exactly ``r``, ``ShapeError`` unless ``r >= 1``.  Without ``left`` a
+    tall ``x`` is factored through the R factor of its QR, the others
+    directly, and ``u`` is None; with it one thin SVD of ``x`` gives all
+    three."""
     if r < 1:
         raise ShapeError(f"rank must be positive, got {r}")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    k = _rank_from_values(s, x.shape)
-    if k != r:
-        raise RankError(f"input has numerical rank {k}, expected {r}")
-    return u[:, :r], vt[:r].T
-
-
-def _row_space(x, r):
-    """``(s, vt)``: the leading r singular values and right singular
-    vectors of ``x``; ``RankError`` unless its numerical rank is exactly
-    ``r``, ``ShapeError`` unless ``r >= 1``.  A tall ``x`` is factored
-    through the R factor of its QR, the others directly; the left singular
-    vectors are never returned."""
-    if r < 1:
-        raise ShapeError(f"rank must be positive, got {r}")
-    m, n = x.shape
-    _, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r") if m > n else x,
+    qr = not left and x.shape[0] > x.shape[1]
+    u, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r") if qr else x,
                              full_matrices=False)
     k = _rank_from_values(s, x.shape)
     if k != r:
         raise RankError(f"input has numerical rank {k}, expected {r}")
-    return s[:r], vt[:r]
+    return u[:, :r] if left else None, s[:r], vt[:r]
+
+
+def _scan_slices(stack, rows, cols, target):
+    """First flat index of a rank-``target`` slice in the ``rows x cols``
+    ``stack``, in index order.
+
+    A slice's rank never exceeds ``target`` when the core fits the ranks,
+    so this is the first max-rank slice whenever a full-rank one exists;
+    generic instances stop at index 0.  Raises ``RankError`` naming the
+    slice count and the best rank seen when no slice reaches ``target``.
+    """
+    best = 0
+    for flat in range(stack.shape[2]):
+        rank = numerical_rank(stack[:, :, flat])
+        if rank == target:
+            return flat
+        best = max(best, rank)
+    name = ",".join(str(g[0]) if len(g) == 1 else str(list(g))
+                    for g in (rows, cols))
+    raise RankError(
+        f"none of the {stack.shape[2]} [{name}]-slices has rank {target} "
+        f"(best was {best})"
+    )
+
+
+def _check_fit(x, fit, tol, error=SolverError, what="reconstruction"):
+    """Raise ``error("<what> residual ...")`` when ``fit`` misses ``x`` by
+    more than ``tol`` relative to ``||x||``, the fit check of every
+    solver."""
+    resid = np.linalg.norm(x - fit) / max(np.linalg.norm(x), 1e-300)
+    if resid > tol:
+        raise error(f"{what} residual {resid:.3e}")
 
 
 def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
@@ -190,16 +208,15 @@ def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     space parametrization; exact fit holds by construction.
     """
     x = np.asarray(x, dtype=float)
-    w, z = _exact_rank_bases(x, r)
+    w, _, vt = _rank_r_svd(x, r, left=True)
+    z = vt.T
     q1 = maxdet_simplex(w, cfg)
     q2 = maxdet_simplex(z, cfg)
     u1, u2 = w @ q1, z @ q2
     m = w.T @ x @ z
     g = np.linalg.solve(q1, m)
     g = np.linalg.solve(q2, g.T).T
-    resid = np.linalg.norm(x - u1 @ g @ u2.T) / max(np.linalg.norm(x), 1e-300)
-    if resid > cfg.feas_tol:
-        raise SolverError(f"reconstruction residual {resid:.3e}")
+    _check_fit(x, u1 @ g @ u2.T, cfg.feas_tol)
     return Order2Ntd(u1, g, u2)
 
 
@@ -214,13 +231,11 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     m, n = x.shape
     if m < r:
         raise ShapeError(f"need at least r={r} rows, got {m}")
-    z = _row_space(x, r)[1].T
+    z = _rank_r_svd(x, r)[2].T
     q = maxdet_simplex(z, cfg)
     h = z @ q
     w = np.linalg.solve(q, (x @ z).T).T
-    resid = np.linalg.norm(x - w @ h.T) / max(np.linalg.norm(x), 1e-300)
-    if resid > cfg.feas_tol:
-        raise SolverError(f"reconstruction residual {resid:.3e}")
+    _check_fit(x, w @ h.T, cfg.feas_tol)
     return w, h
 
 
@@ -228,7 +243,7 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     """Anchor extraction for a separable factorization of exact data.
 
     Works on the columns' coordinates ``y = s vt = U' x`` in the rank-r
-    range, taken from ``_row_space`` without building ``U``.  The double
+    range, taken from ``_rank_r_svd`` without building ``U``.  The double
     description gives the facet normals of the cone of the columns' unit
     directions; a separable ``x`` gives a simplicial cone, so anything but
     exactly r normals raises ``NotSeparable``.  Anchor k is the lowest-index
@@ -240,7 +255,7 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     Returns ``(anchors, w, h)`` with ``x = w @ h.T``, ``h >= 0``.
     """
     x = np.asarray(x, dtype=float)
-    s, vt = _row_space(x, r)
+    _, s, vt = _rank_r_svd(x, r)
     y = s[:, None] * vt
     norms = np.linalg.norm(y, axis=0)
     left = np.flatnonzero(norms > 1e-12 * max(norms.max(initial=0.0), 1.0))
@@ -265,9 +280,7 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     w = x[:, anchors] / scale
     h = np.maximum(np.linalg.solve(y[:, anchors] / scale, y), 0.0).T
     fit = (h @ w.T).T if x.flags.f_contiguous else w @ h.T  # x's layout
-    resid = np.linalg.norm(x - fit) / max(np.linalg.norm(x), 1e-300)
-    if resid > feas_tol:
-        raise NotSeparable(f"separable residual {resid:.3e}")
+    _check_fit(x, fit, feas_tol, NotSeparable, "separable")
     return anchors, w, h
 
 
@@ -281,8 +294,6 @@ def separable_order2_ntd(x, r, feas_tol=1e-9) -> Order2Ntd:
     u2 = h_right / h_right.sum(axis=0)
     u1 = h_left / h_left.sum(axis=0)
     g = np.linalg.pinv(u1) @ x @ np.linalg.pinv(u2).T
-    resid = np.linalg.norm(x - u1 @ g @ u2.T) / max(np.linalg.norm(x), 1e-300)
-    if resid > feas_tol:
-        raise SolverError(f"reconstruction residual {resid:.3e}")
+    _check_fit(x, u1 @ g @ u2.T, feas_tol)
     return Order2Ntd(u1, g, u2)
 

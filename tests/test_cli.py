@@ -8,7 +8,7 @@ import pytest
 
 from ntdkit import cli, solvers
 from ntdkit.cli import main
-from ntdkit.synth import load_instance
+from ntdkit.synth import gen_instance, load_instance, save_instance
 from ntdkit.tensor import (TENSOR_MAGIC, DenseTensor, write_tensor_binary,
                            write_tensor_json)
 
@@ -415,6 +415,10 @@ MALFORMED_TENSORS = {
 }
 
 
+# an input that procedures 0 and d0 decompose
+UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
+
+
 @pytest.mark.parametrize("argv,code", [
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
       "--solver-config", "{cfg}"], 3),
@@ -489,7 +493,15 @@ MALFORMED_TENSORS = {
       "--truth", "{bundle}/truth.json"], 3),
     (["eval", "--model", "{tmp}/short-ranks-model.json",
       "--truth", "{bundle}/truth.json"], 3),
-])
+] + [(["decompose", "--procedure", proc, *flag, *data], 2)
+     # a flag the procedure would not read, on an input it decomposes
+     for proc, flag, data in (
+         ("2", ("--slice-index", "3"), ("--ranks", "3,3,2")),
+         ("d1", ("--slice-index", "3"), ("--ranks", "3,3,2")),
+         ("d1", ("--axes", "1"), ("--ranks", "3,3,2")),
+         ("0", ("--axes", "0"), UNFOLDABLE),
+         ("1", ("--partition", "0|1|2"), ("--ranks", "3,3,2")),
+         ("d0", ("--partition", "0|1|2"), UNFOLDABLE))])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")
@@ -536,6 +548,9 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
             json.dumps({**meta, "seed": seed}))
     (tmp_path / "spec.json").write_text(json.dumps({"defaults": {
         "assumption": "A4.2", "dims": [10, 10, 6], "ranks": [3, 3, 2]}}))
+    if "{tmp}/unfoldable" in argv:
+        save_instance(gen_instance("A4.x-unfold", (6, 5, 20), (2, 2, 4),
+                                   seed=8), tmp_path / "unfoldable")
     argv = [a.format(cfg=cfg, tmp=tmp_path, bundle=bundle) for a in argv]
     if argv[0] == "decompose":
         for flag, value in (("--input", bundle),

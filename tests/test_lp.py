@@ -12,7 +12,7 @@ from ntdkit import lp
 from ntdkit.errors import EnumerationCapError
 from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
                        linprog_dense)
-from ntdkit.solvers import _row_space, numerical_rank
+from ntdkit.solvers import _rank_r_svd, numerical_rank
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import SliceSpec, slice_matrix, unfold
 from tests.conftest import (range_basis, same_vertices, two_nonzero,
@@ -444,7 +444,7 @@ def dd_input(b, a):
 def column_directions(x, r):
     """Unit directions of the columns' rank-r coordinates, the input of
     ``spa_separable_nmf``'s double description."""
-    s, vt = _row_space(x, r)
+    _, s, vt = _rank_r_svd(x, r)
     y = s[:, None] * vt
     return (y / np.linalg.norm(y, axis=0)).T
 

@@ -9,11 +9,12 @@ from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
 from ntdkit.kron import kron
 from ntdkit.procedures import (ModePartition, _core_via_pinv, _finalize,
-                               _scan_slices, allatonce_penalized, procedure0,
-                               procedure1, procedure2, procedure3, procedure4,
+                               allatonce_penalized, procedure0, procedure1,
+                               procedure2, procedure3, procedure4,
                                procedure_d0, procedure_d1, procedure_d3,
                                separable_orderd)
-from ntdkit.solvers import SolverConfig, minvol_order2_ntd, numerical_rank
+from ntdkit.solvers import (SolverConfig, _scan_slices, minvol_order2_ntd,
+                            numerical_rank)
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import (DenseTensor, _mode_groups, _slice_stack, fold,
                            unfold)
@@ -392,6 +393,14 @@ class TestProcedureD1:
         with pytest.raises(RankError):
             procedure_d1(t, (2, 2, 2, 2), CFG)
 
+    def test_stray_slice_index_key_raises(self):
+        # mode 7 is no mode and mode 0 is the row mode: neither is a column
+        # mode, so neither may be skipped over silently
+        t = gen_instance("A5.3", (8, 8, 6, 6), (3, 3, 2, 2), seed=1).tensor
+        for keys in ({7: {0: 0}, 0: {1: 2}}, {7: {0: 0}}, {0: {1: 2}}):
+            with pytest.raises(ShapeError, match=r"column modes 1\.\.3"):
+                procedure_d1(t, (3, 3, 2, 2), CFG, slice_indices=keys)
+
 
 @pytest.mark.parametrize("proc,tag,dims,ranks", [
     (procedure1, "A4.2", (12, 12, 8), (3, 3, 2)),
@@ -583,6 +592,36 @@ class TestSeparableModeOrder:
 
 
 class TestModelContract:
+    def test_rank_list_checked_by_one_rule(self, rng):
+        # every procedure refuses a rank list of the wrong length, or a
+        # tensor of an order it does not run on, in the same words
+        part = ModePartition((0,), (2,), (1,))
+        runs = {
+            "0": lambda t, r: procedure0(t, r, CFG),
+            "1": lambda t, r: procedure1(t, r, CFG),
+            "2": lambda t, r: procedure2(t, r, CFG),
+            "3": lambda t, r: procedure3(t, r, CFG),
+            "4": lambda t, r: procedure4(t, r, CFG),
+            "d0": lambda t, r: procedure_d0(t, r, (2,), CFG),
+            "all-at-once": lambda t, r: allatonce_penalized(t, r, 1.0, CFG),
+            "d1": lambda t, r: procedure_d1(t, r, CFG),
+            "d3": lambda t, r: procedure_d3(t, r, part, CFG),
+            "sep-d": lambda t, r: separable_orderd(t, r),
+        }
+        tensors = {k: DenseTensor.from_array(rng.random((4,) * k))
+                   for k in (2, 3, 4)}
+        for name, run in runs.items():
+            with pytest.raises(ShapeError, match=f"procedure {name} runs "
+                               f"on tensors of order .* got 2 ranks for "
+                               f"order 3"):
+                run(tensors[3], (2, 2))
+        for name in "01234":
+            with pytest.raises(ShapeError, match="of order 3 with"):
+                runs[name](tensors[4], (2, 2, 2, 2))
+        for name in ("d0", "d1"):
+            with pytest.raises(ShapeError, match="of order >= 3 with"):
+                runs[name](tensors[2], (2, 2))
+
     def test_every_model_reconstructs(self):
         inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=40)
         model = procedure1(inst.tensor, (3, 3, 2), CFG)

@@ -36,9 +36,9 @@ class TestRankTools:
         # A rank-0 request on a zero matrix once reached scipy's nnls with
         # a 0 x 0 system, which aborts the interpreter.
         x = np.zeros((3, 4))
-        for gate in (solvers._exact_rank_bases, solvers._row_space):
+        for left in (True, False):
             with pytest.raises(ShapeError):
-                gate(x, r)
+                solvers._rank_r_svd(x, r, left)
         with pytest.raises(ShapeError):
             spa_separable_nmf(x, r)
 
@@ -53,9 +53,10 @@ class TestRankTools:
             x = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
             if numerical_rank(x) != r:
                 with pytest.raises(RankError):
-                    solvers._exact_rank_bases(x, r)
+                    solvers._rank_r_svd(x, r, left=True)
                 continue
-            w, z = solvers._exact_rank_bases(x, r)
+            w, _, vt = solvers._rank_r_svd(x, r, left=True)
+            z = vt.T
             assert np.array_equal(w, range_basis(x, r))
             b = range_basis(x.T, r)
             assert np.abs(z @ z.T - b @ b.T).max() <= 1e-12
@@ -83,9 +84,10 @@ def test_row_space_agrees_with_svd():
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         if solvers._rank_from_values(s, x.shape) != r:
             with pytest.raises(RankError):
-                solvers._row_space(x, r)
+                solvers._rank_r_svd(x, r)
             continue
-        s_r, vt_r = solvers._row_space(x, r)
+        u_r, s_r, vt_r = solvers._rank_r_svd(x, r)
+        assert u_r is None
         assert s_r.shape == (r,) and vt_r.shape == (r, x.shape[1])
         assert np.abs(s_r - s[:r]).max() <= 1e-12 * s[0]
         sign = np.sign(np.einsum("ij,ij->i", vt_r, vt[:r]))
@@ -114,6 +116,31 @@ def test_one_svd_per_solve(solve, monkeypatch):
     with pytest.raises(RankError):
         solve(np.diag([1.0, 1.0, 1.0, 0.0]), 4)
     assert len(calls) == 1
+
+
+def test_unmet_fit_keeps_class_and_message(rng, monkeypatch):
+    # A tolerance no floating-point fit meets stands in for an input the
+    # solver cannot fit; the inner steps keep the default tolerance.
+    maxdet, spa = solvers.maxdet_simplex, solvers.spa_separable_nmf
+    monkeypatch.setattr(solvers, "maxdet_simplex", lambda b, _: maxdet(b, CFG))
+    tiny = SolverConfig(feas_tol=1e-300)
+    x = two_nonzero_ssc(12, 4, rng) @ rng.random((4, 4)) \
+        @ two_nonzero_ssc(14, 4, rng).T
+    for solve in (minvol_order2_ntd, minvol_nmf):
+        with pytest.raises(SolverError,
+                           match=r"^reconstruction residual \d") as info:
+            solve(x, 4, tiny)
+        assert type(info.value) is SolverError
+    xs = gen_separable_factor(10, 3, rng) @ rng.random((3, 3)) \
+        @ gen_separable_factor(12, 3, rng).T
+    with pytest.raises(NotSeparable, match=r"^separable residual \d"):
+        spa_separable_nmf(xs, 3, tiny.feas_tol)
+    monkeypatch.setattr(solvers, "spa_separable_nmf",
+                        lambda a, r, _: spa(a, r))
+    with pytest.raises(SolverError,
+                       match=r"^reconstruction residual \d") as info:
+        separable_order2_ntd(xs, 3, tiny.feas_tol)
+    assert type(info.value) is SolverError
 
 
 class TestMaxdetSimplex:
