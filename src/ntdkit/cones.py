@@ -17,7 +17,9 @@ cross-section, else the largest-norm vertex.  Past the budget a
 Frank-Wolfe search steps by LP (``lp.linprog_dense``): a returned
 certificate proves SSC1 fails, but absence of one proves nothing.  Every
 check reads its matrix through ``_validate_nonneg``, which also refuses
-fewer than two columns wherever an SSC notion is asked for.
+fewer than two columns wherever an SSC notion is asked for; within one
+``check_ssc`` report the separability test and the enumeration read the
+array it validated (``_separable``, ``_dual_vertices``).
 
 Reports are reused only within one generation: ``synth.gen_instance``
 opens a memo around its retry loop (``_ssc_memo``), so the validation of
@@ -84,7 +86,11 @@ def check_separable(h, tol=1e-9):
     Returns ``(flag, anchors)`` with one anchor row index per column when
     separable, else ``(False, None)``.
     """
-    h = _validate_nonneg(h)
+    return _separable(_validate_nonneg(h), tol)
+
+
+def _separable(h, tol=1e-9):
+    """``check_separable`` on a validated ``h``."""
     qualifies = (h > 0) & (h.sum(axis=1, keepdims=True) - h
                            <= tol * h.max(axis=1, keepdims=True, initial=0.0))
     if not qualifies.any(axis=0).all():
@@ -128,7 +134,12 @@ def enumerate_dual_vertices(h, tol=1e-9):
     group certification, so raising it changes both.  Past either cap, or
     past the ray budget, ``EnumerationCapError`` is raised.
     """
-    h = _validate_nonneg(h, "dual-vertex enumeration")
+    return _dual_vertices(_validate_nonneg(h, "dual-vertex enumeration"),
+                          tol)
+
+
+def _dual_vertices(h, tol=1e-9):
+    """``enumerate_dual_vertices`` on a validated ``h`` with r >= 2."""
     n, r = h.shape
     if r > ENUM_CAP_R or n > ENUM_CAP_N:
         raise EnumerationCapError(
@@ -260,9 +271,9 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
 
 def _ssc_report(h, tol, feas_tol, rng):
     n, r = h.shape
-    separable, anchors = check_separable(h)
+    separable, anchors = _separable(h)
     try:
-        vertices, unbounded = enumerate_dual_vertices(h, tol=feas_tol)
+        vertices, unbounded = _dual_vertices(h, tol=feas_tol)
     except EnumerationCapError:
         if r <= ENUM_CAP_R and n <= ENUM_CAP_N:  # past the ray budget
             y = _lp_refute(h, rng, tol, feas_tol)

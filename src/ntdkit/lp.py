@@ -7,7 +7,11 @@ vertex once by the double description method (Motzkin et al. 1953, as in
 Fukuda & Prodon 1996) in numpy alone: the extreme rays of the cone
 ``{y : [b; a] y >= 0}`` with ``a . y > 0``, each scaled to ``a . y = 1``,
 kept if feasible and sorted lexicographically.  No subset of rows is
-solved, and each cut masks rows instead of gathering them.  The
+solved, and each cut masks rows instead of gathering them.  Each cut's
+adjacency test runs on integer bitsets, one Python int per ray's zero
+mask, when the step is small enough that numpy's per-call cost would
+dominate, and on float 0/1 blocks otherwise; both give the same pairs in
+the same order, so the rays do not depend on the path.  The
 objectives the package maximizes over a bounded cross-section (a norm, a
 determinant linear in each column) peak at vertices, so within the ray
 budget callers search the vertices alone.  Past it the SSC1 refutation
@@ -29,8 +33,14 @@ from .errors import EnumerationCapError, SolverError
 # ``maxdet_simplex`` fails.
 _VERTEX_ENUM_CAP = 2048
 
-# Entries per block of the pair test in ``_adjacent_pairs``.
+# Entries per block of the float pair test, ``_block_pairs``.
 _PAIR_CHUNK = 1 << 20
+
+# Largest |pos| * |neg| * |rays| of a double-description step whose pair
+# test runs on integer bitsets.  Up to about this size a step costs more in
+# numpy calls than in arithmetic; on larger ones (dense 60x8 inputs) the
+# bitset loop is about 10x slower than the float blocks.
+_BITSET_WORK = 4096
 
 # Rows and rays are unit vectors in the double description; a row whose
 # value on a ray is within this is active there.
@@ -73,10 +83,45 @@ def _adjacent_pairs(zeros, pos, neg, r):
     """Rays ``p`` of ``pos`` and ``q`` of ``neg`` that span a 2-face, by
     the combinatorial test: at least r-2 rows are active at both and no
     third ray is active on all of them; ``zeros`` is one activity mask over
-    all rows, False on the unprocessed ones.  Shared-row counts are built
-    one block of ``pos`` at a time and the candidate pairs tested in chunks
-    of about ``_PAIR_CHUNK`` entries, so memory stays bounded; pairs come
-    in row-major order of (``pos``, ``neg``)."""
+    all rows, False on the unprocessed ones.  Pairs come in row-major order
+    of (``pos``, ``neg``).  The test runs on integer bitsets when it checks
+    at most ``_BITSET_WORK`` (pair, ray) combinations, else on float blocks;
+    both give the same pairs."""
+    if len(pos) * len(neg) * len(zeros) <= _BITSET_WORK:
+        return _bitset_pairs(zeros, pos, neg, r)
+    return _block_pairs(zeros, pos, neg, r)
+
+
+def _bitset_pairs(zeros, pos, neg, r):
+    """The pair test with each ray's zero mask packed into one Python int,
+    for small candidate sets, where numpy's per-call cost dominates."""
+    packed = np.packbits(zeros, axis=1)
+    width, data = packed.shape[1], packed.tobytes()
+    masks = [int.from_bytes(data[at:at + width], "big")
+             for at in range(0, len(data), width)]
+    ps, qs, negs = [], [], neg.tolist()
+    for p in pos.tolist():
+        mp = masks[p]
+        for q in negs:
+            common = mp & masks[q]
+            if common.bit_count() < r - 2:
+                continue
+            holders = 0
+            for m in masks:
+                if m & common == common:
+                    holders += 1
+                    if holders > 2:
+                        break
+            if holders == 2:
+                ps.append(p)
+                qs.append(q)
+    return np.array(ps, dtype=pos.dtype), np.array(qs, dtype=neg.dtype)
+
+
+def _block_pairs(zeros, pos, neg, r):
+    """The pair test on float 0/1 blocks: shared-row counts are built one
+    block of ``pos`` at a time and the candidate pairs tested in chunks of
+    about ``_PAIR_CHUNK`` entries, so memory stays bounded."""
     zf = zeros.astype(float)
     zneg = zf.take(neg, 0)
     rows = max(1, _PAIR_CHUNK // max(1, len(neg)))

@@ -10,7 +10,9 @@ one projected slice per further mode) or the slice-stack route (3, 4, d3;
 one slice, then the projected stack of all slices).  Procedures 1, 3, d1
 and d3 take the first full-rank slice in flat index order unless told
 which (``_scan_slices``, from ``solvers`` beside its rank gate; no
-randomness); procedures 2 and 4 are 1 and 3 with Gaussian slice
+randomness).  The slice routes take each factor's left inverse from the
+solver that built it (``solvers._left_inverse``) and compute no
+pseudo-inverse; procedures 2 and 4 are 1 and 3 with Gaussian slice
 combinations as the matrices they factor first, 4 keeping 3's stack.  The
 d-prefixed ones are the order-d versions.  Every procedure checks its rank
 list in ``_mode_ranks``.  Slices and unfoldings come from ``tensor``,
@@ -27,7 +29,8 @@ import numpy as np
 from .errors import NotPermutedKronecker, ShapeError, SolverError
 from .kron import kron_all, kron_split_multi, nearest_kron
 from .model import NtdModel
-from .solvers import (SolverConfig, _scan_slices, derive_seed, minvol_nmf,
+from .solvers import (SolverConfig, _left_inverse, _minvol_nmf,
+                      _minvol_order2, _scan_slices, derive_seed, minvol_nmf,
                       minvol_order2_ntd, spa_separable_nmf)
 from .tensor import (DenseTensor, SliceSpec, _flatten, _partition,
                      _slice_stack, _unflatten, _unfolding_groups, fold,
@@ -46,12 +49,6 @@ class ModePartition:
     def validate(self, d):
         return _partition(d, self.row_modes, self.fixed_modes,
                           self.col_modes)
-
-
-def _core_via_pinv(t, factors, known=()):
-    """``t`` times each factor's pseudo-inverse, the first ones ``known``."""
-    pinvs = [*known, *map(np.linalg.pinv, factors[len(known):])]
-    return multilinear_transform(t, pinvs)
 
 
 def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
@@ -109,27 +106,31 @@ def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
 
 def _slice_pair_route(t, ranks, first, mats, cfg, diagnostics):
     """Min-vol order-2 nTD of ``first`` gives U1 and U2; each further
-    matrix, projected by the pseudo-inverse of U1, gives the next factor by
-    min-vol NMF; the core follows by pseudo-inverses, U1's reused."""
-    fac = minvol_order2_ntd(first, ranks[0], cfg)
-    p1 = np.linalg.pinv(fac.u1)
-    factors = [fac.u1, fac.u2]
+    matrix, projected by the left inverse of U1, gives the next factor by
+    min-vol NMF; the core is ``t`` times every factor's left inverse, each
+    taken from its solver's parametrization."""
+    fac, left, right = _minvol_order2(first, ranks[0], cfg)
+    p1 = _left_inverse(*left)
+    factors, inverses = [fac.u1, fac.u2], [p1, _left_inverse(*right)]
     for mat, r in zip(mats, ranks[2:]):
-        factors.append(minvol_nmf(p1 @ mat, r, cfg)[1])
+        _, h, param = _minvol_nmf(p1 @ mat, r, cfg)
+        factors.append(h)
+        inverses.append(_left_inverse(*param))
     diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
-    return _finalize(t, factors, _core_via_pinv(t, factors, [p1]), ranks,
+    return _finalize(t, factors, multilinear_transform(t, inverses), ranks,
                      cfg, diagnostics)
 
 
 def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics):
     """Min-vol order-2 nTD of ``first`` over the ``(rows, fixed, cols)``
-    groups; the ``(R, C, F)`` ``slices``, projected on both sides, factor
-    as core unfolding times the fixed-group factor."""
+    groups; the ``(R, C, F)`` ``slices``, projected on both sides by the
+    left inverses of U1 and U2, factor as core unfolding times the
+    fixed-group factor."""
     rows, fixed, cols = groups
     r = prod(ranks[m] for m in rows)
-    fac = minvol_order2_ntd(first, r, cfg)
-    p1 = np.linalg.pinv(fac.u1)
-    p2t = np.linalg.pinv(fac.u2).T
+    fac, left, right = _minvol_order2(first, r, cfg)
+    p1 = _left_inverse(*left)
+    p2t = _left_inverse(*right).T
     stack = _flatten(p1 @ np.moveaxis(slices, -1, 0) @ p2t, ((1, 2), (0,)))
     g, u_fixed = minvol_nmf(stack, prod(ranks[m] for m in fixed), cfg)
 

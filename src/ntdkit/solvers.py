@@ -21,9 +21,13 @@ needs both bases and takes ``W`` and ``Z`` from one thin SVD of ``x``.
 ``minvol_nmf`` and the separable solver need only the row space, which
 the gate takes for a tall ``x`` from the SVD of the square R factor of its
 QR (the R-SVD of Chan 1982), so the m x n left factor is never built.
-Every solver ends in the one fit check, ``_check_fit``.  The procedures'
-slice scan, ``_scan_slices``, sits beside the gate.  This module does not
-import scipy.
+Every solver ends in the one fit check, ``_check_fit``.  The min-vol
+solvers return through private cores (``_minvol_order2``, ``_minvol_nmf``)
+that also give each factor as ``(W, q)`` with ``u = W q``: ``W`` has
+orthonormal columns, so ``_left_inverse`` takes ``pinv(u) = q^-1 W'`` by
+one r x r solve, which the procedures' slice routes use in place of an
+SVD.  The procedures' slice scan, ``_scan_slices``, sits beside the gate.
+This module does not import scipy.
 """
 
 from __future__ import annotations
@@ -161,10 +165,7 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     if count > _SUBSET_CAP:
         raise SolverError(
             f"{len(v)} cross-section vertices give {count} vertex "
-            f"{r}-subsets, past the budget of {_SUBSET_CAP}; the factor is "
-            f"likely not SSC (a dense positive factor gives such "
-            f"cross-sections), and then the volume criterion would not "
-            f"identify it anyway")
+            f"{r}-subsets, past the budget of {_SUBSET_CAP}")
     subsets = combinations(range(len(v)), r)
     best, best_val = None, 0.0
     for _ in range(0, count, _SUBSET_CHUNK):
@@ -207,6 +208,13 @@ def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     Decouples into two determinant maximizations through the column/row
     space parametrization; exact fit holds by construction.
     """
+    return _minvol_order2(x, r, cfg)[0]
+
+
+def _minvol_order2(x, r, cfg):
+    """``minvol_order2_ntd`` with the parametrizations of its outer
+    factors: ``(fac, (w, q1), (z, q2))`` with ``u1 = w q1`` and
+    ``u2 = z q2``, for ``_left_inverse``."""
     x = np.asarray(x, dtype=float)
     w, _, vt = _rank_r_svd(x, r, left=True)
     z = vt.T
@@ -217,7 +225,7 @@ def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     g = np.linalg.solve(q1, m)
     g = np.linalg.solve(q2, g.T).T
     _check_fit(x, u1 @ g @ u2.T, cfg.feas_tol)
-    return Order2Ntd(u1, g, u2)
+    return Order2Ntd(u1, g, u2), (w, q1), (z, q2)
 
 
 def minvol_nmf(x, r, cfg: SolverConfig):
@@ -227,6 +235,12 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     turns the problem into one determinant maximization.
     Returns ``(w, h)`` with ``x = w @ h.T``.
     """
+    return _minvol_nmf(x, r, cfg)[:2]
+
+
+def _minvol_nmf(x, r, cfg):
+    """``minvol_nmf`` with the parametrization of ``h``: ``(w, h, (z, q))``
+    with ``h = z q``, for ``_left_inverse``."""
     x = np.asarray(x, dtype=float, order="F")  # BLAS bits follow layout
     m, n = x.shape
     if m < r:
@@ -236,7 +250,15 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     h = z @ q
     w = np.linalg.solve(q, (x @ z).T).T
     _check_fit(x, w @ h.T, cfg.feas_tol)
-    return w, h
+    return w, h, (z, q)
+
+
+def _left_inverse(basis, q):
+    """The pseudo-inverse ``q^-1 basis'`` of ``basis @ q`` for a
+    ``(basis, q)`` pair from the min-vol solvers: ``basis`` has orthonormal
+    columns (from the rank gate's SVD) and ``q`` is invertible, so one
+    r x r solve replaces an SVD."""
+    return np.linalg.solve(q, basis.T)
 
 
 def spa_separable_nmf(x, r, feas_tol=1e-9):

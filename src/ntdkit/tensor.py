@@ -283,12 +283,17 @@ def _read_tensor(path) -> DenseTensor:
         with open(path, "rb") as fh:
             head = fh.read(len(TENSOR_MAGIC))
             if head == TENSOR_MAGIC:
-                (order,) = struct.unpack("<I", fh.read(4))
-                dims = struct.unpack(f"<{order}I", fh.read(4 * order))
-                n = prod(dims)
-                data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-                if data.size != n:
-                    raise InputError(f"truncated tensor file {path}")
+                # The header's sizes are checked against the bytes the
+                # file holds before anything is allocated for them.
+                body = fh.read()
+                (order,) = struct.unpack_from("<I", body)
+                dims = struct.unpack_from(f"<{order}I", body, 4)
+                n, start = prod(dims), 4 + 4 * order
+                if 8 * n > len(body) - start:
+                    raise InputError(
+                        f"truncated tensor file {path}: dims {dims} need "
+                        f"{8 * n} data bytes, {len(body) - start} left")
+                data = np.frombuffer(body, dtype="<f8", count=n, offset=start)
                 return DenseTensor(dims, _finite_array(data.copy(), path))
     except struct.error as exc:  # the header ends early
         raise InputError(f"truncated tensor file {path}") from exc

@@ -501,7 +501,9 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
          ("d1", ("--axes", "1"), ("--ranks", "3,3,2")),
          ("0", ("--axes", "0"), UNFOLDABLE),
          ("1", ("--partition", "0|1|2"), ("--ranks", "3,3,2")),
-         ("d0", ("--partition", "0|1|2"), UNFOLDABLE))])
+         ("d0", ("--partition", "0|1|2"), UNFOLDABLE))] + [
+    (["check", "ssc", f"{{tmp}}/{name}.bin"], 3)
+    for name in ("cut", "dims-4000", "dims-max")])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")
@@ -514,6 +516,15 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     (tmp_path / "magic.bin").write_bytes(TENSOR_MAGIC)
     (tmp_path / "one-dim.bin").write_bytes(
         TENSOR_MAGIC + struct.pack("<2I", 3, 12))
+    # the bundle's tensor.bin without its last 3 bytes, and with header
+    # dims of 512 GB and of an index past 2**64
+    raw = (bundle / "tensor.bin").read_bytes()
+    dims_at = len(TENSOR_MAGIC) + 4
+    (tmp_path / "cut.bin").write_bytes(raw[:-3])
+    for name, dim in (("dims-4000", 4000), ("dims-max", 2**32 - 1)):
+        (tmp_path / f"{name}.bin").write_bytes(
+            raw[:dims_at] + struct.pack("<3I", dim, dim, dim)
+            + raw[dims_at + 12:])
     # finite entries whose column sums overflow to inf
     (tmp_path / "huge.json").write_text("[[1e308, 1e308], [1e308, 0]]")
     for name, doc in MALFORMED_SPECS.items():
@@ -558,3 +569,88 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
             if flag not in argv:
                 argv += [flag, str(value)]
     assert run(capsys, *argv)[0] == code
+
+
+# replacement values for a corrupted JSON node
+JSON_SWAPS = ["x", -1, 0, 2.5, None, True, [], {}, [[1, 2]], 1e308, 10**30]
+
+
+def json_paths(doc, path=()):
+    """Every node of a JSON document, as key/index paths."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def corrupt_json(doc, rng):
+    """``doc`` with one node deleted or swapped for a value of JSON_SWAPS."""
+    paths = list(json_paths(doc))
+    path = paths[int(rng.integers(len(paths)))]
+    if not path:
+        return JSON_SWAPS[int(rng.integers(len(JSON_SWAPS)))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if rng.random() < 0.3:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = JSON_SWAPS[int(rng.integers(len(JSON_SWAPS)))]
+    return doc
+
+
+def corrupt_bytes(raw, rng):
+    """``raw`` cut short, or with one byte flipped: in the header (magic,
+    order and three dims) half of the time, anywhere otherwise."""
+    if rng.random() < 0.4:
+        return raw[:int(rng.integers(len(raw)))]
+    head = len(TENSOR_MAGIC) + 16
+    at = int(rng.integers(head if rng.random() < 0.5 else len(raw)))
+    flipped = raw[at] ^ int(rng.integers(1, 256))
+    return raw[:at] + bytes([flipped]) + raw[at + 1:]
+
+
+def test_corrupted_bundle_exit_codes(tmp_path, capsys):
+    # 200 seeded corruptions of one file of a small gen bundle and its
+    # model; every CLI call reading it ends in a documented exit code,
+    # never in a traceback (exit 1).
+    work = tmp_path / "inst"
+    assert run(capsys, "gen", "--assumption", "A4.2", "--dims", "6,6,4",
+               "--ranks", "2,2,2", "--seed", "3", "--out", str(work))[0] == 0
+    model = work / "model.json"
+    assert run(capsys, "decompose", "--procedure", "1", "--ranks", "2,2,2",
+               "--input", str(work), "--out", str(model))[0] == 0
+    calls = {
+        "tensor.bin": [("check", "ssc", "{path}"),
+                       ("decompose", "--procedure", "1", "--ranks", "2,2,2",
+                        "--input", "{dir}", "--out", "{tmp}/m.json")],
+        "tensor.json": [("check", "separable", "{path}"),
+                        ("decompose", "--procedure", "3", "--ranks",
+                         "2,2,2", "--input", "{path}", "--out",
+                         "{tmp}/m.json")],
+        "truth.json": [("eval", "--model", "{model}", "--truth", "{path}")],
+        "model.json": [("eval", "--model", "{path}", "--truth",
+                        "{dir}/truth.json")],
+        "meta.json": [("decompose", "--procedure", "2", "--ranks", "2,2,2",
+                       "--input", "{dir}", "--out", "{tmp}/m.json")],
+    }
+    rng = np.random.default_rng(26)
+    seen = set()
+    for trial in range(200):
+        name = sorted(calls)[trial % len(calls)]
+        path = work / name
+        original = path.read_bytes()
+        if name == "tensor.bin":
+            path.write_bytes(corrupt_bytes(original, rng))
+        else:
+            path.write_text(json.dumps(corrupt_json(json.loads(original),
+                                                    rng)))
+        for argv in calls[name]:
+            argv = [a.format(path=path, dir=work, model=model, tmp=tmp_path)
+                    for a in argv]
+            code = run(capsys, *argv)[0]
+            assert code in (0, 2, 3, 4), (trial, argv)
+            seen.add(code)
+        path.write_bytes(original)
+    assert {0, 3} <= seen

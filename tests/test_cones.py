@@ -259,6 +259,17 @@ class TestCheckSsc:
         assert first is not second
         assert first.to_json() == second.to_json()
 
+    def test_input_validated_once(self, rng, monkeypatch):
+        # The report's separability test and enumeration read the array
+        # check_ssc validated.
+        h = two_nonzero_ssc(24, 5, rng)
+        calls = []
+        validate = cones._validate_nonneg
+        monkeypatch.setattr(cones, "_validate_nonneg",
+                            lambda *a: calls.append(1) or validate(*a))
+        rep = check_ssc(h)
+        assert rep.method == "exact-enumeration" and len(calls) == 1
+
     def test_single_ray_fails(self):
         rep = check_ssc(np.full((4, 4), 0.25))
         assert rep.ssc1 is False and rep.unbounded

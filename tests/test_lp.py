@@ -248,29 +248,90 @@ def test_adjacent_pairs_chunks_match_unchunked(monkeypatch):
     assert len(v) > 20
 
 
+def random_zero_masks(rng, r):
+    """A pair-test input: a ray-by-row zero mask, random or degenerate
+    (repeated rays, rays active everywhere or nowhere, dense or sparse
+    masks), and disjoint increasing ``pos`` and ``neg`` ray lists."""
+    rays, rows = int(rng.integers(2, 30)), int(rng.integers(r, 80))
+    zeros = rng.random((rays, rows)) < rng.choice([0.1, 0.5, 0.9])
+    kind = int(rng.integers(4))
+    if kind == 1:  # repeated rays
+        zeros[rng.integers(rays, size=rays // 2)] = zeros[0]
+    elif kind == 2:  # a ray active on every row and one on none
+        zeros[0], zeros[-1] = True, False
+    elif kind == 3:  # unprocessed rows are False for every ray
+        zeros[:, rng.random(rows) < 0.5] = False
+    side = rng.integers(3, size=rays)
+    return (zeros, np.flatnonzero(side == 0), np.flatnonzero(side == 1))
+
+
+def test_bitset_pairs_equal_block_pairs(monkeypatch):
+    # The same pairs, in the same order, from both pair tests.
+    rng = np.random.default_rng(26)
+    adjacent = 0
+    for trial in range(600):
+        r = 2 + trial % 7
+        zeros, pos, neg = random_zero_masks(rng, r)
+        monkeypatch.setattr(lp, "_BITSET_WORK", 0)
+        p0, q0 = lp._adjacent_pairs(zeros, pos, neg, r)
+        monkeypatch.setattr(lp, "_BITSET_WORK", np.inf)
+        p, q = lp._adjacent_pairs(zeros, pos, neg, r)
+        assert np.array_equal(p, p0) and np.array_equal(q, q0)
+        assert p.dtype == p0.dtype and q.dtype == q0.dtype
+        adjacent += len(p)
+    assert adjacent > 600
+
+
+@pytest.mark.parametrize("kind", ["two-nonzero", "dense", "kron"])
+def test_cross_section_vertices_equal_on_both_pair_tests(kind, monkeypatch):
+    rng = np.random.default_rng(len(kind))
+    for _ in range(8):
+        if kind == "two-nonzero":
+            r = int(rng.integers(3, 8))
+            b = two_nonzero(int(rng.integers(2 * r, 40)), r, rng)
+        elif kind == "dense":
+            r = int(rng.integers(2, 6))
+            b = rng.random((int(rng.integers(r + 1, 25)), r))
+        else:
+            b = np.kron(two_nonzero(int(rng.integers(4, 8)), 2, rng),
+                        two_nonzero(int(rng.integers(6, 10)), 3, rng))
+        b = range_basis(b, b.shape[1])
+        out = []
+        for bound in (0, lp._BITSET_WORK, np.inf):
+            monkeypatch.setattr(lp, "_BITSET_WORK", bound)
+            out.append(cross_section_vertices(b, b.sum(axis=0),
+                                              _VERTEX_ENUM_CAP))
+        for v, unbounded in out[1:]:
+            assert np.array_equal(v, out[0][0])
+            assert unbounded == out[0][1]
+
+
 @pytest.mark.parametrize("case,rows_added,count", [
     ("80x4", 10, 8), ("64x9", 29, 1594)])
 def test_deepest_cut_first(case, rows_added, count, monkeypatch):
-    # One pair test per row the double description adds.  Taking the row
-    # that cuts most rays first added 26 rows on this 80x4 two-nonzero
-    # factor and 30 on this product of two 8x3 SSC factors.
+    # One pair test per row the double description adds, on the bitset and
+    # on the block path alike.  Taking the row that cuts most rays first
+    # added 26 rows on this 80x4 two-nonzero factor and 30 on this product
+    # of two 8x3 SSC factors.
     rng = np.random.default_rng(0)
     if case == "80x4":
         b = two_nonzero(80, 4, rng)
     else:
         b = np.kron(two_nonzero_ssc(8, 3, rng), two_nonzero_ssc(8, 3, rng))
-    calls = []
     adjacent_pairs = lp._adjacent_pairs
+    for bound in (0, np.inf):
+        calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return adjacent_pairs(*args)
+        def counted(*args):
+            calls.append(args)
+            return adjacent_pairs(*args)
 
-    monkeypatch.setattr(lp, "_adjacent_pairs", counted)
-    v, unbounded = cross_section_vertices(b, np.ones(b.shape[1]),
-                                          _VERTEX_ENUM_CAP)
-    assert len(calls) == rows_added
-    assert len(v) == count and not unbounded
+        monkeypatch.setattr(lp, "_BITSET_WORK", bound)
+        monkeypatch.setattr(lp, "_adjacent_pairs", counted)
+        v, unbounded = cross_section_vertices(b, np.ones(b.shape[1]),
+                                              _VERTEX_ENUM_CAP)
+        assert len(calls) == rows_added
+        assert len(v) == count and not unbounded
 
 
 def assert_best_vertex_is_highs_optimum(b, v, c):

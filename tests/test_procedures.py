@@ -8,16 +8,17 @@ from ntdkit.errors import (ComputationError, NotPermutedKronecker,
 from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
 from ntdkit.kron import kron
-from ntdkit.procedures import (ModePartition, _core_via_pinv, _finalize,
+from ntdkit import procedures
+from ntdkit.procedures import (ModePartition, _finalize,
                                allatonce_penalized, procedure0, procedure1,
                                procedure2, procedure3, procedure4,
                                procedure_d0, procedure_d1, procedure_d3,
                                separable_orderd)
-from ntdkit.solvers import (SolverConfig, _scan_slices, minvol_order2_ntd,
-                            numerical_rank)
+from ntdkit.solvers import (SolverConfig, _left_inverse, _scan_slices,
+                            minvol_order2_ntd, numerical_rank)
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import (DenseTensor, _mode_groups, _slice_stack, fold,
-                           unfold)
+                           multilinear_transform, unfold)
 from tests.conftest import (align_error, max_rank_slice, slice_ranks,
                             two_nonzero_ssc)
 from tests.test_solvers import reference_spa
@@ -402,13 +403,29 @@ class TestProcedureD1:
                 procedure_d1(t, (3, 3, 2, 2), CFG, slice_indices=keys)
 
 
-@pytest.mark.parametrize("proc,tag,dims,ranks", [
+SLICE_ROUTE_CASES = [
     (procedure1, "A4.2", (12, 12, 8), (3, 3, 2)),
     (procedure2, "A4.2", (12, 12, 8), (3, 3, 2)),
-    (procedure_d1, "A5.3", (8, 8, 6, 6), (3, 3, 2, 2))],
-    ids=["procedure1", "procedure2", "procedure_d1"])
-def test_one_pinv_per_factor(proc, tag, dims, ranks, monkeypatch):
-    t = gen_instance(tag, dims, ranks, seed=25).tensor
+    (procedure_d1, "A5.3", (8, 8, 6, 6), (3, 3, 2, 2)),
+    (procedure3, "A4.4", (12, 12, 6), (3, 3, 2)),
+    (procedure4, "A4.5", (12, 12, 6), (3, 3, 2)),
+    (procedure_d3, "A5.4", (10, 10, 6, 6), (2, 2, 2, 2))]
+SLICE_ROUTE_IDS = [case[0].__name__ for case in SLICE_ROUTE_CASES]
+
+
+def run_slice_route(proc, tag, dims, ranks, seed):
+    if proc is not procedure_d3:
+        return proc(gen_instance(tag, dims, ranks, seed=seed).tensor, ranks,
+                    CFG)
+    part = {"rows": [0], "fixed": [2, 3], "cols": [1]}
+    t = gen_instance(tag, dims, ranks, seed=seed, partition=part).tensor
+    return proc(t, ranks, ModePartition((0,), (2, 3), (1,)), CFG)
+
+
+@pytest.mark.parametrize("proc,tag,dims,ranks", SLICE_ROUTE_CASES,
+                         ids=SLICE_ROUTE_IDS)
+def test_slice_routes_call_no_pinv(proc, tag, dims, ranks, monkeypatch):
+    # Every left inverse comes from its solver's parametrization.
     calls = 0
     pinv = np.linalg.pinv
 
@@ -418,8 +435,32 @@ def test_one_pinv_per_factor(proc, tag, dims, ranks, monkeypatch):
         return pinv(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "pinv", counted)
-    proc(t, ranks, CFG)
-    assert calls == len(ranks)
+    run_slice_route(proc, tag, dims, ranks, seed=25)
+    assert calls == 0
+
+
+@pytest.mark.parametrize("proc,tag,dims,ranks", SLICE_ROUTE_CASES,
+                         ids=SLICE_ROUTE_IDS)
+@pytest.mark.parametrize("seed", [25, 26])
+def test_left_inverses_equal_pinv(proc, tag, dims, ranks, seed, monkeypatch):
+    # q^-1 basis' against an SVD pseudo-inverse of the factor basis @ q,
+    # for every factor a slice route inverts.
+    pairs = []
+
+    def recorded(basis, q):
+        out = _left_inverse(basis, q)
+        pairs.append((basis @ q, out))
+        return out
+
+    monkeypatch.setattr(procedures, "_left_inverse", recorded)
+    model = run_slice_route(proc, tag, dims, ranks, seed)
+    assert len(pairs) == (len(ranks) if proc in (procedure1, procedure2,
+                                                 procedure_d1) else 2)
+    for u, inverse in pairs:
+        ref = np.linalg.pinv(u)
+        assert np.linalg.norm(inverse - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert all(any(np.array_equal(u, f) for f in model.factors)
+               for u, _ in pairs)
 
 
 class TestProcedureD3:
@@ -502,7 +543,7 @@ def reference_separable_orderd(t, ranks, feas_tol=1e-9):
         anchors, _, h = reference_spa(unfold(t, (k,)), ranks[k], feas_tol)
         factors.append(h / h.sum(axis=0))
         anchor_sets.append(anchors)
-    core = _core_via_pinv(t, factors)
+    core = multilinear_transform(t, [np.linalg.pinv(u) for u in factors])
     return _finalize(t, factors, core, ranks, SolverConfig(feas_tol=feas_tol),
                      {"anchors": anchor_sets})
 
