@@ -13,12 +13,11 @@ from .cones import (SscReport, check_pssc, check_separable, check_ssc,
 from .evaluate import (AlignmentResult, AssumptionReport, align_columns,
                        essential_match, model_error, validate_assumptions)
 from .kron import (kron, kron_all, kron_split, kron_split_multi,
-                   kron_split_permuted, nearest_kron)
+                   kron_split_permuted)
 from .model import NtdModel
-from .procedures import (ModePartition, allatonce_penalized, procedure0,
-                         procedure1, procedure2, procedure3, procedure4,
-                         procedure_d0, procedure_d1, procedure_d3,
-                         separable_orderd)
+from .procedures import (ModePartition, procedure0, procedure1, procedure2,
+                         procedure3, procedure4, procedure_d0, procedure_d1,
+                         procedure_d3, separable_orderd)
 from .solvers import (Order2Ntd, SolverConfig, maxdet_simplex, minvol_nmf,
                       minvol_order2_ntd, numerical_rank, separable_order2_ntd,
                       spa_separable_nmf)
@@ -35,14 +34,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentResult", "AssumptionReport", "CoreConstraints", "DenseTensor",
     "Instance", "ModePartition", "NtdModel", "Order2Ntd", "SliceSpec",
-    "SolverConfig", "SscReport", "align_columns", "allatonce_penalized",
+    "SolverConfig", "SscReport", "align_columns",
     "check_pssc", "check_separable", "check_ssc", "counterexample_dims_ok",
     "enumerate_dual_vertices", "essential_match", "estimate_min_p", "fold",
     "gen_anchor_factor", "gen_core", "gen_instance", "gen_separable_factor",
     "gen_ssc_factor", "kron", "kron_all", "kron_split", "kron_split_multi",
     "kron_split_permuted", "kron_ssc_margin", "kron_ssc_sufficient",
     "load_instance", "maxdet_simplex", "minvol_nmf", "minvol_order2_ntd",
-    "mode_slice", "model_error", "multilinear_transform", "nearest_kron",
+    "mode_slice", "model_error", "multilinear_transform",
     "numerical_rank", "procedure0", "procedure1", "procedure2", "procedure3",
     "procedure4", "procedure_d0", "procedure_d1", "procedure_d3",
     "read_tensor", "save_instance", "separable_order2_ntd", "separable_orderd",

@@ -17,7 +17,8 @@ import numpy as np
 
 from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
                     estimate_min_p, kron_ssc_sufficient)
-from .errors import EnumerationCapError, RankError, ShapeError, UsageError
+from .errors import (EnumerationCapError, InputError, RankError,
+                     ShapeError, UsageError)
 from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .solvers import _scan_slices, numerical_rank
@@ -122,17 +123,24 @@ class AlignmentResult:
 
 def essential_match(model_a: NtdModel, model_b: NtdModel,
                     tol=1e-6) -> AlignmentResult:
-    """Do two models agree up to per-mode permutation and scaling?"""
+    """Do two models agree up to per-mode permutation and scaling?
+    ``InputError`` when their finite entries overflow float64 on the way
+    to a score."""
     if not 0 < tol < np.inf:  # also refuses nan
         raise ShapeError("essential_match tol must be positive and finite")
     if model_a.dims != model_b.dims or model_a.ranks != model_b.ranks:
         raise ShapeError("models have different dims or ranks")
-    factors_a, core_a = _unit_sums(model_a)
-    factors_b, core_b = _unit_sums(model_b)
-    perms, errs = map(list, zip(*map(align_columns, factors_a, factors_b)))
-    permuted = core_a[np.ix_(*perms)]
-    denom = max(np.linalg.norm(permuted), 1e-300)
-    core_error = float(np.linalg.norm(core_b - permuted) / denom)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors_a, core_a = _unit_sums(model_a)
+        factors_b, core_b = _unit_sums(model_b)
+        perms, errs = map(list, zip(*map(align_columns, factors_a,
+                                         factors_b)))
+        permuted = core_a[np.ix_(*perms)]
+        denom = max(np.linalg.norm(permuted), 1e-300)
+        core_error = float(np.linalg.norm(core_b - permuted) / denom)
+    if not np.isfinite([core_error, *errs]).all():
+        raise InputError("model entries overflow float64 when the models "
+                         "are normalized and compared")
     matched = bool(core_error <= tol and max(errs, default=0.0) <= tol)
     return AlignmentResult(perms, errs, core_error, matched)
 

@@ -1,5 +1,4 @@
-"""Kronecker products, exact and permutation-robust splitting, and the
-nearest-Kronecker approximation.
+"""Kronecker products and their exact, permutation-robust splitting.
 
 Convention: ``kron(a, b)`` is the column-major Kronecker product.  Column
 ``(i, j)`` (``i`` over a's columns, varying fastest) holds the column-wise
@@ -52,13 +51,6 @@ class MultiKronSplit(NamedTuple):
     factors: list
     perm: np.ndarray
     residual: float
-
-
-class NearestKron(NamedTuple):
-    u1: np.ndarray
-    u2: np.ndarray
-    residual: float
-    stochastic: bool  # True when the heuristic sum-one projection ran
 
 
 def _check_shape(x, shape):
@@ -205,57 +197,3 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
     if (np.linalg.norm(diff, axis=0) > tol * scale * np.sqrt(nrow)).any():
         raise NotPermutedKronecker("a rebuilt column does not match x")
     return MultiKronSplit(factors, perm, float(np.linalg.norm(diff)))
-
-
-def rearrange_to_rank_one(x, shape) -> np.ndarray:
-    """Van Loan rearrangement: x == kron(u1, u2) iff the result is
-    vec(u1) @ vec(u2).T (all vecs column-major)."""
-    x = np.asarray(x, dtype=float)
-    n1, r1, n2, r2 = _check_shape(x, shape)
-    arr = x.reshape((n1, n2, r1, r2), order="F")
-    arr = np.transpose(arr, (0, 2, 1, 3))
-    return arr.reshape((n1 * r1, n2 * r2), order="F")
-
-
-def nearest_kron(x, shape, stochastic=False, max_rounds=50) -> NearestKron:
-    """Best Frobenius approximation of ``x`` by a single Kronecker product.
-
-    The rearrangement reduces the problem to a rank-one fit solved by SVD.
-    With ``stochastic=True`` the factors are additionally pushed toward
-    unit column sums by alternating rank-one fits with renormalization;
-    that variant is a flagged heuristic, not an exact projection.
-    """
-    x = np.asarray(x, dtype=float)
-    n1, r1, n2, r2 = _check_shape(x, shape)
-    R = rearrange_to_rank_one(x, shape)
-    U, s, Vt = np.linalg.svd(R, full_matrices=False)
-    w = U[:, 0] * np.sqrt(s[0])
-    z = Vt[0] * np.sqrt(s[0])
-    if w.sum() < 0:
-        w, z = -w, -z
-    u1 = w.reshape((n1, r1), order="F")
-    u2 = z.reshape((n2, r2), order="F")
-    if not stochastic:
-        residual = float(np.linalg.norm(x - kron(u1, u2)))
-        return NearestKron(u1, u2, residual, False)
-
-    def renorm(u):
-        sums = u.sum(axis=0)
-        safe = np.where(np.abs(sums) > 1e-300, sums, 1.0)
-        return u / safe
-
-    u1, u2 = renorm(u1), renorm(u2)
-    best = float(np.linalg.norm(x - kron(u1, u2)))
-    for _ in range(max_rounds):
-        v1 = u1.ravel(order="F")
-        v2 = R.T @ v1 / max(v1 @ v1, 1e-300)
-        u2 = renorm(v2.reshape((n2, r2), order="F"))
-        v2 = u2.ravel(order="F")
-        v1 = R @ v2 / max(v2 @ v2, 1e-300)
-        u1 = renorm(v1.reshape((n1, r1), order="F"))
-        cur = float(np.linalg.norm(x - kron(u1, u2)))
-        if cur >= best - 1e-14 * max(1.0, best):
-            best = min(best, cur)
-            break
-        best = cur
-    return NearestKron(u1, u2, best, True)

@@ -3,20 +3,21 @@ decompositions.
 
 Each procedure reduces the tensor to matrix subproblems, solves them with
 the volume solvers, and reassembles a model that reconstructs the input
-within the feasibility tolerance.  It runs one of three routes: the
-unfolding route (0, d0, ``allatonce_penalized``; one unfolding, then
-Kronecker splits), the slice-pair route (1, 2, d1; one slice for two modes,
-one projected slice per further mode) or the slice-stack route (3, 4, d3;
-one slice, then the projected stack of all slices).  Procedures 1, 3, d1
-and d3 take the first full-rank slice in flat index order unless told
-which (``_scan_slices``, from ``solvers`` beside its rank gate; no
-randomness).  The slice routes take each factor's left inverse from the
-solver that built it (``solvers._left_inverse``) and compute no
-pseudo-inverse; procedures 2 and 4 are 1 and 3 with Gaussian slice
-combinations as the matrices they factor first, 4 keeping 3's stack.  The
-d-prefixed ones are the order-d versions.  Every procedure checks its rank
-list in ``_mode_ranks``.  Slices and unfoldings come from ``tensor``,
-which alone flattens modes; 3, 4 and d3 read every slice from one stack.
+within the feasibility tolerance.  There are three order-d routes: the
+unfolding route (d0; one unfolding, then Kronecker splits), the slice-pair
+route (d1; one slice for two modes, one projected slice per further mode)
+and the slice-stack route (d3; one slice, then the projected stack of all
+slices).  Procedures 0, 1 and 3 are their order-3 cases: each checks its
+own rank conditions, calls d0, d1 or d3 and names its diagnostics.
+Procedures 2 and 4 are 1 and 3 with Gaussian slice combinations as the
+matrices they factor first, 4 keeping 3's stack.  d1 and d3 take the first
+full-rank slice in flat index order unless told which (``_scan_slices``,
+from ``solvers`` beside its rank gate; no randomness).  The slice routes
+take each factor's left inverse from the solver that built it
+(``solvers._left_inverse``) and compute no pseudo-inverse.  Every
+procedure checks its rank list in ``_mode_ranks``.  Slices and unfoldings
+come from ``tensor``, which alone flattens modes; 4 and d3 read every
+slice from one stack.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from math import prod
 
 import numpy as np
 
-from .errors import NotPermutedKronecker, ShapeError, SolverError
-from .kron import kron_all, kron_split_multi, nearest_kron
+from .errors import ShapeError, SolverError
+from .kron import kron_split_multi
 from .model import NtdModel
 from .solvers import (SolverConfig, _left_inverse, _minvol_nmf,
                       _minvol_order2, _scan_slices, derive_seed, minvol_nmf,
                       minvol_order2_ntd, spa_separable_nmf)
 from .tensor import (DenseTensor, SliceSpec, _flatten, _partition,
                      _slice_stack, _unflatten, _unfolding_groups, fold,
-                     mode_slice, multilinear_transform, slice_combination,
+                     multilinear_transform, slice_combination,
                      slice_matrix, unfold)
 
 
@@ -74,34 +75,27 @@ def _mode_ranks(t, ranks, name, low=1, high=None):
     return ranks
 
 
-def _split_group(u, modes, dims, ranks):
-    """``(factors, perm, residual)`` of a grouped factor's Kronecker split."""
-    if len(modes) == 1:
-        return [u], np.arange(u.shape[1]), 0.0
-    return kron_split_multi(u, [(dims[m], ranks[m]) for m in modes])
+def _order3(model, name, **indices):
+    """``model`` of an order-d route relabelled as order-3 procedure
+    ``name``: ``indices`` take the place of the route's slice keys."""
+    kept = {k: v for k, v in model.diagnostics.items() if k not in
+            ("procedure", "slice_indices", "fixed_flat_index", "partition")}
+    model.diagnostics = {"procedure": name, **indices, **kept}
+    return model
 
 
-def _unfolding_route(t, ranks, axes, cfg, split=_split_group):
-    """Min-vol order-2 nTD of the unfolding along ``axes``, then
-    ``split(u, modes, dims, ranks)`` of both grouped factors.  Returns the
-    unfolding's factorization, the per-mode factors, the core unfolding
-    permuted to match them, the sorted axes and the sum of the squared
-    split residuals."""
-    rest, axes = _unfolding_groups(axes, t.order)
-    r = prod(ranks[k] for k in axes)
-    if r != prod(ranks[k] for k in rest):
-        raise ShapeError(
-            f"rank products differ across the unfolding "
-            f"({prod(ranks[k] for k in rest)} vs {r})"
-        )
-    fac = minvol_order2_ntd(unfold(t, axes), r, cfg)
-    left, perm_left, res_left = split(fac.u1, rest, t.dims, ranks)
-    right, perm_right, res_right = split(fac.u2, axes, t.dims, ranks)
-    factors = [None] * t.order
-    for mode, u in zip(rest + axes, [*left, *right]):
-        factors[mode] = u
-    return (fac, factors, fac.g[np.ix_(perm_left, perm_right)], axes,
-            res_left**2 + res_right**2)
+def _split_groups(t, ranks, groups):
+    """Per-mode factors from the Kronecker splits of grouped factors:
+    ``groups`` pairs each grouped factor with its modes.  Also returns
+    each group's column permutation, in the order of ``groups``."""
+    factors, perms = [None] * t.order, []
+    for u, modes in groups:
+        parts, perm = ([u], np.arange(u.shape[1])) if len(modes) == 1 else \
+            kron_split_multi(u, [(t.dims[m], ranks[m]) for m in modes])[:2]
+        for mode, part in zip(modes, parts):
+            factors[mode] = part
+        perms.append(perm)
+    return factors, perms
 
 
 def _slice_pair_route(t, ranks, first, mats, cfg, diagnostics):
@@ -134,107 +128,61 @@ def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics):
     stack = _flatten(p1 @ np.moveaxis(slices, -1, 0) @ p2t, ((1, 2), (0,)))
     g, u_fixed = minvol_nmf(stack, prod(ranks[m] for m in fixed), cfg)
 
-    left, perm_left, _ = _split_group(fac.u1, rows, t.dims, ranks)
-    right, perm_right, _ = _split_group(fac.u2, cols, t.dims, ranks)
-    mids, perm_mid, _ = _split_group(u_fixed, fixed, t.dims, ranks)
+    factors, (perm_left, perm_right, perm_mid) = _split_groups(
+        t, ranks, ((fac.u1, rows), (fac.u2, cols), (u_fixed, fixed)))
     row_gather = (perm_left[:, None] + perm_right[None, :] * r) \
         .ravel(order="F")
     core = _unflatten(g[np.ix_(row_gather, perm_mid)], rows + cols + fixed,
                       ranks)
-    factors = [None] * t.order
-    for mode, u in zip(rows + cols + fixed, [*left, *right, *mids]):
-        factors[mode] = u
     diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
     return _finalize(t, factors, core, ranks, cfg, diagnostics)
 
 
-def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig,
-                 _name="d0") -> NtdModel:
-    """Unfolding route: min-vol order-2 nTD of one unfolding, then
-    Kronecker splits of both grouped factors."""
-    ranks = _mode_ranks(t, ranks, _name, 3)
-    fac, factors, core_mat, axes, _ = _unfolding_route(t, ranks, axes, cfg)
-    diagnostics = {"procedure": _name, "axes": list(axes),
+def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig) -> NtdModel:
+    """Unfolding route: min-vol order-2 nTD of the unfolding along
+    ``axes``, then Kronecker splits of both grouped factors."""
+    ranks = _mode_ranks(t, ranks, "d0", 3)
+    rest, axes = _unfolding_groups(axes, t.order)
+    r = prod(ranks[k] for k in axes)
+    if r != prod(ranks[k] for k in rest):
+        raise ShapeError(
+            f"rank products differ across the unfolding "
+            f"({prod(ranks[k] for k in rest)} vs {r})"
+        )
+    fac = minvol_order2_ntd(unfold(t, axes), r, cfg)
+    factors, (perm_left, perm_right) = _split_groups(
+        t, ranks, ((fac.u1, rest), (fac.u2, axes)))
+    diagnostics = {"procedure": "d0", "axes": list(axes),
                    "absdet": fac.absdet, "seed": cfg.seed}
-    return _finalize(t, factors, fold(core_mat, axes, ranks), ranks, cfg,
-                     diagnostics)
-
-
-def allatonce_penalized(t: DenseTensor, ranks, lam, cfg: SolverConfig,
-                        axes=None) -> NtdModel:
-    """Penalized all-at-once variant of the unfolding route.
-
-    Minimizes ``|det g| + lam * ||u_group - kron(factors)||_F^2`` with the
-    exact fit enforced structurally through the min-vol parametrization of
-    the unfolding.  When the min-vol step lands on an exactly permuted
-    Kronecker product (the identifiable regime) the split drives the
-    penalty to zero; otherwise factors fall back to alternating
-    nearest-Kronecker fits and the result is flagged heuristic.
-    """
-    ranks = _mode_ranks(t, ranks, "all-at-once")
-    heuristic = []
-
-    def split(u, modes, dims, ranks):
-        try:
-            return _split_group(u, modes, dims, ranks)
-        except NotPermutedKronecker:
-            heuristic.append(modes)
-        # Peel nearest Kronecker factors left to right.
-        factors, remaining = [], u
-        for k in modes[:-1]:
-            fit = nearest_kron(
-                remaining, ((dims[k], ranks[k]),
-                            (remaining.shape[0] // dims[k],
-                             remaining.shape[1] // ranks[k])),
-                stochastic=True)
-            factors.append(fit.u1)
-            remaining = fit.u2
-        factors.append(remaining)
-        return (factors, np.arange(u.shape[1]),
-                float(np.linalg.norm(u - kron_all(factors))))
-
-    fac, factors, core_mat, axes, penalty = _unfolding_route(
-        t, ranks, (t.order - 1,) if axes is None else axes, cfg, split)
-    diagnostics = {
-        "lambda": lam, "axes": list(axes), "unfold_absdet": fac.absdet,
-        "penalty": penalty,
-        "objective": abs(np.linalg.det(core_mat)) + lam * penalty,
-        "method": "nearest-kron-heuristic" if heuristic else "split-exact",
-    }
-    model = NtdModel(factors, fold(core_mat, axes, ranks), ranks,
-                     diagnostics)
-    err = model._residual_norm(t) / max(t.norm(), 1e-300)
-    if not heuristic and err > cfg.feas_tol:
-        raise SolverError(f"reconstruction residual {err:.3e}")
-    diagnostics["recon_error"] = float(err)
-    return model
+    return _finalize(t, factors,
+                     fold(fac.g[np.ix_(perm_left, perm_right)], axes, ranks),
+                     ranks, cfg, diagnostics)
 
 
 def procedure0(t: DenseTensor, ranks, cfg: SolverConfig) -> NtdModel:
-    """Order-3 unfolding route; needs r3 == r1*r2."""
+    """Procedure d0 at order 3 on the mode-3 unfolding; needs
+    r3 == r1*r2."""
     r1, r2, r3 = _mode_ranks(t, ranks, "0", 3, 3)
     if r3 != r1 * r2:
         raise ShapeError(f"r3={r3} must equal r1*r2={r1 * r2}")
-    return procedure_d0(t, ranks, (2,), cfg, _name="0")
+    return _order3(procedure_d0(t, ranks, (2,), cfg), "0")
 
 
 def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
                i2=None, i3=None) -> NtdModel:
-    """Two full-rank slices, the first of each mode unless given: one
-    mode-3 slice gives U1, U2 by min-vol order-2 nTD, one projected mode-2
-    slice gives U3 by min-vol NMF."""
+    """Procedure d1 at order 3: one mode-3 slice, the first full-rank one
+    unless ``i3`` is given, gives U1, U2 by min-vol order-2 nTD; one
+    projected mode-2 slice (``i2``) gives U3 by min-vol NMF."""
     r1, r2, r3 = _mode_ranks(t, ranks, "1", 3, 3)
     if r1 != r2:
         raise ShapeError("procedure 1 needs r1 == r2")
     if r3 > r1:
         raise ShapeError("procedure 1 needs r3 <= r1")
-    i3 = _scan_slices(_slice_stack(t, (0,), (2,), (1,)), (0,), (1,), r1) \
-        if i3 is None else int(i3)
-    i2 = _scan_slices(_slice_stack(t, (0,), (1,), (2,)), (0,), (2,), r3) \
-        if i2 is None else int(i2)
-    return _slice_pair_route(t, (r1, r2, r3), mode_slice(t, 2, i3),
-                             [mode_slice(t, 1, i2)], cfg,
-                             {"procedure": "1", "i3": i3, "i2": i2})
+    given = {col: {mode: int(i)} for col, mode, i in ((1, 2, i3), (2, 1, i2))
+             if i is not None}
+    model = procedure_d1(t, (r1, r2, r3), cfg, slice_indices=given)
+    used = model.diagnostics["slice_indices"]
+    return _order3(model, "1", i3=used["1"]["2"], i2=used["2"]["1"])
 
 
 def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
@@ -258,20 +206,20 @@ def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
 
 def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
                slice_index=None) -> NtdModel:
-    """One full-rank slice, the first unless given, gives U1, U2; the
-    projected stack of all mode-3 slices factors as core-unfolding times
-    U3' and min-vol NMF finishes."""
+    """Procedure d3 at order 3 over rows (0,), fixed (2,), columns (1,):
+    one mode-3 slice, the first full-rank one unless ``slice_index`` is
+    given, gives U1, U2; the projected stack of all mode-3 slices factors
+    as core-unfolding times U3' and min-vol NMF finishes."""
     r1, r2, r3 = _mode_ranks(t, ranks, "3", 3, 3)
     if r1 != r2:
         raise ShapeError("procedure 3 needs r1 == r2")
     if r3 > r1 * r1:
         raise ShapeError(f"procedure 3 needs r3 <= r^2 = {r1 * r1}")
-    stack = _slice_stack(t, (0,), (2,), (1,))
-    i = _scan_slices(stack, (0,), (1,), r1) if slice_index is None else \
-        int(slice_index)
-    return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
-                              mode_slice(t, 2, i), stack, cfg,
-                              {"procedure": "3", "slice_index": i})
+    fixed = None if slice_index is None else (slice_index,)
+    model = procedure_d3(t, (r1, r2, r3), ModePartition((0,), (2,), (1,)),
+                         cfg, fixed_index=fixed)
+    return _order3(model, "3",
+                   slice_index=model.diagnostics["fixed_flat_index"])
 
 
 def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,

@@ -503,7 +503,10 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
          ("1", ("--partition", "0|1|2"), ("--ranks", "3,3,2")),
          ("d0", ("--partition", "0|1|2"), UNFOLDABLE))] + [
     (["check", "ssc", f"{{tmp}}/{name}.bin"], 3)
-    for name in ("cut", "dims-4000", "dims-max")])
+    for name in ("cut", "dims-4000", "dims-max")] + [
+    # a finite core entry whose norm overflows
+    (["eval", "--model", "{tmp}/huge-model.json",
+      "--truth", "{bundle}/truth.json"], 3)])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")
@@ -549,7 +552,7 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
                               *truth["factors"][1:]]}))
     (tmp_path / "short-ranks-model.json").write_text(
         json.dumps({**truth, "ranks": truth["ranks"][:2]}))
-    for name, value in (("text", "a"), ("nan", math.nan)):
+    for name, value in (("text", "a"), ("nan", math.nan), ("huge", 1e308)):
         truth["core"]["data"][0] = value
         (tmp_path / f"{name}-model.json").write_text(json.dumps(truth))
     meta = json.loads((bundle / "meta.json").read_text())

@@ -7,8 +7,7 @@ import pytest
 from ntdkit.errors import (NotAKroneckerProduct, NotPermutedKronecker,
                            ShapeError)
 from ntdkit.kron import (kron, kron_all, kron_split, kron_split_multi,
-                         kron_split_permuted, nearest_kron,
-                         rearrange_to_rank_one)
+                         kron_split_permuted)
 from ntdkit.solvers import numerical_rank
 from tests.conftest import align_error, stochastic
 
@@ -230,36 +229,3 @@ def value_matched_split(x, shapes, tol=1e-8):
         used[p] = True
         perm[q] = p
     return factors, perm, float(np.linalg.norm(rebuilt - x[:, perm]))
-
-
-class TestNearestKron:
-    def test_exact_input(self, rng):
-        u1, u2 = rng.standard_normal((4, 3)), rng.standard_normal((5, 2))
-        got = nearest_kron(kron(u1, u2), ((4, 3), (5, 2)))
-        assert got.residual <= 1e-12 * np.linalg.norm(kron(u1, u2))
-        assert not got.stochastic
-
-    def test_noise_bound(self, rng):
-        u1, u2 = stochastic(8, 4, rng), stochastic(7, 3, rng)
-        sigma = 1e-3
-        x = kron(u1, u2) + sigma * rng.standard_normal((56, 12))
-        got = nearest_kron(x, ((8, 4), (7, 3)))
-        assert got.residual <= 2 * sigma * np.sqrt(x.size)
-
-    def test_zero_input(self):
-        got = nearest_kron(np.zeros((6, 4)), ((2, 2), (3, 2)))
-        assert got.residual == 0.0
-        assert np.all(got.u1 == 0) and np.all(got.u2 == 0)
-
-    def test_rearrangement_is_isometry(self, rng):
-        x = rng.standard_normal((6, 6))
-        r = rearrange_to_rank_one(x, ((2, 3), (3, 2)))
-        assert np.linalg.norm(r) == pytest.approx(np.linalg.norm(x))
-
-    def test_stochastic_projection_flagged(self, rng):
-        u1, u2 = stochastic(4, 2, rng), stochastic(3, 2, rng)
-        x = kron(u1, u2) + 1e-4 * rng.standard_normal((12, 4))
-        got = nearest_kron(x, ((4, 2), (3, 2)), stochastic=True)
-        assert got.stochastic
-        assert np.abs(got.u1.sum(axis=0) - 1).max() < 1e-12
-        assert np.abs(got.u2.sum(axis=0) - 1).max() < 1e-12

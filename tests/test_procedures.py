@@ -7,24 +7,20 @@ from ntdkit.errors import (ComputationError, NotPermutedKronecker,
                            PartitionError, RankError, ShapeError)
 from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
-from ntdkit.kron import kron
 from ntdkit import procedures
-from ntdkit.procedures import (ModePartition, _finalize,
-                               allatonce_penalized, procedure0, procedure1,
-                               procedure2, procedure3, procedure4,
+from ntdkit.procedures import (ModePartition, _finalize, procedure0,
+                               procedure1, procedure2, procedure3, procedure4,
                                procedure_d0, procedure_d1, procedure_d3,
                                separable_orderd)
 from ntdkit.solvers import (SolverConfig, _left_inverse, _scan_slices,
-                            minvol_order2_ntd, numerical_rank)
+                            numerical_rank)
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import (DenseTensor, _mode_groups, _slice_stack, fold,
                            multilinear_transform, unfold)
-from tests.conftest import (align_error, max_rank_slice, slice_ranks,
-                            two_nonzero_ssc)
+from tests.conftest import max_rank_slice, slice_ranks, two_nonzero_ssc
 from tests.test_solvers import reference_spa
 
 CFG = SolverConfig(seed=3)
-AAO_CFG = SolverConfig(seed=7)
 
 
 def identity_instance(rng, ranks, extra_core=None):
@@ -298,10 +294,7 @@ class TestProcedureD0:
         for axes in ((5,), (-1,), (2, 2), (), (0, 1, 2)):
             with pytest.raises(PartitionError):
                 procedure_d0(t, (2, 2, 4), axes, CFG)
-            with pytest.raises(PartitionError):
-                allatonce_penalized(t, (2, 2, 4), 1.0, AAO_CFG, axes=axes)
-        # procedure_d0 has no default axes; allatonce_penalized's None
-        # means the last mode
+        # procedure_d0 has no default axes
         with pytest.raises(PartitionError):
             procedure_d0(t, (2, 2, 4), None, CFG)
 
@@ -310,62 +303,20 @@ class TestProcedureD0:
     def test_one_model_per_mode_set(self, ranks, axes, same):
         # the unfolding route sorts the axes; a lone mode may be a scalar
         inst = gen_instance("A5.2", (6, 5, 4, 7), ranks, seed=32, axes=axes)
-        for run in (lambda a: procedure_d0(inst.tensor, ranks, a, CFG),
-                    lambda a: allatonce_penalized(inst.tensor, ranks, 1.0,
-                                                  AAO_CFG, axes=a)):
-            a, b = run(axes), run(same)
-            assert all(np.array_equal(ua, ub)
-                       for ua, ub in zip(a.factors, b.factors))
-            assert np.array_equal(a.core.data, b.core.data)
-            assert a.diagnostics == b.diagnostics
-            assert essential_match(a, inst.truth, tol=1e-6).matched
+        a, b = (procedure_d0(inst.tensor, ranks, x, CFG) for x in (axes, same))
+        assert all(np.array_equal(ua, ub)
+                   for ua, ub in zip(a.factors, b.factors))
+        assert np.array_equal(a.core.data, b.core.data)
+        assert a.diagnostics == b.diagnostics
+        assert essential_match(a, inst.truth, tol=1e-6).matched
 
-
-class TestAllAtOnce:
-    def test_exact_instance_drives_penalty_to_zero(self):
-        inst = gen_instance("A4.x-unfold", (6, 5, 20), (2, 2, 4), seed=11)
-        model = allatonce_penalized(inst.tensor, (2, 2, 4), 1.0, AAO_CFG)
-        assert model.diagnostics["penalty"] <= 1e-18
-        assert model.diagnostics["method"] == "split-exact"
-        from ntdkit.evaluate import essential_match
-        assert essential_match(model, inst.truth, tol=1e-6).matched
-
-    def test_lambda_zero_degenerates_to_minvol(self):
-        inst = gen_instance("A4.x-unfold", (6, 5, 20), (2, 2, 4), seed=12)
-        model = allatonce_penalized(inst.tensor, (2, 2, 4), 0.0, AAO_CFG)
-        fac = minvol_order2_ntd(unfold(inst.tensor, (2,)), 4, AAO_CFG)
-        # same unfolding-level solution: the grouped factor is the split
-        # recombined, i.e. a column permutation of the min-vol factor
-        k = kron(model.factors[0], model.factors[1])
-        assert align_error(k, fac.u1) <= 1e-10
-        assert model.diagnostics["unfold_absdet"] == pytest.approx(
-            fac.absdet)
-
-    def test_order4_declared_mode_set(self):
-        inst = gen_instance("A5.2", (6, 5, 4, 7), (2, 2, 2, 2), seed=14,
-                            axes=(2, 3))
-        model = allatonce_penalized(inst.tensor, (2, 2, 2, 2), 1.0, AAO_CFG,
-                                    axes=(2, 3))
-        assert model.diagnostics["penalty"] <= 1e-16
-        from ntdkit.evaluate import essential_match
-        assert essential_match(model, inst.truth, tol=1e-6).matched
-
-    def test_rank_product_precondition(self):
-        inst = gen_instance("A4.2", (10, 10, 6), (3, 3, 2), seed=15)
-        with pytest.raises(ShapeError):
-            allatonce_penalized(inst.tensor, (3, 3, 2), 1.0, AAO_CFG)
-
-    def test_nearest_kron_fallback_on_non_tucker_tensor(self, rng):
+    def test_non_kronecker_unfolding_factor_raises(self, rng):
         # the unfolding's left factor is SSC but no Kronecker product
         w = two_nonzero_ssc(30, 4, rng)
         h = two_nonzero_ssc(20, 4, rng)
         t = fold(w @ h.T, (2,), (6, 5, 20))
-        model = allatonce_penalized(t, (2, 2, 4), 1.0, AAO_CFG)
-        assert model.diagnostics["method"] == "nearest-kron-heuristic"
-        assert model.diagnostics["penalty"] > 0
-        assert model.diagnostics["recon_error"] > 0
         with pytest.raises(NotPermutedKronecker):
-            procedure_d0(t, (2, 2, 4), (2,), AAO_CFG)
+            procedure_d0(t, (2, 2, 4), (2,), SolverConfig(seed=7))
 
 
 class TestProcedureD1:
@@ -381,9 +332,9 @@ class TestProcedureD1:
         m1 = procedure1(inst.tensor, (3, 3, 2), CFG, i2=i2, i3=i3)
         md = procedure_d1(inst.tensor, (3, 3, 2), CFG,
                           slice_indices={1: {2: i3}, 2: {1: i2}})
-        assert np.array_equal(m1.factors[0], md.factors[0])
-        assert np.array_equal(m1.factors[1], md.factors[1])
-        assert essential_match(m1, md, tol=1e-9).matched
+        for ua, ub in zip(m1.factors, md.factors):
+            assert np.array_equal(ua, ub)
+        assert np.array_equal(m1.core.data, md.core.data)
 
     def test_deficient_slices_raise(self, rng):
         # a core whose every [0,2]-slice is singular in the first block
@@ -644,7 +595,6 @@ class TestModelContract:
             "3": lambda t, r: procedure3(t, r, CFG),
             "4": lambda t, r: procedure4(t, r, CFG),
             "d0": lambda t, r: procedure_d0(t, r, (2,), CFG),
-            "all-at-once": lambda t, r: allatonce_penalized(t, r, 1.0, CFG),
             "d1": lambda t, r: procedure_d1(t, r, CFG),
             "d3": lambda t, r: procedure_d3(t, r, part, CFG),
             "sep-d": lambda t, r: separable_orderd(t, r),
@@ -662,6 +612,31 @@ class TestModelContract:
         for name in ("d0", "d1"):
             with pytest.raises(ShapeError, match="of order >= 3 with"):
                 runs[name](tensors[2], (2, 2))
+
+    def test_order3_slice_keys_name_the_order_d_slices(self):
+        # procedures 1 and 3 report, under their own keys, the slices d1
+        # and d3 take on the same tensor, scanned or given
+        t1 = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=40).tensor
+        t3 = gen_instance("A4.4", (12, 12, 6), (3, 3, 2), seed=40).tensor
+        part = ModePartition((0,), (2,), (1,))
+        for i3, i2, k in ((None, None, None), (7, 11, 5)):
+            d1 = procedure_d1(t1, (3, 3, 2), CFG, slice_indices={
+                col: {mode: i} for col, mode, i in ((1, 2, i3), (2, 1, i2))
+                if i is not None})
+            used = d1.diagnostics["slice_indices"]
+            diag = procedure1(t1, (3, 3, 2), CFG, i2=i2, i3=i3).diagnostics
+            assert diag["procedure"] == "1" and "slice_indices" not in diag
+            assert (diag["i3"], diag["i2"]) == (used["1"]["2"],
+                                                used["2"]["1"])
+            d3 = procedure_d3(t3, (3, 3, 2), part, CFG,
+                              fixed_index=None if k is None else (k,))
+            diag = procedure3(t3, (3, 3, 2), CFG, slice_index=k).diagnostics
+            assert diag["procedure"] == "3"
+            assert "fixed_flat_index" not in diag and "partition" not in diag
+            assert diag["slice_index"] == d3.diagnostics["fixed_flat_index"]
+            if k is not None:
+                assert (diag["slice_index"], used["1"]["2"],
+                        used["2"]["1"]) == (k, i3, i2)
 
     def test_every_model_reconstructs(self):
         inst = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=40)
