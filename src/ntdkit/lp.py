@@ -22,6 +22,7 @@ deterministic for a fixed input; scipy is imported on that first call.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -210,13 +211,22 @@ def cross_section_vertices(b, a, max_rays, tol=1e-9):
     m = np.concatenate([b, a[None]])
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
     keep = norms > 1e-12 * norms.max(initial=0.0)
-    rays = _extreme_rays(m[keep] / norms[keep][:, None], max_rays)
+    if not keep.all():
+        m, norms = m[keep], norms[keep]
+    # C order, as a gather gives it: the rays' bits follow the layout
+    rays = _extreme_rays(np.divide(m, norms[:, None], order="C"), max_rays)
     if rays is None:
         return np.zeros((0, b.shape[1])), True
     height = rays @ a
-    at_infinity = height <= _ZERO_TOL * np.linalg.norm(a)
-    v = rays[~at_infinity] / height[~at_infinity][:, None]
+    # math.sqrt(a @ a) is what np.linalg.norm computes for a real vector
+    at_infinity = height <= _ZERO_TOL * math.sqrt(a @ a)
+    unbounded = bool(at_infinity.any())
+    if unbounded:
+        rays, height = rays[~at_infinity], height[~at_infinity]
+    v = np.divide(rays, height[:, None], order="C")
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    v = v[(v @ b.T).min(axis=1, initial=np.inf) >= -tol * scale]
-    return v[np.lexsort(v.T[::-1])], bool(at_infinity.any())
+    vals = v @ b.T
+    if not vals.min(initial=np.inf) >= -tol * scale:  # nan drops its row too
+        v = v[vals.min(axis=1, initial=np.inf) >= -tol * scale]
+    return v.take(np.lexsort(v.T[::-1]), 0), unbounded
 

@@ -10,7 +10,10 @@ decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
 each column, so the maximum sits at vertices of that polytope:
 ``maxdet_simplex`` lists them by the double description
 (``lp.cross_section_vertices``) and takes the largest |det| over their
-r-subsets, which is the global optimum.  The separable anchor pass runs the
+r-subsets, which is the global optimum: by one batched determinant over a
+cached table of the subsets while it is small, past that by an exact
+branch and bound (a greedy max-volume incumbent, Hadamard bounds) under a
+node budget.  The separable anchor pass runs the
 same double description on the unit directions of the columns: their cone
 is simplicial exactly when it has r facets, its anchors are the first
 columns on each extreme ray (off one facet, on all others), and one r x r
@@ -32,9 +35,10 @@ This module does not import scipy.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -45,11 +49,24 @@ from .errors import (EnumerationCapError, NotSeparable, RankError,
 from .lp import (_VERTEX_ENUM_CAP, _ZERO_TOL, _extreme_rays,
                  cross_section_vertices)
 
-# Budget on the vertex r-subsets ``maxdet_simplex`` evaluates, in chunks of
-# ``_SUBSET_CHUNK``; the full budget takes 1.1-2 s at r = 5-8 on one core
-# of a Xeon with one BLAS thread.
-_SUBSET_CAP = 1 << 20
-_SUBSET_CHUNK = 1 << 14
+# ``maxdet_simplex`` scores every vertex r-subset from one cached index
+# table while it holds at most ``_TABLE_ENTRIES`` indices (C(V, r) * r) and
+# runs the branch and bound past that.  The bound is the measured crossover
+# on one core of a Xeon with one BLAS thread: the table costs about 0.75 us
+# a subset at r = 5-6, the branch and bound 0.3-0.8 ms on two-nonzero
+# factors at any C(V, r) and 0.8-2 ms on small dense ones; at r = 5 they
+# break even near 650 subsets (3250 indices).  A table takes at most 32 KB
+# (8-byte indices), so the ``_TABLE_CACHE`` tables kept take at most 1 MB.
+# The branch and bound gives up past ``_NODE_BUDGET`` nodes, about 50 us
+# each (1.6 s in all).
+_TABLE_ENTRIES = 1 << 12
+_TABLE_CACHE = 32
+_NODE_BUDGET = 1 << 15
+# A partial subset is pruned only when its Hadamard bound is below the
+# incumbent by this relative margin, and only when the incumbent's
+# coordinates are conditioned within ``_COND_LIMIT`` (1-norm).
+_PRUNE_MARGIN = 1e-9
+_COND_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -64,6 +81,10 @@ class SolverConfig:
         if not 0 < self.feas_tol < np.inf:  # also refuses nan
             raise ShapeError("solver config feas_tol must be positive and "
                              "finite")
+        # derive_seed reads 64 bits, so any other seed would alias one
+        if not 0 <= self.seed < 1 << 64:
+            raise ShapeError(f"solver config seed must be in [0, 2**64), "
+                             f"got {self.seed}")
 
 
 def derive_seed(base, *tags) -> int:
@@ -139,6 +160,111 @@ def _check_fit(x, fit, tol, error=SolverError, what="reconstruction"):
         raise error(f"{what} residual {resid:.3e}")
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _subset_table(n, r):
+    """Every r-subset of ``range(n)``, one per row in lexicographic order,
+    as a read-only index array shared by every caller."""
+    table = np.array(list(combinations(range(n), r)),
+                     dtype=np.intp).reshape(-1, r)
+    table.flags.writeable = False
+    return table
+
+
+def _scan_table(v, r):
+    """``(subset, |det|)`` of the largest |det| over every r-subset of the
+    rows of ``v``, ties to the lowest subset, from one batched
+    determinant; ``(None, 0.0)`` when ``v`` has fewer than r rows."""
+    table = _subset_table(len(v), r)
+    if not len(table):
+        return None, 0.0
+    dets = np.abs(np.linalg.det(v.take(table, 0)))
+    k = int(dets.argmax())  # the first maximum: the lowest subset
+    return table[k], float(dets[k])
+
+
+def _branch_and_bound(v, r, count):
+    """``_scan_table``'s answer by an exact depth-first search over the
+    r-subsets in lexicographic order.
+
+    The incumbent starts at the greedy pivoted subset S0 (Civril &
+    Magdon-Ismail 2009).  Bounds are taken in the coordinates
+    ``w = v inv(v[S0])``, where |det w[S]| = |det v[S]| / |det v[S0]|: a
+    partial subset with k rows whose Gram-Schmidt residual volume is
+    ``vol`` has no completion above ``vol`` times the r - k largest
+    residual norms of the later rows (Hadamard's inequality), and it is
+    pruned when that bound is below the incumbent by ``_PRUNE_MARGIN``,
+    far above the rounding of either side.  Leaves are scored by
+    ``np.linalg.det`` on ``v``, as in the table, and a leaf replaces the
+    incumbent when it is larger, or equal and lower.  When S0 is singular
+    or ill-conditioned nothing is pruned.  Raises ``SolverError`` past
+    ``_NODE_BUDGET`` nodes (subsets expanded plus leaves scored)."""
+    n = len(v)
+    res, s0 = v.copy(), []
+    for _ in range(r):
+        sq = np.einsum("ij,ij->i", res, res)
+        k = int(sq.argmax())
+        if sq[k] == 0.0:
+            break
+        res -= (res @ res[k])[:, None] * (res[k] / sq[k])
+        s0.append(k)
+    if len(s0) < r:  # the rows span fewer than r dimensions
+        s0 = list(range(r))
+    s0.sort()
+    best, best_val = tuple(s0), abs(float(np.linalg.det(v[s0])))
+    # a bound below best_val * floor prunes; floor 0 prunes nothing
+    floor, w = 0.0, v
+    if best_val > 0.0:
+        inv = np.linalg.inv(v[s0])
+        cond = np.abs(v[s0]).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+        if cond <= _COND_LIMIT:
+            floor, w = (1.0 - _PRUNE_MARGIN) / best_val, v @ inv
+    nodes = 0
+
+    def spend(k):
+        nonlocal nodes
+        nodes += k
+        if nodes > _NODE_BUDGET:
+            raise SolverError(
+                f"{n} cross-section vertices give {count} vertex "
+                f"{r}-subsets; the search passed its budget of "
+                f"{_NODE_BUDGET} nodes")
+
+    def visit(prefix, res, vol):
+        nonlocal best, best_val
+        spend(1)
+        lo, m = (prefix[-1] + 1 if prefix else 0), r - len(prefix)
+        norms = np.sqrt(np.einsum("ij,ij->i", res, res))
+        if m == 1:
+            keep = np.flatnonzero(vol * norms >= best_val * floor)
+            spend(len(keep))
+            if not len(keep):
+                return
+            idx = np.empty((len(keep), r), dtype=np.intp)
+            idx[:, :-1] = prefix
+            idx[:, -1] = lo + keep
+            dets = np.abs(np.linalg.det(v.take(idx, 0)))
+            k = int(dets.argmax())
+            leaf = tuple(idx[k].tolist())
+            if dets[k] > best_val or (dets[k] == best_val and leaf < best):
+                best, best_val = leaf, float(dets[k])
+            return
+        size = len(norms)
+        # the product of the m - 1 largest norms after each position
+        later = np.sort(np.triu(np.broadcast_to(norms, (size, size)), 1),
+                        axis=1)[:, size - m + 1:].prod(axis=1)
+        bounds = (vol * norms * later).tolist()
+        for i in range(size - m + 1):
+            if bounds[i] < best_val * floor:
+                continue
+            e, rest = res[i], res[i + 1:]
+            if norms[i] > 0.0:
+                rest = rest - np.outer(rest @ e / norms[i] ** 2, e)
+            visit(prefix + (lo + i,), rest, vol * norms[i])
+
+    visit((), w, 1.0)
+    return best, best_val
+
+
 def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     """Maximize |det q| with every column of ``b q`` in the cross-section
     ``{y : b y >= 0, sum(b y) = 1}``; exact.
@@ -148,9 +274,13 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     vertex.  The vertices come from one double description; the largest
     |det| over their r-subsets is taken, ties to the lowest subset in
     lexicographic order, and the columns of ``q`` are its vertices in
-    order.  Raises ``SolverError`` past the ray budget or past
-    ``_SUBSET_CAP`` subsets, as maximum-volume subset selection is NP-hard
-    in general.  ``return_history`` adds the list ``[|det q|]``.
+    order.  Up to ``_TABLE_ENTRIES`` subset indices (and at most
+    ``_NODE_BUDGET`` subsets) every subset is scored by one batched
+    determinant over a cached index table; past that
+    ``_branch_and_bound`` returns the same subset.  Raises
+    ``SolverError`` past the ray budget, and past ``_NODE_BUDGET`` nodes
+    of the branch and bound, as maximum-volume subset selection is
+    NP-hard in general.  ``return_history`` adds the list ``[|det q|]``.
     """
     b = np.asarray(b, dtype=float)
     r = b.shape[1]
@@ -162,22 +292,13 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     if unbounded:
         raise SolverError("maxdet cross-section is unbounded")
     count = comb(len(v), r)
-    if count > _SUBSET_CAP:
-        raise SolverError(
-            f"{len(v)} cross-section vertices give {count} vertex "
-            f"{r}-subsets, past the budget of {_SUBSET_CAP}")
-    subsets = combinations(range(len(v)), r)
-    best, best_val = None, 0.0
-    for _ in range(0, count, _SUBSET_CHUNK):
-        idx = np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_CHUNK)),
-                          dtype=np.intp).reshape(-1, r)
-        dets = np.abs(np.linalg.det(v[idx]))
-        k = int(np.argmax(dets))
-        if dets[k] > best_val:
-            best, best_val = idx[k], float(dets[k])
-    if best is None:
+    if count * r <= _TABLE_ENTRIES and count <= _NODE_BUDGET:
+        best, best_val = _scan_table(v, r)
+    else:
+        best, best_val = _branch_and_bound(v, r, count)
+    if not best_val > 0.0:  # also when nan
         raise SolverError("determinant maximization collapsed to zero")
-    q = v[best].T
+    q = v.take(best, 0).T
     y = b @ q
     if y.min() < -cfg.feas_tol or np.abs(y.sum(axis=0) - 1).max() \
             > cfg.feas_tol:

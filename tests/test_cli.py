@@ -189,7 +189,7 @@ class TestDecompose:
         assert json.loads(text)["seed"] == 9  # from the file
         assert json.loads(out.read_text())["diagnostics"]["seed"] == 9
 
-    @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_SUBSET_CAP"])
+    @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_NODE_BUDGET"])
     def test_solver_budget_exits_4(self, cap, bundle, tmp_path, capsys,
                                    monkeypatch):
         monkeypatch.setattr(solvers, cap, 0)
@@ -506,7 +506,11 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
     for name in ("cut", "dims-4000", "dims-max")] + [
     # a finite core entry whose norm overflows
     (["eval", "--model", "{tmp}/huge-model.json",
-      "--truth", "{bundle}/truth.json"], 3)])
+      "--truth", "{bundle}/truth.json"], 3)] + [
+    # solver seeds outside the 64 bits that derive_seed reads
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2", *seed], 2)
+    for seed in (("--seed", "-1"), ("--seed", str(2**64)),
+                 ("--solver-config", "{tmp}/neg-seed.cfg"))])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")
@@ -514,6 +518,7 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     # a field of the removed coordinate-ascent solver
     (tmp_path / "restarts.cfg").write_text("restarts = 2\n")
     (tmp_path / "nan-tol.cfg").write_text("feas_tol = nan\n")
+    (tmp_path / "neg-seed.cfg").write_text("seed = -1\n")
     # binary headers that end early: the magic alone, then order 3 and
     # one of the three dims
     (tmp_path / "magic.bin").write_bytes(TENSOR_MAGIC)

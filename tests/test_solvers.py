@@ -214,27 +214,122 @@ class TestMaxdetSimplex:
             gt = abs(np.linalg.det(np.linalg.lstsq(b, u, rcond=None)[0]))
             assert val >= gt * (1 - 1e-9)
 
-    def test_over_budget_names_counts(self):
-        # A dense positive factor is not SSC; its 20x5 cross-section has
-        # dozens of vertices and millions of 5-subsets.
+    def test_dense_factor_solved_past_the_old_budget(self):
+        # A dense positive factor is not SSC; its 20x5 cross-section has 49
+        # vertices and 1.9 M 5-subsets, which the branch and bound solves.
         rng = np.random.default_rng(0)
         h = rng.random((20, 5)) + 0.05
         x = rng.random((8, 5)) @ h.T
+        b = range_basis(x.T, 5)
+        v = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)[0]
+        assert comb(len(v), 5) > 1 << 20
+        q = maxdet_simplex(b, CFG)
+        y = b @ q
+        assert y.min() >= -CFG.feas_tol
+        assert np.abs(y.sum(axis=0) - 1).max() <= CFG.feas_tol
+        assert abs(np.linalg.det(q)) >= ascent_value(v, 5, rng) * (1 - 1e-12)
+
+    def test_over_budget_names_counts(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        h = rng.random((20, 5)) + 0.05
+        x = rng.random((8, 5)) @ h.T
+        monkeypatch.setattr(solvers, "_NODE_BUDGET", 100)
         with pytest.raises(SolverError) as exc:
             minvol_nmf(x, 5, CFG)
-        # The counts alone: certified SSC factors at r = 8 can pass the
-        # budget too, so the message does not guess at the cause.
+        # The counts alone: certified SSC factors can be hard to search
+        # too, so the message does not guess at the cause.
         m = re.fullmatch(r"(\d+) cross-section vertices give (\d+) vertex "
-                         r"5-subsets, past the budget of 1048576",
-                         str(exc.value))
-        assert m and int(m[2]) == comb(int(m[1]), 5) > solvers._SUBSET_CAP
+                         r"5-subsets; the search passed its budget of 100 "
+                         r"nodes", str(exc.value))
+        assert m and int(m[2]) == comb(int(m[1]), 5)
 
-    @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_SUBSET_CAP"])
+    @pytest.mark.parametrize("cap", ["_VERTEX_ENUM_CAP", "_NODE_BUDGET"])
     def test_over_budget_raises(self, cap, rng, monkeypatch):
         b = range_basis(two_nonzero_ssc(20, 4, rng), 4)
         monkeypatch.setattr(solvers, cap, 0)
         with pytest.raises(SolverError):
             maxdet_simplex(b, CFG)
+
+    def test_rank_8_ssc_recovered(self):
+        # Certified SSC 40x8 factors have 31-42 cross-section vertices and
+        # 7.9-118 M 8-subsets; the branch and bound needs a few nodes.
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            h = two_nonzero_ssc(40, 8, rng)
+            x = rng.random((12, 8)) @ h.T
+            assert align_error(minvol_nmf(x, 8, CFG)[1], h) <= 1e-6
+
+
+def ascent_value(v, r, rng):
+    """The largest |det| a coordinate ascent over the rows of ``v`` reaches
+    from the first nonsingular r-subset and two random ones: each row of
+    the subset moves to the row of largest |det| with the others fixed."""
+    best = 0.0
+    starts = [next(s for s in combinations(range(len(v)), r)
+                   if abs(np.linalg.det(v[list(s)])) > 1e-12)]
+    starts += [rng.choice(len(v), r, replace=False) for _ in "ab"]
+    for start in starts:
+        q = v[list(start)].copy()
+        val = abs(np.linalg.det(q))
+        while True:
+            prev = val
+            for j in range(r):
+                trial = np.repeat(q[None], len(v), axis=0)
+                trial[:, j] = v
+                dets = np.abs(np.linalg.det(trial))
+                if dets.max() > val:
+                    q[j], val = v[int(np.argmax(dets))], dets.max()
+            if val <= prev:
+                break
+        best = max(best, val)
+    return best
+
+
+def subset_search_cases():
+    """``(v, r)`` vertex lists of seeded cross-sections for the agreement of
+    the two subset searches: two-nonzero (SSC from r = 3), dense positive
+    and separable factors at r = 2-6, then symmetric constraint sets whose
+    vertices tie in |det|, with seeded row orders and power-of-two row
+    scales (which leave the cross-section as it is)."""
+    draws = (lambda n, r, rng: two_nonzero_ssc(n, r, rng) if r > 2
+             else two_nonzero(n, r, rng),
+             lambda n, r, rng: stochastic(n, r, rng),
+             gen_separable_factor)
+    for seed in range(120):
+        rng = np.random.default_rng(7000 + seed)
+        r, kind = 2 + seed % 5, seed // 5 % 3
+        n = int(rng.integers(r + 1, r + 3)) if kind == 1 \
+            else int(rng.integers(3 * r, 4 * r + 1))
+        b = range_basis(draws[kind](n, r, rng), r)
+        yield cross_section_vertices(b, b.sum(axis=0),
+                                     _VERTEX_ENUM_CAP)[0], r
+    for seed in range(24):
+        rng = np.random.default_rng(8000 + seed)
+        r = 3 + seed % 2
+        eye = np.eye(r)
+        b = np.array([eye[i] - eye[j] + 1 for i in range(r)
+                      for j in range(r) if i != j])
+        a = b.sum(axis=0)
+        if seed >= 2:
+            b = b[rng.permutation(len(b))] \
+                * 2.0 ** rng.integers(-3, 4, (len(b), 1))
+        yield cross_section_vertices(b, a, _VERTEX_ENUM_CAP)[0], r
+
+
+def test_table_and_branch_and_bound_agree():
+    # The table scores every subset; the branch and bound must return the
+    # same subset and |det| bit for bit, ties to the lowest subset.
+    searched = tied = 0
+    for v, r in subset_search_cases():
+        count = comb(len(v), r)
+        if len(v) < r or count > 3000:
+            continue
+        best, val = solvers._scan_table(v, r)
+        assert solvers._branch_and_bound(v, r, count) == (tuple(best), val)
+        dets = np.abs(np.linalg.det(v[solvers._subset_table(len(v), r)]))
+        searched += 1
+        tied += int((dets == val).sum() > 1)
+    assert searched >= 100 and tied >= 10
 
 
 class TestMinvolOrder2:
@@ -512,6 +607,17 @@ class TestConfig:
     def test_invalid_config(self):
         with pytest.raises(ShapeError):
             SolverConfig(feas_tol=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # derive_seed keeps the low 64 bits, so these would alias 2**64 - 1,
+        # 0 and 5
+        with pytest.raises(ShapeError, match="seed"):
+            SolverConfig(seed=seed)
+
+    def test_seed_range_ends(self):
+        assert SolverConfig(seed=2**64 - 1).seed == 2**64 - 1
+        assert SolverConfig(seed=0).seed == 0
 
     def test_derive_seed_stable(self):
         assert derive_seed(5, "a", 1) == derive_seed(5, "a", 1)
