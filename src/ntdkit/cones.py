@@ -9,7 +9,10 @@ exact p-level, the least p that admits it, found by enumerating supports;
 ``check_pssc`` and ``estimate_min_p`` compare and report the largest one,
 with no search over p.  The vertices and the boundedness of the
 cross-section come from one double description
-(``lp.cross_section_vertices``).  Exact SSC checking is NP-hard in
+(``lp.cross_section_vertices``), except in closed form: when every column
+has an exact anchor row (one positive entry, in that column, kept by the
+double description's row filter), ``h y >= 0`` is ``y >= 0`` and the
+cross-section is the unit simplex.  Exact SSC checking is NP-hard in
 general, so enumeration is capped (``ENUM_CAP_R``, ``ENUM_CAP_N`` and the
 intermediate-ray budget).  Within the ray budget an SSC1 refutation is
 exact: a point far along a recession direction of an unbounded
@@ -126,6 +129,8 @@ def _recession_direction(h):
 def enumerate_dual_vertices(h, tol=1e-9):
     """Vertices of ``{y : h y >= 0, sum(y) = 1}`` plus an unboundedness flag.
 
+    When every column has an exact anchor row (``_anchored``) the answer is
+    the unit simplex, bounded, its vertices e_r, ..., e_1.  Otherwise
     ``lp.cross_section_vertices`` finds both by the double description
     method, which lists each vertex once, in lexicographic order.  Its
     budget on intermediate rays, not the C(n, r-1) subset count, bounds the
@@ -146,7 +151,29 @@ def _dual_vertices(h, tol=1e-9):
             f"enumeration cap exceeded (r={r} > {ENUM_CAP_R} or "
             f"n={n} > {ENUM_CAP_N})"
         )
+    if _anchored(h):
+        # the unit simplex, its vertices in the double description's order
+        return np.eye(r)[::-1].copy(), False
     return cross_section_vertices(h, np.ones(r), _VERTEX_ENUM_CAP, tol)
+
+
+def _anchored(h):
+    """Does every column ``j`` of ``h`` have an exact anchor: a row whose
+    only positive entry is in column ``j``, and that survives the double
+    description's row filter (its norm above 1e-12 of the largest row norm
+    of ``[h; 1']``, as in ``lp.cross_section_vertices``)?
+
+    Then ``h y >= 0`` holds iff ``y >= 0``, so the dual cross-section is the
+    unit simplex.
+    """
+    pos = h > 0
+    single = pos.sum(axis=1) == 1
+    if not single.any() or not pos[single].any(axis=0).all():
+        return False
+    m = np.concatenate([h, np.ones((1, h.shape[1]))])
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    kept = norms[:-1] > 1e-12 * norms.max()
+    return bool(pos[single & kept].any(axis=0).all())
 
 
 # A vertex entry, or a p-level, within this of its bound is on it.
@@ -252,8 +279,10 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     SSC1 holds iff the cross-section is bounded and every vertex has norm
     at most one (the maximum of a convex function over a polytope sits at a
     vertex); SSC2 additionally pins every norm-one vertex to a unit vector.
-    The double description runs at most once: past the ray budget the
-    refutation search steps by LP.  Inside ``gen_instance`` (and only
+    An exact anchor row per column gives the unit simplex in closed form,
+    so such an ``h`` is SSC with no enumeration.  Otherwise the double
+    description runs at most once: past the ray budget the refutation
+    search steps by LP.  Inside ``gen_instance`` (and only
     there) a matrix already checked with the same tolerances and no
     ``rng`` returns its earlier report instead.
     """

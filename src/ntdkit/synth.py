@@ -26,7 +26,9 @@ from .tensor import (DenseTensor, _mode_groups, _unfolding_groups,
                      read_tensor, unfold, write_tensor_binary,
                      write_tensor_json)
 
-GEN_SSC_MAX_RANK = 6  # exact certification stays cheap up to here
+# Largest rank of a factor that ``gen_ssc_factor`` draws.  It bounds the
+# generator's SSC draws only: exact certification reaches cones.ENUM_CAP_R.
+GEN_SSC_MAX_RANK = 6
 
 
 @dataclass
@@ -186,7 +188,8 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     the SSC of the other member carries over to the product.  ``axes``
     must be a proper mode subset and ``partition`` must map rows, fixed
     and cols to mode sets that partition the modes, else PartitionError.
-    A negative ``seed`` raises UsageError.
+    A rank below 1 raises ShapeError and a negative ``seed`` UsageError,
+    both before anything is drawn.
 
     Each certificate is computed once: the SSC reports of the generated
     factors are held for the length of this call, so validating a factor
@@ -198,6 +201,8 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     d = len(dims)
     if len(ranks) != d:
         raise ShapeError("dims and ranks must have equal length")
+    if min(ranks, default=1) < 1:
+        raise ShapeError(f"ranks must be positive, got {ranks}")
     if any(n < r for n, r in zip(dims, ranks)):
         raise ShapeError(f"dims {dims} smaller than ranks {ranks}")
     if axes is not None:

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` wraps package functions by module attribute and
 reads their arguments through ``inspect.signature``, so a rename or a
 changed parameter list breaks traced benchmark runs; ``perfbench/
-workloads.py`` calls the procedures positionally.  These checks load both
-files by path and fail on such a change instead.
+workloads.py`` calls the procedures positionally, and its input guard
+reads ``cones.ENUM_CAP_N`` and ``cones.ENUM_CAP_R``.  These checks load
+both files by path and fail on such a change instead.
 """
 
 import importlib
@@ -62,6 +63,13 @@ def test_recover_calls_bind_every_procedure():
         args = ("t", "ranks", "partition", "cfg") \
             if proc == "procedure_d3" else ("t", "ranks", "cfg")
         inspect.signature(getattr(procedures, proc)).bind(*args)
+
+
+def test_every_workload_passes_its_input_guard():
+    # ``run.py`` refuses a workload, and exits non-zero, when this raises
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS.values():
+        workloads.check_budget(workload.shapes())
 
 
 def test_stored_argv_parses(monkeypatch):

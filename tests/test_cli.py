@@ -510,7 +510,10 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
     # solver seeds outside the 64 bits that derive_seed reads
     (["decompose", "--procedure", "1", "--ranks", "3,3,2", *seed], 2)
     for seed in (("--seed", "-1"), ("--seed", str(2**64)),
-                 ("--solver-config", "{tmp}/neg-seed.cfg"))])
+                 ("--solver-config", "{tmp}/neg-seed.cfg"))] + [
+    # a zero rank, which the anchor-factor generators cannot draw
+    (["gen", "--assumption", "A4.3", "--dims", "16,16,10", "--ranks",
+      "4,4,0", "--out", "{tmp}/g"], 2)])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")

@@ -13,10 +13,11 @@ from ntdkit.cones import (_recession_direction, _vertex_p_level,
                           kron_ssc_sufficient, ssc1_refute,
                           ssc1_violation_witness)
 from ntdkit.errors import EnumerationCapError, InputError, UsageError
-from ntdkit.kron import kron
+from ntdkit.kron import kron, kron_all
 from ntdkit.lp import _VERTEX_ENUM_CAP, cross_section_vertices
 from ntdkit.solvers import numerical_rank
-from ntdkit.synth import gen_separable_factor
+from ntdkit.synth import (gen_anchor_factor, gen_separable_factor,
+                          gen_ssc_factor)
 from tests.conftest import same_vertices, two_nonzero, two_nonzero_ssc
 
 
@@ -100,6 +101,46 @@ def refutation_corpus(count=104):
             h = rng.random((n, r)) * (rng.random((n, r)) < 0.4)
         h[0, h.sum(axis=0) == 0] = 1.0
         yield h / h.sum(axis=0)
+
+
+# Kronecker rank pairs of anchored products within r <= 8
+_KRON_RANKS = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))
+
+
+def anchored_corpus(count=100):
+    """Seeded matrices in which every column has an exact anchor row:
+    separable, all-anchor and one-nonzero r = 2 factors (the generator's
+    r = 2 SSC draw), and Kronecker products of these, each with extra
+    nonnegative rows (some of them zero or one-nonzero) added and its rows
+    shuffled; r = 2..8, n <= 60."""
+
+    def factor(kind, n, r, rng):
+        if kind == 0:
+            return gen_separable_factor(n, r, rng)
+        if kind == 1:
+            return gen_anchor_factor(n, r, rng)
+        return gen_ssc_factor(n, 2, rng, nnz_per_row=1)
+
+    out = []
+    for seed in range(count):
+        rng = np.random.default_rng(7100 + seed)
+        kind = seed % 4
+        if kind < 3:
+            r = 2 if kind == 2 else int(rng.integers(2, 9))
+            h = factor(kind, int(rng.integers(r, 50)), r, rng)
+        else:
+            mats = []
+            for r in _KRON_RANKS[int(rng.integers(len(_KRON_RANKS)))]:
+                kinds = 3 if r == 2 else 2  # one-nonzero draws are r = 2
+                mats.append(factor(int(rng.integers(kinds)),
+                                   int(rng.integers(r, 8)), r, rng))
+            h = kron_all(mats)
+        extra = rng.random((int(rng.integers(0, min(8, 61 - len(h)))),
+                            h.shape[1]))
+        extra *= rng.random(extra.shape) < 0.5
+        h = np.vstack([h, extra])
+        out.append(h[rng.permutation(len(h))])
+    return out
 
 
 def rows_near_center(n, r, c, rng, shrink=0.9):
@@ -238,6 +279,92 @@ class TestDualVertices:
         assert {("stochastic", False, True), ("scaled", False, True),
                 ("low-rank", True, False),
                 ("sparse-last", True, True)} <= seen
+
+
+class TestAnchoredClosedForm:
+    """An exact anchor row per column makes the dual cross-section the unit
+    simplex, which ``_dual_vertices`` returns without a double description;
+    it must agree with the double description it replaces."""
+
+    def test_enumeration_agrees_with_double_description(self):
+        shapes = set()
+        for h in anchored_corpus():
+            n, r = h.shape
+            shapes.add((r, n > 30))
+            v, unbounded = enumerate_dual_vertices(h)
+            assert np.array_equal(v, np.eye(r)[::-1]) and not unbounded
+            assert v.flags.c_contiguous and v.flags.writeable
+            w, flag = cross_section_vertices(h, np.ones(r),
+                                             _VERTEX_ENUM_CAP, 1e-9)
+            assert flag == unbounded
+            assert np.array_equal(w, v)
+        assert shapes == {(r, big) for r in range(2, 9)
+                          for big in (False, True)}
+
+    def test_reports_agree_with_double_description(self, monkeypatch):
+        cases = anchored_corpus()
+
+        def outputs():
+            return [(check_ssc(h).to_json(), check_pssc(h, 1.0),
+                     check_pssc(h, math.sqrt(h.shape[1] - 1)),
+                     estimate_min_p(h)) for h in cases]
+
+        closed = outputs()
+        monkeypatch.setattr(cones, "_anchored", lambda h: False)
+        for got, ref in zip(closed, outputs()):
+            assert got == ref
+            assert got[0]["ssc"] and got[1:] == (True, True, 1.0)
+
+    def test_double_description_rounding_is_not_kept(self, monkeypatch):
+        # The 20x8 product of separable 5x4 and 4x2 factors, with three
+        # positive rows: the double description lists e_5 with a -1e-16
+        # first entry, which sorts it first.  The closed form lists the
+        # exact simplex, and every verdict stays.
+        rng = np.random.default_rng(11)
+        h = kron_all([gen_separable_factor(5, 4, rng),
+                      gen_separable_factor(4, 2, rng)])
+        h = np.vstack([h, rng.random((3, 8))])[rng.permutation(23)]
+        w, unbounded = cross_section_vertices(h, np.ones(8),
+                                              _VERTEX_ENUM_CAP, 1e-9)
+        assert not unbounded and not np.array_equal(w, np.eye(8)[::-1])
+        assert same_vertices(w, np.eye(8))
+        assert np.array_equal(enumerate_dual_vertices(h)[0],
+                              np.eye(8)[::-1])
+        verdicts = ("separable", "anchors", "ssc", "ssc1", "ssc2",
+                    "unbounded", "refutation", "method")
+        got = check_ssc(h).to_json()
+        monkeypatch.setattr(cones, "_anchored", lambda h: False)
+        ref = check_ssc(h).to_json()
+        assert {k: got[k] for k in verdicts} == {k: ref[k] for k in verdicts}
+        assert got["max_vertex_norm"] == 1.0
+        assert ref["max_vertex_norm"] == pytest.approx(1.0, abs=1e-15)
+
+    def test_near_and_filtered_anchors_still_enumerate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            cones, "cross_section_vertices",
+            lambda *a: calls.append(1) or cross_section_vertices(*a))
+        exact = gen_separable_factor(12, 4, np.random.default_rng(5))
+        assert np.array_equal(enumerate_dual_vertices(exact)[0],
+                              np.eye(4)[::-1])
+        assert check_ssc(exact).ssc and calls == []
+        # an anchor with a 1e-13 off entry: separable within tolerance,
+        # yet column 0 has no exact anchor
+        near = exact.copy()
+        near[0, 1] = 1e-13
+        assert check_separable(near)[0]
+        v, unbounded = enumerate_dual_vertices(near)
+        assert len(calls) == 1 and not unbounded and len(v) >= 4
+        # an anchor below the row filter constrains nothing, so the
+        # cross-section is unbounded, not the simplex
+        low = np.array([[1e-14, 0.0], [0.0, 1.0]])
+        v, unbounded = enumerate_dual_vertices(low)
+        assert len(calls) == 2 and unbounded
+        assert np.array_equal(v, [[1.0, 0.0]])
+        # past the caps and in the public refutation, as before
+        with pytest.raises(EnumerationCapError):
+            enumerate_dual_vertices(gen_anchor_factor(61, 2))
+        assert ssc1_refute(exact) is None and len(calls) == 3
 
 
 class TestCheckSsc:

@@ -171,30 +171,6 @@ class TestMaxdetSimplex:
         assert hits >= 8
 
     def test_exact_beats_ascent_and_truth(self):
-        # A reference coordinate ascent over the listed vertices: each
-        # column moves to the vertex of largest |det| with the others
-        # fixed, from the first nonsingular r-subset and two random ones.
-        def ascent(v, r, rng):
-            best = 0.0
-            starts = [next(s for s in combinations(range(len(v)), r)
-                           if abs(np.linalg.det(v[list(s)])) > 1e-12)]
-            starts += [rng.choice(len(v), r, replace=False) for _ in "ab"]
-            for start in starts:
-                q = v[list(start)].copy()
-                val = abs(np.linalg.det(q))
-                while True:
-                    prev = val
-                    for j in range(r):
-                        trial = np.repeat(q[None], len(v), axis=0)
-                        trial[:, j] = v
-                        dets = np.abs(np.linalg.det(trial))
-                        if dets.max() > val:
-                            q[j], val = v[int(np.argmax(dets))], dets.max()
-                    if val <= prev:
-                        break
-                best = max(best, val)
-            return best
-
         for seed in range(120):
             rng = np.random.default_rng(3000 + seed)
             r = int(rng.integers(2, 6))
@@ -210,7 +186,7 @@ class TestMaxdetSimplex:
             val = abs(np.linalg.det(q))
             assert history == pytest.approx([val], rel=1e-12)
             assert all((v == col).all(axis=1).any() for col in q.T)
-            assert val >= ascent(v, r, rng) * (1 - 1e-12)
+            assert val >= ascent_value(v, r, rng) * (1 - 1e-12)
             gt = abs(np.linalg.det(np.linalg.lstsq(b, u, rcond=None)[0]))
             assert val >= gt * (1 - 1e-9)
 
