@@ -7,22 +7,22 @@ vertices sit at unit vectors) and p-SSC (all vertices inside the dual of the
 expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``).  Each vertex has one
 exact p-level, the least p that admits it, found by enumerating supports;
 ``check_pssc`` and ``estimate_min_p`` compare and report the largest one,
-with no search over p.  The vertices and the boundedness of the
-cross-section come from one double description
-(``lp.cross_section_vertices``), except in closed form: when every column
-has an exact anchor row (one positive entry, in that column, kept by the
-double description's row filter), ``h y >= 0`` is ``y >= 0`` and the
-cross-section is the unit simplex.  Exact SSC checking is NP-hard in
-general, so enumeration is capped (``ENUM_CAP_R``, ``ENUM_CAP_N`` and the
-intermediate-ray budget).  Within the ray budget an SSC1 refutation is
-exact: a point far along a recession direction of an unbounded
-cross-section, else the largest-norm vertex.  Past the budget a
+with no search over p.  One oracle, ``_vertices``, gives the vertices
+and, for an unbounded cross-section, a recession ray: in closed form when
+every column has an exact anchor row (one positive entry, in that column,
+kept by the double description's row filter), as ``h y >= 0`` is then
+``y >= 0`` and the cross-section is the unit simplex, else from one double
+description (``lp.cross_section_vertices``).  Exact SSC checking is
+NP-hard in general, so the reports are capped (``ENUM_CAP_R``,
+``ENUM_CAP_N`` and the intermediate-ray budget).  Within the ray budget
+an SSC1 refutation is exact and solves no LP: a point far along the
+recession ray, else the largest-norm vertex.  Past the budget a
 Frank-Wolfe search steps by LP (``lp.linprog_dense``): a returned
 certificate proves SSC1 fails, but absence of one proves nothing.  Every
 check reads its matrix through ``_validate_nonneg``, which also refuses
 fewer than two columns wherever an SSC notion is asked for; within one
-``check_ssc`` report the separability test and the enumeration read the
-array it validated (``_separable``, ``_dual_vertices``).
+``check_ssc`` report the separability test and the oracle read the array
+it validated (``_separable``, ``_vertices``).
 
 Reports are reused only within one generation: ``synth.gen_instance``
 opens a memo around its retry loop (``_ssc_memo``), so the validation of
@@ -44,7 +44,6 @@ from .errors import (EnumerationCapError, InputError, SolverError,
                      UsageError, WitnessError)
 from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
 from .model import _jsonable
-from .solvers import _rank_from_values
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
@@ -101,31 +100,6 @@ def _separable(h, tol=1e-9):
     return True, qualifies.argmax(axis=0).tolist()
 
 
-def _recession_direction(h):
-    """A nonzero ``z`` with ``h z >= 0`` and ``sum(z) = 0``, or None.
-
-    Such a direction exists iff ``{y : h y >= 0, sum(y) = 1}`` is unbounded.
-    A null vector of ``[h; 1']`` is one.  Otherwise, by Stiemke's
-    alternative, the cross-section is bounded iff ``h' lam = 1`` has a
-    solution ``lam > 0``; ``lam = 1`` is one when every column of ``h``
-    sums to one.  In the remaining case one LP maximizes ``sum(h z)`` over
-    the directions in the unit box, which is positive iff one exists.
-    """
-    n, r = h.shape
-    m = np.vstack([h, np.ones((1, r))])
-    _, s, vt = np.linalg.svd(m)
-    if _rank_from_values(s, m.shape) < r:
-        return vt[-1]
-    col_sums = h.sum(axis=0)
-    if np.abs(col_sums - 1.0).max() <= 1e-12:
-        return None
-    # z = 0 is feasible and the box bounds the LP, so it is always optimal.
-    res = linprog_dense(col_sums, a_ub=-h, b_ub=np.zeros(n),
-                        a_eq=np.ones((1, r)), b_eq=[0.0],
-                        bounds=[(-1.0, 1.0)] * r, maximize=True)
-    return res.x if res.value > 1e-7 else None
-
-
 def enumerate_dual_vertices(h, tol=1e-9):
     """Vertices of ``{y : h y >= 0, sum(y) = 1}`` plus an unboundedness flag.
 
@@ -139,21 +113,24 @@ def enumerate_dual_vertices(h, tol=1e-9):
     group certification, so raising it changes both.  Past either cap, or
     past the ray budget, ``EnumerationCapError`` is raised.
     """
-    return _dual_vertices(_validate_nonneg(h, "dual-vertex enumeration"),
-                          tol)
-
-
-def _dual_vertices(h, tol=1e-9):
-    """``enumerate_dual_vertices`` on a validated ``h`` with r >= 2."""
+    h = _validate_nonneg(h, "dual-vertex enumeration")
     n, r = h.shape
     if r > ENUM_CAP_R or n > ENUM_CAP_N:
         raise EnumerationCapError(
             f"enumeration cap exceeded (r={r} > {ENUM_CAP_R} or "
             f"n={n} > {ENUM_CAP_N})"
         )
+    vertices, ray = _vertices(h, tol)
+    return vertices, ray is not None
+
+
+def _vertices(h, tol):
+    """``lp.cross_section_vertices`` for a validated ``h`` and ``a = 1``, in
+    closed form when ``h`` is ``_anchored``; no cap but the ray budget."""
+    r = h.shape[1]
     if _anchored(h):
         # the unit simplex, its vertices in the double description's order
-        return np.eye(r)[::-1].copy(), False
+        return np.eye(r)[::-1].copy(), None
     return cross_section_vertices(h, np.ones(r), _VERTEX_ENUM_CAP, tol)
 
 
@@ -281,8 +258,10 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     vertex); SSC2 additionally pins every norm-one vertex to a unit vector.
     An exact anchor row per column gives the unit simplex in closed form,
     so such an ``h`` is SSC with no enumeration.  Otherwise the double
-    description runs at most once: past the ray budget the refutation
-    search steps by LP.  Inside ``gen_instance`` (and only
+    description runs once, and its vertices and recession ray refute with
+    no LP; past the ray budget the refutation search steps by LP, and past
+    ``ENUM_CAP_R`` or ``ENUM_CAP_N`` the report keeps the refutation alone.
+    Inside ``gen_instance`` (and only
     there) a matrix already checked with the same tolerances and no
     ``rng`` returns its earlier report instead.
     """
@@ -302,12 +281,12 @@ def _ssc_report(h, tol, feas_tol, rng):
     n, r = h.shape
     separable, anchors = _separable(h)
     try:
-        vertices, unbounded = _dual_vertices(h, tol=feas_tol)
+        vertices, ray = _vertices(h, feas_tol)
     except EnumerationCapError:
-        if r <= ENUM_CAP_R and n <= ENUM_CAP_N:  # past the ray budget
-            y = _lp_refute(h, rng, tol, feas_tol)
-        else:
-            y = ssc1_refute(h, rng=rng, tol=tol, feas_tol=feas_tol)
+        vertices, y = None, _lp_refute(h, rng, tol, feas_tol)
+    else:
+        y = _listed_refutation(h, vertices, ray, tol, feas_tol)
+    if vertices is None or r > ENUM_CAP_R or n > ENUM_CAP_N:
         return SscReport(
             separable=separable, anchors=anchors,
             ssc1=False if y is not None else None, ssc2=None,
@@ -316,15 +295,13 @@ def _ssc_report(h, tol, feas_tol, rng):
         )
     norms = np.linalg.norm(vertices, axis=1)
     max_norm = float(norms.max(initial=0.0))
-    ssc1 = (not unbounded) and max_norm <= 1.0 + tol
+    ssc1 = ray is None and max_norm <= 1.0 + tol
     top = vertices[norms >= 1.0 - tol]
     dist = np.linalg.norm(top[:, None, :] - np.eye(r), axis=2).min(axis=1)
     return SscReport(
         separable=separable, anchors=anchors, ssc1=ssc1,
         ssc2=bool((dist <= tol).all()), dual_vertices=vertices,
-        max_vertex_norm=max_norm, unbounded=unbounded,
-        refutation=None if ssc1 else
-        _listed_refutation(h, vertices, unbounded, tol, feas_tol),
+        max_vertex_norm=max_norm, unbounded=ray is not None, refutation=y,
         method="exact-enumeration",
     )
 
@@ -333,18 +310,17 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
                 feas_tol=1e-9):
     """A certificate that SSC1 fails, or None.
 
-    Within the ray budget one double description decides it exactly
+    Within the ray budget ``_vertices`` decides it exactly, with no LP
     (``_listed_refutation``).  Past the budget ``_lp_refute`` searches by
     LP from ``starts`` random and 2r unit directions, ``iters`` steps
     each; there None proves nothing.
     """
     h = _validate_nonneg(h, "SSC1 refutation")
     try:
-        vertices, unbounded = cross_section_vertices(
-            h, np.ones(h.shape[1]), _VERTEX_ENUM_CAP, feas_tol)
+        vertices, ray = _vertices(h, feas_tol)
     except EnumerationCapError:
         return _lp_refute(h, rng, tol, feas_tol, starts, iters)
-    return _listed_refutation(h, vertices, unbounded, tol, feas_tol)
+    return _listed_refutation(h, vertices, ray, tol, feas_tol)
 
 
 def _feasible(h, y, feas_tol):
@@ -367,14 +343,13 @@ def _far_point(h, ray, tol, feas_tol):
                       / np.linalg.norm(ray) * ray, tol, feas_tol)
 
 
-def _listed_refutation(h, vertices, unbounded, tol, feas_tol):
-    """The SSC1 certificate from the double description's ``vertices`` and
-    ``unbounded`` flag: a far point along a recession direction when the
-    cross-section is unbounded, else the largest-norm vertex when that norm
-    passes ``1 + tol``, else None."""
-    if unbounded:
-        ray = _recession_direction(h)
-        return None if ray is None else _far_point(h, ray, tol, feas_tol)
+def _listed_refutation(h, vertices, ray, tol, feas_tol):
+    """The SSC1 certificate from ``_vertices``' ``vertices`` and recession
+    ``ray``: a far point along the ray when the cross-section is unbounded,
+    else the largest-norm vertex when that norm passes ``1 + tol``, else
+    None."""
+    if ray is not None:
+        return _far_point(h, ray, tol, feas_tol)
     norms = np.linalg.norm(vertices, axis=1)
     if norms.size and norms.max() > 1.0 + tol:
         return vertices[int(np.argmax(norms))]
@@ -384,17 +359,25 @@ def _listed_refutation(h, vertices, unbounded, tol, feas_tol):
 def _lp_refute(h, rng, tol, feas_tol, starts=10, iters=60):
     """Search by LP for an SSC1 certificate, for use past the ray budget.
 
-    An unbounded cross-section gives a far point along a recession
-    direction.  Otherwise Frank-Wolfe steps maximize the norm: each start
-    is the LP optimum along one of 2r signed unit directions or ``starts``
-    seeded random ones, and each step moves to the LP optimum of the
-    linearized norm ``y . z``, which can only increase it.  A step whose LP
-    is not optimal, or fails, ends that start.
+    A double description past the budget found r independent rows, so
+    by Stiemke's alternative the cross-section is bounded when every column
+    of ``h`` sums to one (``lam = 1``); else one LP maximizes ``sum(h z)``
+    over the recession directions in the unit box, positive iff one exists,
+    and a far point along it certifies.  Otherwise Frank-Wolfe steps
+    maximize the norm: each start is the LP optimum along one of 2r signed
+    unit directions or ``starts`` seeded random ones, and each step moves
+    to the LP optimum of the linearized norm ``y . z``, which can only
+    increase it.  A step whose LP is not optimal, or fails, ends that start.
     """
-    ray = _recession_direction(h)
-    if ray is not None:
-        return _far_point(h, ray, tol, feas_tol)
     n, r = h.shape
+    col_sums = h.sum(axis=0)
+    if np.abs(col_sums - 1.0).max() > 1e-12:
+        # z = 0 is feasible and the box bounds the LP, so it is optimal
+        res = linprog_dense(col_sums, a_ub=-h, b_ub=np.zeros(n),
+                            a_eq=np.ones((1, r)), b_eq=[0.0],
+                            bounds=[(-1.0, 1.0)] * r, maximize=True)
+        if res.value > 1e-7:
+            return _far_point(h, res.x, tol, feas_tol)
     rng = np.random.default_rng(0 if rng is None else rng)
 
     def extreme(c):

@@ -11,13 +11,14 @@ solved, and each cut masks rows instead of gathering them.  Each cut's
 adjacency test runs on integer bitsets, one Python int per ray's zero
 mask, when the step is small enough that numpy's per-call cost would
 dominate, and on float 0/1 blocks otherwise; both give the same pairs in
-the same order, so the rays do not depend on the path.  The
-objectives the package maximizes over a bounded cross-section (a norm, a
-determinant linear in each column) peak at vertices, so within the ray
-budget callers search the vertices alone.  Past it the SSC1 refutation
-search solves LPs instead.  Every linear program in the package goes
-through ``linprog_dense``, a single call to scipy's HiGHS, which is
-deterministic for a fixed input; scipy is imported on that first call.
+the same order, so the rays do not depend on the path.  The same
+description hands back a recession ray of an unbounded cross-section.
+The objectives the package maximizes over a bounded cross-section (a
+norm, a determinant linear in each column) peak at vertices, so within
+the ray budget callers solve no LP.  Past it the SSC1 refutation search
+solves LPs instead.  Every linear program in the package goes through
+``linprog_dense``, a single call to scipy's HiGHS, which is deterministic
+for a fixed input; scipy is imported on that first call.
 """
 
 from __future__ import annotations
@@ -193,18 +194,19 @@ def _extreme_rays(u, max_rays):
 
 
 def cross_section_vertices(b, a, max_rays, tol=1e-9):
-    """Vertices of ``{y : b y >= 0, a . y = 1}`` and whether it is
-    unbounded.
+    """Vertices of ``{y : b y >= 0, a . y = 1}`` and a recession ray, None
+    when it is bounded.
 
     The vertices are the extreme rays of ``{y : [b; a] y >= 0}`` with
-    ``a . y > 0``, each scaled to ``a . y = 1``; a ray with ``a . y = 0``
-    proves the cross-section unbounded.  Rows below 1e-12 of the largest
-    row norm constrain nothing and are dropped.  A rank-deficient
-    ``[b; a]`` gives no vertices and the flag set, as the cross-section is
-    then unbounded or empty.  A vertex that violates ``b y >= 0`` by more
-    than ``tol * max(1, |b|)`` is dropped.  The ``(k, r)`` result lists
-    each vertex once, in lexicographic order of its rows.  Raises
-    ``EnumerationCapError`` past ``max_rays`` intermediate rays.
+    ``a . y > 0``, each scaled to ``a . y = 1``; the first ray with
+    ``a . y = 0``, projected onto that plane, is the recession ray.  Rows
+    below 1e-12 of the largest row norm constrain nothing and are dropped.
+    A rank-deficient ``[b; a]`` gives no vertices and a null vector of the
+    kept rows as the ray, as the cross-section is then unbounded or empty.
+    A vertex that violates ``b y >= 0`` by more than ``tol * max(1, |b|)``
+    is dropped.  The ``(k, r)`` result lists each vertex once, in
+    lexicographic order of its rows.  Raises ``EnumerationCapError`` past
+    ``max_rays`` intermediate rays.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -216,17 +218,18 @@ def cross_section_vertices(b, a, max_rays, tol=1e-9):
     # C order, as a gather gives it: the rays' bits follow the layout
     rays = _extreme_rays(np.divide(m, norms[:, None], order="C"), max_rays)
     if rays is None:
-        return np.zeros((0, b.shape[1])), True
+        return np.zeros((0, b.shape[1])), np.linalg.svd(m)[2][-1]
     height = rays @ a
     # math.sqrt(a @ a) is what np.linalg.norm computes for a real vector
     at_infinity = height <= _ZERO_TOL * math.sqrt(a @ a)
-    unbounded = bool(at_infinity.any())
-    if unbounded:
+    ray = None
+    if at_infinity.any():
+        ray = rays[int(at_infinity.argmax())]
+        ray = ray - (a @ ray) / (a @ a or 1.0) * a  # onto a . y = 0
         rays, height = rays[~at_infinity], height[~at_infinity]
     v = np.divide(rays, height[:, None], order="C")
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     vals = v @ b.T
     if not vals.min(initial=np.inf) >= -tol * scale:  # nan drops its row too
         v = v[vals.min(axis=1, initial=np.inf) >= -tol * scale]
-    return v.take(np.lexsort(v.T[::-1]), 0), unbounded
-
+    return v.take(np.lexsort(v.T[::-1]), 0), ray

@@ -285,11 +285,10 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     b = np.asarray(b, dtype=float)
     r = b.shape[1]
     try:
-        v, unbounded = cross_section_vertices(b, b.sum(axis=0),
-                                              _VERTEX_ENUM_CAP)
+        v, ray = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
     except EnumerationCapError as exc:
         raise SolverError(f"maxdet cross-section: {exc}") from exc
-    if unbounded:
+    if ray is not None:
         raise SolverError("maxdet cross-section is unbounded")
     count = comb(len(v), r)
     if count * r <= _TABLE_ENTRIES and count <= _NODE_BUDGET:

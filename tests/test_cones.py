@@ -6,11 +6,10 @@ import pytest
 from scipy.optimize import linprog, minimize
 
 from ntdkit import cones, lp
-from ntdkit.cones import (_recession_direction, _vertex_p_level,
-                          check_pssc, check_separable, check_ssc,
-                          counterexample_dims_ok, enumerate_dual_vertices,
-                          estimate_min_p, kron_ssc_margin,
-                          kron_ssc_sufficient, ssc1_refute,
+from ntdkit.cones import (_vertex_p_level, check_pssc, check_separable,
+                          check_ssc, counterexample_dims_ok,
+                          enumerate_dual_vertices, estimate_min_p,
+                          kron_ssc_margin, kron_ssc_sufficient, ssc1_refute,
                           ssc1_violation_witness)
 from ntdkit.errors import EnumerationCapError, InputError, UsageError
 from ntdkit.kron import kron, kron_all
@@ -257,33 +256,80 @@ class TestDualVertices:
         assert unbounded and len(verts) == 0
 
     def test_boundedness_matches_box_lps(self):
+        # The double description gives a recession ray exactly when the box
+        # LPs find the cross-section unbounded, and the ray refutes SSC1.
         seen = set()
         for kind, h in boundedness_corpus():
             r = h.shape[1]
-            z = _recession_direction(h)
-            assert (z is not None) == box_lp_unbounded(h)
-            assert enumerate_dual_vertices(h)[1] == (z is not None)
+            _, ray = cross_section_vertices(h, np.ones(r), _VERTEX_ENUM_CAP)
+            assert (ray is not None) == box_lp_unbounded(h)
+            assert enumerate_dual_vertices(h)[1] == (ray is not None)
             full_rank = numerical_rank(np.vstack([h, np.ones(r)])) == r
-            seen.add((kind, z is not None, full_rank))
-            if z is None:
+            seen.add((kind, "bounded" if ray is None else
+                      "dd-ray" if full_rank else "null-vector"))
+            if ray is None:
                 continue
-            assert np.abs(z).max() > 0 and (h @ z).min() >= -1e-9
-            y = ssc1_refute(h)
+            norm = np.linalg.norm(ray)
+            assert norm > 0 and abs(ray.sum()) <= 1e-12 * norm
             scale = max(1.0, float(h.max()))
+            assert (h @ ray).min() >= -1e-9 * scale
+            y = ssc1_refute(h)
             assert y is not None
             assert (h @ y).min() >= -1e-9 * scale
             assert y.sum() == pytest.approx(1.0, abs=1e-7)
             assert np.linalg.norm(y) > 1.0 + 1e-7
-        # bounded by Stiemke's lam = 1, bounded after one LP, unbounded by
-        # a null vector, and unbounded by one LP at full rank
-        assert {("stochastic", False, True), ("scaled", False, True),
-                ("low-rank", True, False),
-                ("sparse-last", True, True)} <= seen
+        # bounded with columns summing to one and not, unbounded by a null
+        # vector, and unbounded by a ray of the description at full rank
+        assert {("stochastic", "bounded"), ("scaled", "bounded"),
+                ("low-rank", "null-vector"),
+                ("sparse-last", "dd-ray")} <= seen
+
+    def test_no_lp_within_the_ray_budget(self, monkeypatch):
+        # Within the ray budget the reports and refutations read the
+        # recession ray off the double description and solve no LP.
+        calls = []
+        real = lp.linprog_dense
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "linprog_dense", counted)
+        monkeypatch.setattr(cones, "linprog_dense", counted)
+        checked = 0
+        for _, h in boundedness_corpus():
+            if h.sum(axis=0).min() > 0:  # check_ssc refuses a zero column
+                checked += check_ssc(h).method == "exact-enumeration"
+            ssc1_refute(h)
+        assert checked >= 200 and calls == []
+
+    def test_lp_search_refutes_every_unbounded_input(self, monkeypatch):
+        # Past the ray budget the one unboundedness test (Stiemke's lam = 1,
+        # then the box LP) still finds a certificate wherever the double
+        # description finds a ray at full rank.
+        cases = [h for _, h in boundedness_corpus()
+                 if cross_section_vertices(h, np.ones(h.shape[1]),
+                                           _VERTEX_ENUM_CAP)[1] is not None
+                 and numerical_rank(np.vstack([h, np.ones(h.shape[1])]))
+                 == h.shape[1]]
+        searched = []
+        lp_refute = cones._lp_refute
+        monkeypatch.setattr(cones, "_VERTEX_ENUM_CAP", 0)
+        monkeypatch.setattr(cones, "_lp_refute",
+                            lambda *a: searched.append(1) or lp_refute(*a))
+        for h in cases:
+            y = ssc1_refute(h)
+            assert y is not None
+            assert (h @ y).min() >= -1e-9 * max(1.0, float(h.max()))
+            assert y.sum() == pytest.approx(1.0, abs=1e-7)
+            assert np.linalg.norm(y) > 1.0 + 1e-7
+        # 80 of the 89 pass a budget of 0 rays; the rest need no cut
+        assert len(cases) == 89 and len(searched) == 80
 
 
 class TestAnchoredClosedForm:
     """An exact anchor row per column makes the dual cross-section the unit
-    simplex, which ``_dual_vertices`` returns without a double description;
+    simplex, which ``_vertices`` returns without a double description;
     it must agree with the double description it replaces."""
 
     def test_enumeration_agrees_with_double_description(self):
@@ -294,9 +340,9 @@ class TestAnchoredClosedForm:
             v, unbounded = enumerate_dual_vertices(h)
             assert np.array_equal(v, np.eye(r)[::-1]) and not unbounded
             assert v.flags.c_contiguous and v.flags.writeable
-            w, flag = cross_section_vertices(h, np.ones(r),
-                                             _VERTEX_ENUM_CAP, 1e-9)
-            assert flag == unbounded
+            w, ray = cross_section_vertices(h, np.ones(r),
+                                            _VERTEX_ENUM_CAP, 1e-9)
+            assert (ray is not None) == unbounded
             assert np.array_equal(w, v)
         assert shapes == {(r, big) for r in range(2, 9)
                           for big in (False, True)}
@@ -324,9 +370,8 @@ class TestAnchoredClosedForm:
         h = kron_all([gen_separable_factor(5, 4, rng),
                       gen_separable_factor(4, 2, rng)])
         h = np.vstack([h, rng.random((3, 8))])[rng.permutation(23)]
-        w, unbounded = cross_section_vertices(h, np.ones(8),
-                                              _VERTEX_ENUM_CAP, 1e-9)
-        assert not unbounded and not np.array_equal(w, np.eye(8)[::-1])
+        w, ray = cross_section_vertices(h, np.ones(8), _VERTEX_ENUM_CAP, 1e-9)
+        assert ray is None and not np.array_equal(w, np.eye(8)[::-1])
         assert same_vertices(w, np.eye(8))
         assert np.array_equal(enumerate_dual_vertices(h)[0],
                               np.eye(8)[::-1])
@@ -361,10 +406,11 @@ class TestAnchoredClosedForm:
         v, unbounded = enumerate_dual_vertices(low)
         assert len(calls) == 2 and unbounded
         assert np.array_equal(v, [[1.0, 0.0]])
-        # past the caps and in the public refutation, as before
+        # past the caps, as before, and in the public refutation, which
+        # takes the closed form too
         with pytest.raises(EnumerationCapError):
             enumerate_dual_vertices(gen_anchor_factor(61, 2))
-        assert ssc1_refute(exact) is None and len(calls) == 3
+        assert ssc1_refute(exact) is None and len(calls) == 2
 
 
 class TestCheckSsc:
@@ -526,8 +572,8 @@ class TestRefutation:
         exact, kinds = [], []
         for i, h in enumerate(cases):
             # every cross-section here is bounded and within the budget
-            assert not cross_section_vertices(h, np.ones(h.shape[1]),
-                                              _VERTEX_ENUM_CAP)[1]
+            assert cross_section_vertices(h, np.ones(h.shape[1]),
+                                          _VERTEX_ENUM_CAP)[1] is None
             y = ssc1_refute(h, rng=i)
             rep = check_ssc(h, rng=i)
             assert (y is not None) == (rep.ssc1 is False)

@@ -134,9 +134,8 @@ def test_cross_section_vertices_match_naive(n, r):
 def test_cross_section_vertices_each_vertex_once():
     # The identity's cross-section is the simplex; with r = 3 each vertex
     # e_k is hit by the single subset of rows that vanish there.
-    v, unbounded = cross_section_vertices(np.eye(3), np.ones(3),
-                                          _VERTEX_ENUM_CAP)
-    assert np.array_equal(v, np.eye(3)[::-1]) and not unbounded
+    v, ray = cross_section_vertices(np.eye(3), np.ones(3), _VERTEX_ENUM_CAP)
+    assert np.array_equal(v, np.eye(3)[::-1]) and ray is None
     # Two copies of a row make every vertex on it degenerate; each is still
     # listed once.
     b = np.vstack([np.eye(3), np.eye(3)[:1]])
@@ -181,8 +180,8 @@ def test_cross_section_far_vertices_counted_once(k):
                                    "cols": [2]})
     b = range_basis(
         slice_matrix(inst.tensor, SliceSpec((0, 1), {3: k}, (2,))), 4)
-    v, unbounded = cross_section_vertices(b, np.ones(4), _VERTEX_ENUM_CAP)
-    assert unbounded and len(v) == 2
+    v, ray = cross_section_vertices(b, np.ones(4), _VERTEX_ENUM_CAP)
+    assert ray is not None and len(v) == 2
     assert same_vertices(v, naive_cross_section_vertices(b, np.ones(4)))
 
 
@@ -196,12 +195,12 @@ def test_same_vertices_is_strict():
 
 def test_cross_section_unbounded_and_rank_deficient():
     # y1 >= 0 alone: the cross-section y1 + y2 = 1 is a ray from e2.
-    v, unbounded = cross_section_vertices(np.array([[1.0, 0.0]]),
-                                          np.ones(2), _VERTEX_ENUM_CAP)
-    assert unbounded and np.array_equal(v, [[0.0, 1.0]])
-    v, unbounded = cross_section_vertices(np.full((4, 3), 0.5), np.ones(3),
-                                          _VERTEX_ENUM_CAP)
-    assert unbounded and v.shape == (0, 3)
+    v, ray = cross_section_vertices(np.array([[1.0, 0.0]]), np.ones(2),
+                                    _VERTEX_ENUM_CAP)
+    assert ray is not None and np.array_equal(v, [[0.0, 1.0]])
+    v, ray = cross_section_vertices(np.full((4, 3), 0.5), np.ones(3),
+                                    _VERTEX_ENUM_CAP)
+    assert ray is not None and v.shape == (0, 3)
 
 
 def test_cross_section_ray_budget():
@@ -234,7 +233,7 @@ def test_adjacent_pairs_chunks_match_unchunked(monkeypatch):
         return adjacent_pairs(zeros, pos, neg, r)
 
     monkeypatch.setattr(lp, "_adjacent_pairs", record)
-    v, unbounded = cross_section_vertices(b, np.ones(6), _VERTEX_ENUM_CAP)
+    v, ray = cross_section_vertices(b, np.ones(6), _VERTEX_ENUM_CAP)
     monkeypatch.setattr(lp, "_adjacent_pairs", adjacent_pairs)
     monkeypatch.setattr(lp, "_PAIR_CHUNK", 64)
     assert max(len(pos) * len(neg) for _, pos, neg, _ in calls) > 20 * 64
@@ -242,9 +241,9 @@ def test_adjacent_pairs_chunks_match_unchunked(monkeypatch):
         p, q = lp._adjacent_pairs(zeros, pos, neg, r)
         p0, q0 = unchunked_adjacent_pairs(zeros, pos, neg, r)
         assert np.array_equal(p, p0) and np.array_equal(q, q0)
-    v_small, unbounded_small = cross_section_vertices(b, np.ones(6),
-                                                      _VERTEX_ENUM_CAP)
-    assert np.array_equal(v_small, v) and unbounded_small == unbounded
+    v_small, ray_small = cross_section_vertices(b, np.ones(6),
+                                                _VERTEX_ENUM_CAP)
+    assert np.array_equal(v_small, v) and (ray_small is None) == (ray is None)
     assert len(v) > 20
 
 
@@ -301,9 +300,9 @@ def test_cross_section_vertices_equal_on_both_pair_tests(kind, monkeypatch):
             monkeypatch.setattr(lp, "_BITSET_WORK", bound)
             out.append(cross_section_vertices(b, b.sum(axis=0),
                                               _VERTEX_ENUM_CAP))
-        for v, unbounded in out[1:]:
+        for v, ray in out[1:]:
             assert np.array_equal(v, out[0][0])
-            assert unbounded == out[0][1]
+            assert (ray is None) == (out[0][1] is None)
 
 
 @pytest.mark.parametrize("case,rows_added,count", [
@@ -328,10 +327,10 @@ def test_deepest_cut_first(case, rows_added, count, monkeypatch):
 
         monkeypatch.setattr(lp, "_BITSET_WORK", bound)
         monkeypatch.setattr(lp, "_adjacent_pairs", counted)
-        v, unbounded = cross_section_vertices(b, np.ones(b.shape[1]),
-                                              _VERTEX_ENUM_CAP)
+        v, ray = cross_section_vertices(b, np.ones(b.shape[1]),
+                                        _VERTEX_ENUM_CAP)
         assert len(calls) == rows_added
-        assert len(v) == count and not unbounded
+        assert len(v) == count and ray is None
 
 
 def assert_best_vertex_is_highs_optimum(b, v, c):
@@ -358,9 +357,8 @@ def test_best_vertex_equals_highs():
         if numerical_rank(x) < r:
             continue
         b = range_basis(x, r)
-        v, unbounded = cross_section_vertices(b, b.sum(axis=0),
-                                              _VERTEX_ENUM_CAP)
-        assert len(v) and not unbounded
+        v, ray = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
+        assert len(v) and ray is None
         assert (b @ v.T).min() >= -1e-9
         for _ in range(3):
             assert_best_vertex_is_highs_optimum(b, v, rng.standard_normal(r))
@@ -373,17 +371,20 @@ def test_best_vertex_beyond_the_subset_cap_equals_highs(n, r):
     # two-nonzero factor's range has few vertices all the same.
     rng = np.random.default_rng(n + r)
     b = range_basis(two_nonzero(n, r, rng), r)
-    v, unbounded = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
-    assert len(v) and not unbounded
+    v, ray = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
+    assert len(v) and ray is None
     assert (b @ v.T).min() >= -1e-9
     for _ in range(20):
         assert_best_vertex_is_highs_optimum(b, v, rng.standard_normal(r))
 
 
 # Run in a fresh interpreter: essential_match, one procedure and the CLI's
-# gen -> decompose (bundle) -> eval -> check ssc, all in process.
+# gen -> decompose (bundle) -> eval -> check ssc, all in process, the last
+# also on an unbounded, non-stochastic, full-rank matrix, refuted by the
+# double description's ray.
 _SCIPY_FREE_PATH = """
 import os, sys
+import numpy as np
 import ntdkit
 from ntdkit import cli
 from ntdkit.tensor import DenseTensor, write_tensor_json
@@ -394,13 +395,16 @@ assert ntdkit.essential_match(model, inst.truth).matched
 bundle, out = os.path.join(work, "inst"), os.path.join(work, "model.json")
 matrix = os.path.join(work, "h.json")
 write_tensor_json(DenseTensor.from_array(inst.truth.factors[0]), matrix)
+unbounded = os.path.join(work, "unbounded.json")
+write_tensor_json(DenseTensor.from_array(np.array([[2.0, 0.0], [1.0, 1.0]])),
+                  unbounded)
 for argv in (["gen", "--assumption", "A4.2", "--dims", "12,12,8",
               "--ranks", "3,3,2", "--seed", "5", "--out", bundle],
              ["decompose", "--procedure", "1", "--input", bundle,
               "--ranks", "3,3,2", "--out", out],
              ["eval", "--model", out, "--truth",
               os.path.join(bundle, "truth.json")],
-             ["check", "ssc", matrix]):
+             ["check", "ssc", matrix], ["check", "ssc", unbounded]):
     assert cli.main(argv) == 0, argv
 print("scipy.optimize" in sys.modules)
 """
@@ -578,11 +582,12 @@ def test_extreme_rays_match_reference(name, chunk, monkeypatch):
 @pytest.mark.parametrize("name", sorted(DD_SECTIONS))
 def test_cross_section_vertices_contract(name, chunk, monkeypatch):
     # Each vertex once, rows in strictly increasing lexicographic order,
-    # feasible within the tolerance and on a . y = 1; the unbounded flag
-    # and the vertices are the reference's.
+    # feasible within the tolerance and on a . y = 1; a ray exactly when the
+    # reference is unbounded, on a . y = 0 and receding, and the vertices
+    # are the reference's.
     monkeypatch.setattr(lp, "_PAIR_CHUNK", chunk)
     b, a = DD_SECTIONS[name]
-    v, unbounded = cross_section_vertices(b, a, _VERTEX_ENUM_CAP)
+    v, ray = cross_section_vertices(b, a, _VERTEX_ENUM_CAP)
     ref, ref_unbounded = reference_cross_section_vertices(b, a,
                                                           _VERTEX_ENUM_CAP)
     assert v.shape[1] == b.shape[1]
@@ -591,7 +596,11 @@ def test_cross_section_vertices_contract(name, chunk, monkeypatch):
         scale = max(1.0, np.abs(b).max())
         assert (v @ b.T).min() >= -1e-9 * scale
         assert np.abs(v @ a - 1.0).max() <= 1e-9
-    assert unbounded == ref_unbounded
+    assert (ray is not None) == ref_unbounded
+    if ray is not None:
+        norm = np.linalg.norm(ray)
+        assert norm > 0 and abs(a @ ray) <= 1e-12 * np.linalg.norm(a) * norm
+        assert (b @ ray).min() >= -1e-9 * max(1.0, np.abs(b).max()) * norm
     assert np.array_equal(v, ref)
 
 
@@ -603,5 +612,5 @@ def test_positively_spanning_rows_cut_every_ray(r):
     u = np.vstack([np.eye(r), -np.eye(r)])
     rays = lp._extreme_rays(u, _VERTEX_ENUM_CAP)
     assert rays.shape == (0, r)
-    v, unbounded = cross_section_vertices(u, np.ones(r), _VERTEX_ENUM_CAP)
-    assert v.shape == (0, r) and not unbounded
+    v, ray = cross_section_vertices(u, np.ones(r), _VERTEX_ENUM_CAP)
+    assert v.shape == (0, r) and ray is None

@@ -226,6 +226,17 @@ class TestMaxdetSimplex:
         with pytest.raises(SolverError):
             maxdet_simplex(b, CFG)
 
+    def test_rank_deficient_cross_section_is_unbounded(self):
+        # sum(b q) = 1 with b q >= 0 pins b q, so only a rank-deficient b
+        # leaves the cross-section a recession ray: a null vector of b.
+        b = np.random.default_rng(4).random((6, 2)) @ np.array(
+            [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        v, ray = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
+        assert len(v) == 0 and np.abs(b @ ray).max() <= 1e-12
+        with pytest.raises(SolverError,
+                           match="^maxdet cross-section is unbounded$"):
+            maxdet_simplex(b, CFG)
+
     def test_rank_8_ssc_recovered(self):
         # Certified SSC 40x8 factors have 31-42 cross-section vertices and
         # 7.9-118 M 8-subsets; the branch and bound needs a few nodes.
