@@ -7,12 +7,11 @@ vertex once by the double description method (Motzkin et al. 1953, as in
 Fukuda & Prodon 1996) in numpy alone: the extreme rays of the cone
 ``{y : [b; a] y >= 0}`` with ``a . y > 0``, each scaled to ``a . y = 1``,
 kept if feasible and sorted lexicographically.  No subset of rows is
-solved, and each cut masks rows instead of gathering them.  Each cut's
-adjacency test runs on integer bitsets, one Python int per ray's zero
-mask, when the step is small enough that numpy's per-call cost would
-dominate, and on float 0/1 blocks otherwise; both give the same pairs in
-the same order, so the rays do not depend on the path.  The same
-description hands back a recession ray of an unbounded cross-section.
+solved.  A step small enough that numpy's per-call cost would dominate
+tests adjacency on zero masks held as Python ints and builds its new rays
+in Python floats, larger ones run on float 0/1 blocks; both give the same
+rays bit for bit.  The same description hands back a recession ray of an
+unbounded cross-section.
 The objectives the package maximizes over a bounded cross-section (a
 norm, a determinant linear in each column) peak at vertices, so within
 the ray budget callers solve no LP.  Past it the SSC1 refutation search
@@ -38,10 +37,10 @@ _VERTEX_ENUM_CAP = 2048
 # Entries per block of the float pair test, ``_block_pairs``.
 _PAIR_CHUNK = 1 << 20
 
-# Largest |pos| * |neg| * |rays| of a double-description step whose pair
-# test runs on integer bitsets.  Up to about this size a step costs more in
-# numpy calls than in arithmetic; on larger ones (dense 60x8 inputs) the
-# bitset loop is about 10x slower than the float blocks.
+# Bound on |rays|**3 >= |pos| * |neg| * |rays| of a double-description
+# step run in Python ints and floats; past it (16 rays) numpy is faster.
+# Only steps at r <= 7 qualify: numpy's add.reduce sums up to 7 squares in
+# order, as a Python loop does, but 8 or more with 8 accumulators.
 _BITSET_WORK = 4096
 
 # Rows and rays are unit vectors in the double description; a row whose
@@ -81,43 +80,82 @@ def linprog_dense(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     raise SolverError(f"HiGHS failed: {res.message}")
 
 
-def _adjacent_pairs(zeros, pos, neg, r):
-    """Rays ``p`` of ``pos`` and ``q`` of ``neg`` that span a 2-face, by
-    the combinatorial test: at least r-2 rows are active at both and no
-    third ray is active on all of them; ``zeros`` is one activity mask over
-    all rows, False on the unprocessed ones.  Pairs come in row-major order
-    of (``pos``, ``neg``).  The test runs on integer bitsets when it checks
-    at most ``_BITSET_WORK`` (pair, ray) combinations, else on float blocks;
-    both give the same pairs."""
-    if len(pos) * len(neg) * len(zeros) <= _BITSET_WORK:
-        return _bitset_pairs(zeros, pos, neg, r)
-    return _block_pairs(zeros, pos, neg, r)
-
-
-def _bitset_pairs(zeros, pos, neg, r):
-    """The pair test with each ray's zero mask packed into one Python int,
-    for small candidate sets, where numpy's per-call cost dominates."""
-    packed = np.packbits(zeros, axis=1)
-    width, data = packed.shape[1], packed.tobytes()
-    masks = [int.from_bytes(data[at:at + width], "big")
-             for at in range(0, len(data), width)]
-    ps, qs, negs = [], [], neg.tolist()
-    for p in pos.tolist():
-        mp = masks[p]
-        for q in negs:
-            common = mp & masks[q]
-            if common.bit_count() < r - 2:
+def _adjacent_pairs(u, rays, vals, rows, masks, i):
+    """One cut by row ``i``, on which the rays have values ``s``: rays
+    below ``-_ZERO_TOL`` give way, after the kept ones, to a unit ray
+    ``s[p] rays[q] - s[q] rays[p]`` per pair (``p`` above ``_ZERO_TOL``,
+    ``q`` below, row-major) that is adjacent: at least r-2 processed
+    ``rows`` are active at both and no third ray on all of them.  Returns
+    the rays, their values on the rows of ``u`` and their zero masks, one
+    Python int each (bit k for row k), carried by steps within
+    ``_BITSET_WORK`` at r <= 7, which run in Python; others run on float
+    0/1 blocks and return None, so the next small step reads the masks
+    from ``vals``.  Both give the same rays and values bit for bit.
+    """
+    r = u.shape[1]
+    if r <= 7 and len(rays) ** 3 <= _BITSET_WORK:
+        if masks is None:
+            masks = _zero_masks(vals, rows)
+        s = vals[:, i].tolist()
+        pos, neg, keep, kept = [], [], [], []
+        for j, x in enumerate(s):
+            if x < -_ZERO_TOL:
+                neg.append(j)
                 continue
-            holders = 0
-            for m in masks:
-                if m & common == common:
-                    holders += 1
-                    if holders > 2:
-                        break
-            if holders == 2:
-                ps.append(p)
-                qs.append(q)
-    return np.array(ps, dtype=pos.dtype), np.array(qs, dtype=neg.dtype)
+            if x > _ZERO_TOL:
+                pos.append(j)
+            keep.append(j)
+            kept.append(masks[j] | 1 << i if x <= _ZERO_TOL else masks[j])
+        listed, new = rays.tolist(), []
+        for p in pos:
+            mp, sp, rp = masks[p], s[p], listed[p]
+            for q in neg:
+                common = mp & masks[q]
+                if common.bit_count() < r - 2:
+                    continue
+                holders = 0
+                for m in masks:
+                    if m & common == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                if holders != 2:
+                    continue
+                sq = s[q]
+                ray = [sp * y - sq * x for x, y in zip(rp, listed[q])]
+                norm = 0.0
+                for x in ray:  # add.reduce's order for up to 7 terms
+                    norm += x * x
+                norm = math.sqrt(norm)
+                new.append([x / norm for x in ray])
+        new = np.array(new).reshape(-1, r)
+        added = new @ u.T
+        masks = kept + _zero_masks(added, rows + [i])
+        keep = np.array(keep, dtype=np.intp)
+        return (np.concatenate([rays.take(keep, 0), new]),
+                np.concatenate([vals.take(keep, 0), added]), masks)
+    s = vals[:, i]
+    keep = ~(s < -_ZERO_TOL)
+    processed = np.bincount(rows, minlength=len(u)) > 0
+    p, q = _block_pairs((np.abs(vals) <= _ZERO_TOL) & processed,
+                        (s > _ZERO_TOL).nonzero()[0], (~keep).nonzero()[0], r)
+    new = s[p][:, None] * rays.take(q, 0) - s[q][:, None] * rays.take(p, 0)
+    new /= np.sqrt(np.add.reduce(new * new, axis=1, keepdims=True))
+    return (np.concatenate([rays.compress(keep, 0), new]),
+            np.concatenate([vals.compress(keep, 0), new @ u.T]), None)
+
+
+def _zero_masks(vals, rows):
+    """Each ray's zero mask over ``rows`` as a Python int: bit k is set
+    where its value on row k is within ``_ZERO_TOL``."""
+    masks = []
+    for row in vals.tolist():
+        mask = 0
+        for k in rows:
+            if -_ZERO_TOL <= row[k] <= _ZERO_TOL:
+                mask |= 1 << k
+        masks.append(mask)
+    return masks
 
 
 def _block_pairs(zeros, pos, neg, r):
@@ -154,8 +192,9 @@ def _extreme_rays(u, max_rays):
     unprocessed row with the most negative value on a current ray (rows
     and rays are unit vectors; processed rows count as +inf), ties to the
     lowest index.  The rays it cuts off are replaced by one new ray per
-    adjacent pair across its hyperplane.  Once no unprocessed row is below
-    ``-_ZERO_TOL`` on a ray, the rest are redundant.
+    adjacent pair across its hyperplane (``_adjacent_pairs``).  Once no
+    unprocessed row is below ``-_ZERO_TOL`` on a ray, the rest are
+    redundant.
     """
     r = u.shape[1]
     if len(u) < r:
@@ -166,28 +205,23 @@ def _extreme_rays(u, max_rays):
         k = int(norms.argmax())
         if norms[k] <= 1e-20:
             return None
-        res -= (res @ res[k])[:, None] * (res[k] / norms[k])
         basis.append(k)
+        if len(basis) < r:
+            res -= (res @ res[k])[:, None] * (res[k] / norms[k])
     rays = np.linalg.inv(u[basis]).T
     rays /= np.sqrt(np.add.reduce(rays * rays, axis=1, keepdims=True))
     vals = rays @ u.T
     done = np.zeros(len(u))
     done[basis] = np.inf
+    rows, masks = basis, None
     while True:
         depth = vals.min(axis=0, initial=np.inf) + done
         i = int(depth.argmin())
         if depth[i] >= -_ZERO_TOL:
             return rays
-        s = vals[:, i]
-        neg = s < -_ZERO_TOL
-        p, q = _adjacent_pairs((np.abs(vals) <= _ZERO_TOL) & (done > 0),
-                               (s > _ZERO_TOL).nonzero()[0],
-                               neg.nonzero()[0], r)
-        new = s[p][:, None] * rays.take(q, 0) - s[q][:, None] * rays.take(p, 0)
-        new /= np.sqrt(np.add.reduce(new * new, axis=1, keepdims=True))
-        rays = np.concatenate([rays.compress(~neg, 0), new])
-        vals = np.concatenate([vals.compress(~neg, 0), new @ u.T])
+        rays, vals, masks = _adjacent_pairs(u, rays, vals, rows, masks, i)
         done[i] = np.inf
+        rows.append(i)
         if len(rays) > max_rays:
             raise EnumerationCapError(
                 f"vertex enumeration passed {max_rays} intermediate rays")

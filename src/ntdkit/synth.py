@@ -14,7 +14,7 @@ from math import prod
 
 import numpy as np
 
-from .cones import _ssc_memo, check_ssc
+from .cones import ENUM_CAP_N, _ssc_memo, check_ssc
 from .errors import (GenerationError, InputError, PartitionError, ShapeError,
                      UsageError)
 from .evaluate import (_combination_rank, _full_slice_status,
@@ -47,7 +47,9 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
 
     Rows carry ``nnz_per_row`` uniform entries on random supports, every
     column is touched, columns are normalized to unit sum; draws are
-    rejected until the exact SSC check passes.
+    rejected until the exact SSC check passes, which it cannot past
+    ``GEN_SSC_MAX_RANK`` or ``cones.ENUM_CAP_N`` rows: those raise
+    ``GenerationError`` before any draw.
     """
     if not 2 <= r <= n:
         raise ShapeError(f"need n >= r >= 2, got n={n}, r={r}")
@@ -55,6 +57,9 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
         raise GenerationError(
             f"cannot certify SSC at r={r} (> {GEN_SSC_MAX_RANK})"
         )
+    if n > ENUM_CAP_N:
+        raise GenerationError(f"cannot certify SSC of a {n}x{r} factor: "
+                              f"n={n} > ENUM_CAP_N={ENUM_CAP_N}")
     if not 1 <= nnz_per_row <= r:
         raise ShapeError(f"nnz_per_row={nnz_per_row} out of range")
     rng = np.random.default_rng(0 if rng is None else rng)

@@ -513,7 +513,10 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
                  ("--solver-config", "{tmp}/neg-seed.cfg"))] + [
     # a zero rank, which the anchor-factor generators cannot draw
     (["gen", "--assumption", "A4.3", "--dims", "16,16,10", "--ranks",
-      "4,4,0", "--out", "{tmp}/g"], 2)])
+      "4,4,0", "--out", "{tmp}/g"], 2),
+    # SSC factors with more rows than the exact check enumerates
+    (["gen", "--assumption", "A4.2", "--dims", "61,61,30", "--ranks",
+      "4,4,3", "--out", "{tmp}/g"], 4)])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import ntdkit
-from ntdkit import lp
+from ntdkit import lp, solvers
 from ntdkit.errors import EnumerationCapError
 from ntdkit.lp import (_VERTEX_ENUM_CAP, cross_section_vertices,
                        linprog_dense)
-from ntdkit.solvers import _rank_r_svd, numerical_rank
+from ntdkit.procedures import procedure1, procedure3, procedure_d1
+from ntdkit.solvers import SolverConfig, _rank_r_svd, numerical_rank
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import SliceSpec, slice_matrix, unfold
 from tests.conftest import (range_basis, same_vertices, two_nonzero,
@@ -221,24 +222,24 @@ def unchunked_adjacent_pairs(zeros, pos, neg, r):
 
 
 def test_adjacent_pairs_chunks_match_unchunked(monkeypatch):
-    # Record every pair test of the double description on a dense 40x6
-    # input, then replay each with chunks of 64 entries: pairs, their order
-    # and the vertices must not change.
+    # Record every block pair test of the double description on a dense
+    # 40x6 input, then replay each with chunks of 64 entries: pairs, their
+    # order and the vertices must not change.
     b = np.random.default_rng(5).random((40, 6))
     calls = []
-    adjacent_pairs = lp._adjacent_pairs
+    block_pairs = lp._block_pairs
 
     def record(zeros, pos, neg, r):
         calls.append((zeros, pos, neg, r))
-        return adjacent_pairs(zeros, pos, neg, r)
+        return block_pairs(zeros, pos, neg, r)
 
-    monkeypatch.setattr(lp, "_adjacent_pairs", record)
+    monkeypatch.setattr(lp, "_block_pairs", record)
     v, ray = cross_section_vertices(b, np.ones(6), _VERTEX_ENUM_CAP)
-    monkeypatch.setattr(lp, "_adjacent_pairs", adjacent_pairs)
+    monkeypatch.setattr(lp, "_block_pairs", block_pairs)
     monkeypatch.setattr(lp, "_PAIR_CHUNK", 64)
     assert max(len(pos) * len(neg) for _, pos, neg, _ in calls) > 20 * 64
     for zeros, pos, neg, r in calls:
-        p, q = lp._adjacent_pairs(zeros, pos, neg, r)
+        p, q = lp._block_pairs(zeros, pos, neg, r)
         p0, q0 = unchunked_adjacent_pairs(zeros, pos, neg, r)
         assert np.array_equal(p, p0) and np.array_equal(q, q0)
     v_small, ray_small = cross_section_vertices(b, np.ones(6),
@@ -264,21 +265,103 @@ def random_zero_masks(rng, r):
     return (zeros, np.flatnonzero(side == 0), np.flatnonzero(side == 1))
 
 
+def random_step(rng, r):
+    """A double-description step on random rays: values of 0 on the
+    processed rows where ``random_zero_masks`` marks a ray active, positive
+    elsewhere, and the cut row last, above zero on ``pos``, below on
+    ``neg`` and 0 on the other rays."""
+    zeros, pos, neg = random_zero_masks(rng, r)
+    rays, rows = zeros.shape
+    s = np.zeros(rays)
+    s[pos] = rng.random(len(pos)) + 0.1
+    s[neg] = -rng.random(len(neg)) - 0.1
+    vals = np.column_stack([np.where(zeros, 0.0, rng.random(zeros.shape)
+                                     + 0.1), s])
+    return (rng.standard_normal((rows + 1, r)),
+            rng.standard_normal((rays, r)), vals, list(range(rows)), rows)
+
+
+def step_on_both_paths(monkeypatch, u, rays, vals, rows, masks, i):
+    """``lp._adjacent_pairs`` on the block and on the scalar path."""
+    out = []
+    for bound in (0, np.inf):
+        monkeypatch.setattr(lp, "_BITSET_WORK", bound)
+        out.append(lp._adjacent_pairs(u, rays, vals, rows, masks, i))
+    return out
+
+
 def test_bitset_pairs_equal_block_pairs(monkeypatch):
-    # The same pairs, in the same order, from both pair tests.
+    # The same new rays, so the same pairs in the same order, and the same
+    # values bit for bit from the scalar and the block step at every rank
+    # the scalar step takes; the scalar step's masks are its rays' zero
+    # masks.
     rng = np.random.default_rng(26)
     adjacent = 0
     for trial in range(600):
-        r = 2 + trial % 7
-        zeros, pos, neg = random_zero_masks(rng, r)
-        monkeypatch.setattr(lp, "_BITSET_WORK", 0)
-        p0, q0 = lp._adjacent_pairs(zeros, pos, neg, r)
-        monkeypatch.setattr(lp, "_BITSET_WORK", np.inf)
-        p, q = lp._adjacent_pairs(zeros, pos, neg, r)
-        assert np.array_equal(p, p0) and np.array_equal(q, q0)
-        assert p.dtype == p0.dtype and q.dtype == q0.dtype
-        adjacent += len(p)
+        r = 2 + trial % 6
+        u, rays, vals, rows, i = random_step(rng, r)
+        (rays0, vals0, none), (rays1, vals1, masks) = step_on_both_paths(
+            monkeypatch, u, rays, vals, rows, None, i)
+        assert np.array_equal(rays1, rays0) and np.array_equal(vals1, vals0)
+        assert none is None and masks == lp._zero_masks(vals1, rows + [i])
+        adjacent += len(rays1) - np.count_nonzero(vals[:, i] >= 0)
     assert adjacent > 600
+
+
+def test_scalar_steps_equal_block_steps(monkeypatch):
+    # Random small cones at r = 2..7: each recorded step gives the same new
+    # rays, so the same pairs in the same order, and the same values bit
+    # for bit on the scalar and on the block path, from carried masks and
+    # from masks read afresh; the rays at the end do not depend on the
+    # path the steps take.  Steps fall on both sides of _BITSET_WORK.
+    rng = np.random.default_rng(31)
+    step = lp._adjacent_pairs
+    steps = []
+
+    def record(u, rays, vals, rows, masks, i):
+        steps.append((u, rays, vals, list(rows), masks, i))
+        return step(u, rays, vals, rows, masks, i)
+
+    for trial in range(36):
+        r = 2 + trial % 6
+        n = int(rng.integers(r + 1, 30))
+        b = rng.random((n, r)) if trial % 2 else two_nonzero(n, r, rng)
+        u = dd_input(b, np.ones(r))
+        monkeypatch.setattr(lp, "_adjacent_pairs", record)
+        rays = lp._extreme_rays(u, _VERTEX_ENUM_CAP)
+        monkeypatch.setattr(lp, "_adjacent_pairs", step)
+        for bound in (0, np.inf):
+            monkeypatch.setattr(lp, "_BITSET_WORK", bound)
+            assert np.array_equal(lp._extreme_rays(u, _VERTEX_ENUM_CAP),
+                                  rays)
+        monkeypatch.undo()
+    small = {len(rays) ** 3 <= lp._BITSET_WORK for _, rays, *_ in steps}
+    assert small == {True, False}
+    for u, rays, vals, rows, masks, i in steps:
+        out = step_on_both_paths(monkeypatch, u, rays, vals, rows, masks, i)
+        if masks is not None:
+            out += step_on_both_paths(monkeypatch, u, rays, vals, rows,
+                                      None, i)
+        for got in out[1:]:
+            assert np.array_equal(got[0], out[0][0])
+            assert np.array_equal(got[1], out[0][1])
+        assert out[-1][2] == out[1][2]
+
+
+def test_rank_8_steps_take_the_block_path(monkeypatch):
+    # numpy sums rows of 8 or more squares in another order than a loop
+    # does, so no step at r = 8 runs on the scalar path, however small.
+    u = dd_input(np.random.default_rng(8).random((14, 8)), np.ones(8))
+    counts = {"_adjacent_pairs": 0, "_block_pairs": 0}
+    for name in counts:
+        def counted(*args, real=getattr(lp, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(lp, name, counted)
+    monkeypatch.setattr(lp, "_BITSET_WORK", np.inf)
+    rays = lp._extreme_rays(u, _VERTEX_ENUM_CAP)
+    assert counts["_block_pairs"] == counts["_adjacent_pairs"] > 0
+    assert np.array_equal(rays, reference_extreme_rays(u, _VERTEX_ENUM_CAP))
 
 
 @pytest.mark.parametrize("kind", ["two-nonzero", "dense", "kron"])
@@ -551,7 +634,42 @@ def build_dd_corpus():
     return sections, cones
 
 
+def criterion_7_sections():
+    """Cross-sections of instances at the criterion-7 shapes, r = 2..5:
+    each generated factor ``h`` with a = 1 (``check_ssc``) and each ``b``
+    that the procedure hands ``maxdet_simplex``, with a = b.sum(0)."""
+    sections = {}
+    maxdet = solvers.maxdet_simplex
+    for proc, assumption, dims, ranks in [
+            (procedure1, "A4.2", (20, 20, 15), (4, 4, 3)),
+            (procedure3, "A4.4", (18, 18, 20), (3, 3, 5)),
+            (procedure_d1, "A5.3", (15, 15, 12, 12), (3, 3, 2, 2))]:
+        inst = gen_instance(assumption, dims, ranks, seed=0)
+        for k, h in enumerate(inst.truth.factors):
+            sections[f"criterion-7-{assumption}-h{k}-{h.shape[0]}x"
+                     f"{h.shape[1]}"] = (h, np.ones(h.shape[1]))
+        seen = []
+
+        def record(b, cfg):
+            seen.append(b)
+            return maxdet(b, cfg)
+
+        solvers.maxdet_simplex = record
+        try:
+            proc(inst.tensor, ranks, SolverConfig())
+        finally:
+            solvers.maxdet_simplex = maxdet
+        for k, b in enumerate(seen):
+            sections[f"criterion-7-{assumption}-maxdet{k}-{b.shape[0]}x"
+                     f"{b.shape[1]}"] = (b, b.sum(axis=0))
+    return sections
+
+
 DD_SECTIONS, DD_CONES = build_dd_corpus()
+CRITERION_7 = criterion_7_sections()
+DD_SECTIONS.update(CRITERION_7)
+DD_CONES.update({name: dd_input(b, a) for name, (b, a) in
+                 CRITERION_7.items()})
 
 
 def dd_outcome(extreme_rays, u, max_rays):
@@ -602,6 +720,26 @@ def test_cross_section_vertices_contract(name, chunk, monkeypatch):
         assert norm > 0 and abs(a @ ray) <= 1e-12 * np.linalg.norm(a) * norm
         assert (b @ ray).min() >= -1e-9 * max(1.0, np.abs(b).max()) * norm
     assert np.array_equal(v, ref)
+
+
+def test_criterion_7_cross_sections_take_the_scalar_path(monkeypatch):
+    # Every cut of these double descriptions is a small step: none falls
+    # back to the float blocks, whose numpy calls would dominate.
+    steps = []
+    step = lp._adjacent_pairs
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    def refused(*args):
+        raise AssertionError("a small step took the block path")
+
+    monkeypatch.setattr(lp, "_adjacent_pairs", counted)
+    monkeypatch.setattr(lp, "_block_pairs", refused)
+    for b, a in CRITERION_7.values():
+        cross_section_vertices(b, a, _VERTEX_ENUM_CAP)
+    assert {u.shape[1] for u, *_ in steps} >= {3, 4, 5}
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])

@@ -37,6 +37,16 @@ class TestGenSscFactor:
         with pytest.raises(GenerationError):
             gen_ssc_factor(30, 7, rng)
 
+    def test_refuses_past_the_enumeration_cap_before_drawing(self):
+        # check_ssc past cones.ENUM_CAP_N rows can accept no draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        n = cones.ENUM_CAP_N + 1
+        with pytest.raises(GenerationError,
+                           match=f"{n}x4 .*ENUM_CAP_N={cones.ENUM_CAP_N}"):
+            gen_ssc_factor(n, 4, rng)
+        assert rng.bit_generator.state == state
+
     def test_acceptance_rate_near_reported(self):
         # two-nonzero 20x4 draws: a clear majority band, not all-or-nothing
         hits = 0
