@@ -23,8 +23,8 @@ import numpy as np
 from .cones import (check_pssc, check_separable, check_ssc,
                     counterexample_dims_ok, kron_ssc_margin,
                     kron_ssc_sufficient)
-from .errors import (ComputationError, InputError, NtdkitError, ShapeError,
-                     UsageError)
+from .errors import (ComputationError, GenerationError, InputError,
+                     NtdkitError, ShapeError, UsageError)
 from .evaluate import essential_match
 from .model import NtdModel
 from .procedures import (ModePartition, procedure0, procedure1, procedure2,
@@ -395,7 +395,8 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ComputationError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+        kind = "generation" if isinstance(exc, GenerationError) else "solver"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:  # every read already raises InputError
         print(f"error: cannot write: {exc}", file=sys.stderr)

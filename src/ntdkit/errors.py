@@ -61,4 +61,7 @@ class WitnessError(ComputationError):
 
 
 class GenerationError(ComputationError):
-    """Synthetic-instance generation budget exhausted."""
+    """Synthetic-instance generation failed: its draw budget ran out, or it
+    refused, before drawing, an SSC factor past the reach of the exact
+    certificate (more rows than ``cones.ENUM_CAP_N`` or a rank above
+    ``synth.GEN_SSC_MAX_RANK``)."""

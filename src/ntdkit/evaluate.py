@@ -10,15 +10,14 @@ shortest augmenting paths, without scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod, sqrt
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
                     estimate_min_p, kron_ssc_sufficient)
-from .errors import (EnumerationCapError, InputError, RankError,
-                     ShapeError, UsageError)
+from .errors import EnumerationCapError, InputError, RankError, ShapeError
 from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .solvers import _scan_slices, numerical_rank
@@ -185,10 +184,6 @@ class AssumptionReport:
         })
 
 
-_KNOWN_ASSUMPTIONS = ("A4.1", "A4.x-unfold", "A4.2", "A4.3", "A4.4", "A4.5",
-                      "A5.1", "A5.2", "A5.3", "A5.4", "A-sep")
-
-
 def _base_factor_checks(rep, truth, tol=1e-9):
     ok_sum = all(np.abs(u.sum(axis=0) - 1.0).max() <= 1e-7
                  for u in truth.factors)
@@ -271,136 +266,200 @@ def _combination_rank(t, mode, target, rng, trials=20):
     return best
 
 
-def _span_maximal(core, mode, target, seed):
-    """Probability-one surrogate for maximal rank of the slice span along
-    ``mode``; the span dimension is reported alongside."""
-    span_dim = numerical_rank(unfold(core, (mode,)))
-    best = _combination_rank(core, mode, target, np.random.default_rng(seed))
-    status = "pass" if best == target else "fail"
-    return status, f"best combo rank {best}, span dimension {span_dim}"
+class _Shape(NamedTuple):
+    """A shape rule, checked as ``name``; when it fails, ``gen_instance``
+    raises ``error`` as a ``ShapeError``, unless ``error`` is None."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+    error: str = None
+
+
+class _Group(NamedTuple):
+    """Factors of ``modes``, checked as ``name``: "ssc" (an SSC lead and
+    separable rest), "anchor" (SSC too), "sep" or "generic" (unchecked)."""
+
+    kind: str
+    modes: tuple
+    name: str = None
+
+
+class _Core(NamedTuple):
+    """A core condition, checked as ``name`` and drawn to unless
+    ``report_only``: "unfold" (the core unfolding along axes ``key``, the
+    tensor's if ``on_tensor``, has rank ``target``), "slice" (so has a
+    tensor slice over the (rows, fixed, cols) ``key``), "span" (so has a
+    Gaussian combination of the core slices along mode ``key``, checked
+    from the instance seed plus ``seed``) or "deficient" (none has)."""
+
+    kind: str
+    key: object
+    target: int = None
+    name: str = None
+    on_tensor: bool = False
+    seed: int = 0
+    report_only: bool = False
+
+
+def _ssc_each(modes, kind="ssc"):
+    return [_Group(kind, (k,), f"ssc-factor-{k}") for k in modes]
+
+
+def _generic_row(d, ranks, meta):  # A4.1, A5.1
+    return [_Group("generic", (k,)) for k in range(d)]
+
+
+def _unfolding_row(d, ranks, meta):  # A5.2
+    axes = tuple(meta.get("axes", (d - 1,)))
+    rest = tuple(k for k in range(d) if k not in axes)
+    ra, rb = prod(ranks[k] for k in axes), prod(ranks[k] for k in rest)
+    return [_Shape("rank-product", ra == rb, f"{rb} vs {ra}",
+                   "A5.2 needs equal rank products"),
+            _Core("unfold", axes, ra, "core-unfolding-rank"),
+            _Group("ssc", rest, "ssc-kron-group-rest"),
+            _Group("ssc", axes, "ssc-kron-group-axes")]
+
+
+def _slices_row(d, ranks, meta):  # A5.3
+    r = ranks[0]
+    ok = ranks[1] == r and all(q <= r for q in ranks[2:])
+    return [_Shape("rank-shape", ok, f"ranks {ranks}",
+                   "A5.3 needs r_i <= r1 == r2"), *_ssc_each(range(d)),
+            *(_Core("slice", ((0,), tuple(m for m in range(1, d) if m != i),
+                              (i,)), r if i == 1 else ranks[i],
+                    f"exists-full-[0,{i}]-slice") for i in range(1, d))]
+
+
+def _partition_row(d, ranks, meta):  # A5.4; rank rules and slice not drawn to
+    part = meta.get("partition")
+    if part is None:
+        return [_Shape("partition-present", False, "no partition in meta",
+                       "A5.4 needs an explicit partition in meta")]
+    groups = _partition(d, part["rows"], part["fixed"], part["cols"])
+    r, rj, rc = (prod(ranks[m] for m in g) for g in groups)
+    return [_Shape("rank-product", r == rc),
+            _Shape("fixed-rank-bound", rj <= r * r, f"{rj} vs r^2={r * r}"),
+            _Core("unfold", groups[1], rj, "core-unfolding-rank"),
+            *(_Group("ssc", g, f"ssc-kron-group-{name}")
+              for name, g in zip(("rows", "fixed", "cols"), groups)),
+            _Core("slice", groups, r, "exists-full-generalized-slice",
+                  report_only=True)]
+
+
+def _separable_row(d, ranks, meta):  # A-sep
+    return [*(_Group("sep", (k,), f"separable-factor-{k}") for k in range(d)),
+            *(_Core("unfold", (k,), ranks[k], f"unfolding-rank-{k}",
+                    on_tensor=True) for k in range(d))]
+
+
+def _a43_row(d, ranks, meta):
+    r, r2, r3 = ranks
+    return [_Shape("rank-shape", r2 == r and r3 <= r, f"ranks {ranks}"),
+            *_ssc_each((0, 1)), *_ssc_each((2,), "anchor"),
+            _Core("span", 2, r, "span-mode3-maximal", seed=31),
+            _Core("span", 1, r3, "span-mode2-maximal", seed=37),
+            _Core("deficient", 2)]
+
+
+def _a44_row(d, ranks, meta):
+    r, r2, r3 = ranks
+    return [_Shape("rank-shape", r2 == r and r3 <= r * r, f"ranks {ranks}"),
+            *_ssc_each((0, 1, 2)),
+            _Core("unfold", (2,), r3, "core-unfolding-rank"),
+            _Core("slice", ((0,), (2,), (1,)), r, "exists-full-mode3-slice")]
+
+
+def _a45_row(d, ranks, meta):
+    r, r2, r3 = ranks
+    return [_Shape("rank-shape", r2 == r and r3 <= r * r, f"ranks {ranks}"),
+            *_ssc_each((0, 1)), *_ssc_each((2,), "anchor"),
+            _Core("unfold", (2,), r3, "core-unfolding-rank"),
+            _Core("span", 2, r, "span-mode3-maximal", seed=31),
+            _Core("deficient", 2)]
+
+
+def _order3(row, shape, error, names=None):
+    """``row`` as an order-3 tag at its defaults: its leading ``shape``
+    check also fails at any other order and raises ``error``; ``names``
+    relabel its other checks, as ``procedures._order3`` relabels routes."""
+    def conditions(d, ranks, meta):
+        if d != 3:
+            return [_Shape(shape, False, f"order {d}, ranks {ranks}", error)]
+        first, *rest = row(d, ranks, {})
+        return [first._replace(error=error), *(c._replace(
+            name=(names or {}).get(c.name, c.name)) for c in rest)]
+    return conditions
+
+
+# Each tag's conditions at order d, ranks and meta, in draw and check
+# order; A4.x-unfold and A4.2 are the order-3 rows of A5.2 and A5.3.
+_ROWS = {
+    "A4.1": _generic_row,
+    "A4.x-unfold": _order3(_unfolding_row, "rank-product",
+                           "A4.x-unfold needs order 3 and r3 == r1*r2",
+                           {"ssc-kron-group-rest": "ssc-kron-group-0x1",
+                            "ssc-kron-group-axes": "ssc-factor-2"}),
+    "A4.2": _order3(_slices_row, "rank-shape",
+                    "A4.2 needs order 3 with r3 <= r1 == r2",
+                    {"exists-full-[0,1]-slice": "exists-full-mode3-slice",
+                     "exists-full-[0,2]-slice": "exists-full-mode2-slice"}),
+    "A4.3": _order3(_a43_row, "rank-shape",
+                    "A4.3 needs order 3 with r3 <= r1 == r2"),
+    "A4.4": _order3(_a44_row, "rank-shape",
+                    "A4.4 needs order 3 with r3 <= r^2, r1 == r2"),
+    "A4.5": _order3(_a45_row, "rank-shape",
+                    "A4.5 needs order 3 with r3 <= r^2, r1 == r2"),
+    "A5.1": _generic_row,
+    "A5.2": _unfolding_row,
+    "A5.3": _slices_row,
+    "A5.4": _partition_row,
+    "A-sep": _separable_row,
+}
+
+
+def _conditions(assumption_id, d, ranks, meta):
+    """The row of ``assumption_id``; ShapeError for an unknown tag."""
+    row = _ROWS.get(assumption_id) if isinstance(assumption_id, str) else None
+    if row is None:
+        raise ShapeError(f"unknown assumption id {assumption_id!r}")
+    return row(d, ranks, meta)
 
 
 def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
-    """Run the itemized checks of one assumption set on an instance.
+    """Run the base factor checks and the ``_ROWS`` row of one assumption
+    set on an instance.
 
     The instance must carry the ground truth (``truth`` model) beside the
     tensor; SSC checks run exactly within the enumeration cap and fall
     back to certified sufficient conditions beyond it.
     """
     aid = assumption_id or instance.assumption_id
-    if aid not in _KNOWN_ASSUMPTIONS:
-        raise UsageError(f"unknown assumption id {aid!r}")
-    t = instance.tensor
-    truth = instance.truth
-    ranks = truth.ranks
-    d = t.order
+    t, truth = instance.tensor, instance.truth
+    conditions = _conditions(aid, t.order, truth.ranks, instance.meta)
     rep = AssumptionReport(aid)
     _base_factor_checks(rep, truth)
-    core = truth.core
     seed = getattr(instance, "seed", 0)
-
-    def ssc_each(modes=None):
-        for i in modes if modes is not None else range(d):
-            status, detail = _factor_ssc_status(truth.factors[i])
-            rep.add(f"ssc-factor-{i}", status, detail)
-
-    if aid in ("A4.1", "A5.1"):
-        pass
-    elif aid == "A4.x-unfold":
-        r1, r2, r3 = ranks
-        rep.add("rank-product", "pass" if r3 == r1 * r2 else "fail",
-                f"r3={r3}, r1*r2={r1 * r2}")
-        k = numerical_rank(unfold(core, (2,)))
-        rep.add("core-unfolding-rank", "pass" if k == r3 else "fail",
-                f"rank {k}")
-        status, detail = _group_ssc_status(truth.factors[:2], ranks[:2])
-        rep.add("ssc-kron-group-0x1", status, detail)
-        ssc_each(modes=[2])
-    elif aid == "A4.2":
-        r = ranks[0]
-        rep.add("rank-shape", "pass" if ranks[1] == r and ranks[2] <= r
-                else "fail", f"ranks {ranks}")
-        ssc_each()
-        for mode, target in ((2, r), (1, ranks[2])):
-            rep.add(f"exists-full-mode{mode + 1}-slice",
-                    *_full_slice_status(t, _mode_groups(mode, d), target))
-    elif aid == "A4.3":
-        r = ranks[0]
-        rep.add("rank-shape", "pass" if ranks[1] == r and ranks[2] <= r
-                else "fail", f"ranks {ranks}")
-        ssc_each()
-        rep.add("span-mode3-maximal", *_span_maximal(core, 2, r, seed + 31))
-        rep.add("span-mode2-maximal",
-                *_span_maximal(core, 1, ranks[2], seed + 37))
-    elif aid in ("A4.4", "A4.5"):
-        r = ranks[0]
-        ok = ranks[1] == r and sqrt(ranks[2]) <= r + 1e-12
-        rep.add("rank-shape", "pass" if ok else "fail", f"ranks {ranks}")
-        ssc_each()
-        k = numerical_rank(unfold(core, (2,)))
-        rep.add("core-unfolding-rank", "pass" if k == ranks[2] else "fail",
-                f"rank {k}")
-        if aid == "A4.4":
-            rep.add("exists-full-mode3-slice",
-                    *_full_slice_status(t, _mode_groups(2, d), r))
-        else:
-            rep.add("span-mode3-maximal",
-                    *_span_maximal(core, 2, r, seed + 31))
-    elif aid == "A5.2":
-        axes = tuple(instance.meta.get("axes", (d - 1,)))
-        rest = tuple(k for k in range(d) if k not in axes)
-        ra = prod(ranks[k] for k in axes)
-        rb = prod(ranks[k] for k in rest)
-        rep.add("rank-product", "pass" if ra == rb else "fail",
-                f"{rb} vs {ra}")
-        k = numerical_rank(unfold(core, axes))
-        rep.add("core-unfolding-rank", "pass" if k == ra else "fail",
-                f"rank {k}")
-        for name, modes in (("rest", rest), ("axes", axes)):
-            status, detail = _group_ssc_status(
-                [truth.factors[m] for m in modes],
-                [ranks[m] for m in modes])
-            rep.add(f"ssc-kron-group-{name}", status, detail)
-    elif aid == "A5.3":
-        r = ranks[0]
-        ok = ranks[1] == r and all(ranks[i] <= r for i in range(2, d))
-        rep.add("rank-shape", "pass" if ok else "fail", f"ranks {ranks}")
-        ssc_each()
-        for i in range(1, d):
-            target = r if i == 1 else ranks[i]
-            others = tuple(m for m in range(d) if m not in (0, i))
-            rep.add(f"exists-full-[0,{i}]-slice", *_full_slice_status(
-                t, ((0,), others, (i,)), target))
-    elif aid == "A5.4":
-        part = instance.meta.get("partition")
-        if part is None:
-            rep.add("partition-present", "fail", "no partition in meta")
-        else:
-            rows, fixed_modes, cols = _partition(d, part["rows"],
-                                                 part["fixed"], part["cols"])
-            r = prod(ranks[m] for m in rows)
-            rep.add("rank-product",
-                    "pass" if r == prod(ranks[m] for m in cols) else "fail")
-            rj = prod(ranks[m] for m in fixed_modes)
-            rep.add("fixed-rank-bound", "pass" if rj <= r * r else "fail",
-                    f"{rj} vs r^2={r * r}")
-            k = numerical_rank(unfold(core, fixed_modes))
-            rep.add("core-unfolding-rank", "pass" if k == rj else "fail",
-                    f"rank {k}")
-            for name, modes in (("rows", rows), ("fixed", fixed_modes),
-                                ("cols", cols)):
-                status, detail = _group_ssc_status(
-                    [truth.factors[m] for m in modes],
-                    [ranks[m] for m in modes])
-                rep.add(f"ssc-kron-group-{name}", status, detail)
-            rep.add("exists-full-generalized-slice", *_full_slice_status(
-                t, (rows, fixed_modes, cols), r))
-    elif aid == "A-sep":
-        for i, u in enumerate(truth.factors):
-            sep, _ = check_separable(u)
-            rep.add(f"separable-factor-{i}", "pass" if sep else "fail")
-        for k in range(d):
-            rk = numerical_rank(unfold(t, (k,)))
-            rep.add(f"unfolding-rank-{k}",
-                    "pass" if rk == ranks[k] else "fail", f"rank {rk}")
+    for c in (c for c in conditions if c.name is not None):
+        if isinstance(c, _Shape):
+            rep.add(c.name, "pass" if c.ok else "fail", c.detail)
+        elif isinstance(c, _Group) and c.kind == "sep":
+            ok = all(check_separable(truth.factors[m])[0] for m in c.modes)
+            rep.add(c.name, "pass" if ok else "fail")
+        elif isinstance(c, _Group):
+            rep.add(c.name, *_group_ssc_status(
+                [truth.factors[m] for m in c.modes],
+                [truth.ranks[m] for m in c.modes]))
+        elif c.kind == "unfold":
+            k = numerical_rank(unfold(t if c.on_tensor else truth.core,
+                                      c.key))
+            rep.add(c.name, "pass" if k == c.target else "fail", f"rank {k}")
+        elif c.kind == "slice":
+            rep.add(c.name, *_full_slice_status(t, c.key, c.target))
+        else:  # a probability-one surrogate for a maximal-rank span
+            best = _combination_rank(truth.core, c.key, c.target,
+                                     np.random.default_rng(seed + c.seed))
+            span = numerical_rank(unfold(truth.core, (c.key,)))
+            rep.add(c.name, "pass" if best == c.target else "fail",
+                    f"best combo rank {best}, span dimension {span}")
     return rep.finish()

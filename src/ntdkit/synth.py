@@ -17,7 +17,8 @@ import numpy as np
 from .cones import ENUM_CAP_N, _ssc_memo, check_ssc
 from .errors import (GenerationError, InputError, PartitionError, ShapeError,
                      UsageError)
-from .evaluate import (_combination_rank, _full_slice_status,
+from .evaluate import (_combination_rank, _conditions, _Core,
+                       _full_slice_status, _Group, _Shape,
                        validate_assumptions)
 from .model import NtdModel
 from .procedures import ModePartition
@@ -109,7 +110,8 @@ class CoreConstraints:
     """Requested certified properties of a random core tensor."""
 
     unfolding_ranks: dict = field(default_factory=dict)  # axes tuple -> rank
-    exists_full_slice: dict = field(default_factory=dict)  # mode -> rank
+    # mode, or (rows, fixed, cols) mode groups -> rank
+    exists_full_slice: dict = field(default_factory=dict)
     span_maximal: dict = field(default_factory=dict)  # mode -> rank
     nonneg: bool = False
     deficient_slices_mode: int = None  # every slice along it rank-deficient
@@ -138,17 +140,12 @@ def gen_core(ranks, constraints=None, rng=None, max_tries=100):
     ranks = tuple(int(r) for r in ranks)
     constraints = constraints or CoreConstraints()
     rng = np.random.default_rng(0 if rng is None else rng)
+    mode = constraints.deficient_slices_mode
     for _ in range(max_tries):
-        if constraints.deficient_slices_mode is not None:
-            core = _structured_deficient_core(
-                ranks, constraints.deficient_slices_mode, rng)
-            if constraints.nonneg:
-                core = DenseTensor(core.dims, np.abs(core.data))
-        else:
-            data = rng.standard_normal(prod(ranks))
-            if constraints.nonneg:
-                data = np.abs(data)
-            core = DenseTensor(ranks, data)
+        core = DenseTensor(ranks, rng.standard_normal(prod(ranks))) \
+            if mode is None else _structured_deficient_core(ranks, mode, rng)
+        if constraints.nonneg:
+            core = DenseTensor(ranks, np.abs(core.data))
         if _core_ok(core, constraints, rng):
             return core
     raise GenerationError(
@@ -161,8 +158,9 @@ def _core_ok(core, constraints, rng):
     for axes, target in constraints.unfolding_ranks.items():
         if numerical_rank(unfold(core, tuple(axes))) != target:
             return False
-    for mode, target in constraints.exists_full_slice.items():
-        groups = _mode_groups(mode, core.order)
+    for key, target in constraints.exists_full_slice.items():
+        groups = key if isinstance(key, tuple) else \
+            _mode_groups(key, core.order)
         if _full_slice_status(core, groups, target)[0] != "pass":
             return False
     for mode, target in constraints.span_maximal.items():
@@ -176,12 +174,6 @@ def _core_ok(core, constraints, rng):
                               full)[0] == "pass":
             return False
     return True
-
-
-def _compose(factors, core, assumption_id, seed, meta):
-    truth = NtdModel(factors, core, core.dims, {"generator": assumption_id})
-    tensor = truth.reconstruct()
-    return Instance(tensor, truth, assumption_id, seed, meta)
 
 
 def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
@@ -231,7 +223,10 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     with _ssc_memo():
         for _ in range(max_tries):
             factors, core = _draw(assumption_id, dims, ranks, rng, meta)
-            inst = _compose(factors, core, assumption_id, seed, meta)
+            truth = NtdModel(factors, core, core.dims,
+                             {"generator": assumption_id})
+            inst = Instance(truth.reconstruct(), truth, assumption_id, seed,
+                            meta)
             report = validate_assumptions(inst, assumption_id)
             if report.overall == "pass":
                 inst.meta["validation"] = report.to_json()
@@ -244,93 +239,38 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
 
 
 def _draw(assumption_id, dims, ranks, rng, meta):
-    d = len(dims)
+    """Factors and core of one draw from the row of ``assumption_id``: its
+    leading shape rules raise, its factor groups are drawn in row order
+    and the core to its core conditions."""
+    factors = [None] * len(dims)
+    wanted = {"unfold": {}, "slice": {}, "span": {}, "deficient": {}}
+    for c in _conditions(assumption_id, len(dims), ranks, meta):
+        if isinstance(c, _Shape) and not c.ok and c.error:
+            raise ShapeError(c.error)
+        if isinstance(c, _Group):
+            for pos, k in enumerate(c.modes):
+                factors[k] = _draw_factor(c.kind if pos == 0 else "sep",
+                                          dims[k], ranks[k], rng)
+        elif isinstance(c, _Core) and not c.report_only:
+            wanted[c.kind][c.key] = c.target
+    core = gen_core(ranks, CoreConstraints(
+        unfolding_ranks=wanted["unfold"], exists_full_slice=wanted["slice"],
+        span_maximal=wanted["span"],
+        deficient_slices_mode=next(iter(wanted["deficient"]), None)), rng)
+    return factors, core
 
-    def ssc(k):
+
+def _draw_factor(kind, n, r, rng):
+    if kind == "ssc":
         # At r=2 the SSC equals separability, which two-nonzero rows can
         # never satisfy; fall back to one nonzero per row there.
-        nnz = 1 if ranks[k] == 2 else 2
-        return gen_ssc_factor(dims[k], ranks[k], rng, nnz_per_row=nnz)
-
-    def sep(k):
-        return gen_separable_factor(dims[k], ranks[k], rng)
-
-    def generic(k):
-        u = np.abs(rng.standard_normal((dims[k], ranks[k]))) + 0.05
-        return u / u.sum(axis=0)
-
-    if assumption_id in ("A4.1", "A5.1"):
-        factors = [generic(k) for k in range(d)]
-        core = gen_core(ranks, rng=rng)
-    elif assumption_id == "A4.x-unfold":
-        if d != 3 or ranks[2] != ranks[0] * ranks[1]:
-            raise ShapeError("A4.x-unfold needs order 3 and r3 == r1*r2")
-        factors = [ssc(0), sep(1), ssc(2)]
-        core = gen_core(ranks, CoreConstraints(
-            unfolding_ranks={(2,): ranks[2]}), rng)
-    elif assumption_id == "A4.2":
-        if d != 3 or ranks[0] != ranks[1] or ranks[2] > ranks[0]:
-            raise ShapeError("A4.2 needs order 3 with r3 <= r1 == r2")
-        factors = [ssc(0), ssc(1), ssc(2)]
-        core = gen_core(ranks, CoreConstraints(
-            exists_full_slice={2: ranks[0], 1: ranks[2]}), rng)
-    elif assumption_id == "A4.3":
-        if d != 3 or ranks[0] != ranks[1] or ranks[2] > ranks[0]:
-            raise ShapeError("A4.3 needs order 3 with r3 <= r1 == r2")
-        factors = [ssc(0), ssc(1), gen_anchor_factor(dims[2], ranks[2], rng)]
-        core = gen_core(ranks, CoreConstraints(
-            span_maximal={2: ranks[0], 1: ranks[2]},
-            deficient_slices_mode=2), rng)
-    elif assumption_id == "A4.4":
-        if d != 3 or ranks[0] != ranks[1] or ranks[2] > ranks[0] ** 2:
-            raise ShapeError("A4.4 needs order 3 with r3 <= r^2, r1 == r2")
-        factors = [ssc(0), ssc(1), ssc(2)]
-        core = gen_core(ranks, CoreConstraints(
-            unfolding_ranks={(2,): ranks[2]},
-            exists_full_slice={2: ranks[0]}), rng)
-    elif assumption_id == "A4.5":
-        if d != 3 or ranks[0] != ranks[1] or ranks[2] > ranks[0] ** 2:
-            raise ShapeError("A4.5 needs order 3 with r3 <= r^2, r1 == r2")
-        factors = [ssc(0), ssc(1), gen_anchor_factor(dims[2], ranks[2], rng)]
-        core = gen_core(ranks, CoreConstraints(
-            unfolding_ranks={(2,): ranks[2]},
-            span_maximal={2: ranks[0]},
-            deficient_slices_mode=2), rng)
-    elif assumption_id == "A5.2":
-        axes = tuple(meta.get("axes", (d - 1,)))
-        rest = tuple(k for k in range(d) if k not in axes)
-        if prod(ranks[k] for k in axes) != prod(ranks[k] for k in rest):
-            raise ShapeError("A5.2 needs equal rank products")
-        factors = [None] * d
-        for group in (rest, axes):
-            for pos, k in enumerate(group):
-                factors[k] = ssc(k) if pos == 0 else sep(k)
-        core = gen_core(ranks, CoreConstraints(
-            unfolding_ranks={axes: prod(ranks[k] for k in axes)}), rng)
-    elif assumption_id == "A5.3":
-        if ranks[0] != ranks[1] or any(r > ranks[0] for r in ranks[2:]):
-            raise ShapeError("A5.3 needs r_i <= r1 == r2")
-        factors = [ssc(k) for k in range(d)]
-        core = gen_core(ranks, rng=rng)
-    elif assumption_id == "A5.4":
-        part = meta.get("partition")
-        if part is None:
-            raise ShapeError("A5.4 needs an explicit partition in meta")
-        rows, fixed, cols = (tuple(part["rows"]), tuple(part["fixed"]),
-                             tuple(part["cols"]))
-        factors = [None] * d
-        for group in (rows, fixed, cols):
-            for pos, k in enumerate(group):
-                factors[k] = ssc(k) if pos == 0 else sep(k)
-        core = gen_core(ranks, CoreConstraints(
-            unfolding_ranks={fixed: prod(ranks[k] for k in fixed)}), rng)
-    elif assumption_id == "A-sep":
-        factors = [sep(k) for k in range(d)]
-        core = gen_core(ranks, CoreConstraints(
-            unfolding_ranks={(k,): ranks[k] for k in range(d)}), rng)
-    else:
-        raise ShapeError(f"unknown assumption id {assumption_id!r}")
-    return factors, core
+        return gen_ssc_factor(n, r, rng, nnz_per_row=1 if r == 2 else 2)
+    if kind == "sep":
+        return gen_separable_factor(n, r, rng)
+    if kind == "anchor":
+        return gen_anchor_factor(n, r, rng)
+    u = np.abs(rng.standard_normal((n, r))) + 0.05
+    return u / u.sum(axis=0)
 
 
 def save_instance(inst: Instance, path):

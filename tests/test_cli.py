@@ -52,6 +52,14 @@ class TestGen:
             assert (tmp_path / "a" / f).read_bytes() == \
                 (tmp_path / "b" / f).read_bytes()
 
+    def test_generation_error_named_as_such(self, tmp_path, capsys):
+        # SSC factors with more rows than the exact check enumerates
+        code = main(["gen", "--assumption", "A4.2", "--dims", "61,61,30",
+                     "--ranks", "4,4,3", "--out", str(tmp_path / "g")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("generation error: ") and "ENUM_CAP_N" in err
+
 
 class TestCheck:
     def test_dims_ok(self, capsys):

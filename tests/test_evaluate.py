@@ -338,6 +338,21 @@ class TestValidateAssumptions:
         names = {n: s for n, s, _ in report.checks}
         assert names["no-zero-columns"] == "fail"
 
+    @pytest.mark.parametrize("aid", ["A4.x-unfold", "A4.2", "A4.3", "A4.4",
+                                     "A4.5"])
+    def test_order4_instance_fails_order3_shape(self, aid):
+        inst = gen_instance("A5.3", (10, 10, 8, 8), (3, 3, 2, 2), seed=5)
+        report = validate_assumptions(inst, aid)
+        shape = "rank-product" if aid == "A4.x-unfold" else "rank-shape"
+        assert (shape, "fail") in [(n, s) for n, s, _ in report.checks]
+        assert report.overall == "fail"
+
+    def test_no_partition_fails_a54(self):
+        inst = gen_instance("A4.2", (10, 10, 8), (3, 3, 2), seed=6)
+        report = validate_assumptions(inst, "A5.4")
+        assert report.checks[-1][:2] == ("partition-present", "fail")
+        assert report.overall == "fail"
+
     def test_unknown_id(self, rng):
         inst = gen_instance("A4.1", (5, 4, 3), (2, 2, 2), seed=7)
         with pytest.raises(UsageError):

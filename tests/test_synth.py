@@ -9,7 +9,7 @@ from ntdkit import cones
 from ntdkit.cones import check_separable, check_ssc
 from ntdkit.errors import (GenerationError, InputError, PartitionError,
                            ShapeError, UsageError)
-from ntdkit.evaluate import _full_slice_status, validate_assumptions
+from ntdkit.evaluate import _ROWS, _full_slice_status, validate_assumptions
 from ntdkit.solvers import numerical_rank, spa_separable_nmf
 from ntdkit.synth import (CoreConstraints, _core_ok,
                           _structured_deficient_core, gen_anchor_factor,
@@ -229,6 +229,34 @@ EVERY_TAG = [
      {"partition": {"rows": [0, 1], "fixed": [3], "cols": [2]}}),
     ("A-sep", (12, 10, 8), (3, 3, 2), {}),
 ]
+
+
+class TestTagTable:
+    """One table row per tag, read by the generator and the validator."""
+
+    def test_every_row_has_a_seeded_case(self):
+        assert set(_ROWS) == {case[0] for case in EVERY_TAG}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tag,dims,ranks,order_d,kwargs,names", [
+        ("A4.2", (20, 20, 15), (4, 4, 3), "A5.3", {},
+         {"exists-full-[0,1]-slice": "exists-full-mode3-slice",
+          "exists-full-[0,2]-slice": "exists-full-mode2-slice"}),
+        ("A4.x-unfold", (6, 5, 40), (2, 2, 4), "A5.2", {"axes": (2,)},
+         {"ssc-kron-group-rest": "ssc-kron-group-0x1",
+          "ssc-kron-group-axes": "ssc-factor-2"}),
+    ], ids=["A4.2", "A4.x-unfold"])
+    def test_order3_tags_are_order_d_rows(self, tag, dims, ranks, order_d,
+                                          kwargs, names, seed):
+        a = gen_instance(tag, dims, ranks, seed=seed)
+        b = gen_instance(order_d, dims, ranks, seed=seed, **kwargs)
+        assert a.tensor.data.tobytes() == b.tensor.data.tobytes()
+        for ua, ub in zip(a.truth.factors, b.truth.factors):
+            assert ua.tobytes() == ub.tobytes()
+        assert a.truth.core.data.tobytes() == b.truth.core.data.tobytes()
+        relabelled = [{**c, "name": names.get(c["name"], c["name"])}
+                      for c in b.meta["validation"]["checks"]]
+        assert relabelled == a.meta["validation"]["checks"]
 
 
 class TestCertifyOnce:
