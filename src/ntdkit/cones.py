@@ -6,14 +6,17 @@ polytope whose vertices decide SSC1 (all norms at most one), SSC2 (norm-one
 vertices sit at unit vectors) and p-SSC (all vertices inside the dual of the
 expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``).  Each vertex has one
 exact p-level, the least p that admits it, found by enumerating supports;
-``check_pssc`` and ``estimate_min_p`` compare and report the largest one,
-with no search over p.  One oracle, ``_vertices``, gives the vertices
-and, for an unbounded cross-section, a recession ray: in closed form when
-every column has an exact anchor row (one positive entry, in that column,
-kept by the double description's row filter), as ``h y >= 0`` is then
-``y >= 0`` and the cross-section is the unit simplex, else from one double
-description (``lp.cross_section_vertices``).  Exact SSC checking is
-NP-hard in general, so the reports are capped (``ENUM_CAP_R``,
+``_p_level`` scores all vertices of a matrix in one batched pass over a
+support table cached per r, and ``check_pssc`` and ``estimate_min_p``
+compare and report the largest level, with no search over p.  One oracle,
+``_vertices``, gives the vertices and, for an unbounded cross-section, a
+recession ray: in closed form when every column has an exact anchor row
+(one positive entry, in that column, kept by the double description's row
+filter), as ``h y >= 0`` is then ``y >= 0`` and the cross-section is the
+unit simplex, else from one double description
+(``lp.cross_section_vertices``).  Such an ``h`` is separable, so
+``check_ssc`` looks for exact anchors only in a separable one.  Exact SSC
+checking is NP-hard in general, so the reports are capped (``ENUM_CAP_R``,
 ``ENUM_CAP_N`` and the intermediate-ray budget).  Within the ray budget
 an SSC1 refutation is exact and solves no LP: a point far along the
 recession ray, else the largest-norm vertex.  Past the budget a
@@ -32,6 +35,7 @@ each ``check_ssc`` call computes its report afresh.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -72,11 +76,14 @@ def _validate_nonneg(h, check=None):
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:
         raise UsageError("h must be a matrix")
-    if h.size and h.min() < -1e-12:
-        raise UsageError("h has negative entries")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(h.sum(axis=0)).all():
-            raise InputError("h has non-finite column sums")
+    if h.size:
+        if h.min() < -1e-12:
+            raise UsageError("h has negative entries")
+        # below this bound (and finite) no column sum can overflow
+        if not h.max() < 1e300 / len(h):
+            with np.errstate(over="ignore"):
+                if not np.isfinite(h.sum(axis=0)).all():
+                    raise InputError("h has non-finite column sums")
     if check is not None and h.shape[1] < 2:
         raise UsageError(f"{check} needs r >= 2")
     return np.maximum(h, 0.0)
@@ -124,11 +131,13 @@ def enumerate_dual_vertices(h, tol=1e-9):
     return vertices, ray is not None
 
 
-def _vertices(h, tol):
+def _vertices(h, tol, separable=True):
     """``lp.cross_section_vertices`` for a validated ``h`` and ``a = 1``, in
-    closed form when ``h`` is ``_anchored``; no cap but the ray budget."""
+    closed form when ``h`` is ``_anchored``; no cap but the ray budget.
+    An anchored ``h`` is separable, so a caller that found ``h`` not
+    separable says so and skips the anchor test."""
     r = h.shape[1]
-    if _anchored(h):
+    if separable and _anchored(h):
         # the unit simplex, its vertices in the double description's order
         return np.eye(r)[::-1].copy(), None
     return cross_section_vertices(h, np.ones(r), _VERTEX_ENUM_CAP, tol)
@@ -157,9 +166,24 @@ def _anchored(h):
 _P_TOL = 1e-9
 
 
-def _vertex_p_level(v):
-    """The least p >= 1 with ``v`` in the dual of ``C_p``: 1 when
-    ``v >= 0``, else ``1 / ||x*||`` for the minimum-norm point ``x*`` of
+# Entries of the block in which ``_p_level`` tests its candidate points.
+_P_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=ENUM_CAP_R)
+def _supports(r):
+    """Every nonempty support of r coordinates, one 0/1 float row each, and
+    the row sizes; read-only arrays shared by every caller."""
+    table = ((np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1) * 1.0
+    sizes = table.sum(axis=1)
+    table.flags.writeable = sizes.flags.writeable = False
+    return table, sizes
+
+
+def _p_level(vertices):
+    """The least p >= 1 with every row ``v`` of ``vertices`` in the dual of
+    ``C_p``, all rows at once: a row with ``v >= 0`` needs 1, another
+    ``1 / ||x*||`` for the minimum-norm point ``x*`` of
     ``{x >= 0, sum(x) = 1, v . x <= 0}``.
 
     As ``sum(v) = 1`` the uniform point is cut off, so ``v . x* = 0`` and,
@@ -168,20 +192,29 @@ def _vertex_p_level(v):
     ``q = ||v_S||^2`` it is ``(q - m v_S) / (s q - m^2)``, of level squared
     ``s - m^2/q``.  Each such point that is nonnegative is feasible, so
     the largest level among them, over all 2**r - 1 supports, is exact.
-    (A support on which ``v`` vanishes is never that of ``x*``.)
+    (A support on which ``v`` vanishes is never that of ``x*``.)  The
+    supports come from one table per r (``_supports``).  The rows are
+    scored in blocks of at most ``_P_BLOCK`` entries, and each sum runs
+    over one row's entries in order, so a row's level does not depend on
+    the rows beside it.
     """
-    if v.min() >= -_P_TOL:
+    v = vertices[vertices.min(axis=1) < -_P_TOL]
+    if not len(v):
         return 1.0
-    r = v.size
-    supports = ((np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1) * 1.0
-    s = supports.sum(axis=1)
-    m = supports @ v
-    q = supports @ (v * v)
-    det = s * q - m * m
-    ok = det > 0.0
-    ok &= ((q[:, None] - m[:, None] * v) * supports
-           >= -1e-12 * q[:, None]).all(axis=1)
-    return math.sqrt((det[ok] / q[ok]).max(initial=1.0))
+    supports, sizes = _supports(v.shape[1])
+    best = 1.0
+    step = max(1, _P_BLOCK // supports.size)
+    for lo in range(0, len(v), step):
+        block = v[lo:lo + step]
+        masked = supports[:, None] * block  # (support, vertex, entry)
+        m = np.add.reduce(masked, axis=2)
+        q = np.add.reduce(masked * block, axis=2)
+        det = sizes[:, None] * q - m * m
+        ok = det > 0.0
+        ok &= ((q[:, :, None] - m[:, :, None] * block) * supports[:, None]
+               >= -1e-12 * q[:, :, None]).all(axis=2)
+        best = max(best, float((det[ok] / q[ok]).max(initial=1.0)))
+    return math.sqrt(best)
 
 
 def _max_p_level(h):
@@ -190,7 +223,7 @@ def _max_p_level(h):
     vertices, unbounded = enumerate_dual_vertices(h)
     if unbounded:
         return math.inf
-    return max(map(_vertex_p_level, vertices), default=1.0)
+    return _p_level(vertices)
 
 
 def check_pssc(h, p):
@@ -266,7 +299,7 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     ``rng`` returns its earlier report instead.
     """
     h = _validate_nonneg(h, "the SSC")
-    if np.any(h.sum(axis=0) <= 0):
+    if (h.sum(axis=0) <= 0).any():
         raise UsageError("zero column in h")
     memo = _SSC_REPORTS.get() if rng is None else None
     if memo is None:
@@ -281,11 +314,12 @@ def _ssc_report(h, tol, feas_tol, rng):
     n, r = h.shape
     separable, anchors = _separable(h)
     try:
-        vertices, ray = _vertices(h, feas_tol)
+        vertices, ray = _vertices(h, feas_tol, separable)
     except EnumerationCapError:
         vertices, y = None, _lp_refute(h, rng, tol, feas_tol)
     else:
-        y = _listed_refutation(h, vertices, ray, tol, feas_tol)
+        norms = np.linalg.norm(vertices, axis=1)
+        y = _listed_refutation(h, vertices, norms, ray, tol, feas_tol)
     if vertices is None or r > ENUM_CAP_R or n > ENUM_CAP_N:
         return SscReport(
             separable=separable, anchors=anchors,
@@ -293,7 +327,6 @@ def _ssc_report(h, tol, feas_tol, rng):
             dual_vertices=None, max_vertex_norm=None, unbounded=None,
             refutation=y, method="refutation-search-only",
         )
-    norms = np.linalg.norm(vertices, axis=1)
     max_norm = float(norms.max(initial=0.0))
     ssc1 = ray is None and max_norm <= 1.0 + tol
     top = vertices[norms >= 1.0 - tol]
@@ -320,7 +353,8 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
         vertices, ray = _vertices(h, feas_tol)
     except EnumerationCapError:
         return _lp_refute(h, rng, tol, feas_tol, starts, iters)
-    return _listed_refutation(h, vertices, ray, tol, feas_tol)
+    return _listed_refutation(h, vertices, np.linalg.norm(vertices, axis=1),
+                              ray, tol, feas_tol)
 
 
 def _feasible(h, y, feas_tol):
@@ -343,14 +377,13 @@ def _far_point(h, ray, tol, feas_tol):
                       / np.linalg.norm(ray) * ray, tol, feas_tol)
 
 
-def _listed_refutation(h, vertices, ray, tol, feas_tol):
-    """The SSC1 certificate from ``_vertices``' ``vertices`` and recession
-    ``ray``: a far point along the ray when the cross-section is unbounded,
-    else the largest-norm vertex when that norm passes ``1 + tol``, else
-    None."""
+def _listed_refutation(h, vertices, norms, ray, tol, feas_tol):
+    """The SSC1 certificate from ``_vertices``' ``vertices``, their
+    ``norms``, and recession ``ray``: a far point along the ray when the
+    cross-section is unbounded, else the largest-norm vertex when that norm
+    passes ``1 + tol``, else None."""
     if ray is not None:
         return _far_point(h, ray, tol, feas_tol)
-    norms = np.linalg.norm(vertices, axis=1)
     if norms.size and norms.max() > 1.0 + tol:
         return vertices[int(np.argmax(norms))]
     return None

@@ -322,6 +322,9 @@ def _unfolding_row(d, ranks, meta):  # A5.2
 
 
 def _slices_row(d, ranks, meta):  # A5.3
+    if d < 3:
+        return [_Shape("rank-shape", False, f"order {d}, ranks {ranks}",
+                       f"A5.3 needs order d >= 3, got order {d}")]
     r = ranks[0]
     ok = ranks[1] == r and all(q <= r for q in ranks[2:])
     return [_Shape("rank-shape", ok, f"ranks {ranks}",
@@ -331,15 +334,18 @@ def _slices_row(d, ranks, meta):  # A5.3
                     f"exists-full-[0,{i}]-slice") for i in range(1, d))]
 
 
-def _partition_row(d, ranks, meta):  # A5.4; rank rules and slice not drawn to
+def _partition_row(d, ranks, meta):  # A5.4; the slice is not drawn to
     part = meta.get("partition")
     if part is None:
         return [_Shape("partition-present", False, "no partition in meta",
                        "A5.4 needs an explicit partition in meta")]
     groups = _partition(d, part["rows"], part["fixed"], part["cols"])
     r, rj, rc = (prod(ranks[m] for m in g) for g in groups)
-    return [_Shape("rank-product", r == rc),
-            _Shape("fixed-rank-bound", rj <= r * r, f"{rj} vs r^2={r * r}"),
+    return [_Shape("rank-product", r == rc, error=f"A5.4 needs equal row "
+                   f"and column rank products, got {r} vs {rc}"),
+            _Shape("fixed-rank-bound", rj <= r * r, f"{rj} vs r^2={r * r}",
+                   f"A5.4 needs the fixed modes' rank product at most "
+                   f"r^2={r * r}, got {rj}"),
             _Core("unfold", groups[1], rj, "core-unfolding-rank"),
             *(_Group("ssc", g, f"ssc-kron-group-{name}")
               for name, g in zip(("rows", "fixed", "cols"), groups)),

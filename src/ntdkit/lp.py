@@ -9,9 +9,11 @@ Fukuda & Prodon 1996) in numpy alone: the extreme rays of the cone
 kept if feasible and sorted lexicographically.  No subset of rows is
 solved.  A step small enough that numpy's per-call cost would dominate
 tests adjacency on zero masks held as Python ints and builds its new rays
-in Python floats, larger ones run on float 0/1 blocks; both give the same
-rays bit for bit.  The same description hands back a recession ray of an
-unbounded cross-section.
+in Python floats; from the first such step on the rays are held as Python
+lists until one larger step, on float 0/1 blocks, or the return turns
+them back into an array.  Both kinds of step give the same rays bit for
+bit.  The same description hands back a recession ray of an unbounded
+cross-section.
 The objectives the package maximizes over a bounded cross-section (a
 norm, a determinant linear in each column) peak at vertices, so within
 the ray budget callers solve no LP.  Past it the SSC1 refutation search
@@ -86,14 +88,20 @@ def _adjacent_pairs(u, rays, vals, rows, masks, i):
     ``s[p] rays[q] - s[q] rays[p]`` per pair (``p`` above ``_ZERO_TOL``,
     ``q`` below, row-major) that is adjacent: at least r-2 processed
     ``rows`` are active at both and no third ray on all of them.  Returns
-    the rays, their values on the rows of ``u`` and their zero masks, one
-    Python int each (bit k for row k), carried by steps within
-    ``_BITSET_WORK`` at r <= 7, which run in Python; others run on float
-    0/1 blocks and return None, so the next small step reads the masks
-    from ``vals``.  Both give the same rays and values bit for bit.
+    the rays, their values on the rows of ``u`` (an array) and their zero
+    masks.
+
+    A step within ``_BITSET_WORK`` at r <= 7 runs in Python: it takes the
+    rays as an array or as a list of rows and returns a list, and carries
+    one zero mask per ray as a Python int (bit k for row k), so the next
+    small step converts neither.  Other steps run on float 0/1 blocks and
+    return the rays as an array and no masks.  Both give the same rays and
+    values bit for bit.
     """
     r = u.shape[1]
     if r <= 7 and len(rays) ** 3 <= _BITSET_WORK:
+        if not isinstance(rays, list):
+            rays = rays.tolist()
         if masks is None:
             masks = _zero_masks(vals, rows)
         s = vals[:, i].tolist()
@@ -106,9 +114,9 @@ def _adjacent_pairs(u, rays, vals, rows, masks, i):
                 pos.append(j)
             keep.append(j)
             kept.append(masks[j] | 1 << i if x <= _ZERO_TOL else masks[j])
-        listed, new = rays.tolist(), []
+        new = []
         for p in pos:
-            mp, sp, rp = masks[p], s[p], listed[p]
+            mp, sp, rp = masks[p], s[p], rays[p]
             for q in neg:
                 common = mp & masks[q]
                 if common.bit_count() < r - 2:
@@ -122,18 +130,21 @@ def _adjacent_pairs(u, rays, vals, rows, masks, i):
                 if holders != 2:
                     continue
                 sq = s[q]
-                ray = [sp * y - sq * x for x, y in zip(rp, listed[q])]
+                ray = [sp * y - sq * x for x, y in zip(rp, rays[q])]
                 norm = 0.0
                 for x in ray:  # add.reduce's order for up to 7 terms
                     norm += x * x
                 norm = math.sqrt(norm)
                 new.append([x / norm for x in ray])
-        new = np.array(new).reshape(-1, r)
-        added = new @ u.T
-        masks = kept + _zero_masks(added, rows + [i])
-        keep = np.array(keep, dtype=np.intp)
-        return (np.concatenate([rays.take(keep, 0), new]),
-                np.concatenate([vals.take(keep, 0), added]), masks)
+        rays = [rays[j] for j in keep]
+        vals = vals.take(keep, 0)
+        if new:
+            added = np.array(new) @ u.T
+            kept += _zero_masks(added, rows + [i])
+            rays += new
+            vals = np.concatenate([vals, added])
+        return rays, vals, kept
+    rays = np.asarray(rays)
     s = vals[:, i]
     keep = ~(s < -_ZERO_TOL)
     processed = np.bincount(rows, minlength=len(u)) > 0
@@ -194,7 +205,8 @@ def _extreme_rays(u, max_rays):
     lowest index.  The rays it cuts off are replaced by one new ray per
     adjacent pair across its hyperplane (``_adjacent_pairs``).  Once no
     unprocessed row is below ``-_ZERO_TOL`` on a ray, the rest are
-    redundant.
+    redundant.  The rays come back laid out as the last step left them:
+    the inverse's transpose when no row cuts, else in C order.
     """
     r = u.shape[1]
     if len(u) < r:
@@ -215,16 +227,19 @@ def _extreme_rays(u, max_rays):
     done[basis] = np.inf
     rows, masks = basis, None
     while True:
-        depth = vals.min(axis=0, initial=np.inf) + done
+        depth = np.minimum.reduce(vals, axis=0, initial=np.inf)
+        depth += done
         i = int(depth.argmin())
         if depth[i] >= -_ZERO_TOL:
-            return rays
+            break
         rays, vals, masks = _adjacent_pairs(u, rays, vals, rows, masks, i)
         done[i] = np.inf
         rows.append(i)
         if len(rays) > max_rays:
             raise EnumerationCapError(
                 f"vertex enumeration passed {max_rays} intermediate rays")
+    # a list of rays comes back in C order, as concatenating gave it
+    return np.array(rays).reshape(-1, r) if isinstance(rays, list) else rays
 
 
 def cross_section_vertices(b, a, max_rays, tol=1e-9):

@@ -524,7 +524,12 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
       "4,4,0", "--out", "{tmp}/g"], 2),
     # SSC factors with more rows than the exact check enumerates
     (["gen", "--assumption", "A4.2", "--dims", "61,61,30", "--ranks",
-      "4,4,3", "--out", "{tmp}/g"], 4)])
+      "4,4,3", "--out", "{tmp}/g"], 4),
+    # shapes no draw can pass, refused before drawing
+    (["gen", "--assumption", "A5.4", "--dims", "10,10,8,8", "--ranks",
+      "3,2,2,2", "--partition", "0|2,3|1", "--out", "{tmp}/g"], 2),
+    (["gen", "--assumption", "A5.3", "--dims", "10,10", "--ranks", "3,3",
+      "--out", "{tmp}/g"], 2)])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")

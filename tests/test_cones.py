@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog, minimize
 
 from ntdkit import cones, lp
-from ntdkit.cones import (_vertex_p_level, check_pssc, check_separable,
+from ntdkit.cones import (_p_level, check_pssc, check_separable,
                           check_ssc, counterexample_dims_ok,
                           enumerate_dual_vertices, estimate_min_p,
                           kron_ssc_margin, kron_ssc_sufficient, ssc1_refute,
@@ -361,6 +361,33 @@ class TestAnchoredClosedForm:
             assert got == ref
             assert got[0]["ssc"] and got[1:] == (True, True, 1.0)
 
+    def test_anchor_test_skipped_only_when_not_separable(self, monkeypatch):
+        # An exact anchor row qualifies as a separability anchor, so
+        # check_ssc skips the anchor test on a matrix it found not
+        # separable; reports stay as when every matrix takes the test.
+        rng = np.random.default_rng(33)
+        cases = anchored_corpus(40)
+        cases += [two_nonzero(int(rng.integers(r + 2, 30)), r, rng)
+                  for r in range(2, 8) for _ in range(4)]
+        for h in anchored_corpus(20):  # an anchor entry moved off
+            h = h.copy()
+            h[int(np.flatnonzero((h > 0).sum(axis=1) == 1)[0]),
+              int(rng.integers(h.shape[1]))] += 1e-13
+            cases.append(h)
+        for h in cases:
+            valid = cones._validate_nonneg(h)
+            assert cones._separable(valid)[0] or not cones._anchored(valid)
+        tested = []
+        anchored, vertices = cones._anchored, cones._vertices
+        reports = [check_ssc(h).to_json() for h in cases]
+        monkeypatch.setattr(cones, "_anchored",
+                            lambda h: tested.append(1) or anchored(h))
+        monkeypatch.setattr(cones, "_vertices",
+                            lambda h, tol, separable=True: vertices(h, tol))
+        assert [check_ssc(h).to_json() for h in cases] == reports
+        assert len(tested) == len(cases)
+        assert sum(not check_separable(h)[0] for h in cases) >= 20
+
     def test_double_description_rounding_is_not_kept(self, monkeypatch):
         # The 20x8 product of separable 5x4 and 4x2 factors, with three
         # positive rows: the double description lists e_5 with a -1e-16
@@ -531,6 +558,16 @@ def test_input_checked_as_check_ssc(check):
     nan[0, 1] = np.nan
     with pytest.raises(InputError, match="non-finite"):
         check(nan)
+    # finite entries whose column sum overflows, and an infinite one
+    for big in (np.array([[1e308, 1.0], [1e308, 0.0], [0.0, 1.0]]),
+                np.array([[np.inf, 1.0], [0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(InputError, match="non-finite"):
+            check(big)
+    # large entries with finite column sums pass, on either side of the
+    # bound past which the sums are checked
+    for scale in (1e299, 1e307):
+        cones._validate_nonneg(np.vstack([np.eye(3), np.ones(3)]) * scale,
+                               "the SSC")
     for h in (-np.eye(3), np.ones(3), np.ones((3, 1))):
         with pytest.raises(UsageError):
             check(h)
@@ -665,35 +702,86 @@ def slsqp_p_level(v):
     return 1.0 / math.sqrt(res.fun)
 
 
+def per_vertex_p_level(v):
+    """The closed form of ``cones._p_level`` for one vertex, support table
+    built afresh: the per-vertex computation the batched one replaced."""
+    if v.min() >= -cones._P_TOL:
+        return 1.0
+    r = v.size
+    supports = ((np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1) * 1.0
+    s = supports.sum(axis=1)
+    m = supports @ v
+    q = supports @ (v * v)
+    det = s * q - m * m
+    ok = det > 0.0
+    ok &= ((q[:, None] - m[:, None] * v) * supports
+           >= -1e-12 * q[:, None]).all(axis=1)
+    return math.sqrt((det[ok] / q[ok]).max(initial=1.0))
+
+
+def random_vertex(rng, r, on_support):
+    """A point summing to one with a negative entry below -1e-3; when
+    ``on_support``, nonzero on a random support of 2..r entries only, as
+    vertices on several facets are."""
+    while True:
+        k = int(rng.integers(2, r + 1)) if on_support else r
+        w = rng.standard_normal(k) * rng.uniform(0.2, 3.0)
+        w += (1.0 - w.sum()) / k
+        if w.min() < -1e-3:
+            v = np.zeros(r)
+            v[rng.permutation(r)[:k]] = w
+            return v
+
+
 class TestVertexPLevel:
     def test_matches_slsqp(self, rng):
         # Vertices of the dual cross-section sum to one; only those with a
         # negative entry have a level above 1.  Every third draw is put on
-        # a random support and is exactly zero off it, as vertices on
-        # several facets are.
-        checked = 0
-        while checked < 120:
+        # a random support and is exactly zero off it.  One vertex at a
+        # time, the batched level is SLSQP's and the per-vertex closed
+        # form's.
+        for checked in range(120):
             r = int(rng.integers(2, 9))
-            k = int(rng.integers(2, r + 1)) if checked % 3 == 0 else r
-            w = rng.standard_normal(k) * rng.uniform(0.2, 3.0)
-            w += (1.0 - w.sum()) / k
-            if w.min() >= -1e-3:
-                continue
-            v = np.zeros(r)
-            v[rng.permutation(r)[:k]] = w
-            level = _vertex_p_level(v)
+            v = random_vertex(rng, r, checked % 3 == 0)
+            level = _p_level(v[None])
             assert 1.0 < level <= math.sqrt(r)
             assert level == pytest.approx(slsqp_p_level(v), rel=1e-6)
-            checked += 1
+            assert level == pytest.approx(per_vertex_p_level(v), rel=1e-12,
+                                          abs=0.0)
+
+    @pytest.mark.parametrize("block", [cones._P_BLOCK, 1])
+    def test_rows_give_their_maximum(self, rng, block, monkeypatch):
+        # Several vertices, some nonnegative, give the largest of their
+        # one-row levels, also when each block holds a single vertex.
+        monkeypatch.setattr(cones, "_P_BLOCK", block)
+        for trial in range(70):
+            r = 2 + trial % 7
+            rows = [random_vertex(rng, r, trial % 2 == 0)
+                    for _ in range(int(rng.integers(1, 12)))]
+            rows += [np.eye(r)[k] for k in range(trial % 3)]
+            vertices = np.array(rows)[rng.permutation(len(rows))]
+            assert _p_level(vertices) == max(_p_level(v[None])
+                                             for v in vertices)
+        assert _p_level(np.zeros((0, 3))) == 1.0
+
+    def test_support_table_is_cached_read_only(self):
+        table, sizes = cones._supports(4)
+        assert cones._supports(4)[0] is table
+        assert table.shape == (15, 4) and set(table.ravel()) == {0.0, 1.0}
+        assert np.array_equal(sizes, table.sum(axis=1))
+        for array in (table, sizes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 2.0
 
     def test_nonnegative_vertex_is_one(self):
         for v in ([0.5, 0.5, 0.0], [-1e-12, 0.5, 0.5 + 1e-12], [1.0, 0.0]):
-            assert _vertex_p_level(np.array(v)) == 1.0
+            assert _p_level(np.array([v])) == 1.0
 
     def test_norm_one_vertex_sits_at_sqrt_r_minus_1(self):
         # Full support: level^2 = r - 1/||v||^2, so sqrt(r-1) at norm one.
-        v = np.array([2.0, 2.0, -1.0]) / 3.0
-        assert _vertex_p_level(v) == pytest.approx(math.sqrt(2))
+        v = np.array([[2.0, 2.0, -1.0]]) / 3.0
+        assert _p_level(v) == pytest.approx(math.sqrt(2))
 
 
 class TestEstimateMinP:

@@ -347,6 +347,15 @@ class TestValidateAssumptions:
         assert (shape, "fail") in [(n, s) for n, s, _ in report.checks]
         assert report.overall == "fail"
 
+    def test_order2_instance_fails_a53_shape(self):
+        # A5.3 needs order d >= 3: an order-2 instance fails its shape
+        # check instead of raising from the slice checks.
+        inst = gen_instance("A5.1", (6, 6), (2, 2), seed=1)
+        report = validate_assumptions(inst, "A5.3")
+        assert report.checks[-1] == ("rank-shape", "fail",
+                                     "order 2, ranks (2, 2)")
+        assert report.overall == "fail"
+
     def test_no_partition_fails_a54(self):
         inst = gen_instance("A4.2", (10, 10, 8), (3, 3, 2), seed=6)
         report = validate_assumptions(inst, "A5.4")

@@ -282,11 +282,15 @@ def random_step(rng, r):
 
 
 def step_on_both_paths(monkeypatch, u, rays, vals, rows, masks, i):
-    """``lp._adjacent_pairs`` on the block and on the scalar path."""
+    """``lp._adjacent_pairs`` on the block and on the scalar path, rays as
+    arrays: the block path returns an array, the scalar path a list."""
     out = []
-    for bound in (0, np.inf):
+    for bound, kind in ((0, np.ndarray), (np.inf, list)):
         monkeypatch.setattr(lp, "_BITSET_WORK", bound)
-        out.append(lp._adjacent_pairs(u, rays, vals, rows, masks, i))
+        rays1, vals1, masks1 = lp._adjacent_pairs(u, rays, vals, rows, masks,
+                                                  i)
+        assert isinstance(rays1, kind)
+        out.append((np.array(rays1).reshape(-1, u.shape[1]), vals1, masks1))
     return out
 
 
@@ -337,6 +341,12 @@ def test_scalar_steps_equal_block_steps(monkeypatch):
         monkeypatch.undo()
     small = {len(rays) ** 3 <= lp._BITSET_WORK for _, rays, *_ in steps}
     assert small == {True, False}
+    # Rays stay Python lists from a DD's first small step on; only a block
+    # step hands on an array.
+    for (u, rays, *_), (w, after, *_) in zip(steps, steps[1:]):
+        if w is u:
+            assert isinstance(after, list) == \
+                (len(rays) ** 3 <= lp._BITSET_WORK)
     for u, rays, vals, rows, masks, i in steps:
         out = step_on_both_paths(monkeypatch, u, rays, vals, rows, masks, i)
         if masks is not None:
@@ -694,6 +704,21 @@ def test_extreme_rays_match_reference(name, chunk, monkeypatch):
             assert np.array_equal(got, ref)
         else:
             assert got == ref
+
+
+@pytest.mark.parametrize("name", sorted(DD_CONES))
+def test_extreme_rays_keep_the_reference_layout(name):
+    # A product with the rays rounds by their memory layout, so they come
+    # back laid out as the reference's: the inverse's transpose when no
+    # row cuts, else C order, as a concatenation gives it.
+    u = DD_CONES[name]
+    got = dd_outcome(lp._extreme_rays, u, _VERTEX_ENUM_CAP)
+    ref = dd_outcome(reference_extreme_rays, u, _VERTEX_ENUM_CAP)
+    if isinstance(ref, np.ndarray):
+        assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+            (ref.flags.c_contiguous, ref.flags.f_contiguous)
+    else:
+        assert got is ref or got == ref
 
 
 @pytest.mark.parametrize("chunk", [lp._PAIR_CHUNK, 64])

@@ -1,11 +1,12 @@
 import io
 import json
+import re
 from math import prod
 
 import numpy as np
 import pytest
 
-from ntdkit import cones
+from ntdkit import cones, synth
 from ntdkit.cones import check_separable, check_ssc
 from ntdkit.errors import (GenerationError, InputError, PartitionError,
                            ShapeError, UsageError)
@@ -212,6 +213,26 @@ class TestGenInstance:
     def test_modes_checked_against_order(self, tag, kwargs):
         with pytest.raises(PartitionError):
             gen_instance(tag, (6, 5, 6, 5), (2, 2, 2, 2), **kwargs)
+
+    @pytest.mark.parametrize("tag,dims,ranks,kwargs,words", [
+        ("A5.4", (10, 10, 8, 8), (3, 2, 2, 2),
+         {"partition": {"rows": [0], "fixed": [2, 3], "cols": [1]}},
+         "rank products, got 3 vs 2"),
+        ("A5.4", (10, 10, 8, 8), (2, 2, 5, 1),
+         {"partition": {"rows": [0], "fixed": [2, 3], "cols": [1]}},
+         "at most r^2=4, got 5"),
+        ("A5.3", (10, 10), (3, 3), {}, "order d >= 3, got order 2"),
+    ], ids=["A5.4-rank-product", "A5.4-fixed-rank-bound", "A5.3-order-2"])
+    def test_shape_rules_refused_before_drawing(self, tag, dims, ranks,
+                                                kwargs, words, monkeypatch):
+        # A shape no draw can pass is refused at once, as a ShapeError
+        # naming the rule, with no factor drawn.
+        drawn = []
+        monkeypatch.setattr(synth, "_draw_factor",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ShapeError, match=re.escape(words)):
+            gen_instance(tag, dims, ranks, seed=1, **kwargs)
+        assert drawn == []
 
 
 # One seeded instance per assumption tag: (tag, dims, ranks, keywords).
