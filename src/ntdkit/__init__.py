@@ -21,9 +21,9 @@ from .procedures import (ModePartition, procedure0, procedure1, procedure2,
 from .solvers import (Order2Ntd, SolverConfig, maxdet_simplex, minvol_nmf,
                       minvol_order2_ntd, numerical_rank, separable_order2_ntd,
                       spa_separable_nmf)
-from .synth import (CoreConstraints, Instance, gen_anchor_factor, gen_core,
-                    gen_instance, gen_separable_factor, gen_ssc_factor,
-                    load_instance, save_instance)
+from .synth import (Instance, gen_anchor_factor, gen_instance,
+                    gen_separable_factor, gen_ssc_factor, load_instance,
+                    save_instance)
 from .tensor import (DenseTensor, SliceSpec, fold, mode_slice,
                      multilinear_transform, read_tensor, slice_combination,
                      slice_matrix, unfold, write_tensor_binary,
@@ -32,12 +32,12 @@ from .tensor import (DenseTensor, SliceSpec, fold, mode_slice,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentResult", "AssumptionReport", "CoreConstraints", "DenseTensor",
-    "Instance", "ModePartition", "NtdModel", "Order2Ntd", "SliceSpec",
-    "SolverConfig", "SscReport", "align_columns",
+    "AlignmentResult", "AssumptionReport", "DenseTensor", "Instance",
+    "ModePartition", "NtdModel", "Order2Ntd", "SliceSpec", "SolverConfig",
+    "SscReport", "align_columns",
     "check_pssc", "check_separable", "check_ssc", "counterexample_dims_ok",
     "enumerate_dual_vertices", "essential_match", "estimate_min_p", "fold",
-    "gen_anchor_factor", "gen_core", "gen_instance", "gen_separable_factor",
+    "gen_anchor_factor", "gen_instance", "gen_separable_factor",
     "gen_ssc_factor", "kron", "kron_all", "kron_split", "kron_split_multi",
     "kron_split_permuted", "kron_ssc_margin", "kron_ssc_sufficient",
     "load_instance", "maxdet_simplex", "minvol_nmf", "minvol_order2_ntd",

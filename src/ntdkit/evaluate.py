@@ -266,6 +266,26 @@ def _combination_rank(t, mode, target, rng, trials=20):
     return best
 
 
+def _core_status(c, x, rng=None):
+    """``(status, detail)`` of the ``_Core`` condition ``c`` on the tensor
+    ``x``; ``rng`` draws the combinations of a "span" condition."""
+    if c.kind == "unfold":
+        k = numerical_rank(unfold(x, c.key))
+        return ("pass" if k == c.target else "fail"), f"rank {k}"
+    if c.kind == "slice":
+        return _full_slice_status(x, c.key, c.target)
+    if c.kind == "deficient":  # no slice exceeds full rank
+        full = min(n for k, n in enumerate(x.dims) if k != c.key)
+        status, detail = _full_slice_status(
+            x, _mode_groups(c.key, x.order), full)
+        return ("fail" if status == "pass" else "pass"), detail
+    # a probability-one surrogate for a maximal-rank span
+    best = _combination_rank(x, c.key, c.target, rng)
+    return ("pass" if best == c.target else "fail"), \
+        f"best combo rank {best}, span dimension " \
+        f"{numerical_rank(unfold(x, (c.key,)))}"
+
+
 class _Shape(NamedTuple):
     """A shape rule, checked as ``name``; when it fails, ``gen_instance``
     raises ``error`` as a ``ShapeError``, unless ``error`` is None."""
@@ -286,12 +306,13 @@ class _Group(NamedTuple):
 
 
 class _Core(NamedTuple):
-    """A core condition, checked as ``name`` and drawn to unless
-    ``report_only``: "unfold" (the core unfolding along axes ``key``, the
-    tensor's if ``on_tensor``, has rank ``target``), "slice" (so has a
-    tensor slice over the (rows, fixed, cols) ``key``), "span" (so has a
-    Gaussian combination of the core slices along mode ``key``, checked
-    from the instance seed plus ``seed``) or "deficient" (none has)."""
+    """A core condition, tested by ``_core_status`` on the drawn core and
+    on the true core, or the tensor if ``on_tensor``, as ``name``; drawn
+    to unless ``report_only``: "unfold" (the unfolding along axes ``key``
+    has rank ``target``), "slice" (so has a slice over the (rows, fixed,
+    cols) ``key``), "span" (so has a Gaussian combination of the slices
+    along mode ``key``, validated from the instance seed plus ``seed``) or
+    "deficient" (no slice along mode ``key`` has full rank)."""
 
     kind: str
     key: object
@@ -331,7 +352,8 @@ def _slices_row(d, ranks, meta):  # A5.3
                    "A5.3 needs r_i <= r1 == r2"), *_ssc_each(range(d)),
             *(_Core("slice", ((0,), tuple(m for m in range(1, d) if m != i),
                               (i,)), r if i == 1 else ranks[i],
-                    f"exists-full-[0,{i}]-slice") for i in range(1, d))]
+                    f"exists-full-[0,{i}]-slice", on_tensor=True)
+              for i in range(1, d))]
 
 
 def _partition_row(d, ranks, meta):  # A5.4; the slice is not drawn to
@@ -350,7 +372,7 @@ def _partition_row(d, ranks, meta):  # A5.4; the slice is not drawn to
             *(_Group("ssc", g, f"ssc-kron-group-{name}")
               for name, g in zip(("rows", "fixed", "cols"), groups)),
             _Core("slice", groups, r, "exists-full-generalized-slice",
-                  report_only=True)]
+                  on_tensor=True, report_only=True)]
 
 
 def _separable_row(d, ranks, meta):  # A-sep
@@ -373,7 +395,8 @@ def _a44_row(d, ranks, meta):
     return [_Shape("rank-shape", r2 == r and r3 <= r * r, f"ranks {ranks}"),
             *_ssc_each((0, 1, 2)),
             _Core("unfold", (2,), r3, "core-unfolding-rank"),
-            _Core("slice", ((0,), (2,), (1,)), r, "exists-full-mode3-slice")]
+            _Core("slice", ((0,), (2,), (1,)), r, "exists-full-mode3-slice",
+                  on_tensor=True)]
 
 
 def _a45_row(d, ranks, meta):
@@ -445,7 +468,6 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
     conditions = _conditions(aid, t.order, truth.ranks, instance.meta)
     rep = AssumptionReport(aid)
     _base_factor_checks(rep, truth)
-    seed = getattr(instance, "seed", 0)
     for c in (c for c in conditions if c.name is not None):
         if isinstance(c, _Shape):
             rep.add(c.name, "pass" if c.ok else "fail", c.detail)
@@ -456,16 +478,9 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
             rep.add(c.name, *_group_ssc_status(
                 [truth.factors[m] for m in c.modes],
                 [truth.ranks[m] for m in c.modes]))
-        elif c.kind == "unfold":
-            k = numerical_rank(unfold(t if c.on_tensor else truth.core,
-                                      c.key))
-            rep.add(c.name, "pass" if k == c.target else "fail", f"rank {k}")
-        elif c.kind == "slice":
-            rep.add(c.name, *_full_slice_status(t, c.key, c.target))
-        else:  # a probability-one surrogate for a maximal-rank span
-            best = _combination_rank(truth.core, c.key, c.target,
-                                     np.random.default_rng(seed + c.seed))
-            span = numerical_rank(unfold(truth.core, (c.key,)))
-            rep.add(c.name, "pass" if best == c.target else "fail",
-                    f"best combo rank {best}, span dimension {span}")
+        else:
+            rep.add(c.name, *_core_status(
+                c, t if c.on_tensor else truth.core,
+                np.random.default_rng(getattr(instance, "seed", 0) + c.seed)
+                if c.kind == "span" else None))
     return rep.finish()

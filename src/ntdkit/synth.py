@@ -2,12 +2,15 @@
 
 Every generator is deterministic per seed, normalizes factor columns to
 unit sum, and the composed instance is re-validated against its assumption
-tag before being returned (rejection on failure).
+tag before being returned (rejection on failure).  ``gen_instance`` draws
+the factor groups of the tag's ``evaluate._ROWS`` row in order, then a core
+redrawn until each core condition passes the validator's ``_core_status``.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from math import prod
@@ -17,19 +20,17 @@ import numpy as np
 from .cones import ENUM_CAP_N, _ssc_memo, check_ssc
 from .errors import (GenerationError, InputError, PartitionError, ShapeError,
                      UsageError)
-from .evaluate import (_combination_rank, _conditions, _Core,
-                       _full_slice_status, _Group, _Shape,
+from .evaluate import (_conditions, _Core, _core_status, _Group, _Shape,
                        validate_assumptions)
 from .model import NtdModel
 from .procedures import ModePartition
-from .solvers import numerical_rank
-from .tensor import (DenseTensor, _mode_groups, _unfolding_groups,
-                     read_tensor, unfold, write_tensor_binary,
-                     write_tensor_json)
+from .tensor import (DenseTensor, _unfolding_groups, read_tensor,
+                     write_tensor_binary, write_tensor_json)
 
 # Largest rank of a factor that ``gen_ssc_factor`` draws.  It bounds the
 # generator's SSC draws only: exact certification reaches cones.ENUM_CAP_R.
 GEN_SSC_MAX_RANK = 6
+_CORE_TRIES = 100
 
 
 @dataclass
@@ -105,18 +106,6 @@ def gen_anchor_factor(n, r, rng=None):
     return h / h.sum(axis=0)
 
 
-@dataclass(frozen=True)
-class CoreConstraints:
-    """Requested certified properties of a random core tensor."""
-
-    unfolding_ranks: dict = field(default_factory=dict)  # axes tuple -> rank
-    # mode, or (rows, fixed, cols) mode groups -> rank
-    exists_full_slice: dict = field(default_factory=dict)
-    span_maximal: dict = field(default_factory=dict)  # mode -> rank
-    nonneg: bool = False
-    deficient_slices_mode: int = None  # every slice along it rank-deficient
-
-
 def _structured_deficient_core(ranks, mode, rng):
     """Core whose every slice along ``mode`` is rank deficient while the
     slice span still reaches full rank: slice k only populates the k-th
@@ -135,45 +124,17 @@ def _structured_deficient_core(ranks, mode, rng):
     return DenseTensor.from_array(arr)
 
 
-def gen_core(ranks, constraints=None, rng=None, max_tries=100):
-    """Gaussian core resampled until every requested constraint verifies."""
-    ranks = tuple(int(r) for r in ranks)
-    constraints = constraints or CoreConstraints()
-    rng = np.random.default_rng(0 if rng is None else rng)
-    mode = constraints.deficient_slices_mode
-    for _ in range(max_tries):
+def _draw_core(ranks, conditions, rng):
+    """Gaussian core, structured along the mode of a "deficient" condition,
+    redrawn until it passes each of the ``_Core`` ``conditions`` in turn."""
+    mode = next((c.key for c in conditions if c.kind == "deficient"), None)
+    for _ in range(_CORE_TRIES):
         core = DenseTensor(ranks, rng.standard_normal(prod(ranks))) \
             if mode is None else _structured_deficient_core(ranks, mode, rng)
-        if constraints.nonneg:
-            core = DenseTensor(ranks, np.abs(core.data))
-        if _core_ok(core, constraints, rng):
+        if all(_core_status(c, core, rng)[0] == "pass" for c in conditions):
             return core
-    raise GenerationError(
-        f"core constraints not met in {max_tries} tries "
-        f"(likely infeasible for ranks {ranks})"
-    )
-
-
-def _core_ok(core, constraints, rng):
-    for axes, target in constraints.unfolding_ranks.items():
-        if numerical_rank(unfold(core, tuple(axes))) != target:
-            return False
-    for key, target in constraints.exists_full_slice.items():
-        groups = key if isinstance(key, tuple) else \
-            _mode_groups(key, core.order)
-        if _full_slice_status(core, groups, target)[0] != "pass":
-            return False
-    for mode, target in constraints.span_maximal.items():
-        if _combination_rank(core, mode, target, rng) != target:
-            return False
-    mode = constraints.deficient_slices_mode
-    if mode is not None:
-        # no slice exceeds full rank, so a full-rank witness decides
-        full = min(s for k, s in enumerate(core.dims) if k != mode)
-        if _full_slice_status(core, _mode_groups(mode, core.order),
-                              full)[0] == "pass":
-            return False
-    return True
+    raise GenerationError(f"core conditions not met in {_CORE_TRIES} tries "
+                          f"(likely infeasible for ranks {ranks})")
 
 
 def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
@@ -185,8 +146,8 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     the SSC of the other member carries over to the product.  ``axes``
     must be a proper mode subset and ``partition`` must map rows, fixed
     and cols to mode sets that partition the modes, else PartitionError.
-    A rank below 1 raises ShapeError and a negative ``seed`` UsageError,
-    both before anything is drawn.
+    A rank below 1 raises ShapeError, and a ``seed`` that is not a
+    nonnegative integer UsageError, both before anything is drawn.
 
     Each certificate is computed once: the SSC reports of the generated
     factors are held for the length of this call, so validating a factor
@@ -209,9 +170,13 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
             raise PartitionError("partition needs rows, fixed and cols")
         ModePartition(partition["rows"], partition["fixed"],
                       partition["cols"]).validate(d)
-    if int(seed) < 0:
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise UsageError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     meta = {"dims": list(dims), "ranks": list(ranks)}
     if axes is not None:
         meta["axes"] = list(axes)
@@ -242,8 +207,7 @@ def _draw(assumption_id, dims, ranks, rng, meta):
     """Factors and core of one draw from the row of ``assumption_id``: its
     leading shape rules raise, its factor groups are drawn in row order
     and the core to its core conditions."""
-    factors = [None] * len(dims)
-    wanted = {"unfold": {}, "slice": {}, "span": {}, "deficient": {}}
+    factors, core = [None] * len(dims), []
     for c in _conditions(assumption_id, len(dims), ranks, meta):
         if isinstance(c, _Shape) and not c.ok and c.error:
             raise ShapeError(c.error)
@@ -252,12 +216,8 @@ def _draw(assumption_id, dims, ranks, rng, meta):
                 factors[k] = _draw_factor(c.kind if pos == 0 else "sep",
                                           dims[k], ranks[k], rng)
         elif isinstance(c, _Core) and not c.report_only:
-            wanted[c.kind][c.key] = c.target
-    core = gen_core(ranks, CoreConstraints(
-        unfolding_ranks=wanted["unfold"], exists_full_slice=wanted["slice"],
-        span_maximal=wanted["span"],
-        deficient_slices_mode=next(iter(wanted["deficient"]), None)), rng)
-    return factors, core
+            core.append(c)
+    return factors, _draw_core(ranks, core, rng)
 
 
 def _draw_factor(kind, n, r, rng):

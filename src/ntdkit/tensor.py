@@ -229,7 +229,8 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
     ``weights`` runs over all index tuples of the fixed modes (ascending,
     first fastest); a unit vector therefore reproduces a single slice.  Row
     and column modes default to the remaining modes with the largest one
-    alone on the columns, matching the order-3 slice convention.
+    alone on the columns, matching the order-3 slice convention.  A
+    non-finite weight raises ``ShapeError``.
     """
     if row_modes is None and col_modes is None:
         row_modes, _, col_modes = _mode_groups(fixed_modes, t.order)
@@ -239,6 +240,8 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
         raise ShapeError(
             f"got {weights.size} weights for {stack.shape[2]} slices"
         )
+    if not np.isfinite(weights).all():
+        raise ShapeError("slice weights must be finite")
     return stack @ weights
 
 

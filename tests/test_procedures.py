@@ -214,6 +214,14 @@ class TestProcedure2:
         assert np.array_equal(a.core.data, b.core.data)
 
 
+    @pytest.mark.parametrize("weights", [
+        {"alpha": [np.nan] * 8}, {"beta": [np.inf] * 12}], ids=["nan", "inf"])
+    def test_non_finite_weights_refused(self, weights):
+        inst = gen_instance("A4.3", (12, 12, 8), (3, 3, 2), seed=26)
+        with pytest.raises(ShapeError, match="finite"):
+            procedure2(inst.tensor, (3, 3, 2), CFG, **weights)
+
+
 class TestProcedure3:
     def test_identity_recovery(self, rng):
         t, truth = identity_instance(rng, (3, 3, 5))
@@ -261,6 +269,11 @@ class TestProcedure4:
         for ua, ub in zip(m3.factors, m4.factors):
             assert np.array_equal(ua, ub)
         assert np.array_equal(m3.core.data, m4.core.data)
+
+    def test_non_finite_weights_refused(self):
+        inst = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31)
+        with pytest.raises(ShapeError, match="finite"):
+            procedure4(inst.tensor, (3, 3, 2), CFG, alpha=[np.nan] * 6)
 
     def test_seed_determinism(self):
         inst = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31)

@@ -282,6 +282,14 @@ class TestSliceCombination:
         with pytest.raises(ShapeError):
             slice_combination(t, 2, np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights(self, rng, bad):
+        t = DenseTensor.from_array(rng.standard_normal((3, 4, 5)))
+        w = np.ones(5)
+        w[2] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            slice_combination(t, 2, w)
+
     def test_one_free_group_given(self, rng):
         t = DenseTensor.from_array(rng.standard_normal((3, 4, 5)))
         with pytest.raises(PartitionError):
