@@ -9,6 +9,7 @@ shortest augmenting paths, without scipy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
@@ -17,7 +18,8 @@ import numpy as np
 
 from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
                     estimate_min_p, kron_ssc_sufficient)
-from .errors import EnumerationCapError, InputError, RankError, ShapeError
+from .errors import (EnumerationCapError, InputError, RankError, ShapeError,
+                     UsageError)
 from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .solvers import _scan_slices, numerical_rank
@@ -455,13 +457,26 @@ def _conditions(assumption_id, d, ranks, meta):
     return row(d, ranks, meta)
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; ``UsageError`` unless a nonnegative integer."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise UsageError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
     """Run the base factor checks and the ``_ROWS`` row of one assumption
     set on an instance.
 
     The instance must carry the ground truth (``truth`` model) beside the
     tensor; SSC checks run exactly within the enumeration cap and fall
-    back to certified sufficient conditions beyond it.
+    back to certified sufficient conditions beyond it.  The span checks
+    draw from the instance ``seed``, which must then be a nonnegative
+    integer (``UsageError`` otherwise).
     """
     aid = assumption_id or instance.assumption_id
     t, truth = instance.tensor, instance.truth
@@ -481,6 +496,7 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         else:
             rep.add(c.name, *_core_status(
                 c, t if c.on_tensor else truth.core,
-                np.random.default_rng(getattr(instance, "seed", 0) + c.seed)
+                np.random.default_rng(
+                    _checked_seed(getattr(instance, "seed", 0)) + c.seed)
                 if c.kind == "span" else None))
     return rep.finish()

@@ -18,10 +18,9 @@ from math import prod
 import numpy as np
 
 from .cones import ENUM_CAP_N, _ssc_memo, check_ssc
-from .errors import (GenerationError, InputError, PartitionError, ShapeError,
-                     UsageError)
-from .evaluate import (_conditions, _Core, _core_status, _Group, _Shape,
-                       validate_assumptions)
+from .errors import GenerationError, InputError, PartitionError, ShapeError
+from .evaluate import (_checked_seed, _conditions, _Core, _core_status,
+                       _Group, _Shape, validate_assumptions)
 from .model import NtdModel
 from .procedures import ModePartition
 from .tensor import (DenseTensor, _unfolding_groups, read_tensor,
@@ -44,6 +43,71 @@ class Instance:
     meta: dict = field(default_factory=dict)
 
 
+def _row_draws(rng, n, r, k):
+    """Column indices and values of ``n`` rows, each as
+    ``rng.choice(r, size=k, replace=False)`` then ``rng.random(k)`` give
+    them (numpy's path for r <= 10000), read from the bit generator's
+    words in one pass.
+
+    numpy's 64-bit bit generators serve a 32-bit draw from the low half of
+    a fresh word, keeping the high half in ``has_uint32``/``uinteger`` for
+    the next one, and a double from a whole word's top 53 bits.  ``choice``
+    draws Floyd's sample for bounds r-k ... r-1 (a value already taken
+    takes the bound instead), then shuffles it for bounds k-1 ... 1, each
+    draw from [0, j] by Lemire's rejection method.  Words are fetched no
+    faster than they are certainly needed (the current one plus k doubles
+    per later row), and the half-word buffer is written back, so the
+    generator ends in the state the per-row calls leave.  Any other bit
+    generator (e.g. MT19937, which draws 32-bit words natively) takes those
+    per-row calls.
+    """
+    bg = rng.bit_generator
+    if not isinstance(bg, (np.random.PCG64, np.random.PCG64DXSM,
+                           np.random.SFC64, np.random.Philox)):
+        cols, vals = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+        for i in range(n):
+            cols[i] = rng.choice(r, size=k, replace=False)
+            vals[i] = rng.random(k)
+        return cols, vals
+    state = bg.state
+    has, half = state["has_uint32"], state["uinteger"]
+    words, left = [], n
+
+    def word():
+        if not words:
+            words.extend(reversed(bg.random_raw(1 + k * (left - 1)).tolist()))
+        return words.pop()
+
+    def bounded(j):
+        nonlocal has, half
+        while True:
+            if has:
+                has, u = 0, half
+            else:
+                w = word()
+                has, half, u = 1, w >> 32, w & 0xFFFFFFFF
+            m = u * (j + 1)
+            if (m & 0xFFFFFFFF) >= 0x100000000 % (j + 1):
+                return m >> 32
+
+    cols, vals = [], []
+    for left in range(n, 0, -1):
+        idx = []
+        for j in range(r - k, r):
+            v = bounded(j) if j else 0
+            idx.append(j if v in idx else v)
+        for j in range(k - 1, 0, -1):
+            t = bounded(j)
+            idx[j], idx[t] = idx[t], idx[j]
+        cols += idx
+        vals += [(word() >> 11) * 2.0 ** -53 for _ in range(k)]
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = has, half
+    bg.state = state
+    return (np.array(cols, dtype=np.intp).reshape(n, k),
+            np.array(vals).reshape(n, k))
+
+
 def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     """Sparse stochastic matrix certified to satisfy the SSC.
 
@@ -51,8 +115,20 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     column is touched, columns are normalized to unit sum; draws are
     rejected until the exact SSC check passes, which it cannot past
     ``GEN_SSC_MAX_RANK`` or ``cones.ENUM_CAP_N`` rows: those raise
-    ``GenerationError`` before any draw.
+    ``GenerationError`` before any draw.  ``n``, ``r`` and
+    ``nnz_per_row`` must be integers (``ShapeError`` otherwise).
+
+    Each row is read from the random stream exactly as
+    ``rng.choice(r, size=nnz_per_row, replace=False)`` then
+    ``rng.random(nnz_per_row)`` would read it (see ``_row_draws``), so the
+    seeded bytes are those of that per-row loop; ``TestSeededBytes`` and
+    the stream test in ``tests/test_synth.py`` pin them.
     """
+    try:
+        n, r, nnz_per_row = map(operator.index, (n, r, nnz_per_row))
+    except TypeError:
+        raise ShapeError(f"n, r and nnz_per_row must be integers, got "
+                         f"{n!r}, {r!r}, {nnz_per_row!r}") from None
     if not 2 <= r <= n:
         raise ShapeError(f"need n >= r >= 2, got n={n}, r={r}")
     if r > GEN_SSC_MAX_RANK:
@@ -67,9 +143,8 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     rng = np.random.default_rng(0 if rng is None else rng)
     for _ in range(max_tries):
         h = np.zeros((n, r))
-        for i in range(n):
-            cols = rng.choice(r, size=nnz_per_row, replace=False)
-            h[i, cols] = rng.random(nnz_per_row)
+        cols, vals = _row_draws(rng, n, r, nnz_per_row)
+        h[np.arange(n)[:, None], cols] = vals
         if (h.sum(axis=0) == 0).any():
             continue
         h /= h.sum(axis=0)
@@ -170,12 +245,7 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
             raise PartitionError("partition needs rows, fixed and cols")
         ModePartition(partition["rows"], partition["fixed"],
                       partition["cols"]).validate(d)
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise UsageError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {seed}")
+    seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)
     meta = {"dims": list(dims), "ranks": list(ranks)}
     if axes is not None:

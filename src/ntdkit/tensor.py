@@ -230,7 +230,8 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
     first fastest); a unit vector therefore reproduces a single slice.  Row
     and column modes default to the remaining modes with the largest one
     alone on the columns, matching the order-3 slice convention.  A
-    non-finite weight raises ``ShapeError``.
+    non-finite weight, or finite weights whose combination overflows,
+    raises ``ShapeError``.
     """
     if row_modes is None and col_modes is None:
         row_modes, _, col_modes = _mode_groups(fixed_modes, t.order)
@@ -242,7 +243,12 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
         )
     if not np.isfinite(weights).all():
         raise ShapeError("slice weights must be finite")
-    return stack @ weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = stack @ weights
+    if not np.isfinite(out).all():
+        raise ShapeError("slice weights overflow: their combination is not "
+                         "finite")
+    return out
 
 
 def _finite_array(data, what) -> np.ndarray:

@@ -367,6 +367,22 @@ class TestValidateAssumptions:
         with pytest.raises(UsageError):
             validate_assumptions(inst, "A9.9")
 
+    @pytest.mark.parametrize("seed,message", [
+        (2.5, "must be an integer"), ("4", "must be an integer"),
+        (-100, "must be nonnegative")], ids=["float", "text", "negative"])
+    def test_bad_instance_seed_refused(self, seed, message):
+        # the span checks of A4.3 draw from the instance seed
+        inst = gen_instance("A4.3", (12, 12, 8), (3, 3, 2), seed=26)
+        inst.seed = seed
+        with pytest.raises(UsageError, match=message):
+            validate_assumptions(inst)
+
+    def test_integer_like_instance_seed(self):
+        inst = gen_instance("A4.3", (12, 12, 8), (3, 3, 2), seed=26)
+        expected = validate_assumptions(inst).to_json()
+        inst.seed = np.int64(26)
+        assert validate_assumptions(inst).to_json() == expected
+
     def test_large_kron_group_mechanism(self, rng):
         # 400x16 group: exact enumeration infeasible; the sufficient
         # condition or the separable-closure rule must decide, else the

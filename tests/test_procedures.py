@@ -214,12 +214,17 @@ class TestProcedure2:
         assert np.array_equal(a.core.data, b.core.data)
 
 
-    @pytest.mark.parametrize("weights", [
-        {"alpha": [np.nan] * 8}, {"beta": [np.inf] * 12}], ids=["nan", "inf"])
-    def test_non_finite_weights_refused(self, weights):
+    @pytest.mark.parametrize("weights,scale", [
+        ({"alpha": [np.nan] * 8}, 1), ({"beta": [np.inf] * 12}, 1),
+        ({"alpha": [1e308] * 8}, 100), ({"beta": [1e308] * 12}, 100)],
+        ids=["nan", "inf", "alpha-overflow", "beta-overflow"])
+    def test_non_finite_weights_refused(self, weights, scale):
+        # scaled by 100, the tensor's slice sums exceed 2: a weight of
+        # 1e308 on each slice overflows the combination
         inst = gen_instance("A4.3", (12, 12, 8), (3, 3, 2), seed=26)
+        t = DenseTensor(inst.tensor.dims, scale * inst.tensor.data)
         with pytest.raises(ShapeError, match="finite"):
-            procedure2(inst.tensor, (3, 3, 2), CFG, **weights)
+            procedure2(t, (3, 3, 2), CFG, **weights)
 
 
 class TestProcedure3:
@@ -274,6 +279,12 @@ class TestProcedure4:
         inst = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31)
         with pytest.raises(ShapeError, match="finite"):
             procedure4(inst.tensor, (3, 3, 2), CFG, alpha=[np.nan] * 6)
+
+    def test_overflowing_weights_refused(self):
+        inst = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31)
+        t = DenseTensor(inst.tensor.dims, 100 * inst.tensor.data)
+        with pytest.raises(ShapeError, match="finite"):
+            procedure4(t, (3, 3, 2), CFG, alpha=[1e308] * 6)
 
     def test_seed_determinism(self):
         inst = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31)

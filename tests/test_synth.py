@@ -50,6 +50,22 @@ class TestGenSscFactor:
             gen_ssc_factor(n, 4, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("n,r,nnz", [(10.5, 4, 2), (10, 3.0, 2),
+                                         (10, 4, 1.5), (10, "4", 2)],
+                             ids=["n", "r", "nnz", "text"])
+    def test_non_integer_arguments_refused_before_drawing(self, n, r, nnz):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="must be integers"):
+            gen_ssc_factor(n, r, rng, nnz_per_row=nnz)
+        assert rng.bit_generator.state == state
+
+    def test_integer_like_arguments_accepted(self):
+        h = gen_ssc_factor(np.int64(20), np.int64(4), np.random.default_rng(3),
+                           nnz_per_row=np.int64(2))
+        assert np.array_equal(h, gen_ssc_factor(20, 4,
+                                                np.random.default_rng(3)))
+
     def test_acceptance_rate_near_reported(self):
         # two-nonzero 20x4 draws: a clear majority band, not all-or-nothing
         hits = 0
@@ -67,6 +83,65 @@ class TestGenSscFactor:
         assert rng.bit_generator.state == state  # raised before drawing
         with pytest.raises(ValueError, match="20x4 factor in 0 draws"):
             two_nonzero_ssc(20, 4, rng, max_tries=0)
+
+
+def _per_row_draws(rng, n, r, k):
+    """The reference: one ``choice`` and one ``random`` call per row."""
+    cols, vals = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    for i in range(n):
+        cols[i] = rng.choice(r, size=k, replace=False)
+        vals[i] = rng.random(k)
+    return cols, vals
+
+
+def _with_half_word(bit_generator, half):
+    """``bit_generator`` with ``half`` waiting as its buffered 32 bits."""
+    state = bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, half
+    bit_generator.state = state
+    return bit_generator
+
+
+class TestRowDraws:
+    """``_row_draws`` reads the stream as the per-row calls read it."""
+
+    @staticmethod
+    def assert_same_stream(make, n, r, k):
+        a, b = np.random.Generator(make()), np.random.Generator(make())
+        cols, vals = synth._row_draws(a, n, r, k)
+        ref_cols, ref_vals = _per_row_draws(b, n, r, k)
+        assert np.array_equal(cols, ref_cols), (n, r, k)
+        assert np.array_equal(vals, ref_vals), (n, r, k)
+        assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
+        np.random.Philox])
+    def test_matches_per_row_calls(self, bit_generator):
+        for r in range(2, 9):
+            for k in sorted({1, 2, r}):
+                for n in (1, 2, 7, 60, 400):
+                    for buffered in (False, True):
+                        seed = 1000 * r + 10 * n + k
+
+                        def make():
+                            g = bit_generator(seed)
+                            return _with_half_word(g, seed) if buffered \
+                                else g
+                        self.assert_same_stream(make, n, r, k)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64,
+                                               np.random.Philox])
+    def test_rejected_draw(self, bit_generator):
+        # The first draw has bound 2: 2**32 % 3 = 1 rejects a leftover 0,
+        # which the buffered half word 0 gives.
+        self.assert_same_stream(
+            lambda: _with_half_word(bit_generator(5), 0), 3, 4, 2)
+
+    def test_mt19937_takes_the_per_row_calls(self):
+        for r, k, n in ((4, 2, 30), (2, 1, 5), (5, 5, 9)):
+            self.assert_same_stream(lambda: np.random.MT19937(r), n, r, k)
 
 
 class TestGenSeparableFactor:

@@ -282,9 +282,11 @@ class TestSliceCombination:
         with pytest.raises(ShapeError):
             slice_combination(t, 2, np.ones(4))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
     def test_non_finite_weights(self, rng, bad):
-        t = DenseTensor.from_array(rng.standard_normal((3, 4, 5)))
+        # entries of at least 2 carry a weight of 1e308 past the largest
+        # double: finite weights, an overflowing combination
+        t = DenseTensor.from_array(2 + np.abs(rng.standard_normal((3, 4, 5))))
         w = np.ones(5)
         w[2] = bad
         with pytest.raises(ShapeError, match="finite"):
