@@ -24,7 +24,7 @@ from .cones import (check_pssc, check_separable, check_ssc,
                     counterexample_dims_ok, kron_ssc_margin,
                     kron_ssc_sufficient)
 from .errors import (ComputationError, GenerationError, InputError,
-                     NtdkitError, ShapeError, UsageError)
+                     NtdkitError, UsageError)
 from .evaluate import essential_match
 from .model import NtdModel
 from .procedures import (ModePartition, procedure0, procedure1, procedure2,
@@ -201,9 +201,7 @@ def cmd_decompose(args) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} applies only to "
                              f"--procedure {' or '.join(procs)}")
     tensor, inst = _load_input(args.input)
-    ranks = _ints(args.ranks)
-    if min(ranks) < 1:
-        raise ShapeError(f"ranks must be positive, got {args.ranks}")
+    ranks = _ints(args.ranks)  # every procedure refuses ranks below 1
     cfg = _load_solver_config(args)
     t0 = time.perf_counter()
     model = _run_procedure(

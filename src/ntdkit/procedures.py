@@ -3,34 +3,35 @@ decompositions.
 
 Each procedure reduces the tensor to matrix subproblems, solves them with
 the volume solvers, and reassembles a model that reconstructs the input
-within the feasibility tolerance.  There are three order-d routes: the
-unfolding route (d0; one unfolding, then Kronecker splits), the slice-pair
-route (d1; one slice for two modes, one projected slice per further mode)
-and the slice-stack route (d3; one slice, then the projected stack of all
-slices).  Procedures 0, 1 and 3 are their order-3 cases: each checks its
-own rank conditions, calls d0, d1 or d3 and names its diagnostics.
-Procedures 2 and 4 are 1 and 3 with Gaussian slice combinations as the
-matrices they factor first, 4 keeping 3's stack.  d1 and d3 take the first
-full-rank slice in flat index order unless told which (``_scan_slices``,
-from ``solvers`` beside its rank gate; no randomness).  The slice routes
-take each factor's left inverse from the solver that built it
-(``solvers._left_inverse``) and compute no pseudo-inverse.  Every
-procedure checks its rank list in ``_mode_ranks``.  Slices and unfoldings
-come from ``tensor``, which alone flattens modes; 4 and d3 read every
-slice from one stack.
+within the feasibility tolerance.  There are three order-d routes, each
+checking its own rank rule: the unfolding route (d0; one unfolding, then
+Kronecker splits), the slice-pair route (d1; one matrix for two modes,
+one projected matrix per further mode) and the slice-stack route (d3; one
+matrix, then the projected stack of all slices).  Their matrices are
+slices, the first full-rank one in flat index order unless told which
+(``_scan_slices``, from ``solvers``; no randomness), or, given
+``weights``, slice combinations: procedures d.2 and d.4.  Procedures 0-4
+are the order-3 cases of d0, d1, d1, d3 and d3: each checks the order in
+``_mode_ranks``, as every procedure checks its rank list, and names its
+diagnostics; 2 and 4 draw the weights not given from ``cfg.seed``.  The
+slice routes take each factor's left inverse from the solver that built
+it (``solvers._left_inverse``) and compute no pseudo-inverse.  Slices and
+unfoldings come from ``tensor``, which alone flattens modes; d3 reads
+every slice from one stack.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
-from .errors import ShapeError, SolverError
+from .errors import ShapeError
 from .kron import kron_split_multi
 from .model import NtdModel
-from .solvers import (SolverConfig, _left_inverse, _minvol_nmf,
+from .solvers import (SolverConfig, _check_fit, _left_inverse, _minvol_nmf,
                       _minvol_order2, _scan_slices, derive_seed, minvol_nmf,
                       minvol_order2_ntd, spa_separable_nmf)
 from .tensor import (DenseTensor, SliceSpec, _flatten, _partition,
@@ -52,34 +53,48 @@ class ModePartition:
                           self.col_modes)
 
 
+_ORDER3 = ModePartition((0,), (2,), (1,))  # procedures 3 and 4
+
+
 def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
     model = NtdModel(list(factors), core, tuple(ranks), diagnostics)
-    err = model._residual_norm(t) / max(t.norm(), 1e-300)
-    if err > cfg.feas_tol:
-        raise SolverError(f"model reconstruction error {err:.3e}")
-    diagnostics["recon_error"] = float(err)
+    diagnostics["recon_error"] = _check_fit(
+        t.data, model.reconstruct().data, cfg.feas_tol, what="model")
     diagnostics["core_nonnegative"] = model.core_is_nonnegative(cfg.feas_tol)
     return model
 
 
+def _ints(values, what):
+    """``values`` as ints by ``operator.index``: a float or a string is
+    refused (``ShapeError`` naming ``what``), not truncated."""
+    try:
+        return tuple(int(operator.index(v)) for v in values)
+    except TypeError:
+        raise ShapeError(f"{what} must be integers, got {values!r}") \
+            from None
+
+
 def _mode_ranks(t, ranks, name, low=1, high=None):
-    """``ranks`` as ints, one per mode of ``t``, whose order must lie in
-    ``[low, high]`` (no upper bound when ``high`` is None); ``ShapeError``
-    naming procedure ``name`` otherwise."""
-    ranks = tuple(int(r) for r in ranks)
+    """``ranks`` as positive ints, one per mode of ``t``, whose order must
+    lie in ``[low, high]`` (no upper bound when ``high`` is None);
+    ``ShapeError`` naming procedure ``name`` otherwise."""
+    ranks = _ints(ranks, f"procedure {name}'s ranks")
     if len(ranks) != t.order or not low <= t.order <= (high or t.order):
         orders = low if low == high else f">= {low}"
         raise ShapeError(f"procedure {name} runs on tensors of order "
                          f"{orders} with one rank per mode, got "
                          f"{len(ranks)} ranks for order {t.order}")
+    if min(ranks) < 1:
+        raise ShapeError(f"procedure {name} needs ranks >= 1, got {ranks}")
     return ranks
 
 
 def _order3(model, name, **indices):
     """``model`` of an order-d route relabelled as order-3 procedure
-    ``name``: ``indices`` take the place of the route's slice keys."""
+    ``name``: ``indices`` replace the route's slice and weight keys."""
     kept = {k: v for k, v in model.diagnostics.items() if k not in
-            ("procedure", "slice_indices", "fixed_flat_index", "partition")}
+            ("procedure", "slice_indices", "fixed_flat_index", "partition",
+             "weights")}
     model.diagnostics = {"procedure": name, **indices, **kept}
     return model
 
@@ -98,46 +113,6 @@ def _split_groups(t, ranks, groups):
     return factors, perms
 
 
-def _slice_pair_route(t, ranks, first, mats, cfg, diagnostics):
-    """Min-vol order-2 nTD of ``first`` gives U1 and U2; each further
-    matrix, projected by the left inverse of U1, gives the next factor by
-    min-vol NMF; the core is ``t`` times every factor's left inverse, each
-    taken from its solver's parametrization."""
-    fac, left, right = _minvol_order2(first, ranks[0], cfg)
-    p1 = _left_inverse(*left)
-    factors, inverses = [fac.u1, fac.u2], [p1, _left_inverse(*right)]
-    for mat, r in zip(mats, ranks[2:]):
-        _, h, param = _minvol_nmf(p1 @ mat, r, cfg)
-        factors.append(h)
-        inverses.append(_left_inverse(*param))
-    diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
-    return _finalize(t, factors, multilinear_transform(t, inverses), ranks,
-                     cfg, diagnostics)
-
-
-def _slice_stack_route(t, ranks, groups, first, slices, cfg, diagnostics):
-    """Min-vol order-2 nTD of ``first`` over the ``(rows, fixed, cols)``
-    groups; the ``(R, C, F)`` ``slices``, projected on both sides by the
-    left inverses of U1 and U2, factor as core unfolding times the
-    fixed-group factor."""
-    rows, fixed, cols = groups
-    r = prod(ranks[m] for m in rows)
-    fac, left, right = _minvol_order2(first, r, cfg)
-    p1 = _left_inverse(*left)
-    p2t = _left_inverse(*right).T
-    stack = _flatten(p1 @ np.moveaxis(slices, -1, 0) @ p2t, ((1, 2), (0,)))
-    g, u_fixed = minvol_nmf(stack, prod(ranks[m] for m in fixed), cfg)
-
-    factors, (perm_left, perm_right, perm_mid) = _split_groups(
-        t, ranks, ((fac.u1, rows), (fac.u2, cols), (u_fixed, fixed)))
-    row_gather = (perm_left[:, None] + perm_right[None, :] * r) \
-        .ravel(order="F")
-    core = _unflatten(g[np.ix_(row_gather, perm_mid)], rows + cols + fixed,
-                      ranks)
-    diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
-    return _finalize(t, factors, core, ranks, cfg, diagnostics)
-
-
 def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig) -> NtdModel:
     """Unfolding route: min-vol order-2 nTD of the unfolding along
     ``axes``, then Kronecker splits of both grouped factors."""
@@ -145,10 +120,9 @@ def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig) -> NtdModel:
     rest, axes = _unfolding_groups(axes, t.order)
     r = prod(ranks[k] for k in axes)
     if r != prod(ranks[k] for k in rest):
-        raise ShapeError(
-            f"rank products differ across the unfolding "
-            f"({prod(ranks[k] for k in rest)} vs {r})"
-        )
+        raise ShapeError(f"the unfolding route needs equal rank products "
+                         f"on both sides, got {prod(ranks[k] for k in rest)} "
+                         f"and {r}")
     fac = minvol_order2_ntd(unfold(t, axes), r, cfg)
     factors, (perm_left, perm_right) = _split_groups(
         t, ranks, ((fac.u1, rest), (fac.u2, axes)))
@@ -160,11 +134,8 @@ def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig) -> NtdModel:
 
 
 def procedure0(t: DenseTensor, ranks, cfg: SolverConfig) -> NtdModel:
-    """Procedure d0 at order 3 on the mode-3 unfolding; needs
-    r3 == r1*r2."""
-    r1, r2, r3 = _mode_ranks(t, ranks, "0", 3, 3)
-    if r3 != r1 * r2:
-        raise ShapeError(f"r3={r3} must equal r1*r2={r1 * r2}")
+    """Procedure d0 at order 3 on the mode-3 unfolding (r3 == r1*r2)."""
+    ranks = _mode_ranks(t, ranks, "0", 3, 3)
     return _order3(procedure_d0(t, ranks, (2,), cfg), "0")
 
 
@@ -173,35 +144,30 @@ def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
     """Procedure d1 at order 3: one mode-3 slice, the first full-rank one
     unless ``i3`` is given, gives U1, U2 by min-vol order-2 nTD; one
     projected mode-2 slice (``i2``) gives U3 by min-vol NMF."""
-    r1, r2, r3 = _mode_ranks(t, ranks, "1", 3, 3)
-    if r1 != r2:
-        raise ShapeError("procedure 1 needs r1 == r2")
-    if r3 > r1:
-        raise ShapeError("procedure 1 needs r3 <= r1")
-    given = {col: {mode: int(i)} for col, mode, i in ((1, 2, i3), (2, 1, i2))
+    ranks = _mode_ranks(t, ranks, "1", 3, 3)
+    given = {col: {mode: i} for col, mode, i in ((1, 2, i3), (2, 1, i2))
              if i is not None}
-    model = procedure_d1(t, (r1, r2, r3), cfg, slice_indices=given)
+    model = procedure_d1(t, ranks, cfg, slice_indices=given)
     used = model.diagnostics["slice_indices"]
     return _order3(model, "1", i3=used["1"]["2"], i2=used["2"]["1"])
 
 
-def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
-               alpha=None, beta=None) -> NtdModel:
-    """Randomized procedure 1 on Gaussian slice combinations; succeeds with
+def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, alpha=None,
+               beta=None) -> NtdModel:
+    """Procedure d1 at order 3 on slice combinations (procedure d.2):
+    ``alpha`` weighs the mode-3 slices into the matrix that gives U1, U2,
+    ``beta`` the mode-2 slices into the one that gives U3; those not given
+    are Gaussian, drawn in that order from ``cfg.seed``.  Succeeds with
     probability one whenever the slice spans have maximal rank."""
-    r1, r2, r3 = _mode_ranks(t, ranks, "2", 3, 3)
-    if r1 != r2 or r3 > r1:
-        raise ShapeError("procedure 2 needs r3 <= r1 == r2")
-    rng = np.random.default_rng(
-        derive_seed(cfg.seed, "procedure2") if rng is None else rng)
-    alpha = rng.standard_normal(t.dims[2]) if alpha is None \
-        else np.asarray(alpha, dtype=float)
-    beta = rng.standard_normal(t.dims[1]) if beta is None \
-        else np.asarray(beta, dtype=float)
-    return _slice_pair_route(t, (r1, r2, r3), slice_combination(t, 2, alpha),
-                             [slice_combination(t, 1, beta)], cfg,
-                             {"procedure": "2", "alpha": alpha.tolist(),
-                              "beta": beta.tolist()})
+    ranks = _mode_ranks(t, ranks, "2", 3, 3)
+    rng = np.random.default_rng(derive_seed(cfg.seed, "procedure2"))
+    if alpha is None:
+        alpha = rng.standard_normal(t.dims[2])
+    if beta is None:
+        beta = rng.standard_normal(t.dims[1])
+    model = procedure_d1(t, ranks, cfg, weights={1: alpha, 2: beta})
+    used = model.diagnostics["weights"]
+    return _order3(model, "2", alpha=used["1"], beta=used["2"])
 
 
 def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
@@ -210,115 +176,143 @@ def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
     one mode-3 slice, the first full-rank one unless ``slice_index`` is
     given, gives U1, U2; the projected stack of all mode-3 slices factors
     as core-unfolding times U3' and min-vol NMF finishes."""
-    r1, r2, r3 = _mode_ranks(t, ranks, "3", 3, 3)
-    if r1 != r2:
-        raise ShapeError("procedure 3 needs r1 == r2")
-    if r3 > r1 * r1:
-        raise ShapeError(f"procedure 3 needs r3 <= r^2 = {r1 * r1}")
+    ranks = _mode_ranks(t, ranks, "3", 3, 3)
     fixed = None if slice_index is None else (slice_index,)
-    model = procedure_d3(t, (r1, r2, r3), ModePartition((0,), (2,), (1,)),
-                         cfg, fixed_index=fixed)
+    model = procedure_d3(t, ranks, _ORDER3, cfg, fixed_index=fixed)
     return _order3(model, "3",
                    slice_index=model.diagnostics["fixed_flat_index"])
 
 
-def procedure4(t: DenseTensor, ranks, cfg: SolverConfig, rng=None,
+def procedure4(t: DenseTensor, ranks, cfg: SolverConfig,
                alpha=None) -> NtdModel:
-    """Randomized procedure 3: the first matrix is one Gaussian combination
-    ``alpha`` of the mode-3 slices, which has full rank with probability
-    one whenever the slices span maximal rank; the projected stack is
-    procedure 3's.  ``diagnostics["mix"]`` holds ``alpha`` as one column."""
-    r1, r2, r3 = _mode_ranks(t, ranks, "4", 3, 3)
-    if r1 != r2 or r3 > r1 * r1:
-        raise ShapeError("procedure 4 needs r3 <= r^2 with r1 == r2")
-    rng = np.random.default_rng(
-        derive_seed(cfg.seed, "procedure4") if rng is None else rng)
-    alpha = rng.standard_normal(t.dims[2]) if alpha is None \
-        else np.asarray(alpha, dtype=float)
-    return _slice_stack_route(t, (r1, r2, r3), ((0,), (2,), (1,)),
-                              slice_combination(t, 2, alpha),
-                              _slice_stack(t, (0,), (2,), (1,)), cfg,
-                              {"procedure": "4",
-                               "mix": alpha[:, None].tolist()})
+    """Procedure 3 with its first matrix the combination of the mode-3
+    slices by ``alpha`` (procedure d.4), Gaussian from ``cfg.seed`` when
+    not given: of full rank with probability one whenever the slices span
+    maximal rank.  ``diagnostics["mix"]`` holds ``alpha`` as one column."""
+    ranks = _mode_ranks(t, ranks, "4", 3, 3)
+    if alpha is None:
+        alpha = np.random.default_rng(derive_seed(cfg.seed, "procedure4")) \
+            .standard_normal(t.dims[2])
+    model = procedure_d3(t, ranks, _ORDER3, cfg, weights=alpha)
+    return _order3(model, "4",
+                   mix=[[a] for a in model.diagnostics["weights"]])
 
 
 def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
-                 slice_indices=None) -> NtdModel:
-    """Order-d slice route: a [0,1]-slice gives U0, U1; for every further
-    mode one projected [0,i]-slice gives U_i by min-vol NMF.
+                 slice_indices=None, weights=None) -> NtdModel:
+    """Order-d slice-pair route (d.1, and d.2 with ``weights``), for ranks
+    r1 == r2 >= r_i: the [0,1]-matrix gives U0, U1 by min-vol order-2 nTD,
+    each further [0,i]-matrix projected by U0's left inverse gives U_i by
+    min-vol NMF, and the core is ``t`` times every factor's left inverse.
 
-    ``slice_indices`` optionally maps a column mode (1..d-1, else
-    ``ShapeError``) to the fixed-index dict of its slice; for a missing
-    mode the first full-rank [0,i]-slice in flat index order is used (no
-    randomness).
+    The [0,i]-matrix of column mode i (1..d-1) is the slice at the
+    fixed-index dict ``slice_indices[i]``, or the combination of the
+    [0,i]-slices by the vector ``weights[i]`` (over the other modes' flat
+    index, first mode fastest), or else the first full-rank [0,i]-slice in
+    flat index order.  Keys must be distinct column modes (``ShapeError``).
     """
     ranks, d = _mode_ranks(t, ranks, "d1", 3), t.order
-    r = ranks[0]
-    if ranks[1] != r:
-        raise ShapeError("procedure d.1 needs r1 == r2")
-    if any(ranks[i] > r for i in range(2, d)):
-        raise ShapeError("procedure d.1 needs r_i <= r1 for i >= 3")
-    slice_indices = dict(slice_indices or {})
-    stray = [k for k in slice_indices if k not in range(1, d)]
-    if stray:
-        raise ShapeError(f"slice_indices keys {stray} are not column modes "
-                         f"1..{d - 1}")
-    used = {}
+    if ranks[1] != ranks[0] or max(ranks[2:]) > ranks[0]:
+        raise ShapeError(f"the slice-pair route needs r1 == r2 >= r_i for "
+                         f"every further mode i, got ranks {ranks}")
+    slice_indices, weights = dict(slice_indices or {}), dict(weights or {})
+    keys = [*slice_indices, *weights]
+    if len(set(keys)) < len(keys) or not set(keys) <= set(range(1, d)):
+        raise ShapeError(f"slice_indices and weights keys {keys} must be "
+                         f"distinct column modes 1..{d - 1}")
+    mats, used = {}, {}
     for i in range(1, d):
+        others = tuple(m for m in range(d) if m not in (0, i))
+        if i in weights:
+            mats[i] = slice_combination(t, others, weights[i], (0,), (i,))
+            continue
         if i in slice_indices:
-            used[i] = dict(slice_indices[i])
+            fixed = dict(slice_indices[i])
+            fixed = dict(zip(fixed, _ints([*fixed.values()], "slice indices")))
         else:
-            others = tuple(m for m in range(d) if m not in (0, i))
             flat = _scan_slices(_slice_stack(t, (0,), others, (i,)), (0,),
                                 (i,), ranks[i])
             index = np.unravel_index(flat, [t.dims[m] for m in others],
                                      order="F")
-            used[i] = dict(zip(others, map(int, index)))
-    mats = {i: slice_matrix(t, SliceSpec((0,), fixed, (i,)))
-            for i, fixed in used.items()}
+            fixed = dict(zip(others, map(int, index)))
+        used[i] = fixed
+        mats[i] = slice_matrix(t, SliceSpec((0,), fixed, (i,)))
     diagnostics = {"procedure": "d1",
-                   "slice_indices": {str(k): {str(m): int(v)
-                                              for m, v in f.items()}
+                   "slice_indices": {str(k): {str(m): v for m, v in f.items()}
                                      for k, f in used.items()}}
-    return _slice_pair_route(t, ranks, mats[1],
-                             [mats[i] for i in range(2, d)], cfg, diagnostics)
+    if weights:
+        diagnostics["weights"] = {str(i): np.asarray(w, dtype=float).tolist()
+                                  for i, w in sorted(weights.items())}
+    fac, left, right = _minvol_order2(mats[1], ranks[0], cfg)
+    p1 = _left_inverse(*left)
+    factors, inverses = [fac.u1, fac.u2], [p1, _left_inverse(*right)]
+    for i in range(2, d):
+        _, h, param = _minvol_nmf(p1 @ mats[i], ranks[i], cfg)
+        factors.append(h)
+        inverses.append(_left_inverse(*param))
+    diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
+    return _finalize(t, factors, multilinear_transform(t, inverses), ranks,
+                     cfg, diagnostics)
 
 
 def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
-                 cfg: SolverConfig, fixed_index=None) -> NtdModel:
-    """Fully generalized slice route over a row/fixed/column mode
-    partition, with Kronecker splits of all three grouped factors.  The
-    first matrix is the slice at ``fixed_index`` or, when that is not
-    given, the first full-rank slice in flat index order."""
+                 cfg: SolverConfig, fixed_index=None,
+                 weights=None) -> NtdModel:
+    """Slice-stack route over a row/fixed/column mode partition (d.3, and
+    d.4 with ``weights``), for equal row and column rank products r and a
+    fixed-mode rank product of at most r^2: the first matrix gives the
+    grouped row and column factors by min-vol order-2 nTD, the stack of
+    all slices projected by their left inverses factors as core unfolding
+    times the fixed-group factor by min-vol NMF, and Kronecker splits of
+    all three grouped factors finish.  The first matrix is the slice at
+    ``fixed_index``, or the combination of all slices by the vector
+    ``weights`` (over the fixed modes' flat index, first mode fastest), or
+    else the first full-rank slice in flat index order; not both."""
     ranks = _mode_ranks(t, ranks, "d3")
     rows, fixed_modes, cols = partition.validate(t.order)
-    r = prod(ranks[m] for m in rows)
-    if r != prod(ranks[m] for m in cols):
-        raise ShapeError(
-            "row and column rank products must match "
-            f"({r} vs {prod(ranks[m] for m in cols)})"
-        )
-    r_fixed = prod(ranks[m] for m in fixed_modes)
-    if r_fixed > r * r:
-        raise ShapeError(f"fixed-mode rank product {r_fixed} exceeds r^2")
+    r, r_cols, r_fixed = (prod(ranks[m] for m in group)
+                          for group in (rows, cols, fixed_modes))
+    if r != r_cols or r_fixed > r * r:
+        raise ShapeError(f"the slice-stack route needs equal row and column "
+                         f"rank products r and a fixed-mode rank product of "
+                         f"at most r^2, got row and column rank products {r} "
+                         f"and {r_cols}, fixed-mode rank product {r_fixed}")
+    if fixed_index is not None and weights is not None:
+        raise ShapeError("procedure d3 takes fixed_index or weights, not both")
 
     stack = _slice_stack(t, rows, fixed_modes, cols)
-    sizes = [t.dims[m] for m in fixed_modes]
-    if fixed_index is None:
-        start = _scan_slices(stack, rows, cols, r)
+    diagnostics = {"procedure": "d3"}
+    if weights is not None:
+        first = slice_combination(t, fixed_modes, weights, rows, cols)
+        diagnostics["weights"] = np.asarray(weights, dtype=float).tolist()
     else:
-        fixed_index = tuple(int(i) for i in fixed_index)
-        try:
-            start = int(np.ravel_multi_index(fixed_index, sizes, order="F"))
-        except ValueError:
-            raise ShapeError(f"fixed_index {fixed_index} outside the "
-                             f"fixed-mode dims {tuple(sizes)}") from None
-    diagnostics = {"procedure": "d3", "fixed_flat_index": start,
-                   "partition": {"rows": list(rows),
-                                 "fixed": list(fixed_modes),
-                                 "cols": list(cols)}}
-    return _slice_stack_route(t, ranks, (rows, fixed_modes, cols),
-                              stack[:, :, start], stack, cfg, diagnostics)
+        if fixed_index is None:
+            start = _scan_slices(stack, rows, cols, r)
+        else:
+            index = _ints(fixed_index, "fixed_index")
+            sizes = [t.dims[m] for m in fixed_modes]
+            try:
+                start = int(np.ravel_multi_index(index, sizes, order="F"))
+            except ValueError:
+                raise ShapeError(f"fixed_index {index} outside the "
+                                 f"fixed-mode dims {tuple(sizes)}") from None
+        first, diagnostics["fixed_flat_index"] = stack[:, :, start], start
+    diagnostics["partition"] = {"rows": list(rows), "fixed": list(fixed_modes),
+                                "cols": list(cols)}
+    fac, left, right = _minvol_order2(first, r, cfg)
+    p1 = _left_inverse(*left)
+    p2t = _left_inverse(*right).T
+    projected = _flatten(p1 @ np.moveaxis(stack, -1, 0) @ p2t,
+                         ((1, 2), (0,)))
+    g, u_fixed = minvol_nmf(projected, r_fixed, cfg)
+    factors, (perm_left, perm_right, perm_mid) = _split_groups(
+        t, ranks, ((fac.u1, rows), (fac.u2, cols), (u_fixed, fixed_modes)))
+    row_gather = (perm_left[:, None] + perm_right[None, :] * r) \
+        .ravel(order="F")
+    core = _unflatten(g[np.ix_(row_gather, perm_mid)],
+                      rows + cols + fixed_modes, ranks)
+    diagnostics.update(absdet=fac.absdet, seed=cfg.seed)
+    return _finalize(t, factors, core, ranks, cfg, diagnostics)
 
 
 def separable_orderd(t: DenseTensor, ranks, feas_tol=1e-9) -> NtdModel:

@@ -19,18 +19,20 @@ is simplicial exactly when it has r facets, its anchors are the first
 columns on each extreme ray (off one facet, on all others), and one r x r
 solve against the anchors fits every column.  Each solver factors its
 input once in the one rank gate, ``_rank_r_svd``, whose singular values
-also decide that ``x`` has numerical rank exactly r.  ``minvol_order2_ntd``
+also decide that ``x`` has numerical rank exactly r and a norm that does
+not overflow (else no fit to it could be certified).  ``minvol_order2_ntd``
 needs both bases and takes ``W`` and ``Z`` from one thin SVD of ``x``.
 ``minvol_nmf`` and the separable solver need only the row space, which
 the gate takes for a tall ``x`` from the SVD of the square R factor of its
 QR (the R-SVD of Chan 1982), so the m x n left factor is never built.
-Every solver ends in the one fit check, ``_check_fit``.  The min-vol
-solvers return through private cores (``_minvol_order2``, ``_minvol_nmf``)
-that also give each factor as ``(W, q)`` with ``u = W q``: ``W`` has
-orthonormal columns, so ``_left_inverse`` takes ``pinv(u) = q^-1 W'`` by
-one r x r solve, which the procedures' slice routes use in place of an
-SVD.  The procedures' slice scan, ``_scan_slices``, sits beside the gate.
-This module does not import scipy.
+Every solver ends in the one fit check, ``_check_fit``, which a nan
+residual fails.  The min-vol solvers return through private cores
+(``_minvol_order2``, ``_minvol_nmf``) that also give each factor as
+``(W, q)`` with ``u = W q``: ``W`` has orthonormal columns, so
+``_left_inverse`` takes ``pinv(u) = q^-1 W'`` by one r x r solve, which
+the procedures' slice routes use in place of an SVD.  The procedures'
+slice scan, ``_scan_slices``, sits beside the gate.  This module does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ def numerical_rank(a) -> int:
 def _rank_r_svd(x, r, left=False):
     """``(u, s, vt)``: the leading r singular triplets of ``x``, the rank
     gate of every solver; ``RankError`` unless its numerical rank is
-    exactly ``r``, ``ShapeError`` unless ``r >= 1``.  Without ``left`` a
+    exactly ``r``, ``ShapeError`` unless ``r >= 1``, ``SolverError`` when
+    the norm of ``x`` overflows (no fit to it would pass ``_check_fit``,
+    and the solver's products could overflow).  Without ``left`` a
     tall ``x`` is factored through the R factor of its QR, the others
     directly, and ``u`` is None; with it one thin SVD of ``x`` gives all
     three."""
@@ -122,6 +126,11 @@ def _rank_r_svd(x, r, left=False):
     qr = not left and x.shape[0] > x.shape[1]
     u, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r") if qr else x,
                              full_matrices=False)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(s)  # the Frobenius norm of x
+    if norm == np.inf:
+        raise SolverError("the input's norm overflows, so no fit to it can "
+                          "be certified")
     k = _rank_from_values(s, x.shape)
     if k != r:
         raise RankError(f"input has numerical rank {k}, expected {r}")
@@ -152,12 +161,16 @@ def _scan_slices(stack, rows, cols, target):
 
 
 def _check_fit(x, fit, tol, error=SolverError, what="reconstruction"):
-    """Raise ``error("<what> residual ...")`` when ``fit`` misses ``x`` by
-    more than ``tol`` relative to ``||x||``, the fit check of every
-    solver."""
-    resid = np.linalg.norm(x - fit) / max(np.linalg.norm(x), 1e-300)
-    if resid > tol:
-        raise error(f"{what} residual {resid:.3e}")
+    """The residual of ``fit`` relative to ``||x||``; ``error("<what>
+    residual ...")`` when it exceeds ``tol`` or either norm overflows.
+    The fit check of every solver and procedure, warning-free."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(x)
+        resid = np.linalg.norm(x - fit) / max(scale, 1e-300)
+    if not resid <= tol or scale == np.inf:  # also for overflowed norms
+        raise error(f"{what} residual {resid:.3e} of an input of norm "
+                    f"{scale:.3e}")
+    return float(resid)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -315,8 +328,11 @@ class Order2Ntd(NamedTuple):
     u2: np.ndarray
 
     @property
-    def absdet(self) -> float:
-        return float(abs(np.linalg.det(self.g)))
+    def absdet(self):
+        """``|det g|``, or None when it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(abs(np.linalg.det(self.g)))
+        return value if np.isfinite(value) else None
 
     def reconstruct(self) -> np.ndarray:
         return self.u1 @ self.g @ self.u2.T

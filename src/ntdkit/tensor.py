@@ -226,21 +226,25 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
                       row_modes=None, col_modes=None) -> np.ndarray:
     """Weighted sum of the slices obtained by fixing ``fixed_modes``.
 
-    ``weights`` runs over all index tuples of the fixed modes (ascending,
-    first fastest); a unit vector therefore reproduces a single slice.  Row
-    and column modes default to the remaining modes with the largest one
-    alone on the columns, matching the order-3 slice convention.  A
-    non-finite weight, or finite weights whose combination overflows,
-    raises ``ShapeError``.
+    ``weights`` is one numeric vector over all index tuples of the fixed
+    modes (ascending, first fastest); a unit vector therefore reproduces a
+    single slice.  Row and column modes default to the remaining modes with
+    the largest one alone on the columns, matching the order-3 slice
+    convention.  Weights of another shape or kind, a non-finite weight, or
+    finite weights whose combination overflows raise ``ShapeError``.
     """
     if row_modes is None and col_modes is None:
         row_modes, _, col_modes = _mode_groups(fixed_modes, t.order)
     stack = _slice_stack(t, row_modes, fixed_modes, col_modes)
-    weights = np.asarray(weights, dtype=float).ravel()
-    if weights.size != stack.shape[2]:
-        raise ShapeError(
-            f"got {weights.size} weights for {stack.shape[2]} slices"
-        )
+    try:
+        weights = np.asarray(weights)
+    except ValueError:  # a ragged nested list
+        raise ShapeError("slice weights must be one vector") from None
+    if weights.dtype.kind not in "buif" or weights.shape != stack.shape[2:]:
+        raise ShapeError(f"slice weights must be one real vector of "
+                         f"{stack.shape[2]} entries, got shape "
+                         f"{weights.shape} and dtype {weights.dtype}")
+    weights = weights.astype(float)
     if not np.isfinite(weights).all():
         raise ShapeError("slice weights must be finite")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -151,6 +151,26 @@ class TestDecompose:
                 argv += ["--partition", "0|1|2"]
             assert run(capsys, *argv)[0] == 2, proc
 
+    def test_overflowing_tensor_never_prints_nan(self, tmp_path, capsys):
+        # Scaled by 1e140 only |det| overflows, and reads null; by 1e200
+        # the norms overflow too, and the fit is not certified (exit 4).
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        t = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=3).tensor
+        path = tmp_path / "tensor.bin"
+        for scale, want in ((1e140, 0), (1e200, 4)):
+            write_tensor_binary(DenseTensor(t.dims, scale * t.data), path)
+            code, text = run(capsys, "decompose", "--procedure", "1",
+                             "--input", str(path), "--ranks", "3,3,2",
+                             "--out", str(tmp_path / "m.json"))
+            assert code == want
+            if code == 0:
+                doc = json.loads(text, parse_constant=reject)
+                assert doc["absdet"] is None and doc["recon_err"] <= 1e-9
+                json.loads((tmp_path / "m.json").read_text(),
+                           parse_constant=reject)
+
     def test_assumption_overall_read_from_bundle(self, bundle, tmp_path,
                                                  capsys):
         argv = ["decompose", "--procedure", "1", "--input", str(bundle),

@@ -1,10 +1,11 @@
+import json
 from math import prod
 
 import numpy as np
 import pytest
 
 from ntdkit.errors import (ComputationError, NotPermutedKronecker,
-                           PartitionError, RankError, ShapeError)
+                           PartitionError, RankError, ShapeError, SolverError)
 from ntdkit.evaluate import essential_match, model_error
 from ntdkit.model import NtdModel
 from ntdkit import procedures
@@ -13,7 +14,7 @@ from ntdkit.procedures import (ModePartition, _finalize, procedure0,
                                procedure_d0, procedure_d1, procedure_d3,
                                separable_orderd)
 from ntdkit.solvers import (SolverConfig, _left_inverse, _scan_slices,
-                            numerical_rank)
+                            derive_seed, numerical_rank)
 from ntdkit.synth import gen_instance
 from ntdkit.tensor import (DenseTensor, _mode_groups, _slice_stack, fold,
                            multilinear_transform, unfold)
@@ -43,6 +44,25 @@ def leading_unit_rows_instance(seed, dims, ranks, deficient):
     factors = [np.vstack([np.eye(r), rng.random((n - r, r))])
                for n, r in zip(dims, ranks)]
     return NtdModel(factors, DenseTensor.from_array(core), ranks).reconstruct()
+
+
+def unit_row_slices_instance(seed):
+    """An order-4 model, dims (4, 4, 3, 3) and ranks 2, whose every
+    [0,1]-slice has rank one: the factors of modes 2 and 3 have scaled
+    unit vectors as rows, so each slice is one scaled core slice, and each
+    core slice is rank one.  Gaussian combinations of the slices have
+    rank two."""
+    rng = np.random.default_rng(seed)
+    core = np.zeros((2, 2, 2, 2))
+    for k in range(2):
+        for m in range(2):
+            core[:, :, k, m] = np.outer(rng.random(2), rng.random(2))
+    lead = [np.vstack([np.eye(2), rng.random((2, 2))]) for _ in range(2)]
+    unit = [np.eye(2)[np.arange(3) % 2] * rng.random((3, 1))
+            for _ in range(2)]
+    truth = NtdModel([u / u.sum(axis=0) for u in lead + unit],
+                     DenseTensor.from_array(core), (2, 2, 2, 2))
+    return truth.reconstruct(), truth
 
 
 class TestScanSlices:
@@ -491,6 +511,114 @@ class TestProcedureD3:
                          ModePartition((0, 2), (3,), (1,)), CFG)
 
 
+class TestCombinationRoutes:
+    """Procedures d.2 and d.4: d1 and d3 on slice combinations, of which
+    procedures 2 and 4 are the order-3 cases."""
+
+    def test_d1_weights_recover_order4(self):
+        inst = gen_instance("A5.3", (15, 15, 12, 12), (3, 3, 2, 2), seed=34)
+        rng = np.random.default_rng(0)
+        weights = {1: rng.standard_normal(144), 3: rng.standard_normal(180)}
+        model = procedure_d1(inst.tensor, (3, 3, 2, 2), CFG, weights=weights)
+        assert essential_match(model, inst.truth, tol=1e-6).matched
+        diag = model.diagnostics
+        assert list(diag["slice_indices"]) == ["2"]  # mode 2 was scanned
+        assert diag["weights"] == {"1": weights[1].tolist(),
+                                   "3": weights[3].tolist()}
+
+    def test_d3_weights_recover_order4(self):
+        part = {"rows": [0], "fixed": [2, 3], "cols": [1]}
+        inst = gen_instance("A5.4", (12, 12, 6, 5), (3, 3, 2, 2), seed=36,
+                            partition=part)
+        w = np.random.default_rng(0).standard_normal(30)
+        model = procedure_d3(inst.tensor, (3, 3, 2, 2),
+                             ModePartition((0,), (2, 3), (1,)), CFG,
+                             weights=w)
+        assert essential_match(model, inst.truth, tol=1e-6).matched
+        assert model.diagnostics["weights"] == w.tolist()
+        assert "fixed_flat_index" not in model.diagnostics
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weights_recover_where_every_slice_is_deficient(self, seed):
+        t, truth = unit_row_slices_instance(seed)
+        part = ModePartition((0,), (2, 3), (1,))
+        with pytest.raises(RankError, match="none of the 9"):
+            procedure_d1(t, (2, 2, 2, 2), CFG)
+        with pytest.raises(RankError, match="none of the 9"):
+            procedure_d3(t, (2, 2, 2, 2), part, CFG)
+        w = np.random.default_rng(seed).standard_normal(9)
+        for model in (procedure_d1(t, (2, 2, 2, 2), CFG, weights={1: w}),
+                      procedure_d3(t, (2, 2, 2, 2), part, CFG, weights=w)):
+            assert essential_match(model, truth, tol=1e-6).matched
+
+    def test_procedure2_is_d1_on_weights(self):
+        t = gen_instance("A4.3", (12, 12, 8), (3, 3, 2), seed=26).tensor
+        m2 = procedure2(t, (3, 3, 2), CFG)
+        rng = np.random.default_rng(derive_seed(CFG.seed, "procedure2"))
+        alpha, beta = rng.standard_normal(8), rng.standard_normal(12)
+        md = procedure_d1(t, (3, 3, 2), CFG, weights={1: alpha, 2: beta})
+        for ua, ub in zip(m2.factors, md.factors):
+            assert np.array_equal(ua, ub)
+        assert np.array_equal(m2.core.data, md.core.data)
+        diag = md.diagnostics
+        assert list(m2.diagnostics) == ["procedure", "alpha", "beta", "absdet",
+                                        "seed", "recon_error",
+                                        "core_nonnegative"]
+        assert m2.diagnostics == {
+            "procedure": "2", "alpha": alpha.tolist(), "beta": beta.tolist(),
+            **{k: v for k, v in diag.items()
+               if k not in ("procedure", "slice_indices", "weights")}}
+        assert diag["weights"] == {"1": alpha.tolist(), "2": beta.tolist()}
+        # a given alpha leaves beta the first draw
+        m2b = procedure2(t, (3, 3, 2), CFG, alpha=alpha[::-1])
+        assert m2b.diagnostics["beta"] == np.random.default_rng(
+            derive_seed(CFG.seed, "procedure2")).standard_normal(12).tolist()
+
+    def test_procedure4_is_d3_on_weights(self):
+        t = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31).tensor
+        m4 = procedure4(t, (3, 3, 2), CFG)
+        alpha = np.random.default_rng(
+            derive_seed(CFG.seed, "procedure4")).standard_normal(6)
+        md = procedure_d3(t, (3, 3, 2), ModePartition((0,), (2,), (1,)), CFG,
+                          weights=alpha)
+        for ua, ub in zip(m4.factors, md.factors):
+            assert np.array_equal(ua, ub)
+        assert np.array_equal(m4.core.data, md.core.data)
+        assert list(m4.diagnostics) == ["procedure", "mix", "absdet", "seed",
+                                        "recon_error", "core_nonnegative"]
+        assert m4.diagnostics["mix"] == alpha[:, None].tolist()
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"slice_indices": {1: {2: 0, 3: 0}}, "weights": {1: np.ones(144)}},
+         "distinct column modes"),
+        ({"weights": {0: np.ones(144)}}, "distinct column modes"),
+        ({"weights": {4: np.ones(144)}}, "distinct column modes"),
+        ({"weights": {2: np.ones(179)}}, "real vector of 180 entries"),
+        ({"weights": {1: np.ones((12, 12))}}, "real vector of 144 entries")])
+    def test_d1_selectors_refused(self, kwargs, match):
+        t = gen_instance("A5.3", (15, 15, 12, 12), (3, 3, 2, 2),
+                         seed=34).tensor
+        with pytest.raises(ShapeError, match=match):
+            procedure_d1(t, (3, 3, 2, 2), CFG, **kwargs)
+
+    @pytest.mark.parametrize("run,match", [
+        (lambda t: procedure_d3(t, (3, 3, 2), ModePartition((0,), (2,), (1,)),
+                                CFG, fixed_index=(0,), weights=np.ones(8)),
+         "not both"),
+        (lambda t: procedure_d3(t, (3, 3, 2), ModePartition((0,), (2,), (1,)),
+                                CFG, weights=np.ones(7)), "of 8 entries"),
+        (lambda t: procedure2(t, (3, 3, 2), CFG, alpha=np.ones(7)),
+         "of 8 entries"),
+        (lambda t: procedure2(t, (3, 3, 2), CFG, beta=np.ones(13)),
+         "of 12 entries"),
+        (lambda t: procedure4(t, (3, 3, 2), CFG, alpha=np.ones(9)),
+         "of 8 entries")])
+    def test_order3_selectors_refused(self, run, match):
+        t = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=5).tensor
+        with pytest.raises(ShapeError, match=match):
+            run(t)
+
+
 class TestSeparableOrderD:
     def test_synthetic(self):
         inst = gen_instance("A-sep", (25, 20, 15), (3, 3, 2), seed=38)
@@ -685,3 +813,117 @@ class TestModelContract:
         assert np.abs(m.factors[0] - mp.factors[0]).max() <= 1e-8
         assert np.abs(m.factors[1] - mp.factors[1]).max() <= 1e-8
         assert np.abs(m.factors[2][perm] - mp.factors[2]).max() <= 1e-8
+
+
+ORDER3_RUNS = {
+    "0": lambda t, r, **kw: procedure0(t, r, CFG),
+    "1": lambda t, r, **kw: procedure1(t, r, CFG, **kw),
+    "2": lambda t, r, **kw: procedure2(t, r, CFG, **kw),
+    "3": lambda t, r, **kw: procedure3(t, r, CFG, **kw),
+    "4": lambda t, r, **kw: procedure4(t, r, CFG, **kw),
+    "d0": lambda t, r, **kw: procedure_d0(t, r, (2,), CFG),
+    "d1": lambda t, r, **kw: procedure_d1(t, r, CFG, **kw),
+    "d3": lambda t, r, **kw: procedure_d3(
+        t, r, ModePartition((0,), (2,), (1,)), CFG, **kw),
+    "sep-d": lambda t, r, **kw: separable_orderd(t, r),
+}
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Every solver entry of the procedures fails the test when reached."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a solver ran")
+    for name in ("_minvol_order2", "minvol_order2_ntd", "spa_separable_nmf"):
+        monkeypatch.setattr(procedures, name, reached)
+
+
+class TestArgumentBoundary:
+    """Ranks and indices are integers, taken without truncation, and ranks
+    are positive; weights are one real vector.  Each refusal is a
+    ``ShapeError`` raised before any solve."""
+
+    @pytest.mark.parametrize("ranks", [(3.9, 3, 2), (3, 3, 2.0), ("3", 3, 2),
+                                       (None, 3, 2), 3, (0, 0, 0),
+                                       (-1, -1, 2), (3, 3, 0)])
+    @pytest.mark.parametrize("name", list(ORDER3_RUNS))
+    def test_ranks_refused(self, name, ranks, no_solve):
+        t = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=3).tensor
+        with pytest.raises(ShapeError, match="integers|ranks >= 1"):
+            ORDER3_RUNS[name](t, ranks)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("1", {"i3": 1.7}), ("1", {"i2": "3"}), ("1", {"i3": (0,)}),
+        ("3", {"slice_index": 1.7}), ("3", {"slice_index": "3"}),
+        ("3", {"slice_index": (0,)}), ("d3", {"fixed_index": (0.9,)}),
+        ("d3", {"fixed_index": 3}), ("d3", {"fixed_index": "0"}),
+        ("d1", {"slice_indices": {1: {2: 1.5}}})])
+    def test_indices_refused(self, name, kwargs, no_solve):
+        t = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=3).tensor
+        with pytest.raises(ShapeError, match="must be integers"):
+            ORDER3_RUNS[name](t, (3, 3, 2), **kwargs)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("4", {"alpha": ["a"] * 8}), ("4", {"alpha": ["1"] * 8}),
+        ("4", {"alpha": np.ones((2, 4))}), ("2", {"beta": [[1.0] * 12]}),
+        ("2", {"alpha": [[1, 2], [3]]}), ("2", {"alpha": [1j] * 8}),
+        ("d1", {"weights": {1: [None] * 8}}),
+        ("d3", {"weights": np.ones((8, 1))})])
+    def test_weights_refused(self, name, kwargs, no_solve):
+        t = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=3).tensor
+        with pytest.raises(ShapeError, match="one .*vector"):
+            ORDER3_RUNS[name](t, (3, 3, 2), **kwargs)
+
+
+def assert_certified_or_refused(run):
+    """``run()`` returns a model with a finite reconstruction error within
+    tolerance, a finite or null ``absdet`` and a strict-JSON document, or
+    raises ``SolverError``; no RuntimeWarning either way."""
+    try:
+        model = run()
+    except SolverError:
+        return
+    diag = model.diagnostics
+    assert np.isfinite(diag["recon_error"])
+    assert diag["recon_error"] <= CFG.feas_tol
+    assert diag.get("absdet") is None or np.isfinite(diag["absdet"])
+    json.dumps(model.to_json(), allow_nan=False)
+
+
+class TestLargeScale:
+    """A residual or determinant that overflows fails the fit or reads
+    null; it never passes as nan."""
+
+    @pytest.mark.parametrize("scale", [1e77, 1e104, 1e140, 1e154, 1e155,
+                                       1e200, 1e308])
+    @pytest.mark.parametrize("name", list(ORDER3_RUNS))
+    def test_scaled_tensor(self, name, scale):
+        tag, ranks = {"0": ("A4.x-unfold", (2, 2, 4)),
+                      "d0": ("A4.x-unfold", (2, 2, 4)),
+                      "sep-d": ("A-sep", (3, 3, 2))}.get(name,
+                                                         ("A4.2", (3, 3, 2)))
+        dims = (6, 5, 20) if tag == "A4.x-unfold" else (12, 12, 8)
+        t = gen_instance(tag, dims, ranks, seed=3).tensor
+        big = DenseTensor(t.dims, scale * t.data)
+        assert_certified_or_refused(lambda: ORDER3_RUNS[name](big, ranks))
+
+    def test_small_scales_certified(self):
+        t = gen_instance("A4.2", (12, 12, 8), (3, 3, 2), seed=3).tensor
+        for scale, absdet_null in ((1e100, False), (1e140, True)):
+            model = procedure1(DenseTensor(t.dims, scale * t.data),
+                               (3, 3, 2), CFG)
+            assert (model.diagnostics["absdet"] is None) == absdet_null
+        with pytest.raises(SolverError, match="norm overflows"):
+            procedure1(DenseTensor(t.dims, 1e200 * t.data), (3, 3, 2), CFG)
+
+    @pytest.mark.parametrize("exponent", [103, 140, 155, 200, 300, 308])
+    def test_large_finite_weights(self, exponent):
+        t2 = gen_instance("A4.3", (12, 12, 8), (3, 3, 2), seed=26).tensor
+        t4 = gen_instance("A4.5", (12, 12, 6), (3, 3, 2), seed=31).tensor
+        w = 10.0 ** exponent
+        assert_certified_or_refused(
+            lambda: procedure2(t2, (3, 3, 2), CFG, alpha=[w] * 8))
+        assert_certified_or_refused(
+            lambda: procedure2(t2, (3, 3, 2), CFG, beta=[w] * 12))
+        assert_certified_or_refused(
+            lambda: procedure4(t4, (3, 3, 2), CFG, alpha=[w] * 6))
