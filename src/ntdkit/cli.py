@@ -32,7 +32,7 @@ from .procedures import (ModePartition, procedure0, procedure1, procedure2,
                          procedure_d3, separable_orderd)
 from .solvers import SolverConfig
 from .synth import gen_instance, load_instance, save_instance
-from .tensor import read_tensor
+from .tensor import _integers, read_tensor
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_SOLVER = 0, 2, 3, 4
 
@@ -246,26 +246,26 @@ def cmd_eval(args) -> int:
 
 def _bench_spec(spec_doc, proc):
     """``(assumption, dims, ranks, axes, partition, cfg)`` from ``proc``'s
-    entry of a bench spec over its defaults, each field cast.  InputError
-    for a malformed spec, UsageError for a missing key."""
+    entry of a bench spec over its defaults, each integer field through
+    ``tensor._integers``.  InputError for a malformed spec, a ShapeError
+    of its values included, UsageError for a missing key."""
     try:
         spec = {**spec_doc.get("defaults", {}),
                 **spec_doc.get("procedures", {}).get(proc, {})}
-        for key in ("assumption", "dims", "ranks"):
-            if key not in spec:
-                raise UsageError(f"bench spec missing {key!r} for "
-                                 f"procedure {proc}")
-        part = spec.get("partition")
-        return (spec["assumption"], tuple(map(int, spec["dims"])),
-                tuple(map(int, spec["ranks"])),
-                tuple(map(int, spec["axes"])) if spec.get("axes") else None,
-                {k: list(map(int, part[k])) for k in ("rows", "fixed", "cols")}
-                if part else None, _solver_config(spec.get("solver", {})))
-    except UsageError:
-        raise
+        missing = [k for k in ("assumption", "dims", "ranks") if k not in spec]
+        if not missing:
+            part, axes = spec.get("partition"), spec.get("axes")
+            rule = "bench spec dims, ranks, axes and modes must be integers"
+            return (spec["assumption"], _integers(spec["dims"], rule),
+                    _integers(spec["ranks"], rule),
+                    _integers(axes, rule) if axes else None,
+                    {k: list(_integers(part[k], rule))
+                     for k in ("rows", "fixed", "cols")} if part else None,
+                    _solver_config(spec.get("solver", {})))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed bench spec for procedure {proc}: "
                          f"{exc!r}") from exc
+    raise UsageError(f"bench spec missing {missing[0]!r} for procedure {proc}")
 
 
 def _bench_one(spec, proc, seed, tol, no_timing):

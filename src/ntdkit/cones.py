@@ -46,8 +46,10 @@ import numpy as np
 
 from .errors import (EnumerationCapError, InputError, SolverError,
                      UsageError, WitnessError)
-from .lp import _VERTEX_ENUM_CAP, cross_section_vertices, linprog_dense
+from .lp import (_VERTEX_ENUM_CAP, _nonzero, cross_section_vertices,
+                 linprog_dense)
 from .model import _jsonable
+from .tensor import _integers
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
@@ -146,8 +148,8 @@ def _vertices(h, tol, separable=True):
 def _anchored(h):
     """Does every column ``j`` of ``h`` have an exact anchor: a row whose
     only positive entry is in column ``j``, and that survives the double
-    description's row filter (its norm above 1e-12 of the largest row norm
-    of ``[h; 1']``, as in ``lp.cross_section_vertices``)?
+    description's row filter (``lp._nonzero`` of the row norms of
+    ``[h; 1']``, as in ``lp.cross_section_vertices``)?
 
     Then ``h y >= 0`` holds iff ``y >= 0``, so the dual cross-section is the
     unit simplex.
@@ -158,8 +160,7 @@ def _anchored(h):
         return False
     m = np.concatenate([h, np.ones((1, h.shape[1]))])
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    kept = norms[:-1] > 1e-12 * norms.max()
-    return bool(pos[single & kept].any(axis=0).all())
+    return bool(pos[single & _nonzero(norms)[:-1]].any(axis=0).all())
 
 
 # A vertex entry, or a p-level, within this of its bound is on it.
@@ -467,7 +468,7 @@ def counterexample_dims_ok(r1, r2) -> bool:
     """Dimension condition under which SSC factors with a non-SSC Kronecker
     product exist: r1*r2 - 1 < (r1-1)^2 (r2-1), with r1 <= r2.  Raises
     ``UsageError`` unless both ranks are at least 2, as the SSC needs."""
-    r1, r2 = int(r1), int(r2)
+    r1, r2 = _integers((r1, r2), "r1 and r2 must be integers")
     if min(r1, r2) < 2:
         raise UsageError("factors need r >= 2")
     if r1 > r2:

@@ -9,7 +9,7 @@ shortest augmenting paths, without scipy.
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
@@ -23,7 +23,8 @@ from .errors import (EnumerationCapError, InputError, RankError, ShapeError,
 from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .solvers import _scan_slices, numerical_rank
-from .tensor import DenseTensor, _mode_groups, _partition, _slice_stack, unfold
+from .tensor import (DenseTensor, _integers, _mode_groups, _partition,
+                     _slice_stack, unfold)
 
 
 def _assignment(cost):
@@ -127,8 +128,9 @@ def essential_match(model_a: NtdModel, model_b: NtdModel,
     """Do two models agree up to per-mode permutation and scaling?
     ``InputError`` when their finite entries overflow float64 on the way
     to a score."""
-    if not 0 < tol < np.inf:  # also refuses nan
-        raise ShapeError("essential_match tol must be positive and finite")
+    if not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:  # nan too
+        raise ShapeError(f"essential_match tol must be a positive and "
+                         f"finite number, got {tol!r}")
     if model_a.dims != model_b.dims or model_a.ranks != model_b.ranks:
         raise ShapeError("models have different dims or ranks")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -459,10 +461,7 @@ def _conditions(assumption_id, d, ranks, meta):
 
 def _checked_seed(seed) -> int:
     """``seed`` as an int; ``UsageError`` unless a nonnegative integer."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise UsageError(f"seed must be an integer, got {seed!r}") from None
+    seed = _integers([seed], "seed must be an integer")[0]
     if seed < 0:
         raise UsageError(f"seed must be nonnegative, got {seed}")
     return seed

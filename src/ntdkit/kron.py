@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotAKroneckerProduct, NotPermutedKronecker, ShapeError
+from .tensor import _integers
 
 
 def kron(a, b) -> np.ndarray:
@@ -169,7 +170,7 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
     checked column by column against ``x``.
     """
     x = np.asarray(x, dtype=float)
-    shapes = [(int(n), int(r)) for n, r in shapes]
+    shapes = [_integers(s, "factor shapes must be integers") for s in shapes]
     nrow = prod(n for n, _ in shapes)
     ncol = prod(r for _, r in shapes)
     if x.shape != (nrow, ncol):

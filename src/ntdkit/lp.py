@@ -50,6 +50,12 @@ _BITSET_WORK = 4096
 _ZERO_TOL = 1e-9
 
 
+def _nonzero(norms):
+    """Which ``norms`` count as nonzero: above 1e-12 of the largest, the
+    package's one zero rule, relative so that it holds at any scale."""
+    return norms > 1e-12 * norms.max(initial=0.0)
+
+
 class LpResult(NamedTuple):
     status: str  # "optimal" | "unbounded" | "infeasible"
     x: Optional[np.ndarray]
@@ -261,7 +267,7 @@ def cross_section_vertices(b, a, max_rays, tol=1e-9):
     a = np.asarray(a, dtype=float)
     m = np.concatenate([b, a[None]])
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
-    keep = norms > 1e-12 * norms.max(initial=0.0)
+    keep = _nonzero(norms)
     if not keep.all():
         m, norms = m[keep], norms[keep]
     # C order, as a gather gives it: the rays' bits follow the layout

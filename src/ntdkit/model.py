@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .tensor import DenseTensor, _finite_array, multilinear_transform
+from .tensor import (DenseTensor, _finite_array, _integers,
+                     multilinear_transform)
 
 
 @dataclass
@@ -28,7 +29,7 @@ class NtdModel:
 
     def __post_init__(self):
         self.factors = [np.asarray(u, dtype=float) for u in self.factors]
-        self.ranks = tuple(int(r) for r in self.ranks)
+        self.ranks = _integers(self.ranks, "model ranks must be integers")
         if not len(self.factors) == len(self.ranks) == self.core.order:
             raise ShapeError("factor or rank count does not match core order")
         for k, u in enumerate(self.factors):
@@ -72,12 +73,12 @@ class NtdModel:
     def from_json(cls, doc) -> "NtdModel":
         try:
             factors = [_finite_array(u, "model") for u in doc["factors"]]
-            core = DenseTensor(tuple(doc["core"]["dims"]),
+            core = DenseTensor(doc["core"]["dims"],
                                _finite_array(doc["core"]["data"], "model"))
-            ranks = tuple(int(r) for r in doc["ranks"])
-            return cls(factors, core, ranks, doc.get("diagnostics", {}))
-        # A ShapeError here is a file whose shapes disagree: bad input, not
-        # a bad argument.  int() of a non-numeric rank is a ValueError too.
+            return cls(factors, core, doc["ranks"],
+                       doc.get("diagnostics", {}))
+        # A ShapeError here is a file whose shapes disagree or whose ranks
+        # or dims are not integers: bad input, not a bad argument.
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed model document: {exc}") from exc
 

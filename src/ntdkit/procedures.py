@@ -22,7 +22,6 @@ every slice from one stack.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -34,9 +33,9 @@ from .model import NtdModel
 from .solvers import (SolverConfig, _check_fit, _left_inverse, _minvol_nmf,
                       _minvol_order2, _scan_slices, derive_seed, minvol_nmf,
                       minvol_order2_ntd, spa_separable_nmf)
-from .tensor import (DenseTensor, SliceSpec, _flatten, _partition,
-                     _slice_stack, _unflatten, _unfolding_groups, fold,
-                     multilinear_transform, slice_combination,
+from .tensor import (DenseTensor, SliceSpec, _flatten, _integers,
+                     _partition, _slice_stack, _unflatten, _unfolding_groups,
+                     fold, multilinear_transform, slice_combination,
                      slice_matrix, unfold)
 
 
@@ -64,21 +63,11 @@ def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
     return model
 
 
-def _ints(values, what):
-    """``values`` as ints by ``operator.index``: a float or a string is
-    refused (``ShapeError`` naming ``what``), not truncated."""
-    try:
-        return tuple(int(operator.index(v)) for v in values)
-    except TypeError:
-        raise ShapeError(f"{what} must be integers, got {values!r}") \
-            from None
-
-
 def _mode_ranks(t, ranks, name, low=1, high=None):
     """``ranks`` as positive ints, one per mode of ``t``, whose order must
     lie in ``[low, high]`` (no upper bound when ``high`` is None);
     ``ShapeError`` naming procedure ``name`` otherwise."""
-    ranks = _ints(ranks, f"procedure {name}'s ranks")
+    ranks = _integers(ranks, f"procedure {name}'s ranks must be integers")
     if len(ranks) != t.order or not low <= t.order <= (high or t.order):
         orders = low if low == high else f">= {low}"
         raise ShapeError(f"procedure {name} runs on tensors of order "
@@ -227,8 +216,7 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
             mats[i] = slice_combination(t, others, weights[i], (0,), (i,))
             continue
         if i in slice_indices:
-            fixed = dict(slice_indices[i])
-            fixed = dict(zip(fixed, _ints([*fixed.values()], "slice indices")))
+            fixed = dict(slice_indices[i])  # slice_matrix checks the indices
         else:
             flat = _scan_slices(_slice_stack(t, (0,), others, (i,)), (0,),
                                 (i,), ranks[i])
@@ -289,7 +277,7 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
         if fixed_index is None:
             start = _scan_slices(stack, rows, cols, r)
         else:
-            index = _ints(fixed_index, "fixed_index")
+            index = _integers(fixed_index, "fixed_index must be integers")
             sizes = [t.dims[m] for m in fixed_modes]
             try:
                 start = int(np.ravel_multi_index(index, sizes, order="F"))

@@ -38,6 +38,7 @@ import scipy.
 from __future__ import annotations
 
 import functools
+import numbers
 import zlib
 from dataclasses import dataclass
 from itertools import combinations
@@ -48,8 +49,9 @@ import numpy as np
 
 from .errors import (EnumerationCapError, NotSeparable, RankError,
                      ShapeError, SolverError)
-from .lp import (_VERTEX_ENUM_CAP, _ZERO_TOL, _extreme_rays,
+from .lp import (_VERTEX_ENUM_CAP, _ZERO_TOL, _extreme_rays, _nonzero,
                  cross_section_vertices)
+from .tensor import _integers
 
 # ``maxdet_simplex`` scores every vertex r-subset from one cached index
 # table while it holds at most ``_TABLE_ENTRIES`` indices (C(V, r) * r) and
@@ -80,13 +82,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.feas_tol < np.inf:  # also refuses nan
-            raise ShapeError("solver config feas_tol must be positive and "
-                             "finite")
+        if not isinstance(self.feas_tol, numbers.Real) \
+                or not 0 < self.feas_tol < np.inf:  # also refuses nan
+            raise ShapeError(f"solver config feas_tol must be a positive and "
+                             f"finite number, got {self.feas_tol!r}")
+        seed = _integers([self.seed], "solver seed must be an integer")[0]
         # derive_seed reads 64 bits, so any other seed would alias one
-        if not 0 <= self.seed < 1 << 64:
+        if not 0 <= seed < 1 << 64:
             raise ShapeError(f"solver config seed must be in [0, 2**64), "
-                             f"got {self.seed}")
+                             f"got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 def derive_seed(base, *tags) -> int:
@@ -416,7 +421,7 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     _, s, vt = _rank_r_svd(x, r)
     y = s[:, None] * vt
     norms = np.linalg.norm(y, axis=0)
-    left = np.flatnonzero(norms > 1e-12 * max(norms.max(initial=0.0), 1.0))
+    left = np.flatnonzero(_nonzero(norms))
     dirs = (y[:, left] / norms[left]).T
     try:
         normals = _extreme_rays(dirs, _VERTEX_ENUM_CAP)

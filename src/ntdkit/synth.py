@@ -10,7 +10,6 @@ redrawn until each core condition passes the validator's ``_core_status``.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass, field
 from math import prod
@@ -18,12 +17,13 @@ from math import prod
 import numpy as np
 
 from .cones import ENUM_CAP_N, _ssc_memo, check_ssc
-from .errors import GenerationError, InputError, PartitionError, ShapeError
+from .errors import (GenerationError, InputError, PartitionError, ShapeError,
+                     UsageError)
 from .evaluate import (_checked_seed, _conditions, _Core, _core_status,
                        _Group, _Shape, validate_assumptions)
 from .model import NtdModel
 from .procedures import ModePartition
-from .tensor import (DenseTensor, _unfolding_groups, read_tensor,
+from .tensor import (DenseTensor, _integers, _unfolding_groups, read_tensor,
                      write_tensor_binary, write_tensor_json)
 
 # Largest rank of a factor that ``gen_ssc_factor`` draws.  It bounds the
@@ -124,11 +124,8 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     seeded bytes are those of that per-row loop; ``TestSeededBytes`` and
     the stream test in ``tests/test_synth.py`` pin them.
     """
-    try:
-        n, r, nnz_per_row = map(operator.index, (n, r, nnz_per_row))
-    except TypeError:
-        raise ShapeError(f"n, r and nnz_per_row must be integers, got "
-                         f"{n!r}, {r!r}, {nnz_per_row!r}") from None
+    n, r, nnz_per_row = _integers((n, r, nnz_per_row),
+                                  "n, r and nnz_per_row must be integers")
     if not 2 <= r <= n:
         raise ShapeError(f"need n >= r >= 2, got n={n}, r={r}")
     if r > GEN_SSC_MAX_RANK:
@@ -216,21 +213,22 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
                  partition=None, max_tries=50) -> Instance:
     """Draw factors and core for one assumption set, validate, retry.
 
-    Kronecker-group SSC requirements are certified constructively: beyond
-    the enumeration cap one group member is generated separable so that
-    the SSC of the other member carries over to the product.  ``axes``
-    must be a proper mode subset and ``partition`` must map rows, fixed
-    and cols to mode sets that partition the modes, else PartitionError.
-    A rank below 1 raises ShapeError, and a ``seed`` that is not a
-    nonnegative integer UsageError, both before anything is drawn.
+    Kronecker-group SSC requirements are certified constructively: every
+    group member after the first is drawn separable, so that the SSC of
+    the first member carries over to the product.  ``axes`` must be a
+    proper mode subset and ``partition`` must map exactly rows, fixed and
+    cols to mode sets that partition the modes, else PartitionError.
+    Dims, ranks, modes and the seed must be integers (ShapeError
+    otherwise), a rank below 1 raises ShapeError, and a negative ``seed``
+    UsageError, all before anything is drawn.
 
     Each certificate is computed once: the SSC reports of the generated
     factors are held for the length of this call, so validating a factor
     reuses the report its generator computed.  Nothing is kept after the
     call returns or raises.
     """
-    dims = tuple(int(n) for n in dims)
-    ranks = tuple(int(r) for r in ranks)
+    dims = _integers(dims, "dims must be integers")
+    ranks = _integers(ranks, "ranks must be integers")
     d = len(dims)
     if len(ranks) != d:
         raise ShapeError("dims and ranks must have equal length")
@@ -241,18 +239,19 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     if axes is not None:
         _, axes = _unfolding_groups(axes, d)
     if partition is not None:
-        if not {"rows", "fixed", "cols"} <= set(partition):
-            raise PartitionError("partition needs rows, fixed and cols")
-        ModePartition(partition["rows"], partition["fixed"],
-                      partition["cols"]).validate(d)
+        if set(partition) != {"rows", "fixed", "cols"}:
+            raise PartitionError("partition takes rows, fixed and cols only")
+        named = dict(zip(("rows", "fixed", "cols"), ModePartition(
+            partition["rows"], partition["fixed"],
+            partition["cols"]).validate(d)))
+        partition = {k: list(named[k]) for k in partition}
     seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)
     meta = {"dims": list(dims), "ranks": list(ranks)}
     if axes is not None:
         meta["axes"] = list(axes)
     if partition is not None:
-        meta["partition"] = {k: [int(m) for m in v]
-                             for k, v in partition.items()}
+        meta["partition"] = partition
 
     last_report = None
     with _ssc_memo():
@@ -330,10 +329,8 @@ def load_instance(path) -> Instance:
     if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
         raise InputError("instance metadata is not a JSON object")
     try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"instance seed is not an integer: {exc}") from exc
-    if seed < 0:
-        raise InputError(f"instance seed {seed} is negative")
+        seed = _checked_seed(doc.get("seed", 0))
+    except UsageError as exc:
+        raise InputError(f"instance {exc}") from exc
     return Instance(tensor, truth, doc.get("assumption_id", ""), seed,
                     doc.get("meta", {}))

@@ -16,6 +16,7 @@ Modes are zero-based everywhere in this package.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass, field
 from math import prod
@@ -27,13 +28,23 @@ from .errors import InputError, PartitionError, ShapeError
 TENSOR_MAGIC = b"NTDTNSR1"
 
 
+def _integers(values, what):
+    """``values`` as Python ints by ``operator.index``, the package's one
+    integer rule: a float, a numeric string or None is never truncated but
+    a ``ShapeError`` saying ``what``, as is a ``values`` not iterable."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ShapeError(f"{what}, got {values!r}") from None
+
+
 def _as_mode_tuple(modes, d, *, name="modes"):
     """Validate a mode set: strictly increasing, within range, non-empty."""
     if modes is None:
         modes = ()
     elif np.isscalar(modes):
-        modes = (int(modes),)
-    modes = tuple(int(m) for m in modes)
+        modes = (modes,)
+    modes = _integers(modes, f"{name} must be integers")
     if len(modes) == 0:
         raise PartitionError(f"{name} must be non-empty")
     if any(m < 0 or m >= d for m in modes):
@@ -67,7 +78,7 @@ def _unfolding_groups(axes, d):
     ``axes``, which may come unsorted or as one integer; the returned
     axes are sorted."""
     if axes is not None:
-        axes = sorted(np.atleast_1d(axes))
+        axes = sorted(_integers(np.atleast_1d(axes), "axes must be integers"))
     axes = _as_mode_tuple(axes, d, name="axes")
     if len(axes) >= d:
         raise PartitionError("axes must be a proper subset of the modes")
@@ -97,7 +108,7 @@ class DenseTensor:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = _integers(self.dims, "tensor dims must be integers")
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1 or any(n < 1 for n in dims):
             raise ShapeError(f"invalid dims {dims}")
@@ -183,7 +194,7 @@ def unfold(t: DenseTensor, axes) -> np.ndarray:
 def fold(m, axes, dims) -> DenseTensor:
     """Inverse of :func:`unfold`: rebuild the tensor from its unfolding."""
     m = np.asarray(m, dtype=float)
-    dims = tuple(int(n) for n in dims)
+    dims = _integers(dims, "fold dims must be integers")
     rows, axes = _unfolding_groups(axes, len(dims))
     expect = (prod(dims[k] for k in rows), prod(dims[k] for k in axes))
     if m.shape != expect:
@@ -200,11 +211,12 @@ def _slice_stack(t: DenseTensor, rows, fixed, cols) -> np.ndarray:
 
 def slice_matrix(t: DenseTensor, spec: SliceSpec) -> np.ndarray:
     """Extract the matrix slice described by ``spec``."""
-    rows, fixed, cols = _partition(t.order, spec.row_modes,
-                                   sorted(spec.fixed), spec.col_modes)
+    modes = _integers(spec.fixed, "fixed modes must be integers")
+    index = _integers(spec.fixed.values(), "fixed indices must be integers")
+    rows, fixed, cols = _partition(t.order, spec.row_modes, sorted(modes),
+                                   spec.col_modes)
     pinned = [slice(None)] * t.order
-    for m in fixed:
-        i = int(spec.fixed[m])
+    for m, i in zip(modes, index):
         if not 0 <= i < t.dims[m]:
             raise ShapeError(f"fixed index {i} out of range for mode {m}")
         pinned[m] = slice(i, i + 1)
@@ -320,10 +332,9 @@ def _read_tensor(path) -> DenseTensor:
     if isinstance(doc, list):  # bare nested array, used for matrices
         return DenseTensor.from_array(_finite_array(doc, path))
     try:
-        dims = tuple(int(n) for n in doc["dims"])
+        dims, data = doc["dims"], doc["data"]
         layout = doc.get("layout", "col-major")
-        data = doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed tensor document {path}") from exc
     if layout != "col-major":
         raise InputError(f"unsupported layout {layout!r}")

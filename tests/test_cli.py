@@ -549,7 +549,13 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
     (["gen", "--assumption", "A5.4", "--dims", "10,10,8,8", "--ranks",
       "3,2,2,2", "--partition", "0|2,3|1", "--out", "{tmp}/g"], 2),
     (["gen", "--assumption", "A5.3", "--dims", "10,10", "--ranks", "3,3",
-      "--out", "{tmp}/g"], 2)])
+      "--out", "{tmp}/g"], 2),
+    # integers in files that are floats: refused, never truncated
+    (["bench", "--procedures", "1", "--seeds", "1",
+      "--spec", "{tmp}/float-dims-spec.json", "--out", "{tmp}/b.csv"], 3),
+    (["check", "ssc", "{tmp}/float-dims-tensor.json"], 3),
+    (["decompose", "--procedure", "sep-d", "--ranks", "3,3,2",
+      "--input", "{tmp}/seed-float"], 3)])
 def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("seed = two\n")
@@ -578,6 +584,10 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
         (tmp_path / f"{name}-spec.json").write_text(json.dumps(doc))
     for name, doc in MALFORMED_TENSORS.items():
         (tmp_path / f"{name}-tensor.json").write_text(json.dumps(doc))
+    (tmp_path / "float-dims-spec.json").write_text(json.dumps(
+        {"defaults": {**BENCH_DEFAULTS, "dims": [12.7, 12, 8]}}))
+    (tmp_path / "float-dims-tensor.json").write_text(json.dumps(
+        {"dims": [2.5, 2], "data": [1, 0, 0, 1]}))
     arr = np.ones((12, 12, 8))
     arr[1, 2, 3] = np.nan
     write_tensor_json(DenseTensor.from_array(arr), tmp_path / "nan.json")
@@ -600,7 +610,8 @@ def test_malformed_input_exit_code(argv, code, bundle, tmp_path, capsys):
         truth["core"]["data"][0] = value
         (tmp_path / f"{name}-model.json").write_text(json.dumps(truth))
     meta = json.loads((bundle / "meta.json").read_text())
-    for name, seed in (("seed-x", "x"), ("seed-neg", -1)):
+    for name, seed in (("seed-x", "x"), ("seed-neg", -1),
+                       ("seed-float", 2.5)):
         shutil.copytree(bundle, tmp_path / name)
         (tmp_path / name / "meta.json").write_text(
             json.dumps({**meta, "seed": seed}))

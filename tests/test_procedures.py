@@ -927,3 +927,17 @@ class TestLargeScale:
             lambda: procedure2(t2, (3, 3, 2), CFG, beta=[w] * 12))
         assert_certified_or_refused(
             lambda: procedure4(t4, (3, 3, 2), CFG, alpha=[w] * 6))
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e-11, 1e-12, 1e-20, 1e-50,
+                                       1e-100])
+    def test_separable_small_scales(self, scale):
+        # one relative zero rule in the anchor pass: no column of a small
+        # tensor falls below an absolute floor
+        inst = gen_instance("A-sep", (10, 9, 8), (3, 3, 2), seed=3)
+        model = separable_orderd(DenseTensor(inst.tensor.dims,
+                                             scale * inst.tensor.data),
+                                 (3, 3, 2))
+        truth = inst.truth
+        scaled = NtdModel(truth.factors, DenseTensor(
+            truth.core.dims, scale * truth.core.data), truth.ranks)
+        assert essential_match(model, scaled).matched
