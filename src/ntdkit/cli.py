@@ -32,7 +32,7 @@ from .procedures import (ModePartition, procedure0, procedure1, procedure2,
                          procedure_d3, separable_orderd)
 from .solvers import SolverConfig
 from .synth import gen_instance, load_instance, save_instance
-from .tensor import _integers, read_tensor
+from .tensor import _integers, _tolerances, read_tensor
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_SOLVER = 0, 2, 3, 4
 
@@ -68,36 +68,31 @@ def _parse_partition(text) -> ModePartition:
 _SOLVER_FIELDS = {"feas_tol": float, "seed": int}
 
 
-def _solver_config(values, **flags) -> SolverConfig:
-    """A ``SolverConfig`` from named values, each cast by its field's type,
-    with ``flags`` on top; InputError for an unknown name or a bad value."""
-    kwargs = {}
-    for name, val in values.items():
-        if name not in _SOLVER_FIELDS:
-            raise InputError(f"unknown solver config field {name!r}")
-        try:
-            kwargs[name] = _SOLVER_FIELDS[name](val)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"solver config {name}: {exc}") from exc
-    return SolverConfig(**{**kwargs, **flags})
-
-
 def _load_solver_config(args) -> SolverConfig:
+    """The ``--solver-config`` file's ``name = value`` lines, each value's
+    text parsed by its field's type, with the flags on top; InputError for
+    an unknown name or a value that does not parse."""
     values = {}
     if args.solver_config:
         try:
             with open(args.solver_config) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    key, _, val = line.partition("=")
-                    values[key.strip().replace("-", "_")] = val.strip()
-        except OSError as exc:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read solver config: {exc}") from exc
+        for line in map(str.strip, lines):
+            if not line or line.startswith("#"):
+                continue
+            key, _, val = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in _SOLVER_FIELDS:
+                raise InputError(f"unknown solver config field {key!r}")
+            try:
+                values[key] = _SOLVER_FIELDS[key](val.strip())
+            except ValueError as exc:
+                raise InputError(f"solver config {key}: {exc}") from exc
     flags = {name: getattr(args, name) for name in _SOLVER_FIELDS
              if getattr(args, name) is not None}
-    return _solver_config(values, **flags)
+    return SolverConfig(**{**values, **flags})
 
 
 def _read_matrix(path) -> np.ndarray:
@@ -247,8 +242,9 @@ def cmd_eval(args) -> int:
 def _bench_spec(spec_doc, proc):
     """``(assumption, dims, ranks, axes, partition, cfg)`` from ``proc``'s
     entry of a bench spec over its defaults, each integer field through
-    ``tensor._integers``.  InputError for a malformed spec, a ShapeError
-    of its values included, UsageError for a missing key."""
+    ``tensor._integers`` and the ``solver`` object's values, uncast, through
+    ``SolverConfig``.  InputError for a malformed spec, a ShapeError of its
+    values included, UsageError for a missing key."""
     try:
         spec = {**spec_doc.get("defaults", {}),
                 **spec_doc.get("procedures", {}).get(proc, {})}
@@ -261,7 +257,7 @@ def _bench_spec(spec_doc, proc):
                     _integers(axes, rule) if axes else None,
                     {k: list(_integers(part[k], rule))
                      for k in ("rows", "fixed", "cols")} if part else None,
-                    _solver_config(spec.get("solver", {})))
+                    SolverConfig(**spec.get("solver", {})))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed bench spec for procedure {proc}: "
                          f"{exc!r}") from exc
@@ -382,9 +378,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # decompose, eval and bench share --tol; refused before any work
-        if not 0 < getattr(args, "tol", 1.0) < math.inf:  # refuses nan too
-            raise UsageError(f"--tol {args.tol} is not positive and finite")
+        if hasattr(args, "tol"):  # decompose, eval and bench share --tol
+            _tolerances([args.tol], "--tol")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,7 +49,7 @@ from .errors import (EnumerationCapError, InputError, SolverError,
 from .lp import (_VERTEX_ENUM_CAP, _nonzero, cross_section_vertices,
                  linprog_dense)
 from .model import _jsonable
-from .tensor import _integers
+from .tensor import _integers, _tolerances
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
@@ -97,6 +97,7 @@ def check_separable(h, tol=1e-9):
     Returns ``(flag, anchors)`` with one anchor row index per column when
     separable, else ``(False, None)``.
     """
+    tol, = _tolerances([tol], "check_separable tol")
     return _separable(_validate_nonneg(h), tol)
 
 
@@ -122,6 +123,7 @@ def enumerate_dual_vertices(h, tol=1e-9):
     group certification, so raising it changes both.  Past either cap, or
     past the ray budget, ``EnumerationCapError`` is raised.
     """
+    tol, = _tolerances([tol], "enumerate_dual_vertices tol")
     h = _validate_nonneg(h, "dual-vertex enumeration")
     n, r = h.shape
     if r > ENUM_CAP_R or n > ENUM_CAP_N:
@@ -299,6 +301,8 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     there) a matrix already checked with the same tolerances and no
     ``rng`` returns its earlier report instead.
     """
+    tol, feas_tol = _tolerances((tol, feas_tol),
+                                "check_ssc tol and feas_tol")
     h = _validate_nonneg(h, "the SSC")
     if (h.sum(axis=0) <= 0).any():
         raise UsageError("zero column in h")
@@ -349,6 +353,10 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
     LP from ``starts`` random and 2r unit directions, ``iters`` steps
     each; there None proves nothing.
     """
+    tol, feas_tol = _tolerances((tol, feas_tol),
+                                "ssc1_refute tol and feas_tol")
+    starts, iters = _integers((starts, iters),
+                              "ssc1_refute starts and iters must be integers")
     h = _validate_nonneg(h, "SSC1 refutation")
     try:
         vertices, ray = _vertices(h, feas_tol)
@@ -450,6 +458,7 @@ def kron_ssc_margin(r1, p1_sq, r2, p2_sq) -> float:
     The product of an SSC + p1-SSC factor with an SSC + p2-SSC factor
     satisfies the SSC when this quantity is at least one.
     """
+    r1, r2 = _integers((r1, r2), "r1 and r2 must be integers")
     for r, psq in ((r1, p1_sq), (r2, p2_sq)):
         if r < 2:
             raise UsageError("factors need r >= 2")
@@ -501,6 +510,7 @@ def ssc1_violation_witness(u1, u2, feas_tol=1e-12):
     ``sum(V) < ||V||_F``; its vectorization refutes SSC1 of the product.
     Returns None when the bound does not hold.
     """
+    feas_tol, = _tolerances([feas_tol], "ssc1_violation_witness feas_tol")
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     for u, name in ((u1, "u1"), (u2, "u2")):

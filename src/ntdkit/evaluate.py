@@ -9,7 +9,6 @@ shortest augmenting paths, without scipy.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from math import prod
 from typing import NamedTuple
@@ -24,7 +23,7 @@ from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .solvers import _scan_slices, numerical_rank
 from .tensor import (DenseTensor, _integers, _mode_groups, _partition,
-                     _slice_stack, unfold)
+                     _slice_stack, _tolerances, unfold)
 
 
 def _assignment(cost):
@@ -128,9 +127,7 @@ def essential_match(model_a: NtdModel, model_b: NtdModel,
     """Do two models agree up to per-mode permutation and scaling?
     ``InputError`` when their finite entries overflow float64 on the way
     to a score."""
-    if not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:  # nan too
-        raise ShapeError(f"essential_match tol must be a positive and "
-                         f"finite number, got {tol!r}")
+    tol, = _tolerances([tol], "essential_match tol")
     if model_a.dims != model_b.dims or model_a.ranks != model_b.ranks:
         raise ShapeError("models have different dims or ranks")
     with np.errstate(over="ignore", invalid="ignore"):

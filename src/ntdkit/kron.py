@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotAKroneckerProduct, NotPermutedKronecker, ShapeError
-from .tensor import _integers
+from .tensor import _integers, _tolerances
 
 
 def kron(a, b) -> np.ndarray:
@@ -76,6 +76,7 @@ def kron_split(x, shape, feas_tol=1e-9) -> KronSplit:
     against the all-ones vector recovers ``u1[:, i]`` (and transposed,
     ``u2[:, j]``) because the true factor columns sum to one.
     """
+    feas_tol, = _tolerances([feas_tol], "kron_split feas_tol")
     x = np.asarray(x, dtype=float)
     n1, r1, n2, r2 = _check_shape(x, shape)
     mats = _column_mats(x, n1, n2)
@@ -104,6 +105,7 @@ def kron_split_permuted(x, shape, tol=1e-8) -> PermutedKronSplit:
     columns by which u1 column they carry; exact data makes the clusters
     separated and the threshold only absorbs floating-point noise.
     """
+    tol, = _tolerances([tol], "kron_split_permuted tol")
     x = np.asarray(x, dtype=float)
     n1, r1, n2, r2 = _check_shape(x, shape)
     mats = _column_mats(x, n1, n2)
@@ -169,6 +171,7 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
     permutation inside its leading block; the rebuilt product is then
     checked column by column against ``x``.
     """
+    tol, = _tolerances([tol], "kron_split_multi tol")
     x = np.asarray(x, dtype=float)
     shapes = [_integers(s, "factor shapes must be integers") for s in shapes]
     nrow = prod(n for n, _ in shapes)

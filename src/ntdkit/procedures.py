@@ -313,15 +313,15 @@ def separable_orderd(t: DenseTensor, ranks, feas_tol=1e-9) -> NtdModel:
     invertible map that keeps the anchors and the normalized ``h``, and
     the last contraction is the core.  The reconstruction check against
     ``t`` certifies the model."""
+    cfg = SolverConfig(feas_tol=feas_tol)
     ranks, d = _mode_ranks(t, ranks, "sep-d"), t.order
     factors, anchor_sets, work = [None] * d, [None] * d, t
     for k in sorted(range(d), key=lambda m: t.dims[m]):
         x = unfold(work, (k,))
-        anchor_sets[k], _, h = spa_separable_nmf(x, ranks[k], feas_tol)
+        anchor_sets[k], _, h = spa_separable_nmf(x, ranks[k], cfg.feas_tol)
         factors[k] = h / h.sum(axis=0)
         work = fold(x @ np.linalg.pinv(factors[k]).T, (k,),
                     work.dims[:k] + (ranks[k],) + work.dims[k + 1:])
-    cfg = SolverConfig(feas_tol=feas_tol)
     diagnostics = {"procedure": "sep-d",
                    "anchors": [list(map(int, a)) for a in anchor_sets]}
     return _finalize(t, factors, work, ranks, cfg, diagnostics)

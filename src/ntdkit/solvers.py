@@ -38,7 +38,6 @@ import scipy.
 from __future__ import annotations
 
 import functools
-import numbers
 import zlib
 from dataclasses import dataclass
 from itertools import combinations
@@ -51,7 +50,7 @@ from .errors import (EnumerationCapError, NotSeparable, RankError,
                      ShapeError, SolverError)
 from .lp import (_VERTEX_ENUM_CAP, _ZERO_TOL, _extreme_rays, _nonzero,
                  cross_section_vertices)
-from .tensor import _integers
+from .tensor import _integers, _tolerances
 
 # ``maxdet_simplex`` scores every vertex r-subset from one cached index
 # table while it holds at most ``_TABLE_ENTRIES`` indices (C(V, r) * r) and
@@ -82,15 +81,13 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.feas_tol, numbers.Real) \
-                or not 0 < self.feas_tol < np.inf:  # also refuses nan
-            raise ShapeError(f"solver config feas_tol must be a positive and "
-                             f"finite number, got {self.feas_tol!r}")
+        feas_tol, = _tolerances([self.feas_tol], "solver config feas_tol")
         seed = _integers([self.seed], "solver seed must be an integer")[0]
         # derive_seed reads 64 bits, so any other seed would alias one
         if not 0 <= seed < 1 << 64:
             raise ShapeError(f"solver config seed must be in [0, 2**64), "
                              f"got {seed}")
+        object.__setattr__(self, "feas_tol", feas_tol)
         object.__setattr__(self, "seed", seed)
 
 
@@ -168,10 +165,17 @@ def _scan_slices(stack, rows, cols, target):
 def _check_fit(x, fit, tol, error=SolverError, what="reconstruction"):
     """The residual of ``fit`` relative to ``||x||``; ``error("<what>
     residual ...")`` when it exceeds ``tol`` or either norm overflows.
-    The fit check of every solver and procedure, warning-free."""
+    Below a norm of 1e-100, where squared entries underflow, both are
+    first scaled exactly by the power of two that brings ``x``'s largest
+    |entry| into [0.5, 1).  The fit check of every solver and procedure,
+    warning-free."""
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.linalg.norm(x)
-        resid = np.linalg.norm(x - fit) / max(scale, 1e-300)
+        scale = unit = np.linalg.norm(x)
+        if scale < 1e-100:
+            k = -np.frexp(np.abs(x).max(initial=0.0))[1]
+            x, fit = np.ldexp(x, k), np.ldexp(fit, k)
+            unit = np.linalg.norm(x)
+        resid = np.linalg.norm(x - fit) / max(unit, 1e-300)
     if not resid <= tol or scale == np.inf:  # also for overflowed norms
         raise error(f"{what} residual {resid:.3e} of an input of norm "
                     f"{scale:.3e}")
@@ -417,6 +421,7 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     ``SolverError`` when the double description passes the ray budget.
     Returns ``(anchors, w, h)`` with ``x = w @ h.T``, ``h >= 0``.
     """
+    feas_tol, = _tolerances([feas_tol], "spa_separable_nmf feas_tol")
     x = np.asarray(x, dtype=float)
     _, s, vt = _rank_r_svd(x, r)
     y = s[:, None] * vt
@@ -451,6 +456,7 @@ def separable_order2_ntd(x, r, feas_tol=1e-9) -> Order2Ntd:
     """Polynomial-time exact tri-factorization when both outer factors are
     separable: anchor pass on the columns recovers the right factor, the
     same argument transposed recovers the left one."""
+    feas_tol, = _tolerances([feas_tol], "separable_order2_ntd feas_tol")
     x = np.asarray(x, dtype=float)
     _, _, h_right = spa_separable_nmf(x, r, feas_tol)
     _, _, h_left = spa_separable_nmf(x.T, r, feas_tol)

@@ -115,8 +115,8 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     column is touched, columns are normalized to unit sum; draws are
     rejected until the exact SSC check passes, which it cannot past
     ``GEN_SSC_MAX_RANK`` or ``cones.ENUM_CAP_N`` rows: those raise
-    ``GenerationError`` before any draw.  ``n``, ``r`` and
-    ``nnz_per_row`` must be integers (``ShapeError`` otherwise).
+    ``GenerationError`` before any draw.  ``n``, ``r``, ``nnz_per_row``
+    and ``max_tries`` must be integers (``ShapeError`` otherwise).
 
     Each row is read from the random stream exactly as
     ``rng.choice(r, size=nnz_per_row, replace=False)`` then
@@ -124,8 +124,9 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     seeded bytes are those of that per-row loop; ``TestSeededBytes`` and
     the stream test in ``tests/test_synth.py`` pin them.
     """
-    n, r, nnz_per_row = _integers((n, r, nnz_per_row),
-                                  "n, r and nnz_per_row must be integers")
+    n, r, nnz_per_row, max_tries = _integers(
+        (n, r, nnz_per_row, max_tries),
+        "n, r, nnz_per_row and max_tries must be integers")
     if not 2 <= r <= n:
         raise ShapeError(f"need n >= r >= 2, got n={n}, r={r}")
     if r > GEN_SSC_MAX_RANK:
@@ -218,9 +219,9 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     the first member carries over to the product.  ``axes`` must be a
     proper mode subset and ``partition`` must map exactly rows, fixed and
     cols to mode sets that partition the modes, else PartitionError.
-    Dims, ranks, modes and the seed must be integers (ShapeError
-    otherwise), a rank below 1 raises ShapeError, and a negative ``seed``
-    UsageError, all before anything is drawn.
+    Dims, ranks, modes, the seed and ``max_tries`` must be integers
+    (ShapeError otherwise), a rank below 1 raises ShapeError, and a
+    negative ``seed`` UsageError, all before anything is drawn.
 
     Each certificate is computed once: the SSC reports of the generated
     factors are held for the length of this call, so validating a factor
@@ -229,6 +230,7 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     """
     dims = _integers(dims, "dims must be integers")
     ranks = _integers(ranks, "ranks must be integers")
+    max_tries, = _integers([max_tries], "max_tries must be an integer")
     d = len(dims)
     if len(ranks) != d:
         raise ShapeError("dims and ranks must have equal length")

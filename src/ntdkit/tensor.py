@@ -11,11 +11,17 @@ which holds all ``rows x cols`` slices with the fixed index tuples first
 fastest along its last axis; ``slice_combination`` weights that axis.
 
 Modes are zero-based everywhere in this package.
+
+This module also holds the package's two argument gates: ``_integers``
+decides what an integer is (every rank, dim, mode, index and seed) and
+``_tolerances`` what a tolerance is (a positive, finite real number).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -36,6 +42,24 @@ def _integers(values, what):
         return tuple(map(operator.index, values))
     except TypeError:
         raise ShapeError(f"{what}, got {values!r}") from None
+
+
+def _tolerances(values, what):
+    """``values`` as Python floats, the package's one tolerance rule: each
+    a real number, not a bool, whose float is positive and finite; any
+    other value (nan, a string, None) is a ``ShapeError`` saying ``what``."""
+    floats = []
+    for v in values:
+        try:
+            f = float(v) if isinstance(v, numbers.Real) \
+                and not isinstance(v, bool) else math.nan
+        except OverflowError:  # an int or fraction past float's range
+            f = math.inf
+        if not 0 < f < math.inf:  # False for nan too
+            raise ShapeError(f"{what} must be a positive and finite number, "
+                             f"got {v!r}")
+        floats.append(f)
+    return tuple(floats)
 
 
 def _as_mode_tuple(modes, d, *, name="modes"):

@@ -712,3 +712,25 @@ def test_corrupted_bundle_exit_codes(tmp_path, capsys):
             seen.add(code)
         path.write_bytes(original)
     assert {0, 3} <= seen
+
+
+@pytest.mark.parametrize("solver", [{"seed": 2.5}, {"feas_tol": "1e-9"}])
+def test_bench_spec_solver_values_not_cast(solver, tmp_path, capsys):
+    # JSON values go to SolverConfig as they are: a float seed is not
+    # truncated and a string tolerance is not parsed, before any row runs
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"defaults": {**BENCH_DEFAULTS,
+                                             "solver": solver}}))
+    out = tmp_path / "b.csv"
+    code, _ = run(capsys, "bench", "--procedures", "1", "--seeds", "1",
+                  "--spec", str(spec), "--out", str(out))
+    assert code == 3 and not out.exists()
+
+
+def test_solver_config_not_utf8_is_input_error(bundle, tmp_path, capsys):
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(b"feas_tol = \xff\xfe\n")
+    code, _ = run(capsys, "decompose", "--procedure", "1", "--ranks",
+                  "3,3,2", "--input", str(bundle), "--out",
+                  str(tmp_path / "m.json"), "--solver-config", str(cfg))
+    assert code == 3

@@ -609,3 +609,26 @@ class TestConfig:
     def test_derive_seed_stable(self):
         assert derive_seed(5, "a", 1) == derive_seed(5, "a", 1)
         assert derive_seed(5, "a") != derive_seed(5, "b")
+
+
+class TestFitCheckScale:
+    # np.linalg.norm squares the entries, so below about 1e-154 both norms
+    # lost their bits and any fit read as residual 0
+
+    X = np.random.default_rng(0).random((12, 8))
+
+    @pytest.mark.parametrize("x,fit", [
+        (1e-170 * X, np.zeros_like(X)),
+        (1e-160 * X, 1e-160 * X * (1 + 1e-5)),
+        (1e-150 * X, 1e-150 * X * (1 + 1e-5)),
+    ])
+    def test_tiny_misfit_refused(self, x, fit):
+        with pytest.raises(SolverError, match="residual 1.000e"):
+            solvers._check_fit(x, fit, 1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1.0, 1e100])
+    def test_relative_residual_independent_of_scale(self, scale):
+        fit = self.X * (1 + 2.0 ** -20)
+        expected = solvers._check_fit(self.X, fit, 1e-3)
+        got = solvers._check_fit(scale * self.X, scale * fit, 1e-3)
+        assert got == pytest.approx(expected, rel=1e-6, abs=0)
