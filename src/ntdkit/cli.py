@@ -24,7 +24,7 @@ from .cones import (check_pssc, check_separable, check_ssc,
                     counterexample_dims_ok, kron_ssc_margin,
                     kron_ssc_sufficient)
 from .errors import (ComputationError, GenerationError, InputError,
-                     NtdkitError, UsageError)
+                     UsageError)
 from .evaluate import essential_match
 from .model import NtdModel
 from .procedures import (ModePartition, procedure0, procedure1, procedure2,
@@ -32,7 +32,7 @@ from .procedures import (ModePartition, procedure0, procedure1, procedure2,
                          procedure_d3, separable_orderd)
 from .solvers import SolverConfig
 from .synth import gen_instance, load_instance, save_instance
-from .tensor import _integers, _tolerances, read_tensor
+from .tensor import _integers, _reading, _tolerances, read_tensor
 
 EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_SOLVER = 0, 2, 3, 4
 
@@ -70,38 +70,34 @@ _SOLVER_FIELDS = {"feas_tol": float, "seed": int}
 
 def _load_solver_config(args) -> SolverConfig:
     """The ``--solver-config`` file's ``name = value`` lines, each value's
-    text parsed by its field's type, with the flags on top; InputError for
-    an unknown name or a value that does not parse."""
-    values = {}
+    text parsed by its field's type, with the flags on top: a value
+    ``SolverConfig`` refuses is an InputError in the file, a UsageError
+    as a flag."""
+    cfg = SolverConfig()
     if args.solver_config:
-        try:
-            with open(args.solver_config) as fh:
-                lines = fh.read().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read solver config: {exc}") from exc
-        for line in map(str.strip, lines):
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _SOLVER_FIELDS:
-                raise InputError(f"unknown solver config field {key!r}")
-            try:
+        with _reading(f"solver config {args.solver_config}"), \
+                open(args.solver_config) as fh:
+            values = {}
+            for line in map(str.strip, fh.read().splitlines()):
+                if not line or line.startswith("#"):
+                    continue
+                key, _, val = line.partition("=")
+                key = key.strip().replace("-", "_")
+                if key not in _SOLVER_FIELDS:
+                    raise ValueError(f"unknown field {key!r}")
                 values[key] = _SOLVER_FIELDS[key](val.strip())
-            except ValueError as exc:
-                raise InputError(f"solver config {key}: {exc}") from exc
+            cfg = SolverConfig(**values)
     flags = {name: getattr(args, name) for name in _SOLVER_FIELDS
              if getattr(args, name) is not None}
-    return SolverConfig(**{**values, **flags})
+    return replace(cfg, **flags)
 
 
 def _read_matrix(path) -> np.ndarray:
     t = read_tensor(path)
-    if t.order == 2:
-        return t.array
-    if t.order == 1:
-        return t.array.reshape(-1, 1)
-    raise InputError(f"{path} holds an order-{t.order} tensor, not a matrix")
+    if t.order > 2:
+        raise InputError(f"{path} holds an order-{t.order} tensor, "
+                         "not a matrix")
+    return t.array.reshape(t.dims[0], -1)  # a vector is one column
 
 
 def _emit(doc):
@@ -181,21 +177,15 @@ def _run_procedure(proc, tensor, ranks, cfg, slice_index=None, axes=None,
     raise UsageError(f"unknown procedure {proc!r}")
 
 
-def _load_input(path):
-    """A bundle directory (tensor + truth) or a bare tensor file."""
-    if os.path.isdir(path):
-        inst = load_instance(path)
-        return inst.tensor, inst
-    return read_tensor(path), None
-
-
 def cmd_decompose(args) -> int:
     for flag, procs in (("slice_index", ("1", "3")), ("axes", ("d0",)),
                         ("partition", ("d3",))):  # the procedures that read it
         if getattr(args, flag) is not None and args.procedure not in procs:
             raise UsageError(f"--{flag.replace('_', '-')} applies only to "
                              f"--procedure {' or '.join(procs)}")
-    tensor, inst = _load_input(args.input)
+    # a bundle directory (tensor + truth) or a bare tensor file
+    inst = load_instance(args.input) if os.path.isdir(args.input) else None
+    tensor = inst.tensor if inst else read_tensor(args.input)
     ranks = _ints(args.ranks)  # every procedure refuses ranks below 1
     cfg = _load_solver_config(args)
     t0 = time.perf_counter()
@@ -231,10 +221,8 @@ def cmd_decompose(args) -> int:
 def cmd_eval(args) -> int:
     model = NtdModel.load(args.model)
     truth = NtdModel.load(args.truth)
-    try:
+    with _reading("models are not comparable"):
         res = essential_match(model, truth, tol=args.tol)
-    except NtdkitError as exc:
-        raise InputError(f"models are not comparable: {exc}") from exc
     _emit(res.to_json())
     return EXIT_OK
 
@@ -243,25 +231,17 @@ def _bench_spec(spec_doc, proc):
     """``(assumption, dims, ranks, axes, partition, cfg)`` from ``proc``'s
     entry of a bench spec over its defaults, each integer field through
     ``tensor._integers`` and the ``solver`` object's values, uncast, through
-    ``SolverConfig``.  InputError for a malformed spec, a ShapeError of its
-    values included, UsageError for a missing key."""
-    try:
-        spec = {**spec_doc.get("defaults", {}),
-                **spec_doc.get("procedures", {}).get(proc, {})}
-        missing = [k for k in ("assumption", "dims", "ranks") if k not in spec]
-        if not missing:
-            part, axes = spec.get("partition"), spec.get("axes")
-            rule = "bench spec dims, ranks, axes and modes must be integers"
-            return (spec["assumption"], _integers(spec["dims"], rule),
-                    _integers(spec["ranks"], rule),
-                    _integers(axes, rule) if axes else None,
-                    {k: list(_integers(part[k], rule))
-                     for k in ("rows", "fixed", "cols")} if part else None,
-                    SolverConfig(**spec.get("solver", {})))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed bench spec for procedure {proc}: "
-                         f"{exc!r}") from exc
-    raise UsageError(f"bench spec missing {missing[0]!r} for procedure {proc}")
+    ``SolverConfig``; run inside the spec's ``_reading`` gate."""
+    spec = {**spec_doc.get("defaults", {}),
+            **spec_doc.get("procedures", {}).get(proc, {})}
+    part, axes = spec.get("partition"), spec.get("axes")
+    rule = "dims, ranks, axes and modes must be integers"
+    return (spec["assumption"], _integers(spec["dims"], rule),
+            _integers(spec["ranks"], rule),
+            _integers(axes, rule) if axes else None,
+            {k: list(_integers(part[k], rule))
+             for k in ("rows", "fixed", "cols")} if part else None,
+            SolverConfig(**spec.get("solver", {})))
 
 
 def _bench_one(spec, proc, seed, tol, no_timing):
@@ -286,18 +266,12 @@ def _bench_one(spec, proc, seed, tol, no_timing):
 
 
 def cmd_bench(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec_doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read bench spec: {exc}") from exc
-    jobs = []
-    for proc in args.procedures.split(","):
-        spec = _bench_spec(spec_doc, proc)
-        jobs += [(spec, proc, seed) for seed in range(args.seeds)]
-
-    rows = [_bench_one(s, p, sd, args.tol, args.no_timing)
-            for s, p, sd in jobs]
+    with _reading(f"bench spec {args.spec}"), open(args.spec) as fh:
+        spec_doc = json.load(fh)
+        specs = [(proc, _bench_spec(spec_doc, proc))
+                 for proc in args.procedures.split(",")]
+    rows = [_bench_one(spec, proc, seed, args.tol, args.no_timing)
+            for proc, spec in specs for seed in range(args.seeds)]
     rows.sort(key=lambda r: (r[1], r[2]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

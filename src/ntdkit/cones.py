@@ -23,7 +23,8 @@ recession ray, else the largest-norm vertex.  Past the budget a
 Frank-Wolfe search steps by LP (``lp.linprog_dense``): a returned
 certificate proves SSC1 fails, but absence of one proves nothing.  Every
 check reads its matrix through ``_validate_nonneg``, which also refuses
-fewer than two columns wherever an SSC notion is asked for; within one
+fewer than two columns wherever an SSC notion is asked for and, past an
+entry of 1e100, scales each row by a power of two; within one
 ``check_ssc`` report the separability test and the oracle read the array
 it validated (``_separable``, ``_vertices``).
 
@@ -74,7 +75,9 @@ def _validate_nonneg(h, check=None):
     """``h`` as a float matrix clipped at 0: ``UsageError`` for another
     shape or an entry below -1e-12, ``InputError`` for a non-finite column
     sum and, when ``check`` names the caller, ``UsageError`` for fewer than
-    two columns, as every SSC notion needs r >= 2."""
+    two columns, as every SSC notion needs r >= 2.  Past an entry of 1e100
+    each row is scaled exactly into [0.5, 1), which leaves ``cone(h.T)``
+    and so every verdict and dual vertex as they are."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2:
         raise UsageError("h must be a matrix")
@@ -88,7 +91,10 @@ def _validate_nonneg(h, check=None):
                     raise InputError("h has non-finite column sums")
     if check is not None and h.shape[1] < 2:
         raise UsageError(f"{check} needs r >= 2")
-    return np.maximum(h, 0.0)
+    h = np.maximum(h, 0.0)
+    if h.max(initial=0.0) > 1e100:  # squared entries would overflow
+        h = np.ldexp(h, -np.frexp(h.max(axis=1, keepdims=True))[1])
+    return h
 
 
 def check_separable(h, tol=1e-9):
@@ -237,6 +243,7 @@ def check_pssc(h, p):
     """
     h = _validate_nonneg(h, "p-SSC")
     r = h.shape[1]
+    p, = _tolerances([p], "check_pssc p")
     if not 1.0 - 1e-12 <= p <= math.sqrt(r) + 1e-12:
         raise UsageError(f"p={p} outside [1, sqrt(r)] for r={r}")
     return _max_p_level(h) <= p + _P_TOL
@@ -459,6 +466,8 @@ def kron_ssc_margin(r1, p1_sq, r2, p2_sq) -> float:
     satisfies the SSC when this quantity is at least one.
     """
     r1, r2 = _integers((r1, r2), "r1 and r2 must be integers")
+    p1_sq, p2_sq = _tolerances((p1_sq, p2_sq),
+                               "kron_ssc_margin p1_sq and p2_sq")
     for r, psq in ((r1, p1_sq), (r2, p2_sq)):
         if r < 2:
             raise UsageError("factors need r >= 2")
@@ -470,6 +479,7 @@ def kron_ssc_margin(r1, p1_sq, r2, p2_sq) -> float:
 
 
 def kron_ssc_sufficient(r1, p1, r2, p2) -> bool:
+    p1, p2 = _tolerances((p1, p2), "kron_ssc_sufficient p1 and p2")
     return kron_ssc_margin(r1, p1 * p1, r2, p2 * p2) >= 1.0
 
 

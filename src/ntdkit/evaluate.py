@@ -21,7 +21,7 @@ from .errors import (EnumerationCapError, InputError, RankError, ShapeError,
                      UsageError)
 from .kron import kron_all
 from .model import NtdModel, _jsonable
-from .solvers import _scan_slices, numerical_rank
+from .solvers import _relative_residual, _scan_slices, numerical_rank
 from .tensor import (DenseTensor, _integers, _mode_groups, _partition,
                      _slice_stack, _tolerances, unfold)
 
@@ -151,10 +151,11 @@ class ModelError(NamedTuple):
 
 
 def model_error(model: NtdModel, t: DenseTensor) -> ModelError:
+    """The fit check's residual of ``model`` to ``t``, absolute if t = 0."""
     if model.dims != t.dims:
         raise ShapeError(f"model dims {model.dims} != tensor dims {t.dims}")
-    ref = t.norm()  # a zero tensor gives the absolute error
-    return ModelError(model._residual_norm(t) / (ref or 1.0), ref == 0.0)
+    resid, _ = _relative_residual(t.data, model.reconstruct().data)
+    return ModelError(resid, not t.data.any())
 
 
 @dataclass

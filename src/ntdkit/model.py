@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ShapeError
-from .tensor import (DenseTensor, _finite_array, _integers,
+from .errors import ShapeError
+from .tensor import (DenseTensor, _finite_array, _integers, _reading,
                      multilinear_transform)
 
 
@@ -51,12 +51,6 @@ class NtdModel:
     def reconstruct(self) -> DenseTensor:
         return multilinear_transform(self.core, self.factors)
 
-    def _residual_norm(self, t: DenseTensor) -> float:
-        """``||reconstruct() - t||``, subtracted into the reconstruction."""
-        diff = self.reconstruct().data
-        diff -= t.data
-        return float(np.linalg.norm(diff))
-
     def core_is_nonnegative(self, tol=0.0) -> bool:
         return bool(self.core.data.min(initial=0.0) >= -tol)
 
@@ -71,16 +65,13 @@ class NtdModel:
 
     @classmethod
     def from_json(cls, doc) -> "NtdModel":
-        try:
-            factors = [_finite_array(u, "model") for u in doc["factors"]]
+        """The model a JSON document holds; ``InputError`` otherwise."""
+        with _reading("model document"):
+            factors = [_finite_array(u) for u in doc["factors"]]
             core = DenseTensor(doc["core"]["dims"],
-                               _finite_array(doc["core"]["data"], "model"))
+                               _finite_array(doc["core"]["data"]))
             return cls(factors, core, doc["ranks"],
                        doc.get("diagnostics", {}))
-        # A ShapeError here is a file whose shapes disagree or whose ranks
-        # or dims are not integers: bad input, not a bad argument.
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed model document: {exc}") from exc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -88,11 +79,8 @@ class NtdModel:
 
     @classmethod
     def load(cls, path) -> "NtdModel":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read model {path}: {exc}") from exc
+        with _reading(f"model {path}"), open(path) as fh:
+            doc = json.load(fh)
         return cls.from_json(doc)
 
 

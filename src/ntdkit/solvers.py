@@ -26,8 +26,9 @@ needs both bases and takes ``W`` and ``Z`` from one thin SVD of ``x``.
 the gate takes for a tall ``x`` from the SVD of the square R factor of its
 QR (the R-SVD of Chan 1982), so the m x n left factor is never built.
 Every solver ends in the one fit check, ``_check_fit``, which a nan
-residual fails.  The min-vol solvers return through private cores
-(``_minvol_order2``, ``_minvol_nmf``) that also give each factor as
+residual fails; its measure, ``_relative_residual``, is also
+``evaluate.model_error``'s.  The min-vol solvers return through private
+cores (``_minvol_order2``, ``_minvol_nmf``) that also give each factor as
 ``(W, q)`` with ``u = W q``: ``W`` has orthonormal columns, so
 ``_left_inverse`` takes ``pinv(u) = q^-1 W'`` by one r x r solve, which
 the procedures' slice routes use in place of an SVD.  The procedures'
@@ -162,24 +163,30 @@ def _scan_slices(stack, rows, cols, target):
     )
 
 
-def _check_fit(x, fit, tol, error=SolverError, what="reconstruction"):
-    """The residual of ``fit`` relative to ``||x||``; ``error("<what>
-    residual ...")`` when it exceeds ``tol`` or either norm overflows.
-    Below a norm of 1e-100, where squared entries underflow, both are
-    first scaled exactly by the power of two that brings ``x``'s largest
-    |entry| into [0.5, 1).  The fit check of every solver and procedure,
-    warning-free."""
+def _relative_residual(x, fit):
+    """``(||x - fit|| / ||x||, ||x||)``, the residual ``||fit||`` for a
+    zero ``x``; the package's one residual measure, warning-free.  Below a
+    norm of 1e-100, where squared entries underflow, both are first scaled
+    exactly by the power of two that brings ``x``'s largest |entry| into
+    [0.5, 1)."""
     with np.errstate(over="ignore", invalid="ignore"):
         scale = unit = np.linalg.norm(x)
         if scale < 1e-100:
             k = -np.frexp(np.abs(x).max(initial=0.0))[1]
             x, fit = np.ldexp(x, k), np.ldexp(fit, k)
             unit = np.linalg.norm(x)
-        resid = np.linalg.norm(x - fit) / max(unit, 1e-300)
+        return float(np.linalg.norm(x - fit) / (unit or 1.0)), scale
+
+
+def _check_fit(x, fit, tol, error=SolverError, what="reconstruction"):
+    """The fit check of every solver and procedure: ``error("<what>
+    residual ...")`` unless the ``_relative_residual`` is within ``tol``
+    and ``||x||`` is finite."""
+    resid, scale = _relative_residual(x, fit)
     if not resid <= tol or scale == np.inf:  # also for overflowed norms
         raise error(f"{what} residual {resid:.3e} of an input of norm "
                     f"{scale:.3e}")
-    return float(resid)
+    return resid
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)

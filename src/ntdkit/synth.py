@@ -17,14 +17,13 @@ from math import prod
 import numpy as np
 
 from .cones import ENUM_CAP_N, _ssc_memo, check_ssc
-from .errors import (GenerationError, InputError, PartitionError, ShapeError,
-                     UsageError)
+from .errors import GenerationError, InputError, PartitionError, ShapeError
 from .evaluate import (_checked_seed, _conditions, _Core, _core_status,
                        _Group, _Shape, validate_assumptions)
 from .model import NtdModel
 from .procedures import ModePartition
-from .tensor import (DenseTensor, _integers, _unfolding_groups, read_tensor,
-                     write_tensor_binary, write_tensor_json)
+from .tensor import (DenseTensor, _integers, _reading, _unfolding_groups,
+                     read_tensor, write_tensor_binary, write_tensor_json)
 
 # Largest rank of a factor that ``gen_ssc_factor`` draws.  It bounds the
 # generator's SSC draws only: exact certification reaches cones.ENUM_CAP_R.
@@ -318,21 +317,20 @@ def save_instance(inst: Instance, path):
 
 def load_instance(path) -> Instance:
     """Read a bundle, taking the tensor from ``tensor.bin`` when the bundle
-    has one and from ``tensor.json`` otherwise."""
+    has one and from ``tensor.json`` otherwise; ``InputError`` for a file
+    that is malformed or a truth whose dims are not the tensor's."""
     binary = os.path.join(path, "tensor.bin")
     tensor = read_tensor(binary if os.path.exists(binary)
                          else os.path.join(path, "tensor.json"))
     truth = NtdModel.load(os.path.join(path, "truth.json"))
-    try:
-        with open(os.path.join(path, "meta.json")) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read instance metadata: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
-        raise InputError("instance metadata is not a JSON object")
-    try:
-        seed = _checked_seed(doc.get("seed", 0))
-    except UsageError as exc:
-        raise InputError(f"instance {exc}") from exc
-    return Instance(tensor, truth, doc.get("assumption_id", ""), seed,
-                    doc.get("meta", {}))
+    if truth.dims != tensor.dims:
+        raise InputError(f"bundle {path}: truth dims {truth.dims} differ "
+                         f"from tensor dims {tensor.dims}")
+    with _reading(f"instance metadata {path}"), \
+            open(os.path.join(path, "meta.json")) as fh:
+        doc = json.load(fh)
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError("its meta is not a JSON object")
+        return Instance(tensor, truth, doc.get("assumption_id", ""),
+                        _checked_seed(doc.get("seed", 0)), meta)

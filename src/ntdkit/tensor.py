@@ -12,13 +12,16 @@ fastest along its last axis; ``slice_combination`` weights that axis.
 
 Modes are zero-based everywhere in this package.
 
-This module also holds the package's two argument gates: ``_integers``
-decides what an integer is (every rank, dim, mode, index and seed) and
-``_tolerances`` what a tolerance is (a positive, finite real number).
+This module also holds the package's three gates: ``_integers`` decides
+what an integer is (every rank, dim, mode, index and seed),
+``_tolerances`` what a tolerance is (a positive, finite real number) and
+``_reading`` what a malformed file is (any fault raised while a file is
+read, parsed and built into the object it holds is an ``InputError``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -60,6 +63,19 @@ def _tolerances(values, what):
                              f"got {v!r}")
         floats.append(f)
     return tuple(floats)
+
+
+@contextlib.contextmanager
+def _reading(what):
+    """The package's one file rule: any fault raised while a file is read,
+    parsed and built into what it holds is an ``InputError`` saying
+    ``what``.  ``ValueError`` covers bad JSON, text that is not UTF-8 and
+    every ``UsageError``; an ``InputError`` passes unchanged."""
+    try:
+        yield
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            struct.error, OverflowError, RecursionError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
 
 
 def _as_mode_tuple(modes, d, *, name="modes"):
@@ -291,14 +307,12 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
     return out
 
 
-def _finite_array(data, what) -> np.ndarray:
-    """``data`` read from a file as floats; ``InputError`` unless finite."""
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} holds non-numeric data: {exc}") from exc
+def _finite_array(data) -> np.ndarray:
+    """``data`` read from a file as floats, inside a ``_reading`` gate;
+    ``ValueError`` unless finite."""
+    arr = np.asarray(data, dtype=float)
     if not np.isfinite(arr).all():
-        raise InputError(f"{what} holds non-finite data")
+        raise ValueError("non-finite data")
     return arr
 
 
@@ -321,17 +335,9 @@ def read_tensor(path) -> DenseTensor:
     """Read a tensor file, auto-detecting the JSON and binary formats;
     ``InputError`` for a file that is unreadable, malformed or whose dims
     and data disagree."""
-    try:
-        return _read_tensor(path)
-    except ShapeError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _read_tensor(path) -> DenseTensor:
-    try:
+    with _reading(f"tensor file {path}"):
         with open(path, "rb") as fh:
-            head = fh.read(len(TENSOR_MAGIC))
-            if head == TENSOR_MAGIC:
+            if fh.read(len(TENSOR_MAGIC)) == TENSOR_MAGIC:
                 # The header's sizes are checked against the bytes the
                 # file holds before anything is allocated for them.
                 body = fh.read()
@@ -339,27 +345,14 @@ def _read_tensor(path) -> DenseTensor:
                 dims = struct.unpack_from(f"<{order}I", body, 4)
                 n, start = prod(dims), 4 + 4 * order
                 if 8 * n > len(body) - start:
-                    raise InputError(
-                        f"truncated tensor file {path}: dims {dims} need "
-                        f"{8 * n} data bytes, {len(body) - start} left")
+                    raise ValueError(f"truncated: dims {dims} need {8 * n} "
+                                     f"data bytes, {len(body) - start} left")
                 data = np.frombuffer(body, dtype="<f8", count=n, offset=start)
-                return DenseTensor(dims, _finite_array(data.copy(), path))
-    except struct.error as exc:  # the header ends early
-        raise InputError(f"truncated tensor file {path}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
+                return DenseTensor(dims, _finite_array(data.copy()))
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot parse {path}: {exc}") from exc
-    if isinstance(doc, list):  # bare nested array, used for matrices
-        return DenseTensor.from_array(_finite_array(doc, path))
-    try:
-        dims, data = doc["dims"], doc["data"]
-        layout = doc.get("layout", "col-major")
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed tensor document {path}") from exc
-    if layout != "col-major":
-        raise InputError(f"unsupported layout {layout!r}")
-    return DenseTensor(dims, _finite_array(data, path))
+        if isinstance(doc, list):  # bare nested array, used for matrices
+            return DenseTensor.from_array(_finite_array(doc))
+        if doc.get("layout", "col-major") != "col-major":
+            raise ValueError(f"unsupported layout {doc['layout']!r}")
+        return DenseTensor(doc["dims"], _finite_array(doc["data"]))

@@ -502,7 +502,7 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
       "--feas-tol", "inf"], 2),
     (["decompose", "--procedure", "1", "--ranks", "3,3,2",
-      "--solver-config", "{tmp}/nan-tol.cfg"], 2),
+      "--solver-config", "{tmp}/nan-tol.cfg"], 3),
 ] + [(["decompose", "--procedure", "1", "--ranks", "3,3,2", "--tol", tol], 2)
      for tol in ("nan", "-1", "0", "inf")] + [
     (["eval", "--model", "{bundle}/truth.json", "--truth",
@@ -535,10 +535,11 @@ UNFOLDABLE = ("--ranks", "2,2,4", "--input", "{tmp}/unfoldable")
     # a finite core entry whose norm overflows
     (["eval", "--model", "{tmp}/huge-model.json",
       "--truth", "{bundle}/truth.json"], 3)] + [
-    # solver seeds outside the 64 bits that derive_seed reads
-    (["decompose", "--procedure", "1", "--ranks", "3,3,2", *seed], 2)
-    for seed in (("--seed", "-1"), ("--seed", str(2**64)),
-                 ("--solver-config", "{tmp}/neg-seed.cfg"))] + [
+    # solver seeds outside the 64 bits that derive_seed reads: a flag
+    # exits 2, a file value 3
+    (["decompose", "--procedure", "1", "--ranks", "3,3,2", *seed], code)
+    for seed, code in ((("--seed", "-1"), 2), (("--seed", str(2**64)), 2),
+                       (("--solver-config", "{tmp}/neg-seed.cfg"), 3))] + [
     # a zero rank, which the anchor-factor generators cannot draw
     (["gen", "--assumption", "A4.3", "--dims", "16,16,10", "--ranks",
       "4,4,0", "--out", "{tmp}/g"], 2),

@@ -894,3 +894,18 @@ class TestWitness:
     def test_invalid_rows(self):
         with pytest.raises(UsageError):
             ssc1_violation_witness(np.array([[0.7, 0.7]]), np.eye(2))
+
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_huge_entries_keep_every_verdict(scale):
+    # squared entries past 1e154 overflowed inside the checks (a
+    # RuntimeWarning); rows are now scaled, which leaves the cone as it is
+    for h in (gen_ssc_factor(12, 4, 0), np.vstack([np.eye(3), np.ones(3)]),
+              np.random.default_rng(2).random((10, 3))):
+        want = check_ssc(h)
+        for m in (h * scale, np.vstack([h[:1] * scale, h[1:]])):
+            got = check_ssc(m)
+            for name in ("separable", "anchors", "ssc1", "ssc2", "unbounded"):
+                assert getattr(got, name) == getattr(want, name)
+            assert estimate_min_p(m) == pytest.approx(estimate_min_p(h))

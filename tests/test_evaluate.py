@@ -307,6 +307,19 @@ class TestModelError:
         err = model_error(inst.truth, zero_t)
         assert err.absolute and err.value > 0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170])
+    def test_double_core_at_any_scale(self, scale):
+        # below about 1e-154 the squared entries underflow, and a residual
+        # measured on them read 0, with the tensor taken for zero
+        inst = gen_instance("A4.1", (5, 4, 3), (2, 2, 2), seed=5)
+        double = NtdModel(inst.truth.factors,
+                          DenseTensor(inst.truth.core.dims,
+                                      2 * scale * inst.truth.core.data),
+                          inst.truth.ranks)
+        t = DenseTensor(inst.tensor.dims, scale * inst.tensor.data)
+        err = model_error(double, t)
+        assert err.value == pytest.approx(1.0) and not err.absolute
+
 
 class TestValidateAssumptions:
     @pytest.mark.parametrize("aid,dims,ranks,extra", [

@@ -91,3 +91,49 @@ def test_one_function_decides_what_a_tolerance_is():
 def test_integer_arguments_past_the_shape_layer(call, name):
     with pytest.raises(ShapeError, match=f"{name} must be"):
         call()
+
+
+def _input_error_converters(tree):
+    """Names of the functions of ``tree`` with an ``except`` handler that
+    raises ``InputError``, ``<module>`` for one outside every function."""
+    users = []
+
+    def visit(node, owner, handler):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        handler = handler or isinstance(node, ast.ExceptHandler)
+        if handler and isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(raised, ast.Name) and raised.id == "InputError":
+                users.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, handler)
+
+    visit(tree, "<module>", False)
+    return users
+
+
+def test_one_function_decides_what_a_malformed_file_is():
+    users = [(path.name, name) for path in sorted(PACKAGE.rglob("*.py"))
+             for name in _input_error_converters(ast.parse(path.read_text()))]
+    assert users == [("tensor.py", "_reading")]
+
+
+def _unused_imports(tree):
+    """The names ``tree`` imports and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text()))
+              for path in sorted(PACKAGE.rglob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

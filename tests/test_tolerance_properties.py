@@ -19,13 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ntdkit
-from ntdkit import (DenseTensor, NtdModel, SolverConfig, check_separable,
-                    check_ssc, enumerate_dual_vertices, essential_match,
-                    gen_ssc_factor, kron, kron_split, kron_split_multi,
-                    kron_split_permuted, separable_order2_ntd,
+from ntdkit import (DenseTensor, NtdModel, SolverConfig, check_pssc,
+                    check_separable, check_ssc, enumerate_dual_vertices,
+                    essential_match, gen_ssc_factor, kron, kron_split,
+                    kron_split_multi, kron_split_permuted, kron_ssc_margin,
+                    kron_ssc_sufficient, separable_order2_ntd,
                     separable_orderd, spa_separable_nmf, ssc1_refute,
                     ssc1_violation_witness)
-from ntdkit.errors import NotAKroneckerProduct, NtdkitError, ShapeError
+from ntdkit.errors import (NotAKroneckerProduct, NtdkitError, ShapeError,
+                           UsageError)
 
 RNG = np.random.default_rng(38)
 H_SSC = gen_ssc_factor(12, 4, 0)  # certified SSC, not separable
@@ -175,3 +177,38 @@ def test_config_stores_a_python_float():
     for tol in (1, np.float32(0.5), np.float64(1e-9), 1e-9):
         cfg = SolverConfig(feas_tol=tol)
         assert type(cfg.feas_tol) is float and cfg.feas_tol == float(tol)
+
+
+# The p arguments of the cone checks pass the same rule before their range.
+P_CALLS = {
+    ("check_pssc", "p"): lambda v: check_pssc(np.eye(3), v),
+    ("kron_ssc_margin", "p1_sq"): lambda v: kron_ssc_margin(3, v, 3, 2.0),
+    ("kron_ssc_margin", "p2_sq"): lambda v: kron_ssc_margin(3, 2.0, 3, v),
+    ("kron_ssc_sufficient", "p1"):
+        lambda v: kron_ssc_sufficient(3, v, 3, 1.4),
+    ("kron_ssc_sufficient", "p2"):
+        lambda v: kron_ssc_sufficient(3, 1.4, 3, v),
+}
+
+
+@pytest.mark.parametrize("where", sorted(P_CALLS))
+def test_p_arguments_refuse_bad_kinds(where):
+    for bad in BAD + ["x", [1]]:
+        with pytest.raises(ShapeError, match="positive and finite"):
+            P_CALLS[where](bad)
+
+
+def test_bool_p_no_longer_read_as_one():
+    # was: check_pssc(h, True) False and kron_ssc_margin(3, True, 3, 2) 1.5
+    assert check_pssc(np.eye(3), 1.0)
+    with pytest.raises(ShapeError, match="check_pssc p"):
+        check_pssc(np.eye(3), True)
+    with pytest.raises(ShapeError, match="p1_sq and p2_sq"):
+        kron_ssc_margin(3, True, 3, 2)
+
+
+def test_p_out_of_range_keeps_its_wording():
+    with pytest.raises(UsageError, match=r"outside \[1, sqrt\(r\)\]"):
+        check_pssc(np.eye(4), 2.5)
+    with pytest.raises(UsageError, match=r"outside \[1, r-1\]"):
+        kron_ssc_margin(3, 2.5, 3, 2.0)
