@@ -50,7 +50,7 @@ from .errors import (EnumerationCapError, InputError, SolverError,
 from .lp import (_VERTEX_ENUM_CAP, _nonzero, cross_section_vertices,
                  linprog_dense)
 from .model import _jsonable
-from .tensor import _integers, _tolerances
+from .tensor import _integers, _reals, _tolerances
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
@@ -72,23 +72,19 @@ def _ssc_memo():
 
 
 def _validate_nonneg(h, check=None):
-    """``h`` as a float matrix clipped at 0: ``UsageError`` for another
-    shape or an entry below -1e-12, ``InputError`` for a non-finite column
-    sum and, when ``check`` names the caller, ``UsageError`` for fewer than
-    two columns, as every SSC notion needs r >= 2.  Past an entry of 1e100
-    each row is scaled exactly into [0.5, 1), which leaves ``cone(h.T)``
-    and so every verdict and dual vertex as they are."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2:
-        raise UsageError("h must be a matrix")
-    if h.size:
-        if h.min() < -1e-12:
-            raise UsageError("h has negative entries")
-        # below this bound (and finite) no column sum can overflow
-        if not h.max() < 1e300 / len(h):
-            with np.errstate(over="ignore"):
-                if not np.isfinite(h.sum(axis=0)).all():
-                    raise InputError("h has non-finite column sums")
+    """``h`` as a float matrix (``_reals``) clipped at 0: ``UsageError``
+    for an entry below -1e-12, ``InputError`` for a column sum that
+    overflows and, when ``check`` names the caller, ``UsageError`` for
+    fewer than two columns, as every SSC notion needs r >= 2.  Past an
+    entry of 1e100 each row is scaled exactly into [0.5, 1), which leaves
+    ``cone(h.T)`` and so every verdict and dual vertex as they are."""
+    h = _reals(h, "h must be a finite real matrix", 2)
+    if h.min(initial=0.0) < -1e-12:
+        raise UsageError("h has negative entries")
+    if float(h.max(initial=0.0)) * len(h) >= 1e300:  # a sum may overflow
+        with np.errstate(over="ignore"):
+            if not np.isfinite(h.sum(axis=0)).all():
+                raise InputError("h has non-finite column sums")
     if check is not None and h.shape[1] < 2:
         raise UsageError(f"{check} needs r >= 2")
     h = np.maximum(h, 0.0)
@@ -521,11 +517,11 @@ def ssc1_violation_witness(u1, u2, feas_tol=1e-12):
     Returns None when the bound does not hold.
     """
     feas_tol, = _tolerances([feas_tol], "ssc1_violation_witness feas_tol")
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
+    u1 = _reals(u1, "u1 must be a finite real matrix", 2)
+    u2 = _reals(u2, "u2 must be a finite real matrix", 2)
     for u, name in ((u1, "u1"), (u2, "u2")):
-        if u.ndim != 2 or u.shape[1] < 2:
-            raise UsageError(f"{name} must be a matrix with r >= 2")
+        if u.shape[1] < 2:
+            raise UsageError(f"{name} needs r >= 2")
         if u.min() < -1e-12:
             raise UsageError(f"{name} has negative entries")
         if np.abs(u.sum(axis=1) - 1.0).max() > 1e-9:

@@ -23,7 +23,7 @@ from .kron import kron_all
 from .model import NtdModel, _jsonable
 from .solvers import _relative_residual, _scan_slices, numerical_rank
 from .tensor import (DenseTensor, _integers, _mode_groups, _partition,
-                     _slice_stack, _tolerances, unfold)
+                     _reals, _slice_stack, _tolerances, unfold)
 
 
 def _assignment(cost):
@@ -89,8 +89,12 @@ def align_columns(u_est, u_ref):
     Returns ``(perm, err)`` with ``u_est[:, perm[k]]`` matched to
     ``u_ref[:, k]`` and ``err`` the worst relative column distance.
     """
-    u_est = np.asarray(u_est, dtype=float)
-    u_ref = np.asarray(u_ref, dtype=float)
+    rule = "align_columns u_est and u_ref must be finite real matrices"
+    return _align(_reals(u_est, rule, 2), _reals(u_ref, rule, 2))
+
+
+def _align(u_est, u_ref):
+    """``align_columns`` on float matrices."""
     if u_est.shape != u_ref.shape:
         raise ShapeError(f"shapes {u_est.shape} != {u_ref.shape}")
     cost = np.linalg.norm(u_ref[:, :, None] - u_est[:, None, :], axis=0)
@@ -102,7 +106,8 @@ def align_columns(u_est, u_ref):
 
 def _unit_sums(model: NtdModel):
     """Unit-column-sum factors (zero sums kept) and the compensated core."""
-    factors, core = [], model.core.array
+    factors, core = [], _reals(
+        model.core.array, "essential_match cores must be finite real numbers")
     for k, u in enumerate(model.factors):
         s = u.sum(axis=0)
         s = np.where(np.abs(s) > 1e-300, s, 1.0)
@@ -133,8 +138,7 @@ def essential_match(model_a: NtdModel, model_b: NtdModel,
     with np.errstate(over="ignore", invalid="ignore"):
         factors_a, core_a = _unit_sums(model_a)
         factors_b, core_b = _unit_sums(model_b)
-        perms, errs = map(list, zip(*map(align_columns, factors_a,
-                                         factors_b)))
+        perms, errs = map(list, zip(*map(_align, factors_a, factors_b)))
         permuted = core_a[np.ix_(*perms)]
         denom = max(np.linalg.norm(permuted), 1e-300)
         core_error = float(np.linalg.norm(core_b - permuted) / denom)
@@ -154,6 +158,8 @@ def model_error(model: NtdModel, t: DenseTensor) -> ModelError:
     """The fit check's residual of ``model`` to ``t``, absolute if t = 0."""
     if model.dims != t.dims:
         raise ShapeError(f"model dims {model.dims} != tensor dims {t.dims}")
+    for a in (t.data, model.core.data, *model.factors):
+        _reals(a, "model_error model and tensor must be finite real numbers")
     resid, _ = _relative_residual(t.data, model.reconstruct().data)
     return ModelError(resid, not t.data.any())
 
@@ -477,6 +483,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
     """
     aid = assumption_id or instance.assumption_id
     t, truth = instance.tensor, instance.truth
+    for a in (t.data, truth.core.data, *truth.factors):
+        _reals(a, "validate_assumptions instance must be finite real numbers")
     conditions = _conditions(aid, t.order, truth.ranks, instance.meta)
     rep = AssumptionReport(aid)
     _base_factor_checks(rep, truth)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotAKroneckerProduct, NotPermutedKronecker, ShapeError
-from .tensor import _integers, _tolerances
+from .tensor import _integers, _reals, _tolerances
 
 
 def kron(a, b) -> np.ndarray:
@@ -55,7 +55,13 @@ class MultiKronSplit(NamedTuple):
 
 
 def _check_shape(x, shape):
-    (n1, r1), (n2, r2) = shape
+    """``(n1, r1, n2, r2)``: two integer pairs that ``x``'s shape fits."""
+    rule = "kron shape must be two (n, r) pairs of integers"
+    try:
+        (n1, r1), (n2, r2) = shape
+    except (TypeError, ValueError):  # not two pairs
+        raise ShapeError(f"{rule}, got {shape!r}") from None
+    n1, r1, n2, r2 = _integers((n1, r1, n2, r2), rule)
     if x.shape != (n1 * n2, r1 * r2):
         raise ShapeError(
             f"matrix shape {x.shape} does not match kron shape "
@@ -77,7 +83,7 @@ def kron_split(x, shape, feas_tol=1e-9) -> KronSplit:
     ``u2[:, j]``) because the true factor columns sum to one.
     """
     feas_tol, = _tolerances([feas_tol], "kron_split feas_tol")
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "kron_split x must be a finite real matrix", 2)
     n1, r1, n2, r2 = _check_shape(x, shape)
     mats = _column_mats(x, n1, n2)
     scale = max(1.0, float(np.linalg.norm(x)))
@@ -106,7 +112,7 @@ def kron_split_permuted(x, shape, tol=1e-8) -> PermutedKronSplit:
     separated and the threshold only absorbs floating-point noise.
     """
     tol, = _tolerances([tol], "kron_split_permuted tol")
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "kron_split_permuted x must be a finite real matrix", 2)
     n1, r1, n2, r2 = _check_shape(x, shape)
     mats = _column_mats(x, n1, n2)
     lefts = np.einsum("ijp->ip", mats)   # mat_p @ e
@@ -172,7 +178,7 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
     checked column by column against ``x``.
     """
     tol, = _tolerances([tol], "kron_split_multi tol")
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "kron_split_multi x must be a finite real matrix", 2)
     shapes = [_integers(s, "factor shapes must be integers") for s in shapes]
     nrow = prod(n for n, _ in shapes)
     ncol = prod(r for _, r in shapes)

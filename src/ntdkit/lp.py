@@ -263,8 +263,6 @@ def cross_section_vertices(b, a, max_rays, tol=1e-9):
     lexicographic order of its rows.  Raises ``EnumerationCapError`` past
     ``max_rays`` intermediate rays.
     """
-    b = np.asarray(b, dtype=float)
-    a = np.asarray(a, dtype=float)
     m = np.concatenate([b, a[None]])
     norms = np.sqrt(np.add.reduce(m * m, axis=1))
     keep = _nonzero(norms)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (DenseTensor, _finite_array, _integers, _reading,
-                     multilinear_transform)
+from .tensor import (DenseTensor, _doc_tensor, _integers, _reading, _reals,
+                     _tensor_doc, multilinear_transform)
 
 
 @dataclass
@@ -57,8 +57,7 @@ class NtdModel:
     def to_json(self) -> dict:
         return {
             "factors": [u.tolist() for u in self.factors],
-            "core": {"dims": list(self.core.dims), "layout": "col-major",
-                     "data": self.core.data.tolist()},
+            "core": _tensor_doc(self.core),
             "ranks": list(self.ranks),
             "diagnostics": _jsonable(self.diagnostics),
         }
@@ -67,10 +66,9 @@ class NtdModel:
     def from_json(cls, doc) -> "NtdModel":
         """The model a JSON document holds; ``InputError`` otherwise."""
         with _reading("model document"):
-            factors = [_finite_array(u) for u in doc["factors"]]
-            core = DenseTensor(doc["core"]["dims"],
-                               _finite_array(doc["core"]["data"]))
-            return cls(factors, core, doc["ranks"],
+            factors = [_reals(u, "model factors must be finite real matrices",
+                              2) for u in doc["factors"]]
+            return cls(factors, _doc_tensor(doc["core"]), doc["ranks"],
                        doc.get("diagnostics", {}))
 
     def save(self, path):

@@ -12,12 +12,12 @@ slices, the first full-rank one in flat index order unless told which
 (``_scan_slices``, from ``solvers``; no randomness), or, given
 ``weights``, slice combinations: procedures d.2 and d.4.  Procedures 0-4
 are the order-3 cases of d0, d1, d1, d3 and d3: each checks the order in
-``_mode_ranks``, as every procedure checks its rank list, and names its
-diagnostics; 2 and 4 draw the weights not given from ``cfg.seed``.  The
-slice routes take each factor's left inverse from the solver that built
-it (``solvers._left_inverse``) and compute no pseudo-inverse.  Slices and
-unfoldings come from ``tensor``, which alone flattens modes; d3 reads
-every slice from one stack.
+``_mode_ranks``, where every procedure checks its ranks and its tensor,
+and names its diagnostics; 2 and 4 draw the weights not given from
+``cfg.seed``.  The slice routes take each factor's left inverse from the
+solver that built it (``solvers._left_inverse``) and compute no
+pseudo-inverse.  Slices and unfoldings come from ``tensor``, which alone
+flattens modes; d3 reads every slice from one stack.
 """
 
 from __future__ import annotations
@@ -31,12 +31,12 @@ from .errors import ShapeError
 from .kron import kron_split_multi
 from .model import NtdModel
 from .solvers import (SolverConfig, _check_fit, _left_inverse, _minvol_nmf,
-                      _minvol_order2, _scan_slices, derive_seed, minvol_nmf,
+                      _minvol_order2, _scan_slices, derive_seed,
                       minvol_order2_ntd, spa_separable_nmf)
 from .tensor import (DenseTensor, SliceSpec, _flatten, _integers,
-                     _partition, _slice_stack, _unflatten, _unfolding_groups,
-                     fold, multilinear_transform, slice_combination,
-                     slice_matrix, unfold)
+                     _partition, _reals, _slice_stack, _unflatten,
+                     _unfolding_groups, fold, multilinear_transform,
+                     slice_combination, slice_matrix, unfold)
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
 
 
 def _mode_ranks(t, ranks, name, low=1, high=None):
-    """``ranks`` as positive ints, one per mode of ``t``, whose order must
-    lie in ``[low, high]`` (no upper bound when ``high`` is None);
+    """``ranks`` as positive ints, one per mode of ``t`` (finite real data
+    of an order in ``[low, high]``, ``high`` None for no upper bound);
     ``ShapeError`` naming procedure ``name`` otherwise."""
     ranks = _integers(ranks, f"procedure {name}'s ranks must be integers")
     if len(ranks) != t.order or not low <= t.order <= (high or t.order):
@@ -75,6 +75,7 @@ def _mode_ranks(t, ranks, name, low=1, high=None):
                          f"{len(ranks)} ranks for order {t.order}")
     if min(ranks) < 1:
         raise ShapeError(f"procedure {name} needs ranks >= 1, got {ranks}")
+    _reals(t.data, f"procedure {name}'s tensor must be finite real numbers")
     return ranks
 
 
@@ -292,7 +293,7 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
     p2t = _left_inverse(*right).T
     projected = _flatten(p1 @ np.moveaxis(stack, -1, 0) @ p2t,
                          ((1, 2), (0,)))
-    g, u_fixed = minvol_nmf(projected, r_fixed, cfg)
+    g, u_fixed = _minvol_nmf(projected, r_fixed, cfg)[:2]
     factors, (perm_left, perm_right, perm_mid) = _split_groups(
         t, ranks, ((fac.u1, rows), (fac.u2, cols), (u_fixed, fixed_modes)))
     row_gather = (perm_left[:, None] + perm_right[None, :] * r) \

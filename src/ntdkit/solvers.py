@@ -51,7 +51,7 @@ from .errors import (EnumerationCapError, NotSeparable, RankError,
                      ShapeError, SolverError)
 from .lp import (_VERTEX_ENUM_CAP, _ZERO_TOL, _extreme_rays, _nonzero,
                  cross_section_vertices)
-from .tensor import _integers, _tolerances
+from .tensor import _integers, _reals, _tolerances
 
 # ``maxdet_simplex`` scores every vertex r-subset from one cached index
 # table while it holds at most ``_TABLE_ENTRIES`` indices (C(V, r) * r) and
@@ -109,23 +109,24 @@ def _rank_from_values(s, shape) -> int:
 
 def numerical_rank(a) -> int:
     """Singular values above ``max(m,n) * eps * smax * 1e3``."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
-        return 0
+    a = _reals(a, "numerical_rank a must be a finite real matrix", 2)
     return _rank_from_values(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
 def _rank_r_svd(x, r, left=False):
     """``(u, s, vt)``: the leading r singular triplets of ``x``, the rank
     gate of every solver; ``RankError`` unless its numerical rank is
-    exactly ``r``, ``ShapeError`` unless ``r >= 1``, ``SolverError`` when
-    the norm of ``x`` overflows (no fit to it would pass ``_check_fit``,
-    and the solver's products could overflow).  Without ``left`` a
-    tall ``x`` is factored through the R factor of its QR, the others
-    directly, and ``u`` is None; with it one thin SVD of ``x`` gives all
-    three."""
+    exactly ``r``, ``ShapeError`` unless ``r`` is an integer >= 1 (and,
+    without ``left``, at most ``x``'s row count), ``SolverError`` when the
+    norm of ``x`` overflows (no fit to it would pass ``_check_fit``, and
+    the solver's products could overflow).  Without ``left`` a tall ``x``
+    is factored through the R factor of its QR, the others directly, and
+    ``u`` is None; with it one thin SVD of ``x`` gives all three."""
+    r, = _integers([r], "rank must be an integer")
     if r < 1:
         raise ShapeError(f"rank must be positive, got {r}")
+    if not left and len(x) < r:  # the row-space solvers' w is m x r
+        raise ShapeError(f"need at least r={r} rows, got {len(x)}")
     qr = not left and x.shape[0] > x.shape[1]
     u, s, vt = np.linalg.svd(np.linalg.qr(x, mode="r") if qr else x,
                              full_matrices=False)
@@ -311,7 +312,7 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     of the branch and bound, as maximum-volume subset selection is
     NP-hard in general.  ``return_history`` adds the list ``[|det q|]``.
     """
-    b = np.asarray(b, dtype=float)
+    b = _reals(b, "maxdet_simplex b must be a finite real matrix", 2)
     r = b.shape[1]
     try:
         v, ray = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
@@ -360,6 +361,7 @@ def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     Decouples into two determinant maximizations through the column/row
     space parametrization; exact fit holds by construction.
     """
+    x = _reals(x, "minvol_order2_ntd x must be a finite real matrix", 2)
     return _minvol_order2(x, r, cfg)[0]
 
 
@@ -367,7 +369,6 @@ def _minvol_order2(x, r, cfg):
     """``minvol_order2_ntd`` with the parametrizations of its outer
     factors: ``(fac, (w, q1), (z, q2))`` with ``u1 = w q1`` and
     ``u2 = z q2``, for ``_left_inverse``."""
-    x = np.asarray(x, dtype=float)
     w, _, vt = _rank_r_svd(x, r, left=True)
     z = vt.T
     q1 = maxdet_simplex(w, cfg)
@@ -387,16 +388,14 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     turns the problem into one determinant maximization.
     Returns ``(w, h)`` with ``x = w @ h.T``.
     """
+    x = _reals(x, "minvol_nmf x must be a finite real matrix", 2)
     return _minvol_nmf(x, r, cfg)[:2]
 
 
 def _minvol_nmf(x, r, cfg):
     """``minvol_nmf`` with the parametrization of ``h``: ``(w, h, (z, q))``
     with ``h = z q``, for ``_left_inverse``."""
-    x = np.asarray(x, dtype=float, order="F")  # BLAS bits follow layout
-    m, n = x.shape
-    if m < r:
-        raise ShapeError(f"need at least r={r} rows, got {m}")
+    x = np.asfortranarray(x)  # BLAS bits follow layout
     z = _rank_r_svd(x, r)[2].T
     q = maxdet_simplex(z, cfg)
     h = z @ q
@@ -429,7 +428,7 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     Returns ``(anchors, w, h)`` with ``x = w @ h.T``, ``h >= 0``.
     """
     feas_tol, = _tolerances([feas_tol], "spa_separable_nmf feas_tol")
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "spa_separable_nmf x must be a finite real matrix", 2)
     _, s, vt = _rank_r_svd(x, r)
     y = s[:, None] * vt
     norms = np.linalg.norm(y, axis=0)
@@ -464,7 +463,7 @@ def separable_order2_ntd(x, r, feas_tol=1e-9) -> Order2Ntd:
     separable: anchor pass on the columns recovers the right factor, the
     same argument transposed recovers the left one."""
     feas_tol, = _tolerances([feas_tol], "separable_order2_ntd feas_tol")
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "separable_order2_ntd x must be a finite real matrix", 2)
     _, _, h_right = spa_separable_nmf(x, r, feas_tol)
     _, _, h_left = spa_separable_nmf(x.T, r, feas_tol)
     u2 = h_right / h_right.sum(axis=0)

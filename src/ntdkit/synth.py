@@ -127,7 +127,7 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
         (n, r, nnz_per_row, max_tries),
         "n, r, nnz_per_row and max_tries must be integers")
     if not 2 <= r <= n:
-        raise ShapeError(f"need n >= r >= 2, got n={n}, r={r}")
+        raise ShapeError(f"r must be within 2..n, got n={n}, r={r}")
     if r > GEN_SSC_MAX_RANK:
         raise GenerationError(
             f"cannot certify SSC at r={r} (> {GEN_SSC_MAX_RANK})"
@@ -152,8 +152,9 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
 
 def gen_separable_factor(n, r, rng=None):
     """Stochastic matrix with a scaled identity block on its first r rows."""
-    if n < r:
-        raise ShapeError(f"need n >= r, got n={n}, r={r}")
+    n, r = _integers((n, r), "n and r must be integers")
+    if not 1 <= r <= n:
+        raise ShapeError(f"r must be within 1..n, got n={n}, r={r}")
     rng = np.random.default_rng(0 if rng is None else rng)
     top = np.diag(rng.random(r) + 0.5)
     rest = np.abs(rng.standard_normal((n - r, r)))
@@ -168,8 +169,9 @@ def gen_anchor_factor(n, r, rng=None):
     sees exactly one core slice: the stress shape for the randomized
     procedures.
     """
-    if n < r:
-        raise ShapeError(f"need n >= r, got n={n}, r={r}")
+    n, r = _integers((n, r), "n and r must be integers")
+    if not 1 <= r <= n:
+        raise ShapeError(f"r must be within 1..n, got n={n}, r={r}")
     rng = np.random.default_rng(0 if rng is None else rng)
     cols = np.concatenate([rng.permutation(r),
                            rng.integers(r, size=n - r)])

@@ -12,11 +12,11 @@ fastest along its last axis; ``slice_combination`` weights that axis.
 
 Modes are zero-based everywhere in this package.
 
-This module also holds the package's three gates: ``_integers`` decides
+This module also holds the package's four gates: ``_integers`` decides
 what an integer is (every rank, dim, mode, index and seed),
-``_tolerances`` what a tolerance is (a positive, finite real number) and
-``_reading`` what a malformed file is (any fault raised while a file is
-read, parsed and built into the object it holds is an ``InputError``).
+``_tolerances`` a tolerance (a positive, finite real number), ``_reals``
+an array (of finite real numbers) and ``_reading`` a malformed file (any
+fault raised while one is read, parsed and built is an ``InputError``).
 """
 
 from __future__ import annotations
@@ -63,6 +63,22 @@ def _tolerances(values, what):
                              f"got {v!r}")
         floats.append(f)
     return tuple(floats)
+
+
+def _reals(values, what, ndim=None):
+    """``values`` as a float array, the package's one array rule: a bool,
+    int, uint or float dtype, finite entries and ``ndim`` axes if given;
+    else (a ragged list, a string, None, complex, nan, an infinity) a
+    ``ShapeError`` saying ``what``.  Float64 comes back uncopied."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nested list
+        raise ShapeError(f"{what}, got a ragged list") from None
+    if arr.dtype.kind not in "buif" or ndim not in (None, arr.ndim):
+        raise ShapeError(f"{what}, got {arr.ndim}-D data of dtype {arr.dtype}")
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:  # faster than .all()
+        raise ShapeError(f"{what}, got nan or an infinity")
+    return arr.astype(float, copy=False)
 
 
 @contextlib.contextmanager
@@ -282,23 +298,17 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
     modes (ascending, first fastest); a unit vector therefore reproduces a
     single slice.  Row and column modes default to the remaining modes with
     the largest one alone on the columns, matching the order-3 slice
-    convention.  Weights of another shape or kind, a non-finite weight, or
+    convention.  Weights that ``_reals`` refuses, of another length, or
     finite weights whose combination overflows raise ``ShapeError``.
     """
     if row_modes is None and col_modes is None:
         row_modes, _, col_modes = _mode_groups(fixed_modes, t.order)
     stack = _slice_stack(t, row_modes, fixed_modes, col_modes)
-    try:
-        weights = np.asarray(weights)
-    except ValueError:  # a ragged nested list
-        raise ShapeError("slice weights must be one vector") from None
-    if weights.dtype.kind not in "buif" or weights.shape != stack.shape[2:]:
-        raise ShapeError(f"slice weights must be one real vector of "
-                         f"{stack.shape[2]} entries, got shape "
-                         f"{weights.shape} and dtype {weights.dtype}")
-    weights = weights.astype(float)
-    if not np.isfinite(weights).all():
-        raise ShapeError("slice weights must be finite")
+    rule = ("slice weights must be one finite real vector of "
+            f"{stack.shape[2]} entries")
+    weights = _reals(weights, rule, 1)
+    if weights.shape != stack.shape[2:]:
+        raise ShapeError(f"{rule}, got {len(weights)}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = stack @ weights
     if not np.isfinite(out).all():
@@ -307,20 +317,23 @@ def slice_combination(t: DenseTensor, fixed_modes, weights,
     return out
 
 
-def _finite_array(data) -> np.ndarray:
-    """``data`` read from a file as floats, inside a ``_reading`` gate;
-    ``ValueError`` unless finite."""
-    arr = np.asarray(data, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite data")
-    return arr
+def _tensor_doc(t: DenseTensor) -> dict:
+    """The one tensor document, in tensor files and model cores alike."""
+    return {"dims": list(t.dims), "layout": "col-major",
+            "data": t.data.tolist()}
+
+
+def _doc_tensor(doc) -> DenseTensor:
+    """The tensor a ``_tensor_doc`` holds, read inside ``_reading``."""
+    if doc.get("layout", "col-major") != "col-major":
+        raise ValueError(f"unsupported layout {doc['layout']!r}")
+    return DenseTensor(doc["dims"], _reals(
+        doc["data"], "tensor data must be a flat list of finite reals", 1))
 
 
 def write_tensor_json(t: DenseTensor, path):
-    doc = {"dims": list(t.dims), "layout": "col-major",
-           "data": t.data.tolist()}
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(json.dumps(_tensor_doc(t)) + "\n")
 
 
 def write_tensor_binary(t: DenseTensor, path):
@@ -348,11 +361,10 @@ def read_tensor(path) -> DenseTensor:
                     raise ValueError(f"truncated: dims {dims} need {8 * n} "
                                      f"data bytes, {len(body) - start} left")
                 data = np.frombuffer(body, dtype="<f8", count=n, offset=start)
-                return DenseTensor(dims, _finite_array(data.copy()))
+                return _doc_tensor({"dims": dims, "data": data.copy()})
         with open(path) as fh:
             doc = json.load(fh)
         if isinstance(doc, list):  # bare nested array, used for matrices
-            return DenseTensor.from_array(_finite_array(doc))
-        if doc.get("layout", "col-major") != "col-major":
-            raise ValueError(f"unsupported layout {doc['layout']!r}")
-        return DenseTensor(doc["dims"], _finite_array(doc["data"]))
+            return DenseTensor.from_array(
+                _reals(doc, "tensor data must be finite real numbers"))
+        return _doc_tensor(doc)

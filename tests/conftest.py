@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ntdkit.cones import check_ssc
 from ntdkit.evaluate import align_columns
 from ntdkit.solvers import numerical_rank
 from ntdkit.tensor import mode_slice
+
+# Every property test runs derandomized with no example database and no
+# deadline, so every run tries the same examples; each module sets only
+# its ``max_examples``.
+settings.register_profile("ntdkit", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("ntdkit")
 
 
 def stochastic(n, r, rng):

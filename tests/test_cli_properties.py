@@ -54,8 +54,7 @@ FREE = {"diagnostics", "meta"}
 SPEC = {"defaults": {"assumption": "A4.2", "dims": [6, 6, 4],
                      "ranks": [2, 2, 2]}}
 CONFIG = "feas_tol = 1e-9\nseed = 3\n"
-property_settings = settings(derandomize=True, database=None, deadline=None,
-                             max_examples=12)
+property_settings = settings(max_examples=12)
 
 
 def call(*argv):

@@ -11,7 +11,8 @@ from ntdkit.cones import (_p_level, check_pssc, check_separable,
                           enumerate_dual_vertices, estimate_min_p,
                           kron_ssc_margin, kron_ssc_sufficient, ssc1_refute,
                           ssc1_violation_witness)
-from ntdkit.errors import EnumerationCapError, InputError, UsageError
+from ntdkit.errors import (EnumerationCapError, InputError, ShapeError,
+                           UsageError)
 from ntdkit.kron import kron, kron_all
 from ntdkit.lp import _VERTEX_ENUM_CAP, cross_section_vertices
 from ntdkit.solvers import numerical_rank
@@ -554,15 +555,15 @@ class TestCheckSsc:
 @pytest.mark.parametrize("check", [check_ssc, ssc1_refute,
                                    enumerate_dual_vertices])
 def test_input_checked_as_check_ssc(check):
+    # a nan or an infinite entry is refused like a nan tolerance
     nan = np.eye(3)
     nan[0, 1] = np.nan
+    for bad in (nan, np.array([[np.inf, 1.0], [0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(ShapeError, match="finite"):
+            check(bad)
+    # finite entries whose column sum overflows
     with pytest.raises(InputError, match="non-finite"):
-        check(nan)
-    # finite entries whose column sum overflows, and an infinite one
-    for big in (np.array([[1e308, 1.0], [1e308, 0.0], [0.0, 1.0]]),
-                np.array([[np.inf, 1.0], [0.0, 1.0], [1.0, 0.0]])):
-        with pytest.raises(InputError, match="non-finite"):
-            check(big)
+        check(np.array([[1e308, 1.0], [1e308, 0.0], [0.0, 1.0]]))
     # large entries with finite column sums pass, on either side of the
     # bound past which the sums are checked
     for scale in (1e299, 1e307):

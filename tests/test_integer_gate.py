@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 import ntdkit
-from ntdkit import (gen_instance, gen_ssc_factor, kron_ssc_margin,
-                    kron_ssc_sufficient, ssc1_refute)
+from ntdkit import (SolverConfig, gen_anchor_factor, gen_instance,
+                    gen_separable_factor, gen_ssc_factor, kron, kron_split,
+                    kron_split_permuted, kron_ssc_margin, kron_ssc_sufficient,
+                    minvol_nmf, minvol_order2_ntd, ssc1_refute)
 from ntdkit.errors import ShapeError
 
 PACKAGE = pathlib.Path(ntdkit.__file__).parent
+RANK2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]) @ \
+    np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.7]])
+KRON = kron(np.eye(2), np.full((2, 3), 0.5))
 
 
 def _index_users(tree):
@@ -87,10 +92,44 @@ def test_one_function_decides_what_a_tolerance_is():
      "max_tries"),
     (lambda: ssc1_refute(np.eye(3), starts=2.5), "starts and iters"),
     (lambda: ssc1_refute(np.eye(3), iters="60"), "starts and iters"),
+    (lambda: minvol_nmf(RANK2, 2.0, SolverConfig()), "rank"),
+    (lambda: minvol_order2_ntd(RANK2, "2", SolverConfig()), "rank"),
+    (lambda: kron_split(KRON, ((2.0, 2), (2, 3))), "kron shape"),
+    (lambda: kron_split_permuted(KRON, ((2.0, 2), (2, 3))), "kron shape"),
+    (lambda: kron_split(KRON, ((2, 2),)), "kron shape"),
+    (lambda: gen_separable_factor(5.0, 2), "n and r"),
+    (lambda: gen_separable_factor(3, 0), "r"),
+    (lambda: gen_anchor_factor(3, 0), "r"),
+    (lambda: gen_anchor_factor(3, 2.0), "n and r"),
 ])
 def test_integer_arguments_past_the_shape_layer(call, name):
     with pytest.raises(ShapeError, match=f"{name} must be"):
         call()
+
+
+def _dtype_kind_readers(tree):
+    """Names of the functions of ``tree`` that read ``<array>.dtype.kind``,
+    ``<module>`` for a read outside every function."""
+    users = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "kind" \
+                and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "dtype":
+            users.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return users
+
+
+def test_one_function_decides_what_an_array_is():
+    users = [(path.name, name) for path in sorted(PACKAGE.rglob("*.py"))
+             for name in _dtype_kind_readers(ast.parse(path.read_text()))]
+    assert users == [("tensor.py", "_reals")]
 
 
 def _input_error_converters(tree):

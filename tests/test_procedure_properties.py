@@ -109,7 +109,7 @@ def weight_lists(n):
 
 
 @pytest.mark.parametrize("name", list(SHAPES))
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_only_ntdkit_errors_escape(name, data):
     t, ranks = instance(name)

@@ -32,8 +32,7 @@ KINDS = {
     "float": lambda v: v + 0.5,
     "text": str,
 }
-property_settings = settings(derandomize=True, database=None, deadline=None,
-                             max_examples=25)
+property_settings = settings(max_examples=25)
 
 
 def outcome(call, key):

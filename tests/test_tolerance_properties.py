@@ -74,8 +74,7 @@ CALLS = {
 BAD = [math.nan, math.inf, -math.inf, 0, 0.0, -1, -1e-9, True, False,
        "1e-9", None, SolverConfig(), 10**400]
 GOOD_KINDS = {"int": int, "float32": np.float32, "float64": np.float64}
-property_settings = settings(derandomize=True, database=None, deadline=None,
-                             max_examples=100)
+property_settings = settings(max_examples=100)
 
 
 def key(value):
