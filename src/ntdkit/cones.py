@@ -3,35 +3,19 @@
 The dual cone of the rows of a nonnegative matrix ``h`` is
 ``{y : h @ y >= 0}``; its cross-section against ``sum(y) == 1`` is a
 polytope whose vertices decide SSC1 (all norms at most one), SSC2 (norm-one
-vertices sit at unit vectors) and p-SSC (all vertices inside the dual of the
-expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``).  Each vertex has one
-exact p-level, the least p that admits it, found by enumerating supports;
-``_p_level`` scores all vertices of a matrix in one batched pass over a
-support table cached per r, and ``check_pssc`` and ``estimate_min_p``
-compare and report the largest level, with no search over p.  One oracle,
+vertices sit at unit vectors) and p-SSC (all vertices inside the dual of
+the expanded cone ``C_p = {x >= 0 : sum(x) >= p*||x||}``, by each vertex's
+exact p-level, ``_p_level``, with no search over p).  One oracle,
 ``_vertices``, gives the vertices and, for an unbounded cross-section, a
-recession ray: in closed form when every column has an exact anchor row
-(one positive entry, in that column, kept by the double description's row
-filter), as ``h y >= 0`` is then ``y >= 0`` and the cross-section is the
-unit simplex, else from one double description
-(``lp.cross_section_vertices``).  Such an ``h`` is separable, so
-``check_ssc`` looks for exact anchors only in a separable one.  Exact SSC
+recession ray: in closed form when every column has an exact anchor row,
+else from one double description (``lp.cross_section_vertices``).  Exact SSC
 checking is NP-hard in general, so the reports are capped (``ENUM_CAP_R``,
-``ENUM_CAP_N`` and the intermediate-ray budget).  Within the ray budget
-an SSC1 refutation is exact and solves no LP: a point far along the
-recession ray, else the largest-norm vertex.  Past the budget a
-Frank-Wolfe search steps by LP (``lp.linprog_dense``): a returned
-certificate proves SSC1 fails, but absence of one proves nothing.  Every
-check reads its matrix through ``_validate_nonneg``, which also refuses
-fewer than two columns wherever an SSC notion is asked for and, past an
-entry of 1e100, scales each row by a power of two; within one
-``check_ssc`` report the separability test and the oracle read the array
-it validated (``_separable``, ``_vertices``).
-
-Reports are reused only within one generation: ``synth.gen_instance``
-opens a memo around its retry loop (``_ssc_memo``), so the validation of
-a factor returns the report its generator computed.  Everywhere else
-each ``check_ssc`` call computes its report afresh.
+``ENUM_CAP_N`` and the intermediate-ray budget); past the ray budget SSC1
+can only be refuted, by LP (``ssc1_refute``).  Each public check passes its
+arguments through ``tensor``'s gates and calls one private body, as
+``evaluate`` and ``synth`` do, and each reads its matrix through
+``_validate_nonneg`` once.  ``check_ssc`` reports are reused only inside
+``synth.gen_instance`` (``_ssc_memo``).
 """
 
 from __future__ import annotations
@@ -54,6 +38,7 @@ from .tensor import _integers, _reals, _tolerances
 
 ENUM_CAP_R = 8
 ENUM_CAP_N = 60
+_H_RULE = "h must be a finite real matrix"
 
 # SSC reports keyed by (shape, float64 bytes, tol, feas_tol); None when no
 # memo is open.
@@ -71,20 +56,20 @@ def _ssc_memo():
         _SSC_REPORTS.reset(token)
 
 
-def _validate_nonneg(h, check=None):
-    """``h`` as a float matrix (``_reals``) clipped at 0: ``UsageError``
-    for an entry below -1e-12, ``InputError`` for a column sum that
-    overflows and, when ``check`` names the caller, ``UsageError`` for
-    fewer than two columns, as every SSC notion needs r >= 2.  Past an
-    entry of 1e100 each row is scaled exactly into [0.5, 1), which leaves
-    ``cone(h.T)`` and so every verdict and dual vertex as they are."""
-    h = _reals(h, "h must be a finite real matrix", 2)
+def _validate_nonneg(h, check=None, name="h"):
+    """``h``, a float matrix from ``_reals``, clipped at 0: ``UsageError`` for
+    an entry below -1e-12, ``InputError`` for a column sum that overflows
+    and, when ``check`` names the caller, ``UsageError`` for fewer than two
+    columns, as every SSC notion needs r >= 2; each message calls the
+    matrix ``name``.  Past an entry of 1e100 each row is scaled exactly
+    into [0.5, 1), which leaves ``cone(h.T)`` and so every verdict and dual
+    vertex as they are."""
     if h.min(initial=0.0) < -1e-12:
-        raise UsageError("h has negative entries")
+        raise UsageError(f"{name} has negative entries")
     if float(h.max(initial=0.0)) * len(h) >= 1e300:  # a sum may overflow
         with np.errstate(over="ignore"):
             if not np.isfinite(h.sum(axis=0)).all():
-                raise InputError("h has non-finite column sums")
+                raise InputError(f"{name} has non-finite column sums")
     if check is not None and h.shape[1] < 2:
         raise UsageError(f"{check} needs r >= 2")
     h = np.maximum(h, 0.0)
@@ -100,11 +85,11 @@ def check_separable(h, tol=1e-9):
     separable, else ``(False, None)``.
     """
     tol, = _tolerances([tol], "check_separable tol")
-    return _separable(_validate_nonneg(h), tol)
+    return _separable(_validate_nonneg(_reals(h, _H_RULE, 2)), tol)
 
 
 def _separable(h, tol=1e-9):
-    """``check_separable`` on a validated ``h``."""
+    """``check_separable`` on a ``_validate_nonneg`` matrix."""
     qualifies = (h > 0) & (h.sum(axis=1, keepdims=True) - h
                            <= tol * h.max(axis=1, keepdims=True, initial=0.0))
     if not qualifies.any(axis=0).all():
@@ -118,21 +103,22 @@ def enumerate_dual_vertices(h, tol=1e-9):
     When every column has an exact anchor row (``_anchored``) the answer is
     the unit simplex, bounded, its vertices e_r, ..., e_1.  Otherwise
     ``lp.cross_section_vertices`` finds both by the double description
-    method, which lists each vertex once, in lexicographic order.  Its
-    budget on intermediate rays, not the C(n, r-1) subset count, bounds the
-    work.  ``ENUM_CAP_N`` stays all the same: the benchmark's input guard
-    reads it as a subset count and ``evaluate`` uses it to choose exact
-    group certification, so raising it changes both.  Past either cap, or
+    method, each vertex once, in lexicographic order, within its budget on
+    intermediate rays.  Past ``ENUM_CAP_R`` or ``ENUM_CAP_N`` (which the
+    benchmark's guard and ``evaluate``'s group certification also read), or
     past the ray budget, ``EnumerationCapError`` is raised.
     """
     tol, = _tolerances([tol], "enumerate_dual_vertices tol")
-    h = _validate_nonneg(h, "dual-vertex enumeration")
+    h = _validate_nonneg(_reals(h, _H_RULE, 2), "dual-vertex enumeration")
+    return _dual_vertices(h, tol)
+
+
+def _dual_vertices(h, tol=1e-9):
+    """``enumerate_dual_vertices`` on a ``_validate_nonneg`` matrix."""
     n, r = h.shape
     if r > ENUM_CAP_R or n > ENUM_CAP_N:
-        raise EnumerationCapError(
-            f"enumeration cap exceeded (r={r} > {ENUM_CAP_R} or "
-            f"n={n} > {ENUM_CAP_N})"
-        )
+        raise EnumerationCapError(f"enumeration cap exceeded (r={r} > "
+                                  f"{ENUM_CAP_R} or n={n} > {ENUM_CAP_N})")
     vertices, ray = _vertices(h, tol)
     return vertices, ray is not None
 
@@ -170,7 +156,6 @@ def _anchored(h):
 # A vertex entry, or a p-level, within this of its bound is on it.
 _P_TOL = 1e-9
 
-
 # Entries of the block in which ``_p_level`` tests its candidate points.
 _P_BLOCK = 1 << 16
 
@@ -185,9 +170,10 @@ def _supports(r):
     return table, sizes
 
 
-def _p_level(vertices):
+def _p_level(vertices, unbounded=False):
     """The least p >= 1 with every row ``v`` of ``vertices`` in the dual of
-    ``C_p``, all rows at once: a row with ``v >= 0`` needs 1, another
+    ``C_p`` (inf for an ``unbounded`` cross-section, as ``_dual_vertices``
+    reports it), all rows at once: a row with ``v >= 0`` needs 1, another
     ``1 / ||x*||`` for the minimum-norm point ``x*`` of
     ``{x >= 0, sum(x) = 1, v . x <= 0}``.
 
@@ -203,6 +189,8 @@ def _p_level(vertices):
     over one row's entries in order, so a row's level does not depend on
     the rows beside it.
     """
+    if unbounded:
+        return math.inf
     v = vertices[vertices.min(axis=1) < -_P_TOL]
     if not len(v):
         return 1.0
@@ -222,35 +210,31 @@ def _p_level(vertices):
     return math.sqrt(best)
 
 
-def _max_p_level(h):
-    """The largest vertex p-level of ``h``'s dual cross-section (1 with no
-    vertex), or inf when the cross-section is unbounded."""
-    vertices, unbounded = enumerate_dual_vertices(h)
-    if unbounded:
-        return math.inf
-    return _p_level(vertices)
-
-
 def check_pssc(h, p):
     """Does ``cone(h.T)`` contain ``C_p``?  Decided on the dual side.
 
     It does iff the dual cross-section is bounded and every vertex's exact
     p-level is at most ``p``.  p = 1 is separability, p = sqrt(r-1) is SSC1.
     """
-    h = _validate_nonneg(h, "p-SSC")
+    h = _validate_nonneg(_reals(h, _H_RULE, 2), "p-SSC")
     r = h.shape[1]
     p, = _tolerances([p], "check_pssc p")
     if not 1.0 - 1e-12 <= p <= math.sqrt(r) + 1e-12:
         raise UsageError(f"p={p} outside [1, sqrt(r)] for r={r}")
-    return _max_p_level(h) <= p + _P_TOL
+    return _p_level(*_dual_vertices(h)) <= p + _P_TOL
 
 
 def estimate_min_p(h):
     """Smallest p with the p-SSC: the largest vertex p-level, exact with
     no search; inf when SSC1 fails (an unbounded cross-section or a level
     above sqrt(r-1))."""
+    return _min_p(_reals(h, _H_RULE, 2))
+
+
+def _min_p(h):
+    """``estimate_min_p`` on a float matrix."""
     h = _validate_nonneg(h, "p-SSC")
-    p, hi = _max_p_level(h), math.sqrt(h.shape[1] - 1.0)
+    p, hi = _p_level(*_dual_vertices(h)), math.sqrt(h.shape[1] - 1.0)
     return min(p, hi) if p <= hi + _P_TOL else math.inf
 
 
@@ -300,12 +284,16 @@ def check_ssc(h, tol=1e-7, feas_tol=1e-9, rng=None) -> SscReport:
     description runs once, and its vertices and recession ray refute with
     no LP; past the ray budget the refutation search steps by LP, and past
     ``ENUM_CAP_R`` or ``ENUM_CAP_N`` the report keeps the refutation alone.
-    Inside ``gen_instance`` (and only
-    there) a matrix already checked with the same tolerances and no
-    ``rng`` returns its earlier report instead.
+    Inside ``gen_instance`` (and only there) a matrix already checked with
+    the same tolerances and no ``rng`` returns its earlier report instead.
     """
     tol, feas_tol = _tolerances((tol, feas_tol),
                                 "check_ssc tol and feas_tol")
+    return _ssc(_reals(h, _H_RULE, 2), tol, feas_tol, rng)
+
+
+def _ssc(h, tol=1e-7, feas_tol=1e-9, rng=None):
+    """``check_ssc`` on a float matrix, through the one report memo."""
     h = _validate_nonneg(h, "the SSC")
     if (h.sum(axis=0) <= 0).any():
         raise UsageError("zero column in h")
@@ -333,8 +321,7 @@ def _ssc_report(h, tol, feas_tol, rng):
             separable=separable, anchors=anchors,
             ssc1=False if y is not None else None, ssc2=None,
             dual_vertices=None, max_vertex_norm=None, unbounded=None,
-            refutation=y, method="refutation-search-only",
-        )
+            refutation=y, method="refutation-search-only")
     max_norm = float(norms.max(initial=0.0))
     ssc1 = ray is None and max_norm <= 1.0 + tol
     top = vertices[norms >= 1.0 - tol]
@@ -343,8 +330,7 @@ def _ssc_report(h, tol, feas_tol, rng):
         separable=separable, anchors=anchors, ssc1=ssc1,
         ssc2=bool((dist <= tol).all()), dual_vertices=vertices,
         max_vertex_norm=max_norm, unbounded=ray is not None, refutation=y,
-        method="exact-enumeration",
-    )
+        method="exact-enumeration")
 
 
 def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
@@ -360,7 +346,7 @@ def ssc1_refute(h, rng=None, starts=10, iters=60, tol=1e-7,
                                 "ssc1_refute tol and feas_tol")
     starts, iters = _integers((starts, iters),
                               "ssc1_refute starts and iters must be integers")
-    h = _validate_nonneg(h, "SSC1 refutation")
+    h = _validate_nonneg(_reals(h, _H_RULE, 2), "SSC1 refutation")
     try:
         vertices, ray = _vertices(h, feas_tol)
     except EnumerationCapError:
@@ -464,6 +450,11 @@ def kron_ssc_margin(r1, p1_sq, r2, p2_sq) -> float:
     r1, r2 = _integers((r1, r2), "r1 and r2 must be integers")
     p1_sq, p2_sq = _tolerances((p1_sq, p2_sq),
                                "kron_ssc_margin p1_sq and p2_sq")
+    return _margin(r1, p1_sq, r2, p2_sq)
+
+
+def _margin(r1, p1_sq, r2, p2_sq):
+    """``kron_ssc_margin`` of int ranks and float squares."""
     for r, psq in ((r1, p1_sq), (r2, p2_sq)):
         if r < 2:
             raise UsageError("factors need r >= 2")
@@ -476,7 +467,8 @@ def kron_ssc_margin(r1, p1_sq, r2, p2_sq) -> float:
 
 def kron_ssc_sufficient(r1, p1, r2, p2) -> bool:
     p1, p2 = _tolerances((p1, p2), "kron_ssc_sufficient p1 and p2")
-    return kron_ssc_margin(r1, p1 * p1, r2, p2 * p2) >= 1.0
+    r1, r2 = _integers((r1, r2), "r1 and r2 must be integers")
+    return _margin(r1, p1 * p1, r2, p2 * p2) >= 1.0
 
 
 def counterexample_dims_ok(r1, r2) -> bool:
@@ -514,22 +506,21 @@ def ssc1_violation_witness(u1, u2, feas_tol=1e-12):
     norm-one bilinear form vanishing on the ones vectors with
     ``||B||_F^2 = r1-1``) satisfies ``u1 V u2' >= 0`` while
     ``sum(V) < ||V||_F``; its vectorization refutes SSC1 of the product.
-    Returns None when the bound does not hold.
+    Returns None when the bound does not hold.  Each factor passes
+    ``_validate_nonneg`` and needs rows, each summing to one (``UsageError``).
     """
     feas_tol, = _tolerances([feas_tol], "ssc1_violation_witness feas_tol")
     u1 = _reals(u1, "u1 must be a finite real matrix", 2)
     u2 = _reals(u2, "u2 must be a finite real matrix", 2)
-    for u, name in ((u1, "u1"), (u2, "u2")):
-        if u.shape[1] < 2:
-            raise UsageError(f"{name} needs r >= 2")
-        if u.min() < -1e-12:
-            raise UsageError(f"{name} has negative entries")
+    for u, name in ((u1, "u1"), (u2, "u2")):  # before any row is scaled
+        if not len(u):
+            raise UsageError(f"{name} has no rows")
         if np.abs(u.sum(axis=1) - 1.0).max() > 1e-9:
             raise UsageError(f"{name} is not row-stochastic")
+    u1, u2 = _validate_nonneg(u1, "u1", "u1"), _validate_nonneg(u2, "u2", "u2")
+    swap = u1.shape[1] > u2.shape[1]  # the bound is taken with r1 <= r2
+    u1, u2 = (u2, u1) if swap else (u1, u2)
     r1, r2 = u1.shape[1], u2.shape[1]
-    if r1 > r2:
-        W = ssc1_violation_witness(u2, u1, feas_tol)
-        return None if W is None else W.T
     c1 = float((np.linalg.norm(u1 - 1.0 / r1, axis=1) ** 2).max())
     c2 = float((np.linalg.norm(u2 - 1.0 / r2, axis=1) ** 2).max())
     bound = (r1 - 1.0) / (r1 * r2 * (r1 * r2 - 1.0))
@@ -545,4 +536,4 @@ def ssc1_violation_witness(u1, u2, feas_tol=1e-12):
         raise WitnessError("constructed V is not nonnegative on the factors")
     if not V.sum() < np.linalg.norm(V):
         raise WitnessError("constructed V does not violate the norm bound")
-    return V
+    return V.T if swap else V

@@ -15,13 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cones import (ENUM_CAP_N, ENUM_CAP_R, check_separable, check_ssc,
-                    estimate_min_p, kron_ssc_sufficient)
+from .cones import (ENUM_CAP_N, ENUM_CAP_R, _margin, _min_p, _separable,
+                    _ssc, _validate_nonneg)
 from .errors import (EnumerationCapError, InputError, RankError, ShapeError,
                      UsageError)
 from .kron import kron_all
 from .model import NtdModel, _jsonable
-from .solvers import _relative_residual, _scan_slices, numerical_rank
+from .solvers import _rank, _relative_residual, _scan_slices
 from .tensor import (DenseTensor, _integers, _mode_groups, _partition,
                      _reals, _slice_stack, _tolerances, unfold)
 
@@ -203,7 +203,7 @@ def _base_factor_checks(rep, truth, tol=1e-9):
 
 
 def _factor_ssc_status(u):
-    report = check_ssc(u)
+    report = _ssc(u)
     if report.ssc is None:
         return "undetermined", "enumeration over cap, no refutation found"
     return ("pass" if report.ssc else "fail"), \
@@ -225,7 +225,7 @@ def _group_ssc_status(factors, ranks):
     r = prod(ranks)
     if r <= ENUM_CAP_R and n <= ENUM_CAP_N:
         return _factor_ssc_status(kron_all(factors))
-    sep_flags = [check_separable(u)[0] for u in factors]
+    sep_flags = [_separable(_validate_nonneg(u))[0] for u in factors]
     nonsep = [i for i, s in enumerate(sep_flags) if not s]
     if not nonsep:
         return "pass", "all group members separable"
@@ -236,12 +236,11 @@ def _group_ssc_status(factors, ranks):
         return status, detail
     if len(factors) == 2:
         try:
-            p1 = estimate_min_p(factors[0])
-            p2 = estimate_min_p(factors[1])
+            p1, p2 = map(_min_p, factors)
         except EnumerationCapError:
             return "undetermined", "expansion level over the enumeration cap"
         if np.isfinite(p1) and np.isfinite(p2) and \
-                kron_ssc_sufficient(ranks[0], p1, ranks[1], p2):
+                _margin(ranks[0], p1 * p1, ranks[1], p2 * p2) >= 1.0:
             return "pass", f"sufficient condition holds (p=({p1:.4f}," \
                            f"{p2:.4f}))"
         return "undetermined", "sufficient condition not conclusive"
@@ -267,7 +266,7 @@ def _combination_rank(t, mode, target, rng, trials=20):
     stack = _slice_stack(t, *_mode_groups(mode, t.order))
     best = 0
     for _ in range(trials):
-        rank = numerical_rank(stack @ rng.standard_normal(stack.shape[2]))
+        rank = _rank(stack @ rng.standard_normal(stack.shape[2]))
         if rank == target:
             return rank
         best = max(best, rank)
@@ -278,7 +277,7 @@ def _core_status(c, x, rng=None):
     """``(status, detail)`` of the ``_Core`` condition ``c`` on the tensor
     ``x``; ``rng`` draws the combinations of a "span" condition."""
     if c.kind == "unfold":
-        k = numerical_rank(unfold(x, c.key))
+        k = _rank(unfold(x, c.key))
         return ("pass" if k == c.target else "fail"), f"rank {k}"
     if c.kind == "slice":
         return _full_slice_status(x, c.key, c.target)
@@ -289,9 +288,8 @@ def _core_status(c, x, rng=None):
         return ("fail" if status == "pass" else "pass"), detail
     # a probability-one surrogate for a maximal-rank span
     best = _combination_rank(x, c.key, c.target, rng)
-    return ("pass" if best == c.target else "fail"), \
-        f"best combo rank {best}, span dimension " \
-        f"{numerical_rank(unfold(x, (c.key,)))}"
+    return ("pass" if best == c.target else "fail"), f"best combo rank " \
+        f"{best}, span dimension {_rank(unfold(x, (c.key,)))}"
 
 
 class _Shape(NamedTuple):
@@ -481,10 +479,15 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
     draw from the instance ``seed``, which must then be a nonnegative
     integer (``UsageError`` otherwise).
     """
-    aid = assumption_id or instance.assumption_id
-    t, truth = instance.tensor, instance.truth
-    for a in (t.data, truth.core.data, *truth.factors):
+    truth = instance.truth
+    for a in (instance.tensor.data, truth.core.data, *truth.factors):
         _reals(a, "validate_assumptions instance must be finite real numbers")
+    return _validate(instance, assumption_id or instance.assumption_id)
+
+
+def _validate(instance, aid):
+    """``validate_assumptions`` of an instance of finite real data."""
+    t, truth = instance.tensor, instance.truth
     conditions = _conditions(aid, t.order, truth.ranks, instance.meta)
     rep = AssumptionReport(aid)
     _base_factor_checks(rep, truth)
@@ -492,7 +495,8 @@ def validate_assumptions(instance, assumption_id=None) -> AssumptionReport:
         if isinstance(c, _Shape):
             rep.add(c.name, "pass" if c.ok else "fail", c.detail)
         elif isinstance(c, _Group) and c.kind == "sep":
-            ok = all(check_separable(truth.factors[m])[0] for m in c.modes)
+            ok = all(_separable(_validate_nonneg(truth.factors[m]))[0]
+                     for m in c.modes)
             rep.add(c.name, "pass" if ok else "fail")
         elif isinstance(c, _Group):
             rep.add(c.name, *_group_ssc_status(

@@ -63,10 +63,8 @@ def _check_shape(x, shape):
         raise ShapeError(f"{rule}, got {shape!r}") from None
     n1, r1, n2, r2 = _integers((n1, r1, n2, r2), rule)
     if x.shape != (n1 * n2, r1 * r2):
-        raise ShapeError(
-            f"matrix shape {x.shape} does not match kron shape "
-            f"({n1}x{r1}) o ({n2}x{r2})"
-        )
+        raise ShapeError(f"matrix shape {x.shape} does not match kron shape "
+                         f"({n1}x{r1}) o ({n2}x{r2})")
     return n1, r1, n2, r2
 
 
@@ -99,8 +97,7 @@ def kron_split(x, shape, feas_tol=1e-9) -> KronSplit:
     residual = float(np.linalg.norm(x - kron(u1, u2)))
     if residual > feas_tol * scale:
         raise NotAKroneckerProduct(
-            f"split residual {residual:.3e} exceeds tolerance"
-        )
+            f"split residual {residual:.3e} exceeds tolerance")
     return KronSplit(u1, u2, residual)
 
 
@@ -113,7 +110,11 @@ def kron_split_permuted(x, shape, tol=1e-8) -> PermutedKronSplit:
     """
     tol, = _tolerances([tol], "kron_split_permuted tol")
     x = _reals(x, "kron_split_permuted x must be a finite real matrix", 2)
-    n1, r1, n2, r2 = _check_shape(x, shape)
+    return _split_permuted(x, *_check_shape(x, shape), tol)
+
+
+def _split_permuted(x, n1, r1, n2, r2, tol):
+    """``kron_split_permuted`` of a float ``(n1 n2) x (r1 r2)`` matrix."""
     mats = _column_mats(x, n1, n2)
     lefts = np.einsum("ijp->ip", mats)   # mat_p @ e
     rights = np.einsum("ijp->jp", mats)  # mat_p.T @ e
@@ -139,12 +140,10 @@ def kron_split_permuted(x, shape, tol=1e-8) -> PermutedKronSplit:
     if len(clusters) != r1 or any(len(m) != r2 for m in members):
         raise NotPermutedKronecker(
             f"grouping found {len(clusters)} left factors with sizes "
-            f"{[len(m) for m in members]}, expected {r1} of size {r2}"
-        )
+            f"{[len(m) for m in members]}, expected {r1} of size {r2}")
 
     u1 = np.stack(clusters, axis=1)
-    ref_cols = members[0]
-    u2 = rights[:, ref_cols]
+    u2 = rights[:, members[0]]
     # Every cluster must contain the same right factors, matched one-to-one.
     perm = np.empty(r1 * r2, dtype=int)
     for i, cols in enumerate(members):
@@ -155,16 +154,13 @@ def kron_split_permuted(x, shape, tol=1e-8) -> PermutedKronSplit:
             j = int(np.argmin(dists))
             if dists[j] > thresh:
                 raise NotPermutedKronecker(
-                    "right factors differ between left-factor groups"
-                )
+                    "right factors differ between left-factor groups")
             taken[j] = True
             perm[i + j * r1] = p
-    rebuilt = kron(u1, u2)
-    residual = float(np.linalg.norm(rebuilt - x[:, perm]))
+    residual = float(np.linalg.norm(kron(u1, u2) - x[:, perm]))
     if residual > thresh * np.sqrt(x.size):
         raise NotPermutedKronecker(
-            f"permuted split residual {residual:.3e} exceeds tolerance"
-        )
+            f"permuted split residual {residual:.3e} exceeds tolerance")
     return PermutedKronSplit(u1, u2, perm, residual)
 
 
@@ -180,12 +176,15 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
     tol, = _tolerances([tol], "kron_split_multi tol")
     x = _reals(x, "kron_split_multi x must be a finite real matrix", 2)
     shapes = [_integers(s, "factor shapes must be integers") for s in shapes]
-    nrow = prod(n for n, _ in shapes)
-    ncol = prod(r for _, r in shapes)
-    if x.shape != (nrow, ncol):
+    if x.shape != (prod(n for n, _ in shapes), prod(r for _, r in shapes)):
         raise ShapeError(
-            f"matrix shape {x.shape} does not match factor shapes {shapes}"
-        )
+            f"matrix shape {x.shape} does not match factor shapes {shapes}")
+    return _split_multi(x, shapes, tol)
+
+
+def _split_multi(x, shapes, tol=1e-8):
+    """``kron_split_multi`` of a float matrix that fits the int ``shapes``."""
+    nrow, ncol = x.shape
     if len(shapes) == 1:
         return MultiKronSplit([x.copy()], np.arange(ncol), 0.0)
 
@@ -194,7 +193,7 @@ def kron_split_multi(x, shapes, tol=1e-8) -> MultiKronSplit:
         if len(shps) == 1:
             return [mat], np.arange(mat.shape[1])
         lead = (prod(n for n, _ in shps[:-1]), prod(r for _, r in shps[:-1]))
-        head, last, perm, _ = kron_split_permuted(mat, (lead, shps[-1]), tol)
+        head, last, perm, _ = _split_permuted(mat, *lead, *shps[-1], tol)
         factors, inner = peel(head, shps[:-1])
         # column (i, j) of kron_all(factors) is column inner[i] + R1*j of
         # kron(head, last)

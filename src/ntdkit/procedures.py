@@ -4,20 +4,17 @@ decompositions.
 Each procedure reduces the tensor to matrix subproblems, solves them with
 the volume solvers, and reassembles a model that reconstructs the input
 within the feasibility tolerance.  There are three order-d routes, each
-checking its own rank rule: the unfolding route (d0; one unfolding, then
-Kronecker splits), the slice-pair route (d1; one matrix for two modes,
-one projected matrix per further mode) and the slice-stack route (d3; one
-matrix, then the projected stack of all slices).  Their matrices are
-slices, the first full-rank one in flat index order unless told which
-(``_scan_slices``, from ``solvers``; no randomness), or, given
-``weights``, slice combinations: procedures d.2 and d.4.  Procedures 0-4
-are the order-3 cases of d0, d1, d1, d3 and d3: each checks the order in
-``_mode_ranks``, where every procedure checks its ranks and its tensor,
-and names its diagnostics; 2 and 4 draw the weights not given from
-``cfg.seed``.  The slice routes take each factor's left inverse from the
-solver that built it (``solvers._left_inverse``) and compute no
-pseudo-inverse.  Slices and unfoldings come from ``tensor``, which alone
-flattens modes; d3 reads every slice from one stack.
+checking its own rank rule: unfolding (d0), slice pair (d1) and slice stack
+(d3).  Their matrices are slices, the first full-rank one in flat index
+order unless told which (``_scan_slices``; no randomness), or, given
+``weights``, slice combinations: procedures d.2 and d.4.  Every procedure
+checks its order, ranks and tensor once, in ``_mode_ranks``.  Procedures
+0-4 are the order-3 cases of d0, d1, d1, d3 and d3: each runs the route's
+private body (``_d0``, ``_d1``, ``_d3``) and names its diagnostics; 2 and 4
+draw the weights not given from ``cfg.seed``.  The slice routes take each
+factor's left inverse from the solver that built it
+(``solvers._left_inverse``).  Slices and unfoldings come from ``tensor``,
+which alone flattens modes; d3 reads every slice from one stack.
 """
 
 from __future__ import annotations
@@ -28,11 +25,10 @@ from math import prod
 import numpy as np
 
 from .errors import ShapeError
-from .kron import kron_split_multi
+from .kron import _split_multi
 from .model import NtdModel
 from .solvers import (SolverConfig, _check_fit, _left_inverse, _minvol_nmf,
-                      _minvol_order2, _scan_slices, derive_seed,
-                      minvol_order2_ntd, spa_separable_nmf)
+                      _minvol_order2, _scan_slices, _spa, derive_seed)
 from .tensor import (DenseTensor, SliceSpec, _flatten, _integers,
                      _partition, _reals, _slice_stack, _unflatten,
                      _unfolding_groups, fold, multilinear_transform,
@@ -52,7 +48,7 @@ class ModePartition:
                           self.col_modes)
 
 
-_ORDER3 = ModePartition((0,), (2,), (1,))  # procedures 3 and 4
+_ORDER3 = ((0,), (2,), (1,))  # rows, fixed, cols of procedures 3 and 4
 
 
 def _finalize(t, factors, core, ranks, cfg, diagnostics) -> NtdModel:
@@ -96,7 +92,7 @@ def _split_groups(t, ranks, groups):
     factors, perms = [None] * t.order, []
     for u, modes in groups:
         parts, perm = ([u], np.arange(u.shape[1])) if len(modes) == 1 else \
-            kron_split_multi(u, [(t.dims[m], ranks[m]) for m in modes])[:2]
+            _split_multi(u, [(t.dims[m], ranks[m]) for m in modes])[:2]
         for mode, part in zip(modes, parts):
             factors[mode] = part
         perms.append(perm)
@@ -106,14 +102,18 @@ def _split_groups(t, ranks, groups):
 def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig) -> NtdModel:
     """Unfolding route: min-vol order-2 nTD of the unfolding along
     ``axes``, then Kronecker splits of both grouped factors."""
-    ranks = _mode_ranks(t, ranks, "d0", 3)
+    return _d0(t, _mode_ranks(t, ranks, "d0", 3), axes, cfg)
+
+
+def _d0(t, ranks, axes, cfg):
+    """``procedure_d0`` with checked ranks."""
     rest, axes = _unfolding_groups(axes, t.order)
     r = prod(ranks[k] for k in axes)
     if r != prod(ranks[k] for k in rest):
         raise ShapeError(f"the unfolding route needs equal rank products "
                          f"on both sides, got {prod(ranks[k] for k in rest)} "
                          f"and {r}")
-    fac = minvol_order2_ntd(unfold(t, axes), r, cfg)
+    fac = _minvol_order2(unfold(t, axes), r, cfg)[0]
     factors, (perm_left, perm_right) = _split_groups(
         t, ranks, ((fac.u1, rest), (fac.u2, axes)))
     diagnostics = {"procedure": "d0", "axes": list(axes),
@@ -126,7 +126,7 @@ def procedure_d0(t: DenseTensor, ranks, axes, cfg: SolverConfig) -> NtdModel:
 def procedure0(t: DenseTensor, ranks, cfg: SolverConfig) -> NtdModel:
     """Procedure d0 at order 3 on the mode-3 unfolding (r3 == r1*r2)."""
     ranks = _mode_ranks(t, ranks, "0", 3, 3)
-    return _order3(procedure_d0(t, ranks, (2,), cfg), "0")
+    return _order3(_d0(t, ranks, (2,), cfg), "0")
 
 
 def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
@@ -137,7 +137,7 @@ def procedure1(t: DenseTensor, ranks, cfg: SolverConfig,
     ranks = _mode_ranks(t, ranks, "1", 3, 3)
     given = {col: {mode: i} for col, mode, i in ((1, 2, i3), (2, 1, i2))
              if i is not None}
-    model = procedure_d1(t, ranks, cfg, slice_indices=given)
+    model = _d1(t, ranks, cfg, given, None)
     used = model.diagnostics["slice_indices"]
     return _order3(model, "1", i3=used["1"]["2"], i2=used["2"]["1"])
 
@@ -155,7 +155,7 @@ def procedure2(t: DenseTensor, ranks, cfg: SolverConfig, alpha=None,
         alpha = rng.standard_normal(t.dims[2])
     if beta is None:
         beta = rng.standard_normal(t.dims[1])
-    model = procedure_d1(t, ranks, cfg, weights={1: alpha, 2: beta})
+    model = _d1(t, ranks, cfg, None, {1: alpha, 2: beta})
     used = model.diagnostics["weights"]
     return _order3(model, "2", alpha=used["1"], beta=used["2"])
 
@@ -168,7 +168,7 @@ def procedure3(t: DenseTensor, ranks, cfg: SolverConfig,
     as core-unfolding times U3' and min-vol NMF finishes."""
     ranks = _mode_ranks(t, ranks, "3", 3, 3)
     fixed = None if slice_index is None else (slice_index,)
-    model = procedure_d3(t, ranks, _ORDER3, cfg, fixed_index=fixed)
+    model = _d3(t, ranks, _ORDER3, cfg, fixed, None)
     return _order3(model, "3",
                    slice_index=model.diagnostics["fixed_flat_index"])
 
@@ -183,7 +183,7 @@ def procedure4(t: DenseTensor, ranks, cfg: SolverConfig,
     if alpha is None:
         alpha = np.random.default_rng(derive_seed(cfg.seed, "procedure4")) \
             .standard_normal(t.dims[2])
-    model = procedure_d3(t, ranks, _ORDER3, cfg, weights=alpha)
+    model = _d3(t, ranks, _ORDER3, cfg, None, alpha)
     return _order3(model, "4",
                    mix=[[a] for a in model.diagnostics["weights"]])
 
@@ -201,7 +201,12 @@ def procedure_d1(t: DenseTensor, ranks, cfg: SolverConfig,
     index, first mode fastest), or else the first full-rank [0,i]-slice in
     flat index order.  Keys must be distinct column modes (``ShapeError``).
     """
-    ranks, d = _mode_ranks(t, ranks, "d1", 3), t.order
+    return _d1(t, _mode_ranks(t, ranks, "d1", 3), cfg, slice_indices, weights)
+
+
+def _d1(t, ranks, cfg, slice_indices, weights):
+    """``procedure_d1`` with checked ranks."""
+    d = t.order
     if ranks[1] != ranks[0] or max(ranks[2:]) > ranks[0]:
         raise ShapeError(f"the slice-pair route needs r1 == r2 >= r_i for "
                          f"every further mode i, got ranks {ranks}")
@@ -257,8 +262,13 @@ def procedure_d3(t: DenseTensor, ranks, partition: ModePartition,
     ``fixed_index``, or the combination of all slices by the vector
     ``weights`` (over the fixed modes' flat index, first mode fastest), or
     else the first full-rank slice in flat index order; not both."""
-    ranks = _mode_ranks(t, ranks, "d3")
-    rows, fixed_modes, cols = partition.validate(t.order)
+    return _d3(t, _mode_ranks(t, ranks, "d3"), partition.validate(t.order),
+               cfg, fixed_index, weights)
+
+
+def _d3(t, ranks, groups, cfg, fixed_index, weights):
+    """``procedure_d3`` with checked ranks and a partition's mode groups."""
+    rows, fixed_modes, cols = groups
     r, r_cols, r_fixed = (prod(ranks[m] for m in group)
                           for group in (rows, cols, fixed_modes))
     if r != r_cols or r_fixed > r * r:
@@ -319,7 +329,7 @@ def separable_orderd(t: DenseTensor, ranks, feas_tol=1e-9) -> NtdModel:
     factors, anchor_sets, work = [None] * d, [None] * d, t
     for k in sorted(range(d), key=lambda m: t.dims[m]):
         x = unfold(work, (k,))
-        anchor_sets[k], _, h = spa_separable_nmf(x, ranks[k], cfg.feas_tol)
+        anchor_sets[k], _, h = _spa(x, ranks[k], cfg.feas_tol)
         factors[k] = h / h.sum(axis=0)
         work = fold(x @ np.linalg.pinv(factors[k]).T, (k,),
                     work.dims[:k] + (ranks[k],) + work.dims[k + 1:])

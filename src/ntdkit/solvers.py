@@ -7,33 +7,21 @@ nonnegative ``u_i`` are parametrized by invertible ``q_i`` via ``u1 = W q1``,
 ``u2 = Z q2``, ``g = q1^-1 (W' x Z) q2^-T``; minimizing ``|det g|`` then
 decouples into maximizing ``|det q1|`` and ``|det q2|`` over the polytopes
 ``{q : W q >= 0, sum(W q) = 1}`` columnwise.  The determinant is linear in
-each column, so the maximum sits at vertices of that polytope:
-``maxdet_simplex`` lists them by the double description
-(``lp.cross_section_vertices``) and takes the largest |det| over their
-r-subsets, which is the global optimum: by one batched determinant over a
-cached table of the subsets while it is small, past that by an exact
-branch and bound (a greedy max-volume incumbent, Hadamard bounds) under a
-node budget.  The separable anchor pass runs the
-same double description on the unit directions of the columns: their cone
-is simplicial exactly when it has r facets, its anchors are the first
-columns on each extreme ray (off one facet, on all others), and one r x r
-solve against the anchors fits every column.  Each solver factors its
-input once in the one rank gate, ``_rank_r_svd``, whose singular values
-also decide that ``x`` has numerical rank exactly r and a norm that does
-not overflow (else no fit to it could be certified).  ``minvol_order2_ntd``
-needs both bases and takes ``W`` and ``Z`` from one thin SVD of ``x``.
-``minvol_nmf`` and the separable solver need only the row space, which
-the gate takes for a tall ``x`` from the SVD of the square R factor of its
-QR (the R-SVD of Chan 1982), so the m x n left factor is never built.
-Every solver ends in the one fit check, ``_check_fit``, which a nan
-residual fails; its measure, ``_relative_residual``, is also
-``evaluate.model_error``'s.  The min-vol solvers return through private
-cores (``_minvol_order2``, ``_minvol_nmf``) that also give each factor as
-``(W, q)`` with ``u = W q``: ``W`` has orthonormal columns, so
-``_left_inverse`` takes ``pinv(u) = q^-1 W'`` by one r x r solve, which
-the procedures' slice routes use in place of an SVD.  The procedures'
-slice scan, ``_scan_slices``, sits beside the gate.  This module does not
-import scipy.
+each column, so the maximum sits at vertices of that polytope, which
+``maxdet_simplex`` lists by the double description
+(``lp.cross_section_vertices``); the separable anchor pass runs the same
+description on the unit directions of the columns.  Each solver factors
+its input once in the one rank gate, ``_rank_r_svd``, and ends in the one
+fit check, ``_check_fit``, whose measure, ``_relative_residual``, is also
+``evaluate.model_error``'s.  Each public solver passes its arguments
+through ``tensor``'s gates and calls one private body (``_rank``,
+``_maxdet``, ``_minvol_order2``, ``_minvol_nmf``, ``_spa``); the package
+calls the bodies.  The min-vol bodies also give each factor as ``(W, q)``
+with ``u = W q``: ``W`` has orthonormal columns, so ``_left_inverse``
+takes ``pinv(u) = q^-1 W'`` by one r x r solve, which the procedures'
+slice routes use in place of an SVD.  The procedures' slice scan,
+``_scan_slices``, sits beside the gate.  This module does not import
+scipy.
 """
 
 from __future__ import annotations
@@ -53,16 +41,15 @@ from .lp import (_VERTEX_ENUM_CAP, _ZERO_TOL, _extreme_rays, _nonzero,
                  cross_section_vertices)
 from .tensor import _integers, _reals, _tolerances
 
-# ``maxdet_simplex`` scores every vertex r-subset from one cached index
-# table while it holds at most ``_TABLE_ENTRIES`` indices (C(V, r) * r) and
-# runs the branch and bound past that.  The bound is the measured crossover
-# on one core of a Xeon with one BLAS thread: the table costs about 0.75 us
-# a subset at r = 5-6, the branch and bound 0.3-0.8 ms on two-nonzero
-# factors at any C(V, r) and 0.8-2 ms on small dense ones; at r = 5 they
-# break even near 650 subsets (3250 indices).  A table takes at most 32 KB
-# (8-byte indices), so the ``_TABLE_CACHE`` tables kept take at most 1 MB.
-# The branch and bound gives up past ``_NODE_BUDGET`` nodes, about 50 us
-# each (1.6 s in all).
+# ``_TABLE_ENTRIES``, the most subset indices (C(V, r) * r) that
+# ``maxdet_simplex`` scores from one cached table before it runs the branch
+# and bound, is the measured crossover on one core of a Xeon with one BLAS
+# thread: the table costs about 0.75 us a subset at r = 5-6, the branch and
+# bound 0.3-0.8 ms on two-nonzero factors at any C(V, r) and 0.8-2 ms on
+# small dense ones; at r = 5 they break even near 650 subsets (3250 indices).
+# A table takes at most 32 KB (8-byte indices), so the ``_TABLE_CACHE``
+# tables kept take at most 1 MB.  The branch and bound gives up past
+# ``_NODE_BUDGET`` nodes, about 50 us each (1.6 s in all).
 _TABLE_ENTRIES = 1 << 12
 _TABLE_CACHE = 32
 _NODE_BUDGET = 1 << 15
@@ -109,20 +96,24 @@ def _rank_from_values(s, shape) -> int:
 
 def numerical_rank(a) -> int:
     """Singular values above ``max(m,n) * eps * smax * 1e3``."""
-    a = _reals(a, "numerical_rank a must be a finite real matrix", 2)
+    return _rank(_reals(a, "numerical_rank a must be a finite real matrix", 2))
+
+
+def _rank(a):
+    """``numerical_rank`` of a float matrix."""
     return _rank_from_values(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
 def _rank_r_svd(x, r, left=False):
     """``(u, s, vt)``: the leading r singular triplets of ``x``, the rank
     gate of every solver; ``RankError`` unless its numerical rank is
-    exactly ``r``, ``ShapeError`` unless ``r`` is an integer >= 1 (and,
+    exactly ``r``, ``ShapeError`` unless the int ``r`` is >= 1 (and,
     without ``left``, at most ``x``'s row count), ``SolverError`` when the
     norm of ``x`` overflows (no fit to it would pass ``_check_fit``, and
     the solver's products could overflow).  Without ``left`` a tall ``x``
-    is factored through the R factor of its QR, the others directly, and
+    is factored through the R factor of its QR (the R-SVD of Chan 1982,
+    which never builds the m x n left factor), the others directly, and
     ``u`` is None; with it one thin SVD of ``x`` gives all three."""
-    r, = _integers([r], "rank must be an integer")
     if r < 1:
         raise ShapeError(f"rank must be positive, got {r}")
     if not left and len(x) < r:  # the row-space solvers' w is m x r
@@ -152,16 +143,14 @@ def _scan_slices(stack, rows, cols, target):
     """
     best = 0
     for flat in range(stack.shape[2]):
-        rank = numerical_rank(stack[:, :, flat])
+        rank = _rank(stack[:, :, flat])
         if rank == target:
             return flat
         best = max(best, rank)
     name = ",".join(str(g[0]) if len(g) == 1 else str(list(g))
                     for g in (rows, cols))
-    raise RankError(
-        f"none of the {stack.shape[2]} [{name}]-slices has rank {target} "
-        f"(best was {best})"
-    )
+    raise RankError(f"none of the {stack.shape[2]} [{name}]-slices has "
+                    f"rank {target} (best was {best})")
 
 
 def _relative_residual(x, fit):
@@ -313,6 +302,11 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     NP-hard in general.  ``return_history`` adds the list ``[|det q|]``.
     """
     b = _reals(b, "maxdet_simplex b must be a finite real matrix", 2)
+    return _maxdet(b, cfg, return_history)
+
+
+def _maxdet(b, cfg, return_history=False):
+    """``maxdet_simplex`` on a float matrix."""
     r = b.shape[1]
     try:
         v, ray = cross_section_vertices(b, b.sum(axis=0), _VERTEX_ENUM_CAP)
@@ -332,9 +326,7 @@ def maxdet_simplex(b, cfg: SolverConfig, return_history=False):
     if y.min() < -cfg.feas_tol or np.abs(y.sum(axis=0) - 1).max() \
             > cfg.feas_tol:
         raise SolverError("maxdet solution violates feasibility")
-    if return_history:
-        return q, [best_val]
-    return q
+    return (q, [best_val]) if return_history else q
 
 
 class Order2Ntd(NamedTuple):
@@ -362,6 +354,7 @@ def minvol_order2_ntd(x, r, cfg: SolverConfig) -> Order2Ntd:
     space parametrization; exact fit holds by construction.
     """
     x = _reals(x, "minvol_order2_ntd x must be a finite real matrix", 2)
+    r, = _integers([r], "rank must be an integer")
     return _minvol_order2(x, r, cfg)[0]
 
 
@@ -371,8 +364,7 @@ def _minvol_order2(x, r, cfg):
     ``u2 = z q2``, for ``_left_inverse``."""
     w, _, vt = _rank_r_svd(x, r, left=True)
     z = vt.T
-    q1 = maxdet_simplex(w, cfg)
-    q2 = maxdet_simplex(z, cfg)
+    q1, q2 = _maxdet(w, cfg), _maxdet(z, cfg)
     u1, u2 = w @ q1, z @ q2
     m = w.T @ x @ z
     g = np.linalg.solve(q1, m)
@@ -389,6 +381,7 @@ def minvol_nmf(x, r, cfg: SolverConfig):
     Returns ``(w, h)`` with ``x = w @ h.T``.
     """
     x = _reals(x, "minvol_nmf x must be a finite real matrix", 2)
+    r, = _integers([r], "rank must be an integer")
     return _minvol_nmf(x, r, cfg)[:2]
 
 
@@ -397,7 +390,7 @@ def _minvol_nmf(x, r, cfg):
     with ``h = z q``, for ``_left_inverse``."""
     x = np.asfortranarray(x)  # BLAS bits follow layout
     z = _rank_r_svd(x, r)[2].T
-    q = maxdet_simplex(z, cfg)
+    q = _maxdet(z, cfg)
     h = z @ q
     w = np.linalg.solve(q, (x @ z).T).T
     _check_fit(x, w @ h.T, cfg.feas_tol)
@@ -429,6 +422,12 @@ def spa_separable_nmf(x, r, feas_tol=1e-9):
     """
     feas_tol, = _tolerances([feas_tol], "spa_separable_nmf feas_tol")
     x = _reals(x, "spa_separable_nmf x must be a finite real matrix", 2)
+    r, = _integers([r], "rank must be an integer")
+    return _spa(x, r, feas_tol)
+
+
+def _spa(x, r, feas_tol):
+    """``spa_separable_nmf`` on a float matrix and an int rank."""
     _, s, vt = _rank_r_svd(x, r)
     y = s[:, None] * vt
     norms = np.linalg.norm(y, axis=0)
@@ -464,10 +463,9 @@ def separable_order2_ntd(x, r, feas_tol=1e-9) -> Order2Ntd:
     same argument transposed recovers the left one."""
     feas_tol, = _tolerances([feas_tol], "separable_order2_ntd feas_tol")
     x = _reals(x, "separable_order2_ntd x must be a finite real matrix", 2)
-    _, _, h_right = spa_separable_nmf(x, r, feas_tol)
-    _, _, h_left = spa_separable_nmf(x.T, r, feas_tol)
-    u2 = h_right / h_right.sum(axis=0)
-    u1 = h_left / h_left.sum(axis=0)
+    r, = _integers([r], "rank must be an integer")
+    u2, u1 = (h / h.sum(axis=0) for _, _, h in
+              (_spa(x, r, feas_tol), _spa(x.T, r, feas_tol)))
     g = np.linalg.pinv(u1) @ x @ np.linalg.pinv(u2).T
     _check_fit(x, u1 @ g @ u2.T, feas_tol)
     return Order2Ntd(u1, g, u2)

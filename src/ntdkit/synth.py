@@ -16,14 +16,14 @@ from math import prod
 
 import numpy as np
 
-from .cones import ENUM_CAP_N, _ssc_memo, check_ssc
+from .cones import ENUM_CAP_N, _ssc, _ssc_memo
 from .errors import GenerationError, InputError, PartitionError, ShapeError
 from .evaluate import (_checked_seed, _conditions, _Core, _core_status,
-                       _Group, _Shape, validate_assumptions)
+                       _Group, _Shape, _validate)
 from .model import NtdModel
-from .procedures import ModePartition
-from .tensor import (DenseTensor, _integers, _reading, _unfolding_groups,
-                     read_tensor, write_tensor_binary, write_tensor_json)
+from .tensor import (DenseTensor, _integers, _partition, _reading,
+                     _unfolding_groups, read_tensor, write_tensor_binary,
+                     write_tensor_json)
 
 # Largest rank of a factor that ``gen_ssc_factor`` draws.  It bounds the
 # generator's SSC draws only: exact certification reaches cones.ENUM_CAP_R.
@@ -126,12 +126,16 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
     n, r, nnz_per_row, max_tries = _integers(
         (n, r, nnz_per_row, max_tries),
         "n, r, nnz_per_row and max_tries must be integers")
+    return _ssc_factor(n, r, rng, nnz_per_row, max_tries)
+
+
+def _ssc_factor(n, r, rng, nnz_per_row, max_tries=100):
+    """``gen_ssc_factor`` of int arguments."""
     if not 2 <= r <= n:
         raise ShapeError(f"r must be within 2..n, got n={n}, r={r}")
     if r > GEN_SSC_MAX_RANK:
-        raise GenerationError(
-            f"cannot certify SSC at r={r} (> {GEN_SSC_MAX_RANK})"
-        )
+        raise GenerationError(f"cannot certify SSC at r={r} "
+                              f"(> {GEN_SSC_MAX_RANK})")
     if n > ENUM_CAP_N:
         raise GenerationError(f"cannot certify SSC of a {n}x{r} factor: "
                               f"n={n} > ENUM_CAP_N={ENUM_CAP_N}")
@@ -145,7 +149,7 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
         if (h.sum(axis=0) == 0).any():
             continue
         h /= h.sum(axis=0)
-        if check_ssc(h).ssc:
+        if _ssc(h).ssc:
             return h
     raise GenerationError(f"no SSC draw accepted in {max_tries} tries")
 
@@ -153,13 +157,7 @@ def gen_ssc_factor(n, r, rng=None, nnz_per_row=2, max_tries=100):
 def gen_separable_factor(n, r, rng=None):
     """Stochastic matrix with a scaled identity block on its first r rows."""
     n, r = _integers((n, r), "n and r must be integers")
-    if not 1 <= r <= n:
-        raise ShapeError(f"r must be within 1..n, got n={n}, r={r}")
-    rng = np.random.default_rng(0 if rng is None else rng)
-    top = np.diag(rng.random(r) + 0.5)
-    rest = np.abs(rng.standard_normal((n - r, r)))
-    h = np.vstack([top, rest])
-    return h / h.sum(axis=0)
+    return _draw_factor("sep", n, r, rng)
 
 
 def gen_anchor_factor(n, r, rng=None):
@@ -170,13 +168,28 @@ def gen_anchor_factor(n, r, rng=None):
     procedures.
     """
     n, r = _integers((n, r), "n and r must be integers")
+    return _draw_factor("anchor", n, r, rng)
+
+
+def _draw_factor(kind, n, r, rng):
+    """The generators' body: an n x r factor of ``kind``, or Gaussian."""
+    if kind == "ssc":
+        # At r=2 the SSC equals separability, which two-nonzero rows can
+        # never satisfy; fall back to one nonzero per row there.
+        return _ssc_factor(n, r, rng, 1 if r == 2 else 2)
     if not 1 <= r <= n:
         raise ShapeError(f"r must be within 1..n, got n={n}, r={r}")
     rng = np.random.default_rng(0 if rng is None else rng)
-    cols = np.concatenate([rng.permutation(r),
-                           rng.integers(r, size=n - r)])
-    h = np.zeros((n, r))
-    h[np.arange(n), cols] = rng.random(n) + 0.1
+    if kind == "sep":
+        h = np.vstack([np.diag(rng.random(r) + 0.5),
+                       np.abs(rng.standard_normal((n - r, r)))])
+    elif kind == "anchor":
+        h = np.zeros((n, r))
+        cols = np.concatenate([rng.permutation(r),
+                               rng.integers(r, size=n - r)])
+        h[np.arange(n), cols] = rng.random(n) + 0.1
+    else:
+        h = np.abs(rng.standard_normal((n, r))) + 0.05
     return h / h.sum(axis=0)
 
 
@@ -244,9 +257,8 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
     if partition is not None:
         if set(partition) != {"rows", "fixed", "cols"}:
             raise PartitionError("partition takes rows, fixed and cols only")
-        named = dict(zip(("rows", "fixed", "cols"), ModePartition(
-            partition["rows"], partition["fixed"],
-            partition["cols"]).validate(d)))
+        named = dict(zip(("rows", "fixed", "cols"), _partition(
+            d, partition["rows"], partition["fixed"], partition["cols"])))
         partition = {k: list(named[k]) for k in partition}
     seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)
@@ -264,15 +276,14 @@ def gen_instance(assumption_id, dims, ranks, seed=0, axes=None,
                              {"generator": assumption_id})
             inst = Instance(truth.reconstruct(), truth, assumption_id, seed,
                             meta)
-            report = validate_assumptions(inst, assumption_id)
+            report = _validate(inst, assumption_id)
             if report.overall == "pass":
                 inst.meta["validation"] = report.to_json()
                 return inst
             last_report = report
     raise GenerationError(
         f"no valid {assumption_id} instance in {max_tries} tries; last "
-        f"report: {None if last_report is None else last_report.to_json()}"
-    )
+        f"report: {None if last_report is None else last_report.to_json()}")
 
 
 def _draw(assumption_id, dims, ranks, rng, meta):
@@ -290,19 +301,6 @@ def _draw(assumption_id, dims, ranks, rng, meta):
         elif isinstance(c, _Core) and not c.report_only:
             core.append(c)
     return factors, _draw_core(ranks, core, rng)
-
-
-def _draw_factor(kind, n, r, rng):
-    if kind == "ssc":
-        # At r=2 the SSC equals separability, which two-nonzero rows can
-        # never satisfy; fall back to one nonzero per row there.
-        return gen_ssc_factor(n, r, rng, nnz_per_row=1 if r == 2 else 2)
-    if kind == "sep":
-        return gen_separable_factor(n, r, rng)
-    if kind == "anchor":
-        return gen_anchor_factor(n, r, rng)
-    u = np.abs(rng.standard_normal((n, r))) + 0.05
-    return u / u.sum(axis=0)
 
 
 def save_instance(inst: Instance, path):

@@ -896,6 +896,30 @@ class TestWitness:
         with pytest.raises(UsageError):
             ssc1_violation_witness(np.array([[0.7, 0.7]]), np.eye(2))
 
+    def test_factor_without_rows_refused(self):
+        # was: a raw ValueError from a reduction over no rows
+        empty = np.zeros((0, 2))
+        with pytest.raises(UsageError, match="u1 has no rows"):
+            ssc1_violation_witness(empty, np.eye(2))
+        with pytest.raises(UsageError, match="u2 has no rows"):
+            ssc1_violation_witness(np.eye(3), empty)
+
+    def test_factors_read_as_the_cone_checks_read_them(self):
+        # the factors pass the cone checks' one nonnegativity rule, with
+        # each message naming its factor
+        with pytest.raises(UsageError, match="u2 has negative entries"):
+            ssc1_violation_witness(np.eye(2), np.array([[1.5, -0.5],
+                                                        [0.0, 1.0]]))
+        with pytest.raises(UsageError, match="u1 needs r >= 2"):
+            ssc1_violation_witness(np.ones((3, 1)), np.eye(2))
+        tiny = np.array([[1.0 + 1e-13, -1e-13], [0.0, 1.0]])
+        assert ssc1_violation_witness(tiny, np.eye(3)) is None
+        # rows are summed as given: a row past 1e100 is not rescaled into
+        # a stochastic one
+        huge = np.array([[2.0 ** 400, 2.0 ** 400], [0.5, 0.5]])
+        with pytest.raises(UsageError, match="u1 is not row-stochastic"):
+            ssc1_violation_witness(huge, np.eye(2))
+
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])

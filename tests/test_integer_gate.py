@@ -176,3 +176,52 @@ def test_no_module_imports_a_name_it_does_not_use():
               for path in sorted(PACKAGE.rglob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# Names of ``ntdkit.__all__`` the package may call: containers and result
+# types, transforms (which keep the values they are given) and the file
+# readers and writers.  Every other name is a computing function that is
+# its gates over one private body.
+UNGATED = {
+    "AlignmentResult", "AssumptionReport", "DenseTensor", "Instance",
+    "ModePartition", "NtdModel", "Order2Ntd", "SliceSpec", "SolverConfig",
+    "SscReport", "fold", "kron", "kron_all", "mode_slice",
+    "multilinear_transform", "slice_combination", "slice_matrix", "unfold",
+    "load_instance", "read_tensor", "save_instance", "write_tensor_binary",
+    "write_tensor_json",
+}
+
+
+def _gated_calls(tree):
+    """``(caller, callee)`` for each call in ``tree`` of a name of
+    ``ntdkit.__all__`` outside ``UNGATED``, ``<module>`` for a call outside
+    every function."""
+    gated = set(ntdkit.__all__) - UNGATED
+    calls = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in gated:
+                calls.append((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return calls
+
+
+def test_the_package_calls_bodies_not_gated_names():
+    # A gated public function checks its arguments and calls one private
+    # body; the package calls the bodies, so what it has computed or
+    # checked is not checked again.  Only the command line calls the
+    # public names.
+    assert UNGATED <= set(ntdkit.__all__)
+    calls = [(path.name, caller, callee)
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "cli.py"
+             for caller, callee in _gated_calls(ast.parse(path.read_text()))]
+    assert not calls, "\n".join(map(str, calls))

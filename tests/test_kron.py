@@ -184,7 +184,7 @@ class TestKronSplitMulti:
         # the final column check catches a level that misreports its
         # permutation, whatever the level checks saw
         kron_module = importlib.import_module("ntdkit.kron")  # not kron()
-        split = kron_module.kron_split_permuted
+        split = kron_module._split_permuted  # what each level calls
 
         def swapped(*args):
             u1, u2, perm, residual = split(*args)
@@ -192,7 +192,7 @@ class TestKronSplitMulti:
             return u1, u2, perm, residual
 
         x, _ = permuted_product([(4, 2), (3, 2), (5, 2)], rng)
-        monkeypatch.setattr(kron_module, "kron_split_permuted", swapped)
+        monkeypatch.setattr(kron_module, "_split_permuted", swapped)
         with pytest.raises(NotPermutedKronecker, match="rebuilt column"):
             kron_split_multi(x, [(4, 2), (3, 2), (5, 2)])
 

@@ -647,9 +647,10 @@ def build_dd_corpus():
 def criterion_7_sections():
     """Cross-sections of instances at the criterion-7 shapes, r = 2..5:
     each generated factor ``h`` with a = 1 (``check_ssc``) and each ``b``
-    that the procedure hands ``maxdet_simplex``, with a = b.sum(0)."""
+    that the procedure hands ``solvers._maxdet``, the body of
+    ``maxdet_simplex``, with a = b.sum(0)."""
     sections = {}
-    maxdet = solvers.maxdet_simplex
+    maxdet = solvers._maxdet
     for proc, assumption, dims, ranks in [
             (procedure1, "A4.2", (20, 20, 15), (4, 4, 3)),
             (procedure3, "A4.4", (18, 18, 20), (3, 3, 5)),
@@ -664,11 +665,11 @@ def criterion_7_sections():
             seen.append(b)
             return maxdet(b, cfg)
 
-        solvers.maxdet_simplex = record
+        solvers._maxdet = record
         try:
             proc(inst.tensor, ranks, SolverConfig())
         finally:
-            solvers.maxdet_simplex = maxdet
+            solvers._maxdet = maxdet
         for k, b in enumerate(seen):
             sections[f"criterion-7-{assumption}-maxdet{k}-{b.shape[0]}x"
                      f"{b.shape[1]}"] = (b, b.sum(axis=0))

@@ -706,8 +706,8 @@ class TestSeparableModeOrder:
         import ntdkit.procedures as procedures
         inst = gen_instance("A-sep", (9, 12, 6, 8), (3, 2, 2, 3), seed=4)
         shapes = []
-        spa = procedures.spa_separable_nmf
-        monkeypatch.setattr(procedures, "spa_separable_nmf", lambda x, *a:
+        spa = procedures._spa
+        monkeypatch.setattr(procedures, "_spa", lambda x, *a:
                             shapes.append(x.shape) or spa(x, *a))
         separable_orderd(inst.tensor, (3, 2, 2, 3))
         assert shapes[0] == (9 * 12 * 8, 6)
@@ -834,7 +834,7 @@ def no_solve(monkeypatch):
     """Every solver entry of the procedures fails the test when reached."""
     def reached(*args, **kwargs):
         raise AssertionError("a solver ran")
-    for name in ("_minvol_order2", "minvol_order2_ntd", "spa_separable_nmf"):
+    for name in ("_minvol_order2", "_minvol_nmf", "_spa"):
         monkeypatch.setattr(procedures, name, reached)
 
 

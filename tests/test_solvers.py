@@ -121,8 +121,8 @@ def test_one_svd_per_solve(solve, monkeypatch):
 def test_unmet_fit_keeps_class_and_message(rng, monkeypatch):
     # A tolerance no floating-point fit meets stands in for an input the
     # solver cannot fit; the inner steps keep the default tolerance.
-    maxdet, spa = solvers.maxdet_simplex, solvers.spa_separable_nmf
-    monkeypatch.setattr(solvers, "maxdet_simplex", lambda b, _: maxdet(b, CFG))
+    maxdet, spa = solvers._maxdet, solvers._spa  # what the solvers call
+    monkeypatch.setattr(solvers, "_maxdet", lambda b, _: maxdet(b, CFG))
     tiny = SolverConfig(feas_tol=1e-300)
     x = two_nonzero_ssc(12, 4, rng) @ rng.random((4, 4)) \
         @ two_nonzero_ssc(14, 4, rng).T
@@ -135,8 +135,7 @@ def test_unmet_fit_keeps_class_and_message(rng, monkeypatch):
         @ gen_separable_factor(12, 3, rng).T
     with pytest.raises(NotSeparable, match=r"^separable residual \d"):
         spa_separable_nmf(xs, 3, tiny.feas_tol)
-    monkeypatch.setattr(solvers, "spa_separable_nmf",
-                        lambda a, r, _: spa(a, r))
+    monkeypatch.setattr(solvers, "_spa", lambda a, r, _: spa(a, r, 1e-9))
     with pytest.raises(SolverError,
                        match=r"^reconstruction residual \d") as info:
         separable_order2_ntd(xs, 3, tiny.feas_tol)
